@@ -188,6 +188,19 @@ class MonteCarloEnsemble:
                 )
         return out, records
 
+    def thinnest_stratum(self) -> Optional[int]:
+        """Fewest paths in any regression stratum over the fitted steps.
+
+        Steps ``1..K-1`` are fitted (step 0 is a plain mean); ``None`` when
+        there are none.
+        """
+        fitted = self.bundle.i_reg[:, 1 : self.n_steps]
+        if fitted.shape[1] == 0:
+            return None
+        if not self.basis.stratify_by_regime:
+            return self.bundle.N
+        return min(int(c[c > 0].min()) for c in map(np.bincount, fitted.T))
+
     def absent_strata(self, k: int) -> list[int]:
         present = set(np.unique(self.bundle.i_reg[:, k]).astype(int))
         return [i for i in range(1, self.spec.m + 1) if i not in present]
@@ -451,9 +464,9 @@ def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResu
     K = ens.n_steps
 
     if isinstance(ens, MonteCarloEnsemble):
-        per_stratum = config.paths / max(spec.m, 1)
-        if per_stratum < config.basis.size(spec.d):
-            warnings.warn("fewer paths per stratum than basis functions", stacklevel=2)
+        thinnest, size = ens.thinnest_stratum(), config.basis.size(spec.d)
+        if thinnest is not None and thinnest < size:
+            warnings.warn(f"fewer paths per stratum than basis functions ({thinnest} < {size})", stacklevel=2)
 
     regimes_T, x_T = ens.states(K)
     y = np.empty(regimes_T.size)

@@ -17,13 +17,20 @@ dedicated substream ``default_rng(SeedSequence((s, p)))`` and consumes, in
 order: the Poisson atom count, the atom times, the atom marks, then ``d``
 standard normals per concatenated sub-interval. Results are therefore
 independent of scheduling and of the worker count.
+
+Simulation runs in two phases. A per-path loop only draws: it takes
+``K + count`` normal rows, enough for the longest grid the path can have,
+and an atom that merges with a grid node leaves the tail unused. That is
+why the normals must stay the last draws of a path. A vectorized build
+then merges the grids, places every node by scatter and runs the Euler
+sweep over all paths at once.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -243,38 +250,104 @@ def _euler_step(spec: ProblemSpec, i: int, x: Array, dt: Array, dw: Array) -> Ar
     return x + drift * dt[:, None] + np.einsum("nij,nj->ni", vol, dw)
 
 
-def _draw_path(spec: ProblemSpec, T: float, h: float, seed: int, p: int, regular: Array):
-    """Atoms, concatenated grid and Brownian increments for one path."""
-    rng = np.random.default_rng(np.random.SeedSequence((int(seed), int(p))))
-    atoms = sample_jump_marks(spec.intensity, T, rng)
-    grid = np.unique(np.concatenate([regular, atoms.times]))
-    n_sub = grid.size - 1
-    normals = rng.standard_normal((n_sub, spec.d))
-    dt = np.diff(grid)
-    dw = normals * np.sqrt(dt)[:, None]
-    # regime on each sub-interval [s_l, s_{l+1}): right-continuous step path
-    reg_values = np.concatenate(([spec.initial_regime], atoms.marks)).astype(np.int16)
-    regime_nodes = reg_values[np.searchsorted(atoms.times, grid, side="right")]
-    reg_pos = np.searchsorted(grid, regular)
-    return atoms, grid, dt, dw, regime_nodes, reg_pos
+def _draw_block(spec: ProblemSpec, K: int, seed: int, p_lo: int, p_hi: int) -> tuple[Array, Array, Array]:
+    """Raw draws of paths ``[p_lo, p_hi)``: atom counts, uniforms, normals.
 
-
-def _simulate_block(spec: ProblemSpec, N: int, h: float, seed: int, p_lo: int, p_hi: int):
-    """Draw raw path data for paths [p_lo, p_hi); Euler runs on the merged arrays."""
-    T = spec.horizon
-    regular = _regular_grid(T, h)
-    out = []
+    Path ``p`` draws from ``default_rng(SeedSequence((seed, p)))``, in order:
+    the Poisson atom count ``c`` (skipped at zero intensity), ``2c`` uniforms
+    (the atom times, then the marks, as :func:`sample_jump_marks` consumes
+    them) and ``(K + c) * d`` standard normals, one row per sub-interval the
+    path's grid can have. The normals come last, so the rows left over when
+    atoms merge with grid nodes change nothing. Each output concatenates the
+    per-path draws in path order.
+    """
+    total, seed = spec.intensity.total, int(seed)
+    counts, uniforms, normals = [], [], []
     for p in range(p_lo, p_hi):
-        out.append(_draw_path(spec, T, h, seed, p, regular))
-    return out
+        rng = np.random.default_rng(np.random.SeedSequence((seed, p)))
+        c = int(rng.poisson(total * spec.horizon)) if total != 0.0 else 0
+        counts.append(c)
+        uniforms.append(rng.random(2 * c))
+        normals.append(rng.standard_normal((K + c) * spec.d))
+    return np.array(counts, dtype=np.int64), np.concatenate(uniforms), np.concatenate(normals)
 
 
 def _catalog_block_worker(args):
-    name, overrides, N, h, seed, p_lo, p_hi = args
+    name, overrides, K, seed, p_lo, p_hi = args
     from .catalog import build_problem
 
-    spec = build_problem(name, overrides)
-    return _simulate_block(spec, N, h, seed, p_lo, p_hi)
+    return _draw_block(build_problem(name, overrides), K, seed, p_lo, p_hi)
+
+
+def _atoms_from_draws(intensity: IntensityMeasure, T: float, counts: Array, uniforms: Array):
+    """Flat atoms ``(atom_offsets, atom_times, atom_marks)`` from block draws.
+
+    Path by path this is :func:`sample_jump_marks`: times are the sorted
+    first ``c`` uniforms times ``T``; marks take the last ``c`` uniforms
+    through the inverse CDF exactly as ``Generator.choice(m, p=...)`` does
+    and stay in draw order; atoms at time 0 are dropped.
+    """
+    N = counts.size
+    if not counts.any():  # also the zero-intensity case, which has no mark law
+        return np.zeros(N + 1, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.int16)
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    path = np.repeat(np.arange(N), counts)
+    flat = np.arange(path.size)
+    time_u = uniforms[offsets[path] + flat]
+    mark_u = uniforms[offsets[path + 1] + flat]
+    times = time_u[np.lexsort((time_u, path))] * T
+    cdf = intensity.mark_probabilities().cumsum()
+    cdf /= cdf[-1]
+    marks = (cdf.searchsorted(mark_u, side="right") + 1).astype(np.int16)
+    keep = times > 0.0  # measure-zero guard: atoms live on (0, T]
+    atom_offsets = np.concatenate(([0], np.cumsum(np.bincount(path[keep], minlength=N))))
+    return atom_offsets, times[keep], marks[keep]
+
+
+def _merge_grids(regular: Array, atom_offsets: Array, atom_times: Array, atom_marks: Array, i0: int):
+    """Padded concatenated grids of all paths, placed by scatter.
+
+    Row ``p`` of ``times`` is ``np.unique(np.concatenate([regular, atoms_p]))``
+    padded with ``T``: an atom on a regular time, or on an earlier atom of its
+    path, merges into that node. Call the other atoms new. Regular node ``k``
+    goes to column ``k`` plus the number of new atoms before it; a new atom
+    goes to column (its rank among its path's new atoms) plus (the number of
+    regular times below it). Atom times must be sorted within each path and
+    lie in ``(0, T]``.
+
+    Returns ``(times, regime, step_of, n_nodes, reg_pos)`` in the
+    :class:`PathBundle` layout.
+    """
+    N, K1 = atom_offsets.size - 1, regular.size
+    path = np.repeat(np.arange(N), np.diff(atom_offsets))
+    n_le = np.searchsorted(regular, atom_times, side="right")  # regular times <= atom, >= 1
+    new = regular[n_le - 1] != atom_times
+    new[1:] &= (atom_times[1:] != atom_times[:-1]) | (path[1:] != path[:-1])
+    new_upto = np.concatenate(([0], np.cumsum(new)))
+    col = new_upto[1:] - new_upto[atom_offsets[path]] + n_le - 1
+    n_nodes = (K1 + np.diff(new_upto[atom_offsets])).astype(np.int32)
+
+    reg_pos = np.bincount(path[new] * K1 + n_le[new], minlength=N * K1).reshape(N, K1).cumsum(axis=1)
+    reg_pos = (reg_pos + np.arange(K1)).astype(np.int32)
+
+    L1 = int(n_nodes.max())
+    rows = np.arange(N)[:, None]
+    times = np.full((N, L1), regular[-1])
+    times[rows, reg_pos] = regular
+    times[path[new], col[new]] = atom_times[new]
+    # sub-interval [s_l, s_{l+1}) belongs to the regular step it starts in
+    step_of = np.zeros((N, L1 - 1), dtype=np.int32)
+    step_of[rows, reg_pos[:, :-1]] = np.arange(K1 - 1)
+    step_of[path[new], col[new]] = n_le[new] - 1
+
+    # right-continuous regime: the mark of the latest atom at or before each node
+    latest_at_node = np.ones(path.size, dtype=bool)
+    latest_at_node[:-1] = (col[1:] != col[:-1]) | (path[1:] != path[:-1])
+    latest = np.zeros((N, L1), dtype=np.int32)
+    latest[path[latest_at_node], col[latest_at_node]] = np.flatnonzero(latest_at_node) + 1
+    latest = np.maximum.accumulate(latest, axis=1)
+    regime = np.concatenate(([i0], atom_marks)).astype(np.int16)[latest]
+    return times, regime, step_of, n_nodes, reg_pos
 
 
 def simulate_paths(
@@ -288,7 +361,7 @@ def simulate_paths(
 ) -> PathBundle:
     """Simulate ``N`` paths of the regime process and the Euler state.
 
-    ``h`` must divide the horizon. ``workers > 1`` splits path generation
+    ``h`` must divide the horizon. ``workers > 1`` splits the random draws
     over processes; because every path has its own substream the result is
     bit-identical for any worker count. Multiprocess mode needs
     ``problem_ref = (catalog_name, overrides)`` so workers can rebuild the
@@ -298,54 +371,53 @@ def simulate_paths(
         raise ValueError("path count must be >= 1")
     T = spec.horizon
     K = _step_count(T, h)
-    regular = _regular_grid(T, h)
 
     if workers > 1 and problem_ref is not None and N >= 2 * workers:
         chunk = (N + workers - 1) // workers
-        ranges = [(lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
         name, overrides = problem_ref
-        args = [(name, overrides, N, h, seed, lo, hi) for lo, hi in ranges]
+        args = [(name, overrides, K, seed, lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(_catalog_block_worker, args))
-        raw = [path for block in blocks for path in block]
+        counts, uniforms, normals = (np.concatenate(parts) for parts in zip(*blocks))
     else:
-        raw = _simulate_block(spec, N, h, seed, 0, N)
+        counts, uniforms, normals = _draw_block(spec, K, seed, 0, N)
 
-    return _assemble_bundle(spec, raw, N=N, h=h, K=K, seed=seed, regular=regular)
+    atom_offsets, atom_times, atom_marks = _atoms_from_draws(spec.intensity, T, counts, uniforms)
+    normals = normals.reshape(-1, spec.d)
+    first_row = np.concatenate(([0], np.cumsum(K + counts)[:-1]))  # of each path's normals
+
+    def increments(dt: Array, real: Array) -> Array:
+        rows = (first_row[:, None] + np.arange(dt.shape[1]))[real]
+        return normals[rows] * np.sqrt(dt[real])[:, None]
+
+    return _build_bundle(spec, K, seed, atom_offsets, atom_times, atom_marks, increments)
 
 
-def _assemble_bundle(spec: ProblemSpec, raw: list, *, N: int, h: float, K: int, seed: int, regular: Array) -> PathBundle:
+def _build_bundle(
+    spec: ProblemSpec,
+    K: int,
+    seed: int,
+    atom_offsets: Array,
+    atom_times: Array,
+    atom_marks: Array,
+    increments: Callable[[Array, Array], Array],
+) -> PathBundle:
+    """Bundle from flat per-path atoms (sorted within each path, in (0, T]).
+
+    ``increments(dt, real)`` receives the padded ``dt`` and the mask of real
+    sub-intervals and returns their Brownian increments, one row per real
+    sub-interval in row-major order.
+    """
     d, m, T = spec.d, spec.m, spec.horizon
-    n_nodes = np.array([grid.size for (_, grid, *_rest) in raw], dtype=np.int32)
-    L = int(n_nodes.max()) - 1
-
-    times = np.full((N, L + 1), T)
-    regime = np.zeros((N, L + 1), dtype=np.int16)
-    dw = np.zeros((N, L, d))
-    dt = np.zeros((N, L))
-    step_of = np.zeros((N, L), dtype=np.int32)
-    reg_pos = np.zeros((N, K + 1), dtype=np.int32)
-    atom_offsets = np.zeros(N + 1, dtype=np.int64)
-
-    atom_time_parts, atom_mark_parts = [], []
-    for p, (atoms, grid, dt_p, dw_p, regime_nodes, reg_pos_p) in enumerate(raw):
-        n = grid.size
-        times[p, :n] = grid
-        regime[p, : n] = regime_nodes
-        regime[p, n:] = regime_nodes[-1]
-        dw[p, : n - 1] = dw_p
-        dt[p, : n - 1] = dt_p
-        reg_pos[p] = reg_pos_p
-        # sub-interval [s_l, s_{l+1}) belongs to regular step floor-wise
-        step_of[p, : n - 1] = np.searchsorted(regular, grid[:-1], side="right") - 1
-        atom_offsets[p + 1] = atom_offsets[p] + atoms.times.size
-        atom_time_parts.append(atoms.times)
-        atom_mark_parts.append(atoms.marks)
-
-    atom_times = np.concatenate(atom_time_parts) if atom_time_parts else np.empty(0)
-    atom_marks = (
-        np.concatenate(atom_mark_parts).astype(np.int16) if atom_mark_parts else np.empty(0, dtype=np.int16)
+    regular = np.linspace(0.0, T, K + 1)
+    times, regime, step_of, n_nodes, reg_pos = _merge_grids(
+        regular, atom_offsets, atom_times, atom_marks, spec.initial_regime
     )
+    N, L = step_of.shape
+    dt = np.diff(times, axis=1)  # the padding repeats T, so padded dt is 0
+    real = np.arange(L) < (n_nodes - 1)[:, None]
+    dw = np.zeros((N, L, d))
+    dw[real] = increments(dt, real)
 
     # vectorized Euler sweep over padded columns, grouped by regime
     x = np.empty((N, L + 1, d))
@@ -413,33 +485,41 @@ def bundle_from_paths(
 
     Intended for tests: ``atoms_per_path[p]`` lists ``(time, mark)`` atoms
     and ``dw_per_path[p]`` gives one increment row per concatenated
-    sub-interval (zeros when omitted). The Euler recursion and all derived
-    views are built exactly as in :func:`simulate_paths`.
+    sub-interval (zeros when omitted). Atoms at equal times, or on a regular
+    time, share one grid node, whose regime is the mark of the last of them
+    in ``(time, mark)`` order. The merge, the Euler recursion and all derived
+    views are those of :func:`simulate_paths`.
     """
     T = spec.horizon
     K = _step_count(T, h)
-    regular = _regular_grid(T, h)
-    raw = []
+    offsets, times, marks = [0], [], []
     for p, atom_list in enumerate(atoms_per_path):
         atom_list = sorted(atom_list)
-        atoms = MarkedPoissonPath(
-            times=np.asarray([a[0] for a in atom_list], dtype=float),
-            marks=np.asarray([a[1] for a in atom_list], dtype=int),
-        )
-        if atoms.times.size and atoms.times[-1] > T:
+        if atom_list and atom_list[0][0] <= 0:
+            raise ValueError(f"path {p} has an atom at a nonpositive time")
+        if atom_list and atom_list[-1][0] > T:
             raise ValueError(f"path {p} has an atom beyond the horizon")
-        grid = np.unique(np.concatenate([regular, atoms.times]))
-        n_sub = grid.size - 1
-        dt_p = np.diff(grid)
+        times.extend(float(t) for t, _ in atom_list)
+        marks.extend(int(j) for _, j in atom_list)
+        offsets.append(len(times))
+
+    def increments(dt: Array, real: Array) -> Array:
+        n_sub = real.sum(axis=1)
         if dw_per_path is None:
-            dw_p = np.zeros((n_sub, spec.d))
-        else:
-            dw_p = np.asarray(dw_per_path[p], dtype=float).reshape(n_sub, spec.d)
-        reg_values = np.concatenate(([spec.initial_regime], atoms.marks)).astype(np.int16)
-        regime_nodes = reg_values[np.searchsorted(atoms.times, grid, side="right")]
-        reg_pos_p = np.searchsorted(grid, regular)
-        raw.append((atoms, grid, dt_p, dw_p, regime_nodes, reg_pos_p))
-    return _assemble_bundle(spec, raw, N=len(raw), h=h, K=K, seed=-1, regular=regular)
+            return np.zeros((int(n_sub.sum()), spec.d))
+        return np.concatenate(
+            [np.asarray(dw_per_path[p], dtype=float).reshape(n, spec.d) for p, n in enumerate(n_sub)]
+        )
+
+    return _build_bundle(
+        spec,
+        K,
+        -1,
+        np.asarray(offsets, dtype=np.int64),
+        np.asarray(times, dtype=float),
+        np.asarray(marks, dtype=np.int16),
+        increments,
+    )
 
 
 def dump_paths_csv(bundle: PathBundle, path) -> None:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -274,6 +276,14 @@ class TestStepAndSolve:
         bundle = simulate_paths(spec, 4, 0.25, seed=0)
         with pytest.warns(UserWarning, match="fewer paths per stratum"):
             solve_backward(spec, SchemeConfig(h=0.25, paths=4, seed=0), bundle)
+        # the warning reads the bundle's strata, not the configured path count
+        with pytest.warns(UserWarning, match="fewer paths per stratum"):
+            solve_backward(spec, SchemeConfig(h=0.25, paths=10_000, seed=0), bundle)
+        thick = simulate_paths(spec, 400, 0.25, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            solve_backward(spec, SchemeConfig(h=0.25, paths=4, seed=0), thick)
+        assert not [w for w in caught if "fewer paths per stratum" in str(w.message)]
 
     def test_three_regime_mc_against_fd(self):
         from switchbsde import default_grid, fd_solve

@@ -262,11 +262,49 @@ class TestSimulatePaths:
         assert abs(b.x_reg[:, -1, 0].var() - 1.0) < 0.2
 
     def test_worker_split_matches_serial(self):
-        spec = build_problem("bm1")
+        spec = build_problem("switch3")
         serial = simulate_paths(spec, 48, 0.25, seed=6)
-        split = simulate_paths(spec, 48, 0.25, seed=6, workers=4, problem_ref=("bm1", {}))
-        np.testing.assert_array_equal(serial.x, split.x)
-        np.testing.assert_array_equal(serial.dw, split.dw)
+        split = simulate_paths(spec, 48, 0.25, seed=6, workers=2, problem_ref=("switch3", {}))
+        assert serial.atom_times.size > 0
+        for name, a in vars(serial).items():
+            b = getattr(split, name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype, name
+                np.testing.assert_array_equal(a, b, err_msg=name)
+            else:
+                assert a == b, name
+
+    @pytest.mark.parametrize(
+        "make_spec, h",
+        [
+            (lambda: build_problem("switch2-linear"), 0.1),
+            (lambda: build_problem("switch3"), 0.125),
+            (
+                lambda: diffusion_spec(
+                    drift_fn=lambda i, x: np.zeros_like(x),
+                    vol_fn=lambda i, x: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy(),
+                    d=2,
+                    intensity=(1.5,),
+                ),
+                0.25,
+            ),
+        ],
+        ids=["switch2-linear", "switch3", "d2"],
+    )
+    def test_stream_contract(self, make_spec, h):
+        """Path p draws its atoms, then its normals, from SeedSequence((s, p))."""
+        spec, seed = make_spec(), 31
+        b = simulate_paths(spec, 40, h, seed=seed)
+        assert b.atom_times.size > 0
+        for p in (0, 1, 7, 23, 39):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, p)))
+            atoms = sample_jump_marks(spec.intensity, spec.horizon, rng)
+            sl = slice(b.atom_offsets[p], b.atom_offsets[p + 1])
+            np.testing.assert_array_equal(b.atom_times[sl], atoms.times)
+            np.testing.assert_array_equal(b.atom_marks[sl], atoms.marks)
+            n_sub = b.n_nodes[p] - 1
+            normals = rng.standard_normal((n_sub, spec.d))
+            np.testing.assert_array_equal(b.dw[p, :n_sub], normals * np.sqrt(b.dt[p, :n_sub])[:, None])
 
 
 class TestBundleFromPaths:
@@ -274,6 +312,44 @@ class TestBundleFromPaths:
         spec = build_problem("switch2-linear", {"T": 0.5})
         with pytest.raises(ValueError, match="beyond the horizon"):
             bundle_from_paths(spec, 0.25, [[(0.9, 2)]])
+
+    def test_atom_at_nonpositive_time_rejected(self):
+        spec = build_problem("switch2-linear", {"T": 0.5})
+        with pytest.raises(ValueError, match="nonpositive time"):
+            bundle_from_paths(spec, 0.25, [[(0.2, 1)], [(0.0, 2)]])
+
+    def test_merge_edge_cases(self):
+        """Coincident times share one node, as np.unique merges them.
+
+        The expected arrays were recorded from the per-path merge
+        (``np.unique`` of regular and atom times) that preceded the
+        vectorized one.
+        """
+        spec = build_problem("switch2-linear", {"T": 0.5, "i0": 1})
+        b = bundle_from_paths(
+            spec,
+            0.25,
+            [
+                [(0.25, 2)],  # atom on a regular time
+                [(0.1, 2), (0.1, 1)],  # two atoms at one time: the later in (time, mark) order wins
+                [(0.5, 2)],  # atom at T
+                [],  # no atoms
+                [(0.5, 1), (0.3, 2), (0.25, 2), (0.3, 1)],  # all of the above on one path
+            ],
+        )
+        expected = {
+            "times": [[0.0, 0.25, 0.5, 0.5], [0.0, 0.1, 0.25, 0.5], [0.0, 0.25, 0.5, 0.5], [0.0, 0.25, 0.5, 0.5],
+                      [0.0, 0.25, 0.3, 0.5]],
+            "n_nodes": [3, 4, 3, 3, 4],
+            "regime": [[1, 2, 2, 2], [1, 2, 2, 2], [1, 1, 2, 2], [1, 1, 1, 1], [1, 2, 2, 1]],
+            "reg_pos": [[0, 1, 2], [0, 2, 3], [0, 1, 2], [0, 1, 2], [0, 1, 3]],
+            "step_of": [[0, 1, 0], [0, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 1]],
+            "counts_reg": [[[0, 1], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]],
+                           [[0, 1], [2, 1]]],
+        }
+        for name, values in expected.items():
+            np.testing.assert_array_equal(getattr(b, name), values, err_msg=name)
+        np.testing.assert_array_equal(b.dt > 0, np.arange(3) < b.n_nodes[:, None] - 1)
 
     def test_manual_atoms_and_grid(self):
         spec = build_problem("switch2-linear", {"T": 0.5})
