@@ -14,7 +14,6 @@ from .backward import (
     SolveResult,
     estimate_u,
     estimate_z,
-    driver_integral,
     penalization_ladder,
     skorohod_residual,
     solve_backward,
@@ -22,14 +21,10 @@ from .backward import (
 )
 from .catalog import build_problem, catalog_defaults, list_catalog
 from .forward import (
-    MarkedPoissonPath,
     PathBundle,
-    TimeGrid,
     bundle_from_paths,
-    compensated_increment,
     sample_jump_marks,
     simulate_paths,
-    simulate_regime_path,
 )
 from .lattice import LatticeChain, LatticeSpec, build_lattice_chain
 from .oracles import (
@@ -48,11 +43,10 @@ from .problem import (
     ProblemSpec,
     SwitchingCosts,
     ValidationReport,
-    evaluate_penalized_driver,
     make_switching_problem,
     validate_problem,
 )
-from .regression import BasisSpec, OlsFit, StratifiedFit, build_design, fit_conditional, ols_fit, predict
+from .regression import BasisSpec, OlsFit, build_design, ols_fit
 
 __version__ = "0.1.0"
 
@@ -67,40 +61,31 @@ __all__ = [
     "LatticeChain",
     "LatticeSolution",
     "LatticeSpec",
-    "MarkedPoissonPath",
     "OlsFit",
     "PathBundle",
     "ProblemSpec",
     "SchemeConfig",
     "SolveResult",
-    "StratifiedFit",
     "SwitchingCosts",
-    "TimeGrid",
     "ValidationReport",
     "build_design",
     "build_lattice_chain",
     "build_problem",
     "bundle_from_paths",
     "catalog_defaults",
-    "compensated_increment",
     "default_grid",
-    "driver_integral",
     "estimate_u",
     "estimate_z",
-    "evaluate_penalized_driver",
     "facelift_terminal",
     "fd_solve",
-    "fit_conditional",
     "lattice_dp_solve",
     "list_catalog",
     "make_switching_problem",
     "ols_fit",
     "oracle_compare",
     "penalization_ladder",
-    "predict",
     "sample_jump_marks",
     "simulate_paths",
-    "simulate_regime_path",
     "skorohod_residual",
     "solve_backward",
     "step_y",

@@ -31,8 +31,8 @@ import numpy as np
 
 from .forward import PathBundle
 from .lattice import LatticeChain
-from .problem import ProblemSpec
-from .regression import BasisSpec, build_design, ols_fit
+from .problem import ProblemSpec, constraint_values, penalty_batch
+from .regression import BasisSpec, _auto_ridge, build_design, ols_fit
 
 Array = np.ndarray
 
@@ -43,7 +43,6 @@ __all__ = [
     "DivergenceError",
     "estimate_z",
     "estimate_u",
-    "driver_integral",
     "step_y",
     "solve_backward",
     "penalization_ladder",
@@ -151,7 +150,7 @@ class MonteCarloEnsemble:
     def _design(self, k: int) -> dict:
         if self._design_cache is None or self._design_cache[0] != k:
             regimes, xs = self.states(k)
-            self._design_cache = (k, build_design(self.basis, regimes, xs, standardize=True))
+            self._design_cache = (k, build_design(self.basis, regimes, xs))
         return self._design_cache[1]
 
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[FitRecord]]:
@@ -167,10 +166,7 @@ class MonteCarloEnsemble:
             return out, records
         blocks = self._design(k)
         for stratum, block in sorted(blocks.items()):
-            ridge = self.ridge
-            if ridge is None:
-                mat = block.matrix
-                ridge = 1e-10 * (float(np.einsum("ij,ij->", mat, mat)) / mat.shape[0]) / mat.shape[1]
+            ridge = _auto_ridge(block.matrix) if self.ridge is None else self.ridge
             for col in range(c):
                 fit = ols_fit(block.matrix, targets[block.rows, col], ridge)
                 out[block.rows, col] = block.matrix @ fit.coefficients
@@ -267,6 +263,8 @@ def make_ensemble(spec: ProblemSpec, config: SchemeConfig, bundle) -> Ensemble:
     if isinstance(bundle, PathBundle):
         if abs(bundle.h - config.h) > 1e-9 * max(1.0, config.h):
             raise ValueError("bundle step does not match the configured step")
+        if bundle.N != config.paths:
+            raise ValueError(f"bundle path count {bundle.N} does not match the configured {config.paths}")
         return MonteCarloEnsemble(spec, bundle, config.basis, config.ridge)
     if isinstance(bundle, LatticeChain):
         return LatticeEnsemble(spec, bundle)
@@ -346,11 +344,7 @@ def _driver_terms(
         compensator = yvec @ lam - lam.sum() * yvec[:, r - 1]
         f_val[rows] = spec.driver(int(r), x_seg[rows], yvec, z_seg[rows]) - compensator
         if spec.m > 1 or n_pen > 0:
-            pen = np.zeros(rows.size)
-            for j in range(1, spec.m + 1):
-                hval = spec.constraint(int(r), j, x_seg[rows], yvec[:, r - 1], yvec[:, j - 1], z_seg[rows])
-                pen += lam[j - 1] * np.maximum(-np.asarray(hval, dtype=float), 0.0)
-            pen_val[rows] = pen
+            pen_val[rows] = penalty_batch(spec, int(r), x_seg[rows], yvec, z_seg[rows])
 
     n_edges = tail.size
     integral = np.zeros(n_edges)
@@ -360,41 +354,6 @@ def _driver_terms(
     violation = np.zeros(n_edges)
     np.add.at(violation, seg_edge, seg_dt * pen_val / ens.h)
     return integral, penalty_mass, violation
-
-
-def driver_integral(
-    spec: ProblemSpec,
-    n: int,
-    bundle: PathBundle,
-    path: int,
-    k: int,
-    y_next: float,
-    z_k: Array,
-    u_k: Array,
-) -> float:
-    """Exact integral of the scheme's integrand over path ``path``'s step ``k``.
-
-    The integrand (penalized driver minus the jump compensator) is constant
-    on each sub-interval of the concatenated grid, so the sum of
-    ``duration * integrand`` terms is the exact integral.
-    """
-    durations, regimes = bundle.path_segments(path, k)
-    x = bundle.x_reg[path, k][None, :]
-    z2 = np.atleast_2d(np.asarray(z_k, dtype=float))
-    u_k = np.asarray(u_k, dtype=float)
-    lam = spec.intensity.weights
-    total = 0.0
-    for dt_l, r in zip(durations, regimes):
-        yvec = (y_next + u_k)[None, :].copy()
-        yvec[0, r - 1] = y_next
-        f = float(np.asarray(spec.driver(int(r), x, yvec, z2))[0])
-        compensator = float(yvec[0] @ lam - lam.sum() * yvec[0, r - 1])
-        pen = 0.0
-        for j in range(1, spec.m + 1):
-            hval = spec.constraint(int(r), j, x, yvec[:, r - 1], yvec[:, j - 1], z2)
-            pen += lam[j - 1] * max(-float(np.asarray(hval)[0]), 0.0)
-        total += dt_l * (f - compensator + n * pen)
-    return float(total)
 
 
 def step_y(
@@ -553,16 +512,13 @@ def skorohod_residual(result: SolveResult, spec: ProblemSpec, bundle) -> float:
         z_tail = result.zs[k][tail]
         x_tail = xs[tail]
         r_tail = regimes[tail]
-        minh = np.full(tail.size, np.inf)
+        minh = np.empty(tail.size)
         for r in np.unique(r_tail):
             rows = np.flatnonzero(r_tail == r)
-            cur = np.full(rows.size, np.inf)
-            for j in range(1, spec.m + 1):
-                hval = spec.constraint(
-                    int(r), j, x_tail[rows], y_head[rows], y_head[rows] + u_tail[rows, j - 1], z_tail[rows]
-                )
-                cur = np.minimum(cur, np.asarray(hval, dtype=float))
-            minh[rows] = cur
+            # u is re-based, so its own-regime column is 0 and column r of the
+            # value vector is Y_{k+1} itself
+            values = y_head[rows][:, None] + u_tail[rows]
+            minh[rows] = constraint_values(spec, int(r), x_tail[rows], values, z_tail[rows]).min(axis=1)
         w = ens.unit_weights(k)[tail]
         edge_prob = prob if prob is not None else np.ones(tail.size)
         total += float(np.sum(w * edge_prob * minh * pm[tail]))

@@ -39,102 +39,31 @@ from .problem import IntensityMeasure, ProblemSpec
 Array = np.ndarray
 
 __all__ = [
-    "MarkedPoissonPath",
-    "RegimeStepFunction",
-    "TimeGrid",
     "PathBundle",
     "sample_jump_marks",
-    "simulate_regime_path",
     "simulate_paths",
-    "compensated_increment",
     "bundle_from_paths",
 ]
 
 
-@dataclass(frozen=True)
-class MarkedPoissonPath:
-    """Atoms ``(time, mark)`` of one marked Poisson path on (0, T]."""
-
-    times: Array
-    marks: Array
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        k = np.asarray(self.marks, dtype=int)
-        if t.shape != k.shape or t.ndim != 1:
-            raise ValueError("times and marks must be 1-d arrays of equal length")
-        if t.size and (np.any(np.diff(t) <= 0) or t[0] <= 0):
-            raise ValueError("atom times must be strictly increasing and positive")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "marks", k)
-
-    def count_in(self, t_a: float, t_b: float, mark: int) -> int:
-        """Number of atoms with the given mark in (t_a, t_b]."""
-        inside = (self.times > t_a) & (self.times <= t_b)
-        return int(np.count_nonzero(inside & (self.marks == mark)))
-
-
-def sample_jump_marks(intensity: IntensityMeasure, T: float, stream: np.random.Generator) -> MarkedPoissonPath:
-    """Draw one marked Poisson path on (0, T].
+def sample_jump_marks(intensity: IntensityMeasure, T: float, stream: np.random.Generator) -> tuple[Array, Array]:
+    """Draw one marked Poisson path on (0, T] as ``(times, marks)``.
 
     Atom count is Poisson(total * T); times are sorted uniforms; marks are
     i.i.d. with probabilities ``lambda_j / total``. A zero total intensity
-    yields an empty path.
+    yields an empty path. This is the per-path law that
+    :func:`simulate_paths` draws in bulk.
     """
     if not T > 0:
         raise ValueError("horizon must be positive")
     total = intensity.total
     if total == 0.0:
-        return MarkedPoissonPath(times=np.empty(0), marks=np.empty(0, dtype=int))
+        return np.empty(0), np.empty(0, dtype=int)
     count = int(stream.poisson(total * T))
     times = np.sort(stream.random(count)) * T
     marks = stream.choice(intensity.m, size=count, p=intensity.mark_probabilities()) + 1
     keep = times > 0.0  # measure-zero guard: atoms live on (0, T]
-    return MarkedPoissonPath(times=times[keep], marks=marks[keep])
-
-
-@dataclass(frozen=True)
-class RegimeStepFunction:
-    """Right-continuous piecewise-constant regime path started at ``i0``."""
-
-    i0: int
-    atoms: MarkedPoissonPath
-
-    def value_at(self, t: float | Array):
-        """Regime holding at time(s) t (right-continuous)."""
-        t = np.asarray(t, dtype=float)
-        values = np.concatenate(([self.i0], self.atoms.marks)).astype(int)
-        idx = np.searchsorted(self.atoms.times, t, side="right")
-        out = values[idx]
-        return int(out) if out.ndim == 0 else out
-
-
-def simulate_regime_path(i0: int, marks: MarkedPoissonPath) -> RegimeStepFunction:
-    """Regime path jumping to each atom's mark; self-marks change nothing."""
-    return RegimeStepFunction(i0=int(i0), atoms=marks)
-
-
-@dataclass(frozen=True)
-class TimeGrid:
-    """Regular grid plus one path's concatenation with its atom times."""
-
-    regular: Array
-    concatenated: Array
-
-    def __post_init__(self) -> None:
-        reg = np.asarray(self.regular, dtype=float)
-        cat = np.asarray(self.concatenated, dtype=float)
-        if np.any(np.diff(cat) <= 0):
-            raise ValueError("concatenated grid must be strictly increasing")
-        if not np.all(np.isin(reg, cat)):
-            raise ValueError("concatenated grid must contain every regular time")
-        object.__setattr__(self, "regular", reg)
-        object.__setattr__(self, "concatenated", cat)
-
-
-def _regular_grid(T: float, h: float) -> Array:
-    K = _step_count(T, h)
-    return np.linspace(0.0, T, K + 1)
+    return times[keep], marks[keep]
 
 
 def _step_count(T: float, h: float) -> int:
@@ -144,25 +73,6 @@ def _step_count(T: float, h: float) -> int:
     if K < 1 or abs(K * h - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"step {h} does not divide horizon {T}")
     return K
-
-
-def make_time_grid(T: float, h: float, atom_times: Array) -> TimeGrid:
-    regular = _regular_grid(T, h)
-    concatenated = np.unique(np.concatenate([regular, np.asarray(atom_times, dtype=float)]))
-    return TimeGrid(regular=regular, concatenated=concatenated)
-
-
-def compensated_increment(
-    marks: MarkedPoissonPath, t_a: float, t_b: float, j: int, intensity: IntensityMeasure
-) -> float:
-    """Compensated count of mark-j atoms on (t_a, t_b].
-
-    Self-mark atoms count like any other; the compensator subtracts
-    ``lambda_j * (t_b - t_a)`` regardless of whether atoms arrived.
-    """
-    if not t_a < t_b:
-        raise ValueError("need t_a < t_b")
-    return marks.count_in(t_a, t_b, j) - intensity.weight(j) * (t_b - t_a)
 
 
 @dataclass
@@ -213,18 +123,6 @@ class PathBundle:
     @property
     def regular(self) -> Array:
         return np.linspace(0.0, self.T, self.K + 1)
-
-    def marked_path(self, p: int) -> MarkedPoissonPath:
-        sl = slice(self.atom_offsets[p], self.atom_offsets[p + 1])
-        return MarkedPoissonPath(times=self.atom_times[sl], marks=self.atom_marks[sl])
-
-    def time_grid(self, p: int) -> TimeGrid:
-        return TimeGrid(regular=self.regular, concatenated=self.times[p, : self.n_nodes[p]])
-
-    def path_segments(self, p: int, k: int) -> tuple[Array, Array]:
-        """(durations, regimes) of path p's sub-intervals inside step k."""
-        cols = np.flatnonzero((self.step_of[p] == k) & (self.dt[p] > 0))
-        return self.dt[p, cols], self.regime[p, cols].astype(int)
 
     def step_segments(self) -> list[tuple[Array, Array, Array]]:
         """Per regular step: (path index, duration, regime) of every real

@@ -36,7 +36,8 @@ __all__ = [
     "ValidationReport",
     "check_regime",
     "make_switching_problem",
-    "evaluate_penalized_driver",
+    "constraint_values",
+    "penalty_batch",
     "validate_problem",
 ]
 
@@ -78,9 +79,6 @@ class IntensityMeasure:
     @property
     def total(self) -> float:
         return float(self.weights.sum())
-
-    def weight(self, j: int) -> float:
-        return float(self.weights[check_regime(j, self.m) - 1])
 
     def mark_probabilities(self) -> Array:
         """Distribution of a single mark, ``lambda_j / total``."""
@@ -277,6 +275,24 @@ def make_switching_problem(
     )
 
 
+def constraint_values(spec: ProblemSpec, i: int, x: Array, values: Array, zproxy: Array) -> Array:
+    """Constraint values ``h_{i,j}(x, values_i, values_j, z)`` for every mark j, shape (n, m).
+
+    Column ``j-1`` holds the constraint towards regime ``j``, the self term
+    ``j = i`` included.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    values = np.atleast_2d(np.asarray(values, dtype=float))
+    y_cur = values[:, i - 1]
+    # column-major (n, m): each mark's column is contiguous, and a reduction
+    # over the marks (the Skorohod minimum) runs several times faster than
+    # over rows of length m
+    out = np.empty((spec.m, x.shape[0]))
+    for j in range(1, spec.m + 1):
+        out[j - 1] = spec.constraint(i, j, x, y_cur, values[:, j - 1], zproxy)
+    return out.T
+
+
 def penalty_batch(spec: ProblemSpec, i: int, x: Array, values: Array, zproxy: Array) -> Array:
     """Constraint-violation mass ``sum_j lambda_j [h_{i,j}]^-``, shape (n,).
 
@@ -284,44 +300,11 @@ def penalty_batch(spec: ProblemSpec, i: int, x: Array, values: Array, zproxy: Ar
     (the self term vanishes for switching constraints since ``c[i,i] = 0``).
     """
     lam = spec.intensity.weights
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    y_cur = values[:, i - 1]
-    total = np.zeros(x.shape[0])
-    for j in range(1, spec.m + 1):
-        h = spec.constraint(i, j, x, y_cur, values[:, j - 1], zproxy)
-        total += lam[j - 1] * np.maximum(-np.asarray(h, dtype=float), 0.0)
+    h = constraint_values(spec, i, x, values, zproxy)
+    total = np.zeros(h.shape[0])
+    for j in range(spec.m):
+        total += lam[j] * np.maximum(-h[:, j], 0.0)
     return total
-
-
-def evaluate_penalized_driver(
-    spec: ProblemSpec,
-    n: int,
-    i: int,
-    x: Array,
-    yvec: Array,
-    z: Array | None = None,
-) -> float:
-    """Driver of the penalized system at one point.
-
-    Returns ``f_i(x, yvec, z) + n * sum_j lambda_j [h_{i,j}(x, yvec_i,
-    yvec_j, z)]^-``. At ``n = 0`` this is exactly the raw driver; the
-    penalty term is nonnegative and nondecreasing in ``n``.
-    """
-    if n < 0:
-        raise ValueError("penalization level must be nonnegative")
-    check_regime(i, spec.m)
-    x2 = np.atleast_2d(np.asarray(x, dtype=float))
-    if x2.shape != (1, spec.d):
-        raise ValueError(f"x must be a single point in R^{spec.d}")
-    yvec2 = np.atleast_2d(np.asarray(yvec, dtype=float))
-    if yvec2.shape != (1, spec.m):
-        raise ValueError(f"yvec must have length m={spec.m}")
-    z2 = np.zeros((1, spec.d)) if z is None else np.atleast_2d(np.asarray(z, dtype=float))
-    value = np.asarray(spec.driver(i, x2, yvec2, z2), dtype=float)
-    if n > 0:
-        value = value + n * penalty_batch(spec, i, x2, yvec2, z2)
-    return float(value[0])
 
 
 @dataclass

@@ -3,16 +3,15 @@
 The estimators regress per-sample targets on a finite basis evaluated at the
 state, separately per regime value by default (stratification computes the
 conditional expectation given the discrete coordinate exactly). Features are
-standardized per stratum before expansion; predictions undo the rescale
-transparently.
+standardized per stratum before expansion.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import comb
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -21,14 +20,11 @@ Array = np.ndarray
 __all__ = [
     "BasisSpec",
     "OlsFit",
-    "StratifiedFit",
     "build_design",
     "ols_fit",
-    "fit_conditional",
-    "predict",
 ]
 
-POOLED = 0  # pseudo-stratum key for the cross-regime fallback fit
+POOLED = 0  # key of the single block of an unstratified design
 
 
 @dataclass(frozen=True)
@@ -66,40 +62,22 @@ def _exponents(d: int, degree: int) -> Array:
     return np.asarray(exps, dtype=int)
 
 
-@dataclass(frozen=True)
-class _Transform:
-    """Per-stratum affine standardization (and hinge knots, if any)."""
+def _features(basis: BasisSpec, x: Array) -> Array:
+    """Basis expansion of the standardized states ``x``, shape (n, basis size).
 
-    shift: Array
-    scale: Array
-    knots: Optional[Array] = None
-
-
-def _fit_transform(basis: BasisSpec, x: Array) -> _Transform:
+    Each coordinate is shifted by its mean and divided by its standard
+    deviation (when positive); hinge knots sit at quantiles of the
+    standardized first coordinate.
+    """
     shift = x.mean(axis=0)
     scale = x.std(axis=0)
-    scale = np.where(scale > 0, scale, 1.0)
-    knots = None
-    if basis.kind == "piecewise-linear":
-        z = (x[:, 0] - shift[0]) / scale[0]
-        if basis.degree > 0:
-            qs = np.linspace(0.0, 1.0, basis.degree + 2)[1:-1]
-            knots = np.quantile(z, qs)
-        else:
-            knots = np.empty(0)
-    return _Transform(shift=shift, scale=scale, knots=knots)
-
-
-def _features(basis: BasisSpec, transform: _Transform, x: Array) -> Array:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    z = (x - transform.shift) / transform.scale
+    z = (x - shift) / np.where(scale > 0, scale, 1.0)
     if basis.kind == "global-polynomial":
         exps = _exponents(x.shape[1], basis.degree)
         return np.prod(z[:, None, :] ** exps[None, :, :], axis=2)
-    cols = [np.ones(z.shape[0]), z[:, 0]]
-    for knot in transform.knots:
-        cols.append(np.maximum(z[:, 0] - knot, 0.0))
-    return np.column_stack(cols)
+    qs = np.linspace(0.0, 1.0, basis.degree + 2)[1:-1]
+    knots = np.quantile(z[:, 0], qs) if basis.degree > 0 else np.empty(0)
+    return np.column_stack([np.ones(z.shape[0]), z[:, 0], *(np.maximum(z[:, 0] - knot, 0.0) for knot in knots)])
 
 
 @dataclass
@@ -151,29 +129,15 @@ def ols_fit(design: Array, targets: Array, ridge: float = 0.0) -> OlsFit:
 class _Block:
     rows: Array
     matrix: Array
-    transform: _Transform
 
 
-def _identity_transform(basis: BasisSpec, x: Array) -> _Transform:
-    d = x.shape[1]
-    knots = None
-    if basis.kind == "piecewise-linear":
-        qs = np.linspace(0.0, 1.0, basis.degree + 2)[1:-1]
-        knots = np.quantile(x[:, 0], qs) if basis.degree > 0 else np.empty(0)
-    return _Transform(shift=np.zeros(d), scale=np.ones(d), knots=knots)
-
-
-def build_design(
-    basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array, *, standardize: bool = False
-) -> dict[int, _Block]:
+def build_design(basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array) -> dict[int, _Block]:
     """Design matrices partitioned by regime stratum.
 
     Returns a dict ``regime -> block`` where each block holds the row
-    indices of that stratum, its feature matrix, and the transform used to
-    build it. Plain basis evaluations by default; the solver passes
-    ``standardize=True`` to rescale states per stratum before expansion
-    (prediction undoes the rescale transparently). Without stratification
-    everything lands in one block under the ``POOLED`` key.
+    indices of that stratum and its feature matrix. States are standardized
+    per stratum before expansion. Without stratification everything lands
+    in one block under the ``POOLED`` key.
     """
     regimes = np.asarray(regimes, dtype=int)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -181,16 +145,12 @@ def build_design(
         raise ValueError("regimes and states must have the same length")
     if xs.shape[0] == 0:
         raise ValueError("samples must be nonempty")
-    fit_tr = _fit_transform if standardize else _identity_transform
+    if not basis.stratify_by_regime:
+        return {POOLED: _Block(rows=np.arange(xs.shape[0]), matrix=_features(basis, xs))}
     blocks: dict[int, _Block] = {}
-    if basis.stratify_by_regime:
-        for r in sorted(np.unique(regimes)):
-            rows = np.flatnonzero(regimes == r)
-            transform = fit_tr(basis, xs[rows])
-            blocks[int(r)] = _Block(rows=rows, matrix=_features(basis, transform, xs[rows]), transform=transform)
-    else:
-        transform = fit_tr(basis, xs)
-        blocks[POOLED] = _Block(rows=np.arange(xs.shape[0]), matrix=_features(basis, transform, xs), transform=transform)
+    for r in np.unique(regimes):
+        rows = np.flatnonzero(regimes == r)
+        blocks[int(r)] = _Block(rows=rows, matrix=_features(basis, xs[rows]))
     return blocks
 
 
@@ -198,94 +158,3 @@ def _auto_ridge(matrix: Array) -> float:
     n, L = matrix.shape
     gram_trace = float(np.einsum("ij,ij->", matrix, matrix)) / n
     return 1e-10 * gram_trace / max(L, 1)
-
-
-@dataclass
-class StratifiedFit:
-    """Fits for every regime stratum plus a pooled cross-regime fallback."""
-
-    basis: BasisSpec
-    d: int
-    fits: dict[int, OlsFit] = field(default_factory=dict)
-    transforms: dict[int, _Transform] = field(default_factory=dict)
-    pooled_fit: Optional[OlsFit] = None
-    pooled_transform: Optional[_Transform] = None
-
-    def has_stratum(self, regime: int) -> bool:
-        return int(regime) in self.fits
-
-    def predict_batch(self, regimes: Array, xs: Array, *, fallback: bool = True) -> tuple[Array, list[int]]:
-        """Evaluate the fitted expansion at (regime, x) points.
-
-        Returns the predictions and the list of regimes served by the
-        pooled fallback (empty when every stratum was fitted).
-        """
-        regimes = np.asarray(regimes, dtype=int)
-        xs = np.atleast_2d(np.asarray(xs, dtype=float))
-        out = np.empty(xs.shape[0])
-        fellback: list[int] = []
-        for r in np.unique(regimes):
-            rows = np.flatnonzero(regimes == r)
-            if self.has_stratum(int(r)):
-                fit = self.fits[int(r)]
-                tr = self.transforms[int(r)]
-            elif fallback and self.pooled_fit is not None:
-                fit = self.pooled_fit
-                tr = self.pooled_transform
-                fellback.append(int(r))
-            else:
-                raise ValueError(f"unseen regime stratum {int(r)}")
-            out[rows] = _features(self.basis, tr, xs[rows]) @ fit.coefficients
-        return out, fellback
-
-
-def fit_conditional(
-    basis: BasisSpec,
-    regimes: Array,
-    xs: Array,
-    targets: Array,
-    *,
-    ridge: Optional[float] = None,
-) -> StratifiedFit:
-    """Fit one conditional-expectation estimator on (regime, state) samples.
-
-    ``ridge = None`` applies the default ``1e-10 * trace(Gram) / L`` per
-    block; pass ``0.0`` for plain least squares. The pooled fallback fit is
-    always produced so that downstream prediction at a regime with no
-    samples degrades gracefully instead of aborting.
-    """
-    xs = np.atleast_2d(np.asarray(xs, dtype=float))
-    blocks = build_design(basis, regimes, xs, standardize=True)
-    result = StratifiedFit(basis=basis, d=xs.shape[1])
-    targets = np.asarray(targets, dtype=float)
-    for key, block in blocks.items():
-        r = ridge if ridge is not None else _auto_ridge(block.matrix)
-        result.fits[key] = ols_fit(block.matrix, targets[block.rows], r)
-        result.transforms[key] = block.transform
-    if basis.stratify_by_regime:
-        pooled_tr = _fit_transform(basis, xs)
-        pooled_mat = _features(basis, pooled_tr, xs)
-        r = ridge if ridge is not None else _auto_ridge(pooled_mat)
-        result.pooled_fit = ols_fit(pooled_mat, targets, r)
-        result.pooled_transform = pooled_tr
-    else:
-        result.pooled_fit = result.fits[POOLED]
-        result.pooled_transform = result.transforms[POOLED]
-    return result
-
-
-def predict(fit: StratifiedFit, basis: BasisSpec, regime: int, x: Array):
-    """Evaluate a stratified fit at one regime and one or more states.
-
-    Raises ``ValueError("unseen regime stratum ...")`` when the regime has
-    no fitted stratum; use :meth:`StratifiedFit.predict_batch` with
-    ``fallback=True`` for the pooled degradation.
-    """
-    if basis != fit.basis:
-        raise ValueError("basis does not match the one used to fit")
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    key = int(regime) if basis.stratify_by_regime else POOLED
-    if key not in fit.fits:
-        raise ValueError(f"unseen regime stratum {int(regime)}")
-    values = _features(basis, fit.transforms[key], x) @ fit.fits[key].coefficients
-    return float(values[0]) if values.shape[0] == 1 else values

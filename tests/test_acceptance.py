@@ -197,10 +197,10 @@ def test_criterion_09_forward_laws():
     mark2 = 0
     atoms = 0
     for i in range(draws):
-        path = sample_jump_marks(lam, 1.0, rng)
-        counts[i] = path.times.size
-        atoms += path.times.size
-        mark2 += int(np.count_nonzero(path.marks == 2))
+        times, marks = sample_jump_marks(lam, 1.0, rng)
+        counts[i] = times.size
+        atoms += times.size
+        mark2 += int(np.count_nonzero(marks == 2))
     mean_band = 3.0 * np.sqrt(5.0 / draws)
     mean_gap = abs(counts.mean() - 5.0)
     freq_band = 3.0 * np.sqrt(0.6 * 0.4 / atoms)

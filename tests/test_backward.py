@@ -11,7 +11,6 @@ from switchbsde import (
     build_lattice_chain,
     build_problem,
     bundle_from_paths,
-    driver_integral,
     estimate_u,
     estimate_z,
     make_switching_problem,
@@ -20,7 +19,7 @@ from switchbsde import (
     skorohod_residual,
     solve_backward,
 )
-from switchbsde.backward import make_ensemble
+from switchbsde.backward import _driver_terms, make_ensemble
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
 
 
@@ -126,44 +125,51 @@ def reward_switch_spec(rewards, costs_value=0.5, lam=(1.0, 1.0), T=0.1, i0=1):
     )
 
 
+def one_path_integral(spec, h, atoms, n_pen, y_next, z_k, u_k):
+    """Step-0 integral of the scheme's integrand on one hand-built path, as the solver runs it."""
+    bundle = bundle_from_paths(spec, h, [atoms])
+    ens = make_ensemble(spec, SchemeConfig(h=h, paths=1), bundle)
+    integral, _, _ = _driver_terms(spec, n_pen, ens, 0, np.array([y_next]), np.atleast_2d(z_k), np.atleast_2d(u_k))
+    return float(integral[0])
+
+
 class TestDriverIntegral:
     def test_constant_integrand_no_jumps(self):
         spec = reward_switch_spec([0.7, 0.7], T=0.1)
-        bundle = bundle_from_paths(spec, 0.1, [[]])
         # zero jump offsets: compensator vanishes, integrand is the reward
-        val = driver_integral(spec, 0, bundle, 0, 0, 1.3, np.zeros(1), np.zeros(2))
+        val = one_path_integral(spec, 0.1, [], 0, 1.3, np.zeros(1), np.zeros(2))
         assert val == pytest.approx(0.07)
 
     def test_midpoint_jump_splits_integral(self):
         spec = reward_switch_spec([1.0, 3.0], T=0.1)
-        bundle = bundle_from_paths(spec, 0.1, [[(0.05, 2)]])
-        val = driver_integral(spec, 0, bundle, 0, 0, 0.0, np.zeros(1), np.zeros(2))
+        val = one_path_integral(spec, 0.1, [(0.05, 2)], 0, 0.0, np.zeros(1), np.zeros(2))
         assert val == pytest.approx(0.2)
 
     def test_matches_refined_quadrature(self):
-        spec = reward_switch_spec([1.0, -0.4, 0.2], costs_value=0.15, lam=(0.8, 1.1, 0.6), T=0.2)
+        rewards, lam = [1.0, -0.4, 0.2], np.array([0.8, 1.1, 0.6])
+        spec = reward_switch_spec(rewards, costs_value=0.15, lam=tuple(lam), T=0.2)
         atoms = [(0.03, 2), (0.11, 3), (0.157, 1), (0.19, 3)]
-        bundle = bundle_from_paths(spec, 0.2, [atoms])
         y_next, z_k = 0.8, np.array([0.1])
-        u_k = np.array([0.0, 0.45, -0.3])
+        u_k = np.array([0.0, 0.45, 0.3])  # violations towards regimes 2 and 3
         n_pen = 7
-        val = driver_integral(spec, n_pen, bundle, 0, 0, y_next, z_k, u_k)
+        val = one_path_integral(spec, 0.2, atoms, n_pen, y_next, z_k, u_k)
 
         # independent quadrature: walk the regime step function on a fine
-        # grid whose cut points include the atoms
-        from switchbsde import evaluate_penalized_driver, simulate_regime_path
-
-        path = simulate_regime_path(spec.initial_regime, bundle.marked_path(0))
+        # grid whose cut points include the atoms, with the switching
+        # penalty sum_j lambda_j [yvec_r - yvec_j + c_rj]^- in closed form
+        costs = spec.switching_costs.costs
         cuts = np.unique(np.concatenate([np.linspace(0.0, 0.2, 2001), [a[0] for a in atoms]]))
-        lam = spec.intensity.weights
         total = 0.0
         for lo, hi in zip(cuts[:-1], cuts[1:]):
-            r = path.value_at(0.5 * (lo + hi))
+            r = spec.initial_regime
+            for t_atom, mark in atoms:
+                if t_atom <= 0.5 * (lo + hi):
+                    r = mark
             yvec = y_next + u_k
             yvec[r - 1] = y_next
-            fn = evaluate_penalized_driver(spec, n_pen, int(r), bundle.x_reg[0, 0], yvec, z_k)
+            penalty = float(lam @ np.maximum(-(yvec[r - 1] - yvec + costs[r - 1]), 0.0))
             compensator = float(yvec @ lam - lam.sum() * yvec[r - 1])
-            total += (hi - lo) * (fn - compensator)
+            total += (hi - lo) * (rewards[r - 1] + n_pen * penalty - compensator)
         assert val == pytest.approx(total, abs=1e-12)
 
 
@@ -276,13 +282,20 @@ class TestStepAndSolve:
         bundle = simulate_paths(spec, 4, 0.25, seed=0)
         with pytest.warns(UserWarning, match="fewer paths per stratum"):
             solve_backward(spec, SchemeConfig(h=0.25, paths=4, seed=0), bundle)
-        # the warning reads the bundle's strata, not the configured path count
-        with pytest.warns(UserWarning, match="fewer paths per stratum"):
+        # a configured path count the bundle does not hold is refused
+        with pytest.raises(ValueError, match="path count"):
             solve_backward(spec, SchemeConfig(h=0.25, paths=10_000, seed=0), bundle)
         thick = simulate_paths(spec, 400, 0.25, seed=0)
+        with pytest.raises(ValueError, match="path count"):
+            solve_backward(spec, SchemeConfig(h=0.25, paths=4, seed=0), thick)
+        # the warning reads the bundle's strata: 6 paths over 2 regimes give
+        # 3 per stratum on average, the basis size, but regime 1 holds one path
+        lopsided = bundle_from_paths(spec, 0.25, [[(0.1, 1)], [], [], [], [], []])
+        with pytest.warns(UserWarning, match=r"\(1 < 3\)"):
+            solve_backward(spec, SchemeConfig(h=0.25, paths=6, seed=0), lopsided)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            solve_backward(spec, SchemeConfig(h=0.25, paths=4, seed=0), thick)
+            solve_backward(spec, SchemeConfig(h=0.25, paths=400, seed=0), thick)
         assert not [w for w in caught if "fewer paths per stratum" in str(w.message)]
 
     def test_three_regime_mc_against_fd(self):

@@ -3,15 +3,12 @@ import pytest
 
 from switchbsde import (
     IntensityMeasure,
-    MarkedPoissonPath,
     bundle_from_paths,
     build_problem,
-    compensated_increment,
     sample_jump_marks,
     simulate_paths,
-    simulate_regime_path,
 )
-from switchbsde.forward import _euler_step, make_time_grid
+from switchbsde.forward import _euler_step
 from switchbsde.problem import CoefficientSet, ProblemSpec
 
 
@@ -35,89 +32,70 @@ def diffusion_spec(drift_fn, vol_fn, d=1, intensity=(0.0,), x0=0.0, T=1.0):
     )
 
 
+def path_atoms(b, p):
+    """(times, marks) of path p's atoms in the bundle's flat storage."""
+    sl = slice(b.atom_offsets[p], b.atom_offsets[p + 1])
+    return b.atom_times[sl], b.atom_marks[sl]
+
+
+def compensated(b, lam):
+    """Compensated mark counts per step, ``counts_reg - lambda_j * h``, shape (N, K, m)."""
+    return b.counts_reg - np.asarray(lam) * b.h
+
+
 class TestSampleJumpMarks:
     def test_zero_intensity_gives_empty_path(self):
-        path = sample_jump_marks(IntensityMeasure([0.0, 0.0]), 1.0, np.random.default_rng(0))
-        assert path.times.size == 0
+        times, marks = sample_jump_marks(IntensityMeasure([0.0, 0.0]), 1.0, np.random.default_rng(0))
+        assert times.size == 0 and marks.size == 0
 
     def test_poisson_count_mean(self):
         lam = IntensityMeasure([2.0, 3.0])
         rng = np.random.default_rng(123)
-        counts = np.array([sample_jump_marks(lam, 1.0, rng).times.size for _ in range(100_000)])
+        counts = np.array([sample_jump_marks(lam, 1.0, rng)[0].size for _ in range(100_000)])
         band = 3.0 * np.sqrt(5.0 / 100_000)
         assert abs(counts.mean() - 5.0) <= band
 
     def test_mark_frequencies(self):
         lam = IntensityMeasure([2.0, 3.0])
         rng = np.random.default_rng(7)
-        marks = np.concatenate([sample_jump_marks(lam, 1.0, rng).marks for _ in range(20_000)])
+        marks = np.concatenate([sample_jump_marks(lam, 1.0, rng)[1] for _ in range(20_000)])
         freq2 = np.mean(marks == 2)
         band = 3.0 * np.sqrt(0.6 * 0.4 / marks.size)
         assert abs(freq2 - 0.6) <= band
 
     def test_times_sorted_in_horizon(self):
         lam = IntensityMeasure([5.0])
-        path = sample_jump_marks(lam, 2.0, np.random.default_rng(5))
-        assert np.all(np.diff(path.times) > 0)
-        assert path.times[0] > 0 and path.times[-1] <= 2.0
-
-
-class TestMarkedPoissonPath:
-    def test_rejects_unsorted_or_nonpositive_times(self):
-        with pytest.raises(ValueError, match="strictly increasing"):
-            MarkedPoissonPath(np.array([0.5, 0.2]), np.array([1, 1]))
-        with pytest.raises(ValueError, match="strictly increasing"):
-            MarkedPoissonPath(np.array([0.0, 0.2]), np.array([1, 1]))
-
-    def test_count_in_half_open_interval(self):
-        path = MarkedPoissonPath(np.array([0.2, 0.5, 0.5001]), np.array([1, 2, 1]))
-        assert path.count_in(0.2, 0.5, 2) == 1  # left end excluded, right included
-        assert path.count_in(0.2, 0.5, 1) == 0
-
-
-class TestRegimePath:
-    def test_empty_marks_constant(self):
-        path = simulate_regime_path(3, MarkedPoissonPath(np.empty(0), np.empty(0, dtype=int)))
-        assert path.value_at(0.0) == 3
-        assert path.value_at(0.99) == 3
-
-    def test_self_marks_change_nothing(self):
-        marks = MarkedPoissonPath(np.array([0.3, 0.7]), np.array([2, 2]))
-        path = simulate_regime_path(2, marks)
-        assert [path.value_at(t) for t in (0.0, 0.5, 0.9)] == [2, 2, 2]
-
-    def test_switching_path(self):
-        marks = MarkedPoissonPath(np.array([0.3, 0.7]), np.array([2, 1]))
-        path = simulate_regime_path(1, marks)
-        assert path.value_at(0.0) == 1
-        assert path.value_at(0.3) == 2  # right-continuous at the atom
-        assert path.value_at(0.5) == 2
-        assert path.value_at(0.7) == 1
-        assert path.value_at(1.0) == 1
+        times, _ = sample_jump_marks(lam, 2.0, np.random.default_rng(5))
+        assert np.all(np.diff(times) > 0)
+        assert times[0] > 0 and times[-1] <= 2.0
 
 
 class TestCompensatedIncrement:
     def test_no_atoms(self):
-        lam = IntensityMeasure([1.0, 2.0])
-        marks = MarkedPoissonPath(np.empty(0), np.empty(0, dtype=int))
-        assert compensated_increment(marks, 0.0, 0.1, 2, lam) == pytest.approx(-0.2)
+        spec = build_problem("switch2-linear", {"intensity": [1.0, 2.0], "T": 0.1})
+        b = bundle_from_paths(spec, 0.1, [[]])
+        assert compensated(b, [1.0, 2.0])[0, 0, 1] == pytest.approx(-0.2)
 
     def test_one_atom(self):
-        lam = IntensityMeasure([1.0, 2.0])
-        marks = MarkedPoissonPath(np.array([0.05]), np.array([2]))
-        assert compensated_increment(marks, 0.0, 0.1, 2, lam) == pytest.approx(0.8)
+        spec = build_problem("switch2-linear", {"intensity": [1.0, 2.0], "T": 0.2})
+        # the second atom sits on the regular time 0.1: steps are (t_k, t_k+1]
+        b = bundle_from_paths(spec, 0.1, [[(0.05, 2)], [(0.1, 2)]])
+        comp = compensated(b, [1.0, 2.0])
+        np.testing.assert_allclose(comp[:, :, 1], [[0.8, -0.2], [0.8, -0.2]])
+        np.testing.assert_allclose(comp[:, :, 0], -0.1)
 
     def test_self_marks_are_counted(self):
-        lam = IntensityMeasure([2.0])
-        marks = MarkedPoissonPath(np.array([0.5]), np.array([1]))
-        assert compensated_increment(marks, 0.0, 1.0, 1, lam) == pytest.approx(1.0 - 2.0)
+        spec = diffusion_spec(
+            lambda i, x: np.zeros_like(x), lambda i, x: np.zeros((x.shape[0], 1, 1)), intensity=(2.0,)
+        )
+        b = bundle_from_paths(spec, 1.0, [[(0.5, 1)]])
+        assert compensated(b, [2.0])[0, 0, 0] == pytest.approx(1.0 - 2.0)
 
     def test_martingale_mean(self):
-        lam = IntensityMeasure([2.0, 3.0])
-        rng = np.random.default_rng(17)
-        vals = np.array(
-            [compensated_increment(sample_jump_marks(lam, 1.0, rng), 0.0, 1.0, 1, lam) for _ in range(100_000)]
+        spec = diffusion_spec(
+            lambda i, x: np.zeros_like(x), lambda i, x: np.zeros((x.shape[0], 1, 1)), intensity=(2.0, 3.0)
         )
+        vals = compensated(simulate_paths(spec, 100_000, 1.0, seed=17), [2.0, 3.0])[:, 0, 0]
         band = 3.0 * vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean()) <= band
 
@@ -179,8 +157,7 @@ class TestSimulatePaths:
         for p in range(b.N):
             grid = b.times[p, : b.n_nodes[p]]
             assert np.all(np.isin(regular, grid))
-            tg = make_time_grid(spec.horizon, 0.125, b.marked_path(p).times)
-            np.testing.assert_allclose(tg.concatenated, grid)
+            np.testing.assert_array_equal(grid, np.unique(np.concatenate([regular, path_atoms(b, p)[0]])))
 
     def test_euler_recursion_recomputes_exactly(self):
         spec = build_problem("switch2-linear")
@@ -197,14 +174,14 @@ class TestSimulatePaths:
         spec = build_problem("switch2-linear")
         b = simulate_paths(spec, 50, 0.05, seed=33)
         for p in range(b.N):
-            atoms = b.marked_path(p)
+            times, marks = path_atoms(b, p)
             grid = b.times[p, : b.n_nodes[p]]
             reg = b.regime[p, : b.n_nodes[p]]
             changes = np.flatnonzero(np.diff(reg.astype(int)) != 0)
             for c in changes:
                 t_change = grid[c + 1]
-                assert np.any(np.isclose(atoms.times, t_change))
-                mark = atoms.marks[np.argmin(np.abs(atoms.times - t_change))]
+                assert np.any(np.isclose(times, t_change))
+                mark = marks[np.argmin(np.abs(times - t_change))]
                 assert reg[c + 1] == mark
 
     def test_initial_conditions(self):
@@ -243,11 +220,12 @@ class TestSimulatePaths:
         spec = build_problem("switch2-linear")
         b = simulate_paths(spec, 40, 0.125, seed=13)
         for p in range(b.N):
-            atoms = b.marked_path(p)
+            times, marks = path_atoms(b, p)
             regular = b.regular
             for k in range(b.K):
                 for j in (1, 2):
-                    expected = atoms.count_in(regular[k], regular[k + 1], j)
+                    inside = (times > regular[k]) & (times <= regular[k + 1])
+                    expected = np.count_nonzero(inside & (marks == j))
                     assert b.counts_reg[p, k, j - 1] == expected
 
     def test_multidimensional_state(self):
@@ -298,10 +276,9 @@ class TestSimulatePaths:
         assert b.atom_times.size > 0
         for p in (0, 1, 7, 23, 39):
             rng = np.random.default_rng(np.random.SeedSequence((seed, p)))
-            atoms = sample_jump_marks(spec.intensity, spec.horizon, rng)
-            sl = slice(b.atom_offsets[p], b.atom_offsets[p + 1])
-            np.testing.assert_array_equal(b.atom_times[sl], atoms.times)
-            np.testing.assert_array_equal(b.atom_marks[sl], atoms.marks)
+            times, marks = sample_jump_marks(spec.intensity, spec.horizon, rng)
+            np.testing.assert_array_equal(path_atoms(b, p)[0], times)
+            np.testing.assert_array_equal(path_atoms(b, p)[1], marks)
             n_sub = b.n_nodes[p] - 1
             normals = rng.standard_normal((n_sub, spec.d))
             np.testing.assert_array_equal(b.dw[p, :n_sub], normals * np.sqrt(b.dt[p, :n_sub])[:, None])
@@ -335,17 +312,18 @@ class TestBundleFromPaths:
                 [(0.5, 2)],  # atom at T
                 [],  # no atoms
                 [(0.5, 1), (0.3, 2), (0.25, 2), (0.3, 1)],  # all of the above on one path
+                [(0.1, 1)],  # a self-mark: new node, regime unchanged, atom counted
             ],
         )
         expected = {
             "times": [[0.0, 0.25, 0.5, 0.5], [0.0, 0.1, 0.25, 0.5], [0.0, 0.25, 0.5, 0.5], [0.0, 0.25, 0.5, 0.5],
-                      [0.0, 0.25, 0.3, 0.5]],
-            "n_nodes": [3, 4, 3, 3, 4],
-            "regime": [[1, 2, 2, 2], [1, 2, 2, 2], [1, 1, 2, 2], [1, 1, 1, 1], [1, 2, 2, 1]],
-            "reg_pos": [[0, 1, 2], [0, 2, 3], [0, 1, 2], [0, 1, 2], [0, 1, 3]],
-            "step_of": [[0, 1, 0], [0, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 1]],
+                      [0.0, 0.25, 0.3, 0.5], [0.0, 0.1, 0.25, 0.5]],
+            "n_nodes": [3, 4, 3, 3, 4, 4],
+            "regime": [[1, 2, 2, 2], [1, 2, 2, 2], [1, 1, 2, 2], [1, 1, 1, 1], [1, 2, 2, 1], [1, 1, 1, 1]],
+            "reg_pos": [[0, 1, 2], [0, 2, 3], [0, 1, 2], [0, 1, 2], [0, 1, 3], [0, 2, 3]],
+            "step_of": [[0, 1, 0], [0, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 1], [0, 0, 1]],
             "counts_reg": [[[0, 1], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]],
-                           [[0, 1], [2, 1]]],
+                           [[0, 1], [2, 1]], [[1, 0], [0, 0]]],
         }
         for name, values in expected.items():
             np.testing.assert_array_equal(getattr(b, name), values, err_msg=name)
@@ -358,6 +336,6 @@ class TestBundleFromPaths:
         assert b.counts_reg[0, 0, 1] == 1
         assert b.i_reg[0, 1] == 2 and b.i_reg[0, 2] == 2
         assert b.i_reg[1, 1] == spec.initial_regime
-        durations, regimes = b.path_segments(0, 0)
-        np.testing.assert_allclose(durations, [0.1, 0.15])
-        assert list(regimes) == [2, 2]
+        rows, durations, regimes = b.step_segments()[0]
+        np.testing.assert_allclose(durations[rows == 0], [0.1, 0.15])
+        assert list(regimes[rows == 0]) == [2, 2]

@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 
 from switchbsde import (
     IntensityMeasure,
+    SchemeConfig,
     SwitchingCosts,
     build_problem,
+    bundle_from_paths,
     catalog_defaults,
-    evaluate_penalized_driver,
     list_catalog,
     make_switching_problem,
     validate_problem,
 )
+from switchbsde.backward import _driver_terms, make_ensemble
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
+from switchbsde.problem import constraint_values, penalty_batch
 
 
 def two_regime_problem(c12=0.5, c21=0.5, rewards=(0.0, 0.0), lam=(1.0, 1.0)):
@@ -43,7 +46,7 @@ class TestIntensityMeasure:
     def test_mark_probabilities(self):
         lam = IntensityMeasure([2.0, 3.0])
         assert np.allclose(lam.mark_probabilities(), [0.4, 0.6])
-        assert lam.weight(2) == 3.0
+        assert lam.weights[1] == 3.0
 
 
 class TestSwitchingCosts:
@@ -116,27 +119,41 @@ class TestSwitchingConstraint:
 
 
 class TestPenalizedDriver:
+    X, Z = np.zeros((1, 1)), np.zeros((1, 1))
+
     def test_violating_value_vector(self):
-        spec = two_regime_problem(c12=0.5)
-        # h_{1,2} = 1 - 3 + 0.5 = -1.5, weight 1, level 2
-        val = evaluate_penalized_driver(spec, 2, 1, [0.0], [1.0, 3.0], [0.0])
-        assert val == pytest.approx(3.0)
+        spec = two_regime_problem(c12=0.5, lam=(1.0, 2.0))
+        # h_{1,2} = 1 - 3 + 0.5 = -1.5, weight 2
+        values = np.array([[1.0, 3.0]])
+        np.testing.assert_allclose(constraint_values(spec, 1, self.X, values, self.Z), [[0.0, -1.5]])
+        np.testing.assert_allclose(penalty_batch(spec, 1, self.X, values, self.Z), [3.0])
 
     def test_satisfied_value_vector(self):
         spec = two_regime_problem(c12=0.5)
-        val = evaluate_penalized_driver(spec, 2, 1, [0.0], [3.0, 1.0], [0.0])
-        assert val == pytest.approx(0.0)
+        values = np.array([[3.0, 1.0]])
+        np.testing.assert_allclose(constraint_values(spec, 1, self.X, values, self.Z), [[0.0, 2.5]])
+        assert penalty_batch(spec, 1, self.X, values, self.Z)[0] == 0.0
 
     def test_level_zero_is_raw_driver(self):
+        # one path, no atoms, a violating value vector: at level 0 the step
+        # integral is the raw reward minus the compensator, and only the
+        # reported violation sees the penalty
         spec = two_regime_problem(rewards=(0.7, -0.2))
-        for i, expected in ((1, 0.7), (2, -0.2)):
-            val = evaluate_penalized_driver(spec, 0, i, [0.0], [-5.0, 9.0], [0.0])
-            assert val == expected
+        bundle = bundle_from_paths(spec, 0.5, [[]])
+        ens = make_ensemble(spec, SchemeConfig(h=0.5, paths=1), bundle)
+        y_next, z, u = np.array([1.0]), np.zeros((1, 1)), np.array([[0.0, 2.0]])
+        integral, mass, violation = _driver_terms(spec, 0, ens, 0, y_next, z, u)
+        compensator = 1.0 * 2.0  # sum_j lambda_j (yvec_j - yvec_1)
+        assert integral[0] == pytest.approx(0.5 * (0.7 - compensator))
+        assert mass[0] == 0.0
+        assert violation[0] == pytest.approx(1.5)
+        integral3, mass3, _ = _driver_terms(spec, 3, ens, 0, y_next, z, u)
+        assert mass3[0] == pytest.approx(0.5 * 3 * 1.5)
+        assert integral3[0] - integral[0] == pytest.approx(mass3[0])
 
     def test_negative_level_rejected(self):
-        spec = two_regime_problem()
-        with pytest.raises(ValueError):
-            evaluate_penalized_driver(spec, -1, 1, [0.0], [0.0, 0.0], [0.0])
+        with pytest.raises(ValueError, match="penalization level"):
+            SchemeConfig(h=0.1, n=-1)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -146,9 +163,18 @@ class TestPenalizedDriver:
         reward=st.floats(-1, 1),
     )
     def test_nondecreasing_in_level(self, y1, y2, c, reward):
+        # the penalty mass is nonnegative and zero iff every h_ij >= 0, so
+        # the penalized driver f + n * mass is nondecreasing in n
         spec = two_regime_problem(c12=c, c21=c, rewards=(reward, reward))
-        values = [evaluate_penalized_driver(spec, n, 1, [0.0], [y1, y2], [0.0]) for n in range(0, 9)]
-        assert all(b >= a for a, b in zip(values, values[1:]))
+        values = np.array([[y1, y2]])
+        for i in (1, 2):
+            h = constraint_values(spec, i, self.X, values, self.Z)
+            mass = penalty_batch(spec, i, self.X, values, self.Z)[0]
+            assert mass >= 0.0
+            assert (mass == 0.0) == bool(np.all(h >= 0.0))
+            driver = spec.driver(i, self.X, values, self.Z)[0]
+            levels = [driver + n * mass for n in range(0, 9)]
+            assert all(b >= a for a, b in zip(levels, levels[1:]))
 
 
 class TestCatalog:

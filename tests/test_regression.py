@@ -3,15 +3,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchbsde import BasisSpec, build_design, fit_conditional, ols_fit, predict
+from switchbsde import BasisSpec, build_design, ols_fit
 from switchbsde.regression import POOLED
+
+
+def in_sample(basis, regimes, xs, targets):
+    """Fitted values of the per-stratum least-squares projection, as the solver forms them."""
+    out = np.empty(len(targets))
+    for block in build_design(basis, regimes, xs).values():
+        fit = ols_fit(block.matrix, targets[block.rows], ridge=0.0)
+        out[block.rows] = block.matrix @ fit.coefficients
+    return out
 
 
 class TestBuildDesign:
     def test_degree_one_monomials(self):
         basis = BasisSpec(degree=1)
         blocks = build_design(basis, [1, 1, 1], np.array([[0.0], [1.0], [2.0]]))
-        np.testing.assert_allclose(blocks[1].matrix, [[1, 0], [1, 1], [1, 2]])
+        # the state is standardized per stratum: mean 1, standard deviation sqrt(2/3)
+        z = np.array([-1.0, 0.0, 1.0]) / np.sqrt(2.0 / 3.0)
+        np.testing.assert_allclose(blocks[1].matrix, np.column_stack([np.ones(3), z]))
 
     def test_degree_zero_is_constant_column(self):
         blocks = build_design(BasisSpec(degree=0), [1, 1], np.array([[3.0], [7.0]]))
@@ -101,29 +112,16 @@ class TestOlsFit:
 
 class TestStratifiedFit:
     def test_predict_reproduces_interpolating_fit(self):
+        # two points per stratum, a different line in each
         xs = np.array([[0.0], [1.0], [2.0], [3.0]])
-        fit = fit_conditional(BasisSpec(degree=1), [1, 1, 1, 1], xs, 2 * xs[:, 0], ridge=0.0)
-        assert predict(fit, BasisSpec(degree=1), 1, np.array([3.0])) == pytest.approx(6.0)
-        preds, _ = fit.predict_batch(np.ones(4, dtype=int), xs)
-        np.testing.assert_allclose(preds, 2 * xs[:, 0], atol=1e-10)
+        targets = np.array([0.0, -1.0, 4.0, -3.0])
+        preds = in_sample(BasisSpec(degree=1), [1, 2, 1, 2], xs, targets)
+        np.testing.assert_allclose(preds, targets, atol=1e-10)
 
     def test_zero_targets_predict_zero(self):
         xs = np.linspace(0, 1, 9)[:, None]
-        fit = fit_conditional(BasisSpec(degree=2), np.ones(9, dtype=int), xs, np.zeros(9), ridge=0.0)
-        assert predict(fit, BasisSpec(degree=2), 1, np.array([0.37])) == pytest.approx(0.0, abs=1e-12)
-
-    def test_unseen_stratum_raises(self):
-        xs = np.zeros((4, 1))
-        fit = fit_conditional(BasisSpec(degree=0), [1, 1, 1, 1], xs, np.ones(4), ridge=0.0)
-        with pytest.raises(ValueError, match="unseen regime stratum"):
-            predict(fit, BasisSpec(degree=0), 2, np.array([0.0]))
-
-    def test_pooled_fallback_for_missing_stratum(self):
-        xs = np.zeros((4, 1))
-        fit = fit_conditional(BasisSpec(degree=0), [1, 1, 1, 1], xs, np.full(4, 5.0), ridge=0.0)
-        preds, fellback = fit.predict_batch(np.array([2, 2]), np.zeros((2, 1)))
-        assert fellback == [2]
-        np.testing.assert_allclose(preds, [5.0, 5.0])
+        preds = in_sample(BasisSpec(degree=2), np.ones(9, dtype=int), xs, np.zeros(9))
+        np.testing.assert_allclose(preds, 0.0, atol=1e-12)
 
     def test_grouping_bridge_on_finite_support(self):
         # with an interpolating basis on a finite support, the projection is
@@ -133,24 +131,20 @@ class TestStratifiedFit:
         idx = rng.integers(0, 3, size=600)
         xs = points[idx][:, None]
         targets = rng.standard_normal(600) + 3.0 * idx
-        fit = fit_conditional(BasisSpec(degree=2), np.ones(600, dtype=int), xs, targets, ridge=0.0)
-        for p, point in enumerate(points):
-            group_mean = targets[idx == p].mean()
-            assert predict(fit, BasisSpec(degree=2), 1, np.array([point])) == pytest.approx(group_mean, abs=1e-10)
+        preds = in_sample(BasisSpec(degree=2), np.ones(600, dtype=int), xs, targets)
+        for p in range(points.size):
+            np.testing.assert_allclose(preds[idx == p], targets[idx == p].mean(), atol=1e-10)
 
     def test_standardization_transparent_for_shifted_data(self):
-        # same affine law far from the origin: the fitted prediction still
-        # reproduces in-span targets exactly
+        # same affine law far from the origin: the fitted values still
+        # reproduce in-span targets exactly
         xs = (1e6 + np.linspace(0, 1, 20))[:, None]
         targets = -4.0 * xs[:, 0] + 1.0
-        fit = fit_conditional(BasisSpec(degree=2), np.ones(20, dtype=int), xs, targets, ridge=0.0)
-        preds, _ = fit.predict_batch(np.ones(20, dtype=int), xs)
+        preds = in_sample(BasisSpec(degree=2), np.ones(20, dtype=int), xs, targets)
         np.testing.assert_allclose(preds, targets, rtol=1e-9)
 
     def test_piecewise_linear_fits_kink(self):
         xs = np.linspace(-1, 1, 201)[:, None]
         targets = np.maximum(xs[:, 0], 0.0)
-        basis = BasisSpec(kind="piecewise-linear", degree=9)
-        fit = fit_conditional(basis, np.ones(201, dtype=int), xs, targets, ridge=0.0)
-        preds, _ = fit.predict_batch(np.ones(201, dtype=int), xs)
+        preds = in_sample(BasisSpec(kind="piecewise-linear", degree=9), np.ones(201, dtype=int), xs, targets)
         assert np.max(np.abs(preds - targets)) < 0.02
