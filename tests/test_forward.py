@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,58 @@ class TestSampleJumpMarks:
         times, _ = sample_jump_marks(lam, 2.0, np.random.default_rng(5))
         assert np.all(np.diff(times) > 0)
         assert times[0] > 0 and times[-1] <= 2.0
+
+
+def regime_at(b, p, t):
+    """Right-continuous regime of path p at time t, read off the bundle's grid."""
+    grid = b.times[p, : b.n_nodes[p]]
+    return int(b.regime[p, np.searchsorted(grid, t, side="right") - 1])
+
+
+def spec_from(name, T=1.0, i0=1):
+    return dataclasses.replace(build_problem(name), horizon=T, initial_regime=i0)
+
+
+class TestMarkedPoissonPath:
+    def test_rejects_unsorted_or_nonpositive_times(self):
+        spec = spec_from("switch2-linear")
+        for atoms in ([(0.0, 1), (0.2, 1)], [(0.5, 1), (-0.2, 2)]):
+            with pytest.raises(ValueError, match="nonpositive"):
+                bundle_from_paths(spec, 0.25, [atoms])
+        # an unsorted atom list is stored in increasing time order
+        b = bundle_from_paths(spec, 0.25, [[(0.5, 2), (0.2, 1)]])
+        times, marks = path_atoms(b, 0)
+        assert np.all(np.diff(times) > 0)
+        np.testing.assert_array_equal(times, [0.2, 0.5])
+        np.testing.assert_array_equal(marks, [1, 2])
+
+    def test_count_in_half_open_interval(self):
+        spec = spec_from("switch2-linear")
+        b = bundle_from_paths(spec, 0.25, [[(0.25, 1), (0.5, 2), (0.5001, 1)]])
+        # step k counts the atoms in (t_k, t_k+1]: left end excluded, right included
+        np.testing.assert_array_equal(b.counts_reg[0, 1], [0, 1])
+        np.testing.assert_array_equal(b.counts_reg[0, 0], [1, 0])
+        np.testing.assert_array_equal(b.counts_reg[0, 2], [1, 0])
+
+
+class TestRegimePath:
+    def test_empty_marks_constant(self):
+        b = bundle_from_paths(spec_from("switch3", i0=3), 0.25, [[]])
+        assert regime_at(b, 0, 0.0) == 3
+        assert regime_at(b, 0, 0.99) == 3
+
+    def test_self_marks_change_nothing(self):
+        b = bundle_from_paths(spec_from("switch2-linear", i0=2), 0.25, [[(0.3, 2), (0.7, 2)]])
+        assert [regime_at(b, 0, t) for t in (0.0, 0.5, 0.9)] == [2, 2, 2]
+        assert b.counts_reg[0, :, 1].sum() == 2
+
+    def test_switching_path(self):
+        b = bundle_from_paths(spec_from("switch2-linear"), 0.25, [[(0.3, 2), (0.7, 1)]])
+        assert regime_at(b, 0, 0.0) == 1
+        assert regime_at(b, 0, 0.3) == 2  # right-continuous at the atom
+        assert regime_at(b, 0, 0.5) == 2
+        assert regime_at(b, 0, 0.7) == 1
+        assert regime_at(b, 0, 1.0) == 1
 
 
 class TestCompensatedIncrement:
