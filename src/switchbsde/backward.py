@@ -275,14 +275,18 @@ def make_ensemble(spec: ProblemSpec, config: SchemeConfig, bundle) -> Ensemble:
 # per-step operations
 
 
+def _check_step(ens: Ensemble, k: int) -> None:
+    if not 0 <= k < ens.n_steps:
+        raise ValueError(f"step index {k} out of range [0, {ens.n_steps})")
+
+
 def estimate_z(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[FitRecord]]:
     """Gradient-proxy estimate at step k from next-step values.
 
     Regresses ``Y_{k+1} * dW / h`` componentwise; ``dW`` is the aggregate
     increment over the whole step.
     """
-    if k >= ens.n_steps:
-        raise ValueError("step index out of range")
+    _check_step(ens, k)
     _, head, _, dw, _ = ens.edge_arrays(k)
     targets = y_next[head][:, None] * dw / ens.h
     values, records = ens.condexp(k, targets, "z")
@@ -296,6 +300,7 @@ def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list
     compensated-count regression and ``u`` subtracts each unit's own-regime
     component (making it exactly zero there).
     """
+    _check_step(ens, k)
     spec = ens.spec
     lam = spec.intensity.weights
     if np.any(lam <= 0):
@@ -370,6 +375,7 @@ def step_y(
     Returns ``(y, penalty_mass, violation, fit records)`` with the penalty
     mass and the time-averaged constraint violation reduced per unit.
     """
+    _check_step(ens, k)
     _, head, _, _, _ = ens.edge_arrays(k)
     integral, penalty_edge, violation_edge = _driver_terms(spec, n, ens, k, y_next, z_k, u_k)
     targets = y_next[head] + integral
@@ -556,22 +562,17 @@ def penalization_ladder(
     spec: ProblemSpec,
     config: SchemeConfig,
     n_schedule: list[int],
-    bundle=None,
+    bundle,
 ) -> ConvergenceReport:
     """Run the backward solve along an increasing penalization schedule.
 
-    All levels share the same paths (or chain): with no bundle given, one is
-    simulated from the config's seed and reused, so differences along the
+    All levels share the same paths (or chain), so differences along the
     ladder are purely due to the penalty level.
     """
     if not n_schedule:
         raise ValueError("n_schedule must have at least one entry")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    if bundle is None:
-        from .forward import simulate_paths
-
-        bundle = simulate_paths(spec, config.paths, config.h, config.seed)
     y0s: list[float] = []
     viols: list[float] = []
     skos: list[float] = []

@@ -31,6 +31,7 @@ from .regression import BasisSpec
 
 SCHEMA_VERSION = 1
 COMMANDS = ("simulate", "solve", "ladder", "oracle", "compare", "validate")
+FD_KEYS = ("M", "x_min", "x_max", "dt", "mode", "n")
 
 
 class ConfigError(ValueError):
@@ -67,6 +68,13 @@ def _require(cfg: dict, key: str, kind, where: str):
     return value
 
 
+def _section(cfg: dict, key: str, parent: str = "") -> dict:
+    value = cfg.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{parent + '.' if parent else ''}{key} must be an object")
+    return value
+
+
 def _basis_from(cfg: dict) -> BasisSpec:
     try:
         return BasisSpec(
@@ -79,9 +87,7 @@ def _basis_from(cfg: dict) -> BasisSpec:
 
 
 def _scheme_from(cfg: dict, seed: int) -> SchemeConfig:
-    scheme = cfg.get("scheme", {})
-    if not isinstance(scheme, dict):
-        raise ConfigError("scheme must be an object")
+    scheme = _section(cfg, "scheme")
     try:
         return SchemeConfig(
             h=_require(scheme, "h", float, "scheme"),
@@ -156,9 +162,7 @@ def _problem_from(cfg: dict):
     if not isinstance(problem_cfg, dict):
         raise ConfigError("config needs a 'problem' object")
     name = _require(problem_cfg, "name", str, "problem")
-    overrides = problem_cfg.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise ConfigError("problem.overrides must be an object")
+    overrides = _section(problem_cfg, "overrides", "problem")
     known = {entry for entry, _ in list_catalog()}
     if name not in known:
         raise ConfigError(f"unknown catalog problem {name!r}; known: {sorted(known)}")
@@ -170,19 +174,21 @@ def _problem_from(cfg: dict):
 
 
 def _fd_settings(cfg: dict, spec):
-    oracle_cfg = cfg.get("oracle", {})
-    fd_cfg = oracle_cfg.get("fd", {}) if isinstance(oracle_cfg, dict) else {}
-    M = int(fd_cfg.get("M", 400))
-    x_lo, x_hi = fd_cfg.get("x_min"), fd_cfg.get("x_max")
-    if x_lo is None or x_hi is None:
-        _, lo, hi = default_grid(spec, M)
-        x_lo = lo if x_lo is None else float(x_lo)
-        x_hi = hi if x_hi is None else float(x_hi)
-    dt = float(fd_cfg.get("dt", 1e-3))
-    mode = fd_cfg.get("mode", "projection")
-    penalization = fd_cfg.get("n")
-    facelift = bool(fd_cfg.get("facelift", True))
-    return (M, float(x_lo), float(x_hi)), dt, mode, penalization, facelift
+    fd_cfg = _section(_section(cfg, "oracle"), "fd", "oracle")
+    unknown = sorted(set(fd_cfg) - set(FD_KEYS))
+    if unknown:
+        raise ConfigError(f"unknown oracle.fd keys {unknown}; accepted: {list(FD_KEYS)}")
+
+    def get(key, kind, default):
+        return _require(fd_cfg, key, kind, "oracle.fd") if key in fd_cfg else default
+
+    M = get("M", int, 400)
+    _, x_lo, x_hi = default_grid(spec, M)
+    x_lo, x_hi = get("x_min", float, x_lo), get("x_max", float, x_hi)
+    penalization = get("n", int, None)
+    if penalization is not None and penalization < 0:
+        raise ConfigError("oracle.fd.n must be a nonnegative integer")
+    return (M, float(x_lo), float(x_hi)), get("dt", float, 1e-3), get("mode", str, "projection"), penalization
 
 
 def run(
@@ -202,7 +208,7 @@ def run(
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}; valid: {COMMANDS}")
         seed_val = _resolve_seed(cfg, seed)
-        out_dir = Path(out if out is not None else cfg.get("outputs", {}).get("dir", "."))
+        out_dir = Path(out if out is not None else _section(cfg, "outputs").get("dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if command == "validate":
@@ -212,11 +218,11 @@ def run(
         problem_echo = {"name": name, "overrides": overrides}
 
         if command == "oracle":
-            grid, dt, mode, n_pen, facelift = _fd_settings(cfg, spec)
+            grid, dt, mode, n_pen = _fd_settings(cfg, spec)
             if mode == "penalized" and n_pen is None:
                 raise ConfigError("oracle.fd.n is required in penalized mode")
             try:
-                sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen, facelift=facelift)
+                sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen)
             except ValueError as exc:
                 raise ConfigError(str(exc)) from exc
             _grid_csv(sol, out_dir / "grid.csv")
@@ -227,7 +233,6 @@ def run(
                     "grid": {"M": grid[0], "x_min": grid[1], "x_max": grid[2], "dt": dt},
                     "mode": mode,
                     "penalization": n_pen,
-                    "facelift": facelift,
                     "value_at_start": sol.value_at(0.0, spec.initial_regime, float(spec.initial_state[0])),
                 },
                 out_dir / "grid.json",
@@ -235,6 +240,7 @@ def run(
             return 0
 
         scheme = _scheme_from(cfg, seed_val)
+        fd_settings = _fd_settings(cfg, spec) if command == "compare" else None
 
         if command == "simulate":
             bundle = simulate_paths(
@@ -244,7 +250,7 @@ def run(
             return 0
 
         if command == "ladder":
-            schedule = cfg.get("ladder", {}).get("n_schedule", [1, 2, 4, 8, 16, 32, 64])
+            schedule = _section(cfg, "ladder").get("n_schedule", [1, 2, 4, 8, 16, 32, 64])
             bundle = simulate_paths(
                 spec, scheme.paths, scheme.h, seed_val, workers=workers, problem_ref=(name, overrides)
             )
@@ -286,8 +292,8 @@ def run(
             return 0
 
         # compare
-        grid, dt, mode, n_pen, facelift = _fd_settings(cfg, spec)
-        sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen, facelift=facelift)
+        grid, dt, mode, n_pen = fd_settings
+        sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen)
         report = oracle_compare(result, sol, (0.0, spec.initial_regime, float(spec.initial_state[0])))
         _json_dump(payload, out_dir / "result.json")
         _json_dump(
@@ -311,9 +317,10 @@ def run(
 
 
 def _cmd_validate(cfg: dict, out_dir: Path) -> int:
+    samples = _section(cfg, "validate").get("samples", 200)
     try:
         spec, name, _ = _problem_from(cfg)
-        report = validate_problem(spec, sample_count=int(cfg.get("validate", {}).get("samples", 200)), rng_seed=0)
+        report = validate_problem(spec, sample_count=int(samples), rng_seed=0)
     except (ConfigError, ValueError) as exc:
         _json_dump(
             {"schema_version": SCHEMA_VERSION, "passed": False, "error": str(exc)},

@@ -64,10 +64,6 @@ class LatticeChain:
     nodes: list[NodeSet]
     edges: list[EdgeSet]
 
-    @property
-    def n_steps(self) -> int:
-        return self.K
-
     def size(self) -> int:
         return sum(ns.regime.size for ns in self.nodes)
 

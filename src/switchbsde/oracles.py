@@ -6,11 +6,13 @@ implementation of the recursion in :mod:`switchbsde.backward` (exact mode):
 the two share only the chain object, so agreement validates both.
 
 ``fd_solve`` solves the coupled obstacle system for switching-form problems
-on a one-dimensional grid with a theta-scheme per regime. Projection mode
-applies the switching obstacle ``v_i >= max_j (v_j - c_ij)`` pointwise after
-each linear step; penalized mode adds the penalty implicitly through a
-per-node scalar solve, which keeps the values monotone in the penalty level
-for any step size and converges to the projection update as the level grows.
+on a one-dimensional grid with a Crank-Nicolson step per regime, whose banded
+matrix is factored once per solve. Projection mode applies the switching
+obstacle ``v_i >= max_j (v_j - c_ij)`` after each linear step as one
+:func:`facelift_terminal` sweep; penalized mode adds the penalty implicitly
+through a per-node scalar solve, which keeps the values monotone in the
+penalty level for any step size and converges to the projection update as
+the level grows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg import lapack
 
 from .backward import DivergenceError
 from .lattice import LatticeChain, LatticeSpec, build_lattice_chain
@@ -166,7 +168,6 @@ class GridSolution:
     xs: Array               # (M + 1,)
     values: Array           # (m, n_t + 1, M + 1)
     mode: str
-    facelift: bool
     penalization: Optional[int] = None
 
     def value_at(self, t: float, i: int, x: float) -> float:
@@ -180,10 +181,12 @@ class GridSolution:
 
 
 def facelift_terminal(g: Array, costs: Array) -> Array:
-    """Smallest terminal data dominating g and compatible with switching.
+    """Smallest data dominating g and compatible with switching.
 
     ``g`` has shape (m, n_x); one sweep of ``max(g_i, max_j g_j - c_ij)``
-    suffices (and is idempotent) under the strict triangle condition.
+    suffices (and is idempotent) under the strict triangle condition that
+    :class:`SwitchingCosts` enforces. ``fd_solve`` applies it to the terminal
+    data and, in projection mode, after every time step.
     """
     g = np.asarray(g, dtype=float)
     m = g.shape[0]
@@ -254,16 +257,13 @@ def fd_solve(
     dt: float,
     mode: str = "projection",
     penalization: Optional[int] = None,
-    facelift: bool = True,
-    theta: float = 0.5,
 ) -> GridSolution:
-    """Theta-scheme solve of the coupled switching system on a 1-d grid.
+    """Crank-Nicolson solve of the coupled switching system on a 1-d grid.
 
     ``grid = (M, x_min, x_max)``. Boundary rows evaluate the generator with
     one-sided stencils (no artificial Dirichlet data). ``mode`` is
     ``"projection"`` or ``"penalized"`` (the latter needs ``penalization``).
-    The time grid steps backward from the (optionally face-lifted) terminal
-    data.
+    The time grid steps backward from the face-lifted terminal data.
     """
     if spec.d != 1:
         raise ValueError("finite-difference oracle supports d = 1 only")
@@ -273,8 +273,6 @@ def fd_solve(
         raise ValueError(f"unknown fd mode {mode!r}")
     if mode == "penalized" and (penalization is None or penalization < 0):
         raise ValueError("penalized mode needs a nonnegative penalization level")
-    if not 0.0 <= theta <= 1.0:
-        raise ValueError("theta must lie in [0, 1]")
 
     M, x_min, x_max = grid
     if M < 4 or not x_min < x_max:
@@ -284,6 +282,7 @@ def fd_solve(
     if n_t < 1 or abs(n_t * dt - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"time step {dt} does not divide horizon {T}")
     dt = T / n_t
+    half = 0.5 * dt
     xs = np.linspace(x_min, x_max, M + 1)
     dx = xs[1] - xs[0]
     m = spec.m
@@ -299,90 +298,53 @@ def fd_solve(
         [np.asarray(spec.driver(i, x2d, zeros_vals, zeros_z), dtype=float) for i in range(1, m + 1)]
     )
 
-    # theta >= 1/2 is unconditionally stable; below that the explicit part
-    # dominates and the classical parabolic bound applies
-    if theta < 0.5:
-        cfl = (1.0 - 2.0 * theta) * dt * float(np.max(diff2 / dx**2 + np.abs(drift) / dx))
-        if cfl > 1.0 + 1e-9:
-            raise ValueError(
-                f"explicit part unstable: (1-2 theta) dt (sigma^2/dx^2 + |b|/dx) = {cfl:.3f} > 1"
-            )
+    # Generator row r of regime i weighs v[cols[r]] by w[i, r]. Interior rows
+    # are central; the two end rows use the shifted 3-point first and second
+    # differences, both exact on quadratics, so no artificial boundary layer
+    # forms. They reach one node past the tridiagonal band (bandwidth 2).
+    rows = np.arange(M + 1)
+    cols = np.clip(rows - 1, 0, M - 2)[:, None] + np.arange(3)
+    first = np.tile([-1.0, 0.0, 1.0], (M + 1, 1))
+    first[0], first[M] = [-3.0, 4.0, -1.0], [1.0, -4.0, 3.0]
+    second = np.array([1.0, -2.0, 1.0])
+    w = (diff2 / (2 * dx**2))[..., None] * second + (drift / (2 * dx))[..., None] * first
 
-    # central-difference generator per regime (interior rows)
-    lower = diff2 / (2 * dx**2) - drift / (2 * dx)
-    diag = -diff2 / dx**2
-    upper = diff2 / (2 * dx**2) + drift / (2 * dx)
-
-    # Boundary rows apply the generator with one-sided stencils: the shifted
-    # 3-point second difference and 3-point first difference are both exact
-    # on quadratics, so no artificial boundary layer forms. They touch a
-    # node beyond a tridiagonal band, hence the pentadiagonal assembly.
-    bweight = np.zeros((m, 2, 3))  # generator rows at the two ends
+    # I - dt/2 G in LAPACK band storage (A[r, c] at ab[4 + r - c, c]), factored once
+    factors = []
     for i in range(m):
-        bweight[i, 0] = diff2[i, 0] / (2 * dx**2) * np.array([1.0, -2.0, 1.0]) + drift[i, 0] / (
-            2 * dx
-        ) * np.array([-3.0, 4.0, -1.0])
-        bweight[i, 1] = diff2[i, M] / (2 * dx**2) * np.array([1.0, -2.0, 1.0]) + drift[i, M] / (
-            2 * dx
-        ) * np.array([1.0, -4.0, 3.0])
+        ab = np.zeros((7, M + 1), order="F")
+        ab[4 + rows[:, None] - cols, cols] = -half * w[i]
+        ab[4] += 1.0
+        lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=True)
+        if info != 0:
+            raise ValueError(f"Crank-Nicolson matrix of regime {i + 1} is singular")
+        factors.append((lu, piv))
+    dt_source = dt * source
 
-    def build_banded(i: int) -> Array:
-        aband = np.zeros((5, M + 1))  # rows: +2, +1, 0, -1, -2 diagonals
-        aband[1, 2:] = -theta * dt * upper[i, 1:-1]
-        aband[2, 1:-1] = 1.0 - theta * dt * diag[i, 1:-1]
-        aband[3, :-2] = -theta * dt * lower[i, 1:-1]
-        lo, hi = bweight[i]
-        aband[2, 0] = 1.0 - theta * dt * lo[0]
-        aband[1, 1] = -theta * dt * lo[1]
-        aband[0, 2] = -theta * dt * lo[2]
-        aband[2, M] = 1.0 - theta * dt * hi[2]
-        aband[3, M - 1] = -theta * dt * hi[1]
-        aband[4, M - 2] = -theta * dt * hi[0]
-        return aband
-
-    bands = [build_banded(i) for i in range(m)]
-
-    def explicit_rhs(i: int, v: Array) -> Array:
-        rhs = np.empty(M + 1)
-        interior = (
-            lower[i, 1:-1] * v[:-2] + diag[i, 1:-1] * v[1:-1] + upper[i, 1:-1] * v[2:]
-        )
-        rhs[1:-1] = v[1:-1] + (1.0 - theta) * dt * interior + dt * source[i, 1:-1]
-        lo, hi = bweight[i]
-        rhs[0] = v[0] + (1.0 - theta) * dt * (lo @ v[:3]) + dt * source[i, 0]
-        rhs[M] = v[M] + (1.0 - theta) * dt * (hi @ v[M - 2 :]) + dt * source[i, M]
+    def cn_step(v: Array) -> Array:
+        rhs = w[..., 0] * v[:, cols[:, 0]]
+        for k in (1, 2):
+            rhs += w[..., k] * v[:, cols[:, k]]
+        rhs *= half
+        rhs += v
+        rhs += dt_source
+        for i, (lu, piv) in enumerate(factors):
+            rhs[i] = lapack.dgbtrs(lu, 2, 2, rhs[i], piv, overwrite_b=True)[0]
         return rhs
 
     g = np.stack([np.asarray(spec.terminal(i, x2d), dtype=float) for i in range(1, m + 1)])
-    if facelift and m > 1:
-        g = facelift_terminal(g, costs)
-
+    v = facelift_terminal(g, costs)
     values = np.empty((m, n_t + 1, M + 1))
-    values[:, n_t] = g
-    v = g.copy()
+    values[:, n_t] = v
     bound = None
     if spec.growth_bound is not None:
         c0, c1 = spec.growth_bound
         bound = 10.0 * (c0 + c1 * np.abs(xs))
 
     for step in range(n_t - 1, -1, -1):
-        vhat = np.empty_like(v)
-        for i in range(m):
-            vhat[i] = solve_banded((2, 2), bands[i], explicit_rhs(i, v[i]))
-        if m == 1:
-            v = vhat
-        elif mode == "projection":
-            v = vhat.copy()
-            for _ in range(m):
-                obstacle = np.full_like(v, -np.inf)
-                for i in range(m):
-                    for j in range(m):
-                        if j != i:
-                            obstacle[i] = np.maximum(obstacle[i], v[j] - costs[i, j])
-                updated = np.maximum(v, obstacle)
-                if np.array_equal(updated, v):
-                    break
-                v = updated
+        vhat = cn_step(v)
+        if mode == "projection":
+            v = facelift_terminal(vhat, costs)
         else:
             v = _implicit_penalty_update(vhat, costs, lam, penalization, dt)
         if bound is not None and np.any(np.abs(v) > bound):
@@ -397,7 +359,6 @@ def fd_solve(
         xs=xs,
         values=values,
         mode=mode,
-        facelift=bool(facelift and m > 1),
         penalization=penalization if mode == "penalized" else None,
     )
 

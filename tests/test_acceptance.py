@@ -138,7 +138,7 @@ def test_criterion_06_cross_engine_value(tmp_path):
     cfg = SchemeConfig(h=0.02, n=64, paths=50_000, seed=42, clip_to_growth_bound=True)
     result = solve_backward(spec, cfg, bundle)
     grid = (400, -1.2, 1.2)
-    oracle = fd_solve(spec, grid, 1e-3, mode="projection", facelift=True)
+    oracle = fd_solve(spec, grid, 1e-3, mode="projection")
     rep = oracle_compare(result, oracle, (0.0, spec.initial_regime, 0.0))
     elapsed = time.monotonic() - start
     ok = rep.abs_gap <= 5e-2 and elapsed <= 300.0

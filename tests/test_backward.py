@@ -19,7 +19,7 @@ from switchbsde import (
     skorohod_residual,
     solve_backward,
 )
-from switchbsde.backward import _driver_terms, make_ensemble
+from switchbsde.backward import _driver_terms, make_ensemble, step_y
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
 
 
@@ -66,11 +66,21 @@ class TestEstimateZ:
         interior = np.abs(xs - xs.mean()) <= xs.std()
         assert np.max(np.abs(z2[interior])) <= 0.25
 
-    def test_step_index_validated(self):
-        spec = build_problem("bm1")
-        chain, ens = chain_ensemble(spec, 0.5)
+    @pytest.mark.parametrize("at", ["-1", "K"])
+    @pytest.mark.parametrize("func", ["estimate_z", "estimate_u", "step_y"])
+    def test_step_index_validated(self, func, at):
+        spec = build_problem("switch2-linear")
+        bundle = simulate_paths(spec, 50, 0.25, seed=1)
+        ens = make_ensemble(spec, SchemeConfig(h=0.25, paths=50, seed=1), bundle)
+        k = -1 if at == "-1" else ens.n_steps
+        y = np.zeros(bundle.N)
+        calls = {
+            "estimate_z": lambda: estimate_z(ens, k, y),
+            "estimate_u": lambda: estimate_u(ens, k, y),
+            "step_y": lambda: step_y(ens, k, y, np.zeros((bundle.N, 1)), np.zeros((bundle.N, 2)), spec, 0),
+        }
         with pytest.raises(ValueError, match="step index"):
-            estimate_z(ens, 99, np.zeros(ens.n_units(ens.n_steps)))
+            calls[func]()
 
 
 class TestEstimateU:

@@ -53,6 +53,26 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"zeta": 1}}))
         assert run("solve", cfg, out=str(tmp_path)) == 3
 
+    @pytest.mark.parametrize(
+        "command, section, value",
+        [
+            ("compare", "oracle", {"fd": [1, 2]}),
+            ("ladder", "ladder", [1, 2]),
+            ("validate", "outputs", ["dir"]),
+            ("validate", "validate", ["samples"]),
+        ],
+    )
+    def test_section_must_be_an_object(self, tmp_path, command, section, value):
+        cfg = write_config(tmp_path, solve_config(**{section: value}))
+        assert run(command, cfg, out=None if section == "outputs" else str(tmp_path)) == 3
+
+    @pytest.mark.parametrize(
+        "fd", [{"mode": "penalized", "n": "256"}, {"n": -1}, {"M": 40.0}, {"facelift": True}, {"theta": 0.5}]
+    )
+    def test_fd_keys_checked(self, tmp_path, fd):
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}}, oracle={"fd": fd})
+        assert run("oracle", write_config(tmp_path, payload), out=str(tmp_path)) == 3
+
 
 class TestValidateCommand:
     def test_negative_intensity_exits_one(self, tmp_path):

@@ -8,6 +8,7 @@ from switchbsde import (
     SchemeConfig,
     build_lattice_chain,
     build_problem,
+    default_grid,
     facelift_terminal,
     fd_solve,
     lattice_dp_solve,
@@ -171,7 +172,7 @@ class TestFdSolve:
             terminal=lambda i, x: x[:, 0] + (0.3 if i == 2 else 0.0),
         )
         object.__setattr__(spec, "coefficients", coeffs)
-        sol = fd_solve(spec, (50, -1.0, 1.0), 1e-3, facelift=True)
+        sol = fd_solve(spec, (50, -1.0, 1.0), 1e-3)
         # lifted regime-1 terminal = max(x, x + 0.3 - 0.1)
         np.testing.assert_allclose(sol.values[0, -1], sol.xs + 0.2, atol=1e-12)
         np.testing.assert_allclose(sol.values[1, -1], sol.xs + 0.3, atol=1e-12)
@@ -215,8 +216,6 @@ class TestFdSolve:
         # from the best-reward regime the value is the plain accrual; from
         # the worst one it pays the direct switching cost immediately
         spec = build_problem("switch3")
-        from switchbsde import default_grid
-
         sol = fd_solve(spec, default_grid(spec, 200), 1e-3, mode="projection")
         T = spec.horizon
         assert sol.value_at(0.0, 1, 0.0) == pytest.approx(1.0 * T, abs=1e-6)
@@ -246,10 +245,46 @@ class TestFdSolve:
         with pytest.raises(ValueError, match="penalization level"):
             fd_solve(spec, (50, -1, 1), 1e-3, mode="penalized")
 
-    def test_unstable_explicit_scheme_rejected(self):
-        spec = build_problem("bm1-quad")
-        with pytest.raises(ValueError, match="unstable"):
-            fd_solve(spec, (400, -4, 4), 1e-2, theta=0.0)
+
+# Crank-Nicolson values recorded (repr) before the stencil was factored once
+# per regime; they guard the banded solve and the one-sided boundary rows.
+FD_PINS = {
+    ("switch3", "projection", None): (
+        [
+            [0.5000000000000006, 1.0999999999999988, 1.6999999999999968],
+            [0.38000000000000056, 0.9799999999999989, 1.5799999999999967],
+            [0.3000000000000005, 0.8999999999999989, 1.499999999999997],
+        ],
+        2.1999999999999416,
+    ),
+    ("switch3", "penalized", 16): (
+        [
+            [0.5000000000000006, 1.0999999999999988, 1.6999999999999968],
+            [0.3518755287107708, 0.951875528710769, 1.5518755287107677],
+            [0.24375054647811029, 0.8437505464781088, 1.4437505464781064],
+        ],
+        2.1999999999999416,
+    ),
+}
+
+
+class TestFdPinned:
+    @pytest.mark.parametrize("key", sorted(FD_PINS, key=str))
+    def test_switch3_values(self, key):
+        name, mode, n = key
+        spec = build_problem(name)
+        sol = fd_solve(spec, default_grid(spec, 100), 1e-2, mode=mode, penalization=n)
+        rows, top = FD_PINS[key]
+        got = [[sol.value_at(0.0, i, x) for x in (-0.5, 0.1, 0.7)] for i in (1, 2, 3)]
+        np.testing.assert_allclose(got, rows, rtol=0.0, atol=1e-10)
+        assert float(sol.values[:, 0].max()) == pytest.approx(top, abs=1e-10)
+
+    def test_bm1_quad_values(self):
+        sol = fd_solve(build_problem("bm1-quad"), (100, -4.0, 4.0), 1e-2)
+        got = [sol.value_at(0.0, 1, x) for x in (-3.0, 0.25, 2.0)]
+        pinned = [10.001600000000323, 1.0631999999999915, 4.999999999999982]
+        np.testing.assert_allclose(got, pinned, rtol=0.0, atol=1e-10)
+        assert float(sol.values[:, 0].max()) == pytest.approx(17.000000000003595, abs=1e-10)
 
 
 class TestFacelift:
