@@ -73,6 +73,8 @@ class SchemeConfig:
             raise ValueError("path count must be >= 1")
         if not self.h > 0:
             raise ValueError("time step must be positive")
+        if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
+            raise ValueError("ridge must be None or a finite nonnegative number")
 
     def echo(self) -> dict:
         return {
@@ -301,10 +303,8 @@ def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list
     component (making it exactly zero there).
     """
     _check_step(ens, k)
-    spec = ens.spec
-    lam = spec.intensity.weights
-    if np.any(lam <= 0):
-        raise ValueError("nonpositive intensity weight")
+    ens.spec.intensity.require_positive()
+    lam = ens.spec.intensity.weights
     _, head, _, _, counts = ens.edge_arrays(k)
     compensated = counts - lam[None, :] * ens.h
     targets = y_next[head][:, None] * compensated / (lam[None, :] * ens.h)
@@ -318,8 +318,8 @@ def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list
 
 def _driver_terms(
     spec: ProblemSpec, n_pen: int, ens: Ensemble, k: int, y_next: Array, z: Array, u: Array
-) -> tuple[Array, Array, Array]:
-    """Per-edge driver integral, penalty mass and time-averaged violation.
+) -> tuple[Array, Array, Array, Array]:
+    """Per-edge driver integral, penalty mass, time-averaged violation and ``min_j h_ij``.
 
     The integral runs over the step's sub-intervals: on a sub-interval in
     regime ``r`` the integrand is the penalized driver at state ``X_k``
@@ -329,6 +329,11 @@ def _driver_terms(
     scheme, not to the problem's driver: the backward equation removes the
     jump integral of the value process, whose conditional mean per unit
     time is exactly that sum.
+
+    ``min_j h_ij`` is read on each edge's first sub-interval, which starts at
+    ``X_k`` in the tail regime: the arguments of the Skorohod residual. It is
+    zero where the constraint is not evaluated (one regime at level 0, where
+    no penalty mass accrues).
     """
     tail, head, _, _, _ = ens.edge_arrays(k)
     _, xs = ens.states(k)
@@ -342,6 +347,7 @@ def _driver_terms(
 
     f_val = np.empty(seg_edge.size)
     pen_val = np.zeros(seg_edge.size)
+    min_h = np.zeros(seg_edge.size)
     for r in np.unique(seg_regime):
         rows = np.flatnonzero(seg_regime == r)
         yvec = y_seg[rows][:, None] + u_seg[rows]
@@ -349,16 +355,24 @@ def _driver_terms(
         compensator = yvec @ lam - lam.sum() * yvec[:, r - 1]
         f_val[rows] = spec.driver(int(r), x_seg[rows], yvec, z_seg[rows]) - compensator
         if spec.m > 1 or n_pen > 0:
-            pen_val[rows] = penalty_batch(spec, int(r), x_seg[rows], yvec, z_seg[rows])
+            h = constraint_values(spec, int(r), x_seg[rows], yvec, z_seg[rows])
+            pen_val[rows] = penalty_batch(spec, h)
+            # reduce the whole column-major array: selecting rows first would
+            # copy it to row-major
+            min_h[rows] = h.min(axis=1)
+            del h  # not alive beside the next group's arrays
 
     n_edges = tail.size
+    # segments are ordered by edge (by path in Monte Carlo, one per edge on a
+    # chain), so an edge's first row is its first sub-interval
+    min_h = min_h[np.searchsorted(seg_edge, np.arange(n_edges))]
     integral = np.zeros(n_edges)
     np.add.at(integral, seg_edge, seg_dt * (f_val + n_pen * pen_val))
     penalty_mass = np.zeros(n_edges)
     np.add.at(penalty_mass, seg_edge, seg_dt * n_pen * pen_val)
     violation = np.zeros(n_edges)
     np.add.at(violation, seg_edge, seg_dt * pen_val / ens.h)
-    return integral, penalty_mass, violation
+    return integral, penalty_mass, violation, min_h
 
 
 def step_y(
@@ -369,19 +383,25 @@ def step_y(
     u_k: Array,
     spec: ProblemSpec,
     n: int,
-) -> tuple[Array, Array, Array, list[FitRecord]]:
+) -> tuple[Array, Array, Array, float, list[FitRecord]]:
     """Value estimate at step k: project ``Y_{k+1} + int f^n`` on the basis.
 
-    Returns ``(y, penalty_mass, violation, fit records)`` with the penalty
-    mass and the time-averaged constraint violation reduced per unit.
+    Returns ``(y, penalty_mass, violation, skorohod, fit records)`` with the
+    penalty mass and the time-averaged constraint violation reduced per
+    unit, and the step's Skorohod term ``E[min_j h_ij * penalty_mass]``.
     """
     _check_step(ens, k)
-    _, head, _, _, _ = ens.edge_arrays(k)
-    integral, penalty_edge, violation_edge = _driver_terms(spec, n, ens, k, y_next, z_k, u_k)
+    tail, head, prob, _, _ = ens.edge_arrays(k)
+    integral, penalty_edge, violation_edge, min_h = _driver_terms(spec, n, ens, k, y_next, z_k, u_k)
     targets = y_next[head] + integral
     y, records = ens.condexp(k, targets, "y")
     y = np.asarray(y).reshape(-1)
-    return y, ens.edge_to_unit(k, penalty_edge), ens.edge_to_unit(k, violation_edge), records
+    penalty_mass = ens.edge_to_unit(k, penalty_edge)
+    skorohod = 0.0
+    if np.any(penalty_mass):
+        edge_prob = prob if prob is not None else np.ones(tail.size)
+        skorohod = float(np.sum(ens.unit_weights(k)[tail] * edge_prob * min_h * penalty_mass[tail]))
+    return y, penalty_mass, ens.edge_to_unit(k, violation_edge), skorohod, records
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +421,7 @@ class SolveResult:
     penalty_mass: list[Array]
     violation_mean: Array
     violation_max: Array
+    skorohod_steps: Array
     fit_records: list[FitRecord]
     absent_strata_steps: dict[int, list[int]] = field(default_factory=dict)
     clipped_fraction: float = 0.0
@@ -413,13 +434,6 @@ class SolveResult:
             "clipped_fraction": self.clipped_fraction,
             "absent_strata_steps": {str(k): v for k, v in self.absent_strata_steps.items()},
         }
-
-    def compact(self) -> None:
-        """Drop per-step arrays, keeping scalars and diagnostics."""
-        self.ys = []
-        self.zs = []
-        self.us = []
-        self.penalty_mass = []
 
 
 def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResult:
@@ -445,6 +459,7 @@ def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResu
     pmass: list[Array] = [None] * K
     viol_mean = np.zeros(K)
     viol_max = np.zeros(K)
+    skorohod = np.zeros(K)
     records: list[FitRecord] = []
     absent: dict[int, list[int]] = {}
     clipped = 0
@@ -454,7 +469,7 @@ def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResu
     for k in range(K - 1, -1, -1):
         z, rec_z = estimate_z(ens, k, y)
         u, _, rec_u = estimate_u(ens, k, y)
-        y_new, pm, vl, rec_y = step_y(ens, k, y, z, u, spec, config.n)
+        y_new, pm, vl, skorohod[k], rec_y = step_y(ens, k, y, z, u, spec, config.n)
 
         if config.clip_to_growth_bound and spec.growth_bound is not None:
             _, xs = ens.states(k)
@@ -488,46 +503,26 @@ def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResu
         penalty_mass=pmass,
         violation_mean=viol_mean,
         violation_max=viol_max,
+        skorohod_steps=skorohod,
         fit_records=records,
         absent_strata_steps=absent,
         clipped_fraction=clipped / max(total_units, 1),
     )
 
 
-def skorohod_residual(result: SolveResult, spec: ProblemSpec, bundle) -> float:
+def skorohod_residual(result: SolveResult) -> float:
     """Discrete minimality diagnostic: sum of min-constraint times penalty mass.
 
-    Accumulates ``min_j h_{i,j}(X_k, Y_{k+1}, Y_{k+1} + U_k(j), Z_k)`` against
-    the realized penalty increments, averaged under the path measure. The
-    constraint arguments mirror the penalty's own evaluation points, so the
+    Accumulates, in increasing step order, the terms ``step_y`` formed from
+    ``min_j h_{i,j}(X_k, Y_{k+1}, Y_{k+1} + U_k(j), Z_k)`` against the
+    realized penalty increments, averaged under the path measure. The
+    constraint arguments are the penalty's own evaluation points, so the
     residual tends to zero exactly when mass stops accruing off the
     constraint boundary. Meaningful when the constraint ignores ``z``.
     """
-    if not result.ys:
-        raise ValueError("result was compacted; per-step arrays are gone")
-    ens = make_ensemble(spec, result.scheme, bundle)
     total = 0.0
-    for k in range(ens.n_steps):
-        pm = result.penalty_mass[k]
-        if not np.any(pm):
-            continue
-        tail, head, prob, _, _ = ens.edge_arrays(k)
-        regimes, xs = ens.states(k)
-        y_head = result.ys[k + 1][head]
-        u_tail = result.us[k][tail]
-        z_tail = result.zs[k][tail]
-        x_tail = xs[tail]
-        r_tail = regimes[tail]
-        minh = np.empty(tail.size)
-        for r in np.unique(r_tail):
-            rows = np.flatnonzero(r_tail == r)
-            # u is re-based, so its own-regime column is 0 and column r of the
-            # value vector is Y_{k+1} itself
-            values = y_head[rows][:, None] + u_tail[rows]
-            minh[rows] = constraint_values(spec, int(r), x_tail[rows], values, z_tail[rows]).min(axis=1)
-        w = ens.unit_weights(k)[tail]
-        edge_prob = prob if prob is not None else np.ones(tail.size)
-        total += float(np.sum(w * edge_prob * minh * pm[tail]))
+    for term in result.skorohod_steps:
+        total += float(term)
     return total
 
 
@@ -580,8 +575,8 @@ def penalization_ladder(
         result = solve_backward(spec, replace(config, n=int(n)), bundle)
         y0s.append(result.y0)
         viols.append(float(np.mean(result.violation_mean)) if result.violation_mean.size else 0.0)
-        skos.append(skorohod_residual(result, spec, bundle))
-        result.compact()
+        skos.append(skorohod_residual(result))
+        del result  # free this level's per-step arrays before the next solve
     return ConvergenceReport(
         n_schedule=[int(n) for n in n_schedule],
         y0=y0s,

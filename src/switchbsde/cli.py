@@ -68,6 +68,10 @@ def _require(cfg: dict, key: str, kind, where: str):
     return value
 
 
+def _optional(cfg: dict, key: str, kind, where: str, default):
+    return _require(cfg, key, kind, where) if key in cfg else default
+
+
 def _section(cfg: dict, key: str, parent: str = "") -> dict:
     value = cfg.get(key, {})
     if not isinstance(value, dict):
@@ -75,27 +79,21 @@ def _section(cfg: dict, key: str, parent: str = "") -> dict:
     return value
 
 
-def _basis_from(cfg: dict) -> BasisSpec:
-    try:
-        return BasisSpec(
-            kind=cfg.get("kind", "global-polynomial"),
-            degree=int(cfg.get("degree", 2)),
-            stratify_by_regime=bool(cfg.get("stratify_by_regime", True)),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _scheme_from(cfg: dict, seed: int) -> SchemeConfig:
     scheme = _section(cfg, "scheme")
+    basis = _section(scheme, "basis", "scheme")
     try:
         return SchemeConfig(
             h=_require(scheme, "h", float, "scheme"),
-            n=int(scheme.get("n", 0)),
+            n=_optional(scheme, "n", int, "scheme", 0),
             paths=_require(scheme, "paths", int, "scheme"),
-            basis=_basis_from(scheme.get("basis", {})),
-            ridge=scheme.get("ridge"),
-            clip_to_growth_bound=bool(scheme.get("clip_to_growth_bound", False)),
+            basis=BasisSpec(
+                kind=_optional(basis, "kind", str, "scheme.basis", "global-polynomial"),
+                degree=_optional(basis, "degree", int, "scheme.basis", 2),
+                stratify_by_regime=_optional(basis, "stratify_by_regime", bool, "scheme.basis", True),
+            ),
+            ridge=None if scheme.get("ridge") is None else _require(scheme, "ridge", float, "scheme"),
+            clip_to_growth_bound=_optional(scheme, "clip_to_growth_bound", bool, "scheme", False),
             seed=seed,
         )
     except ValueError as exc:
@@ -180,7 +178,7 @@ def _fd_settings(cfg: dict, spec):
         raise ConfigError(f"unknown oracle.fd keys {unknown}; accepted: {list(FD_KEYS)}")
 
     def get(key, kind, default):
-        return _require(fd_cfg, key, kind, "oracle.fd") if key in fd_cfg else default
+        return _optional(fd_cfg, key, kind, "oracle.fd", default)
 
     M = get("M", int, 400)
     _, x_lo, x_hi = default_grid(spec, M)
@@ -250,7 +248,9 @@ def run(
             return 0
 
         if command == "ladder":
-            schedule = _section(cfg, "ladder").get("n_schedule", [1, 2, 4, 8, 16, 32, 64])
+            schedule = _optional(_section(cfg, "ladder"), "n_schedule", list, "ladder", [1, 2, 4, 8, 16, 32, 64])
+            if not all(isinstance(n, int) and not isinstance(n, bool) for n in schedule):
+                raise ConfigError("ladder.n_schedule must be a list of integers")
             bundle = simulate_paths(
                 spec, scheme.paths, scheme.h, seed_val, workers=workers, problem_ref=(name, overrides)
             )
@@ -271,7 +271,7 @@ def run(
             spec, scheme.paths, scheme.h, seed_val, workers=workers, problem_ref=(name, overrides)
         )
         result = solve_backward(spec, scheme, bundle)
-        residual = skorohod_residual(result, spec, bundle)
+        residual = skorohod_residual(result)
         payload = {
             "schema_version": SCHEMA_VERSION,
             "problem": problem_echo,
@@ -317,10 +317,12 @@ def run(
 
 
 def _cmd_validate(cfg: dict, out_dir: Path) -> int:
-    samples = _section(cfg, "validate").get("samples", 200)
+    samples = _optional(_section(cfg, "validate"), "samples", int, "validate", 200)
+    if samples < 1:
+        raise ConfigError("validate.samples must be a positive integer")
     try:
         spec, name, _ = _problem_from(cfg)
-        report = validate_problem(spec, sample_count=int(samples), rng_seed=0)
+        report = validate_problem(spec, sample_count=samples, rng_seed=0)
     except (ConfigError, ValueError) as exc:
         _json_dump(
             {"schema_version": SCHEMA_VERSION, "passed": False, "error": str(exc)},

@@ -293,14 +293,14 @@ def constraint_values(spec: ProblemSpec, i: int, x: Array, values: Array, zproxy
     return out.T
 
 
-def penalty_batch(spec: ProblemSpec, i: int, x: Array, values: Array, zproxy: Array) -> Array:
+def penalty_batch(spec: ProblemSpec, h: Array) -> Array:
     """Constraint-violation mass ``sum_j lambda_j [h_{i,j}]^-``, shape (n,).
 
-    ``[a]^- = max(-a, 0)``; the sum runs over every mark including ``j = i``
-    (the self term vanishes for switching constraints since ``c[i,i] = 0``).
+    ``h`` is the (n, m) output of :func:`constraint_values`. ``[a]^- =
+    max(-a, 0)``; the sum runs over every mark including ``j = i`` (the self
+    term vanishes for switching constraints since ``c[i,i] = 0``).
     """
     lam = spec.intensity.weights
-    h = constraint_values(spec, i, x, values, zproxy)
     total = np.zeros(h.shape[0])
     for j in range(spec.m):
         total += lam[j] * np.maximum(-h[:, j], 0.0)

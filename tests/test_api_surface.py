@@ -46,7 +46,8 @@ def test_tracer_installs_and_uninstalls_cleanly():
         spec = api.catalog.build_problem("switch2-linear")
         bundle = api.forward.simulate_paths(spec, 40, 0.125, seed=1)
         config = api.backward.SchemeConfig(h=0.125, n=4, paths=40, seed=1)
-        api.backward.penalization_ladder(spec, config, [1, 4], bundle)
+        levels = [1, 4]
+        api.backward.penalization_ladder(spec, config, levels, bundle)
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is orig for (owner, attr), orig in zip(hooked, before))
@@ -56,3 +57,5 @@ def test_tracer_installs_and_uninstalls_cleanly():
         assert metrics[name] > 0, name
     for name in ("forward.simulate_s", "backward.solve_s", "backward.skorohod_s"):
         assert metrics[name] > 0, name
+    # one constraint pass per step: every mark on every sub-interval, once per level
+    assert metrics["problem.constraint_rows"] == len(levels) * spec.m * metrics["forward.subintervals"]

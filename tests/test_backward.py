@@ -21,6 +21,7 @@ from switchbsde import (
 )
 from switchbsde.backward import _driver_terms, make_ensemble, step_y
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
+from switchbsde.problem import constraint_values
 
 
 def chain_ensemble(spec, h, n=0, seed=0):
@@ -139,7 +140,7 @@ def one_path_integral(spec, h, atoms, n_pen, y_next, z_k, u_k):
     """Step-0 integral of the scheme's integrand on one hand-built path, as the solver runs it."""
     bundle = bundle_from_paths(spec, h, [atoms])
     ens = make_ensemble(spec, SchemeConfig(h=h, paths=1), bundle)
-    integral, _, _ = _driver_terms(spec, n_pen, ens, 0, np.array([y_next]), np.atleast_2d(z_k), np.atleast_2d(u_k))
+    integral = _driver_terms(spec, n_pen, ens, 0, np.array([y_next]), np.atleast_2d(z_k), np.atleast_2d(u_k))[0]
     return float(integral[0])
 
 
@@ -287,6 +288,11 @@ class TestStepAndSolve:
         with pytest.raises(ValueError, match="step does not match"):
             solve_backward(spec, SchemeConfig(h=0.125, paths=50, seed=0), bundle)
 
+    @pytest.mark.parametrize("ridge", [-1e-3, float("inf"), float("nan")])
+    def test_bad_ridge_rejected_at_config(self, ridge):
+        with pytest.raises(ValueError, match="ridge"):
+            SchemeConfig(h=0.25, ridge=ridge)
+
     def test_warns_when_strata_thinner_than_basis(self):
         spec = build_problem("switch2-linear")
         bundle = simulate_paths(spec, 4, 0.25, seed=0)
@@ -369,13 +375,42 @@ class TestLadderAndSkorohod:
         bundle = simulate_paths(spec, 400, 0.125, seed=4)
         cfg = SchemeConfig(h=0.125, n=0, paths=400, seed=4)
         result = solve_backward(spec, cfg, bundle)
-        assert skorohod_residual(result, spec, bundle) == 0.0
+        assert skorohod_residual(result) == 0.0
 
-    def test_skorohod_requires_step_arrays(self):
-        spec = build_problem("switch2-linear")
-        bundle = simulate_paths(spec, 100, 0.25, seed=4)
-        cfg = SchemeConfig(h=0.25, n=2, paths=100, seed=4)
+    @pytest.mark.parametrize("case", ["switch3-mc", "switch2-chain"])
+    def test_skorohod_matches_two_pass_reference(self, case):
+        if case == "switch3-mc":
+            spec = build_problem("switch3")
+            bundle = simulate_paths(spec, 5_000, 0.05, seed=7)
+            cfg = SchemeConfig(h=0.05, n=16, paths=5_000, seed=7, clip_to_growth_bound=True)
+        else:
+            spec = build_problem("switch2-linear")
+            bundle = build_lattice_chain(spec, LatticeSpec(h=1 / 48))
+            cfg = SchemeConfig(h=1 / 48, n=8, paths=1, seed=0)
         result = solve_backward(spec, cfg, bundle)
-        result.compact()
-        with pytest.raises(ValueError, match="compacted"):
-            skorohod_residual(result, spec, bundle)
+        reference = two_pass_skorohod(result, spec, bundle)
+        assert reference != 0.0
+        assert skorohod_residual(result) == reference
+
+
+def two_pass_skorohod(result, spec, bundle):
+    """The residual recomputed after the solve, from the stored step arrays on a fresh ensemble."""
+    ens = make_ensemble(spec, result.scheme, bundle)
+    total = 0.0
+    for k in range(ens.n_steps):
+        pm = result.penalty_mass[k]
+        if not np.any(pm):
+            continue
+        tail, head, prob, _, _ = ens.edge_arrays(k)
+        regimes, xs = ens.states(k)
+        r_tail = regimes[tail]
+        # u is re-based, so column r of the value vector is Y_{k+1} itself
+        values = result.ys[k + 1][head][:, None] + result.us[k][tail]
+        minh = np.empty(tail.size)
+        for r in np.unique(r_tail):
+            rows = np.flatnonzero(r_tail == r)
+            h = constraint_values(spec, int(r), xs[tail][rows], values[rows], result.zs[k][tail][rows])
+            minh[rows] = h.min(axis=1)
+        edge_prob = prob if prob is not None else np.ones(tail.size)
+        total += float(np.sum(ens.unit_weights(k)[tail] * edge_prob * minh * pm[tail]))
+    return total

@@ -73,6 +73,36 @@ class TestConfigErrors:
         payload = solve_config(problem={"name": "switch2-linear", "overrides": {}}, oracle={"fd": fd})
         assert run("oracle", write_config(tmp_path, payload), out=str(tmp_path)) == 3
 
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            {"ridge": "abc"},
+            {"ridge": float("inf")},
+            {"basis": {"stratify_by_regime": "false"}},
+            {"clip_to_growth_bound": "false"},
+            {"n": 2.7},
+            {"basis": {"degree": 1.5}},
+            {"basis": [2]},
+        ],
+    )
+    def test_scheme_keys_checked(self, tmp_path, scheme):
+        payload = solve_config()
+        payload["scheme"].update(scheme)
+        assert run("solve", write_config(tmp_path, payload), out=str(tmp_path)) == 3
+        assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize("samples", ["many", 2.7, 0])
+    def test_validate_samples_checked(self, tmp_path, samples):
+        cfg = write_config(tmp_path, solve_config(validate={"samples": samples}))
+        assert run("validate", cfg, out=str(tmp_path)) == 3
+        assert not (tmp_path / "validation.json").exists()
+
+    @pytest.mark.parametrize("schedule", [[1.5, 2], "1, 2"])
+    def test_ladder_schedule_checked(self, tmp_path, schedule):
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}}, ladder={"n_schedule": schedule})
+        assert run("ladder", write_config(tmp_path, payload), out=str(tmp_path)) == 3
+        assert not (tmp_path / "ladder.json").exists()
+
 
 class TestValidateCommand:
     def test_negative_intensity_exits_one(self, tmp_path):

@@ -125,14 +125,16 @@ class TestPenalizedDriver:
         spec = two_regime_problem(c12=0.5, lam=(1.0, 2.0))
         # h_{1,2} = 1 - 3 + 0.5 = -1.5, weight 2
         values = np.array([[1.0, 3.0]])
-        np.testing.assert_allclose(constraint_values(spec, 1, self.X, values, self.Z), [[0.0, -1.5]])
-        np.testing.assert_allclose(penalty_batch(spec, 1, self.X, values, self.Z), [3.0])
+        h = constraint_values(spec, 1, self.X, values, self.Z)
+        np.testing.assert_allclose(h, [[0.0, -1.5]])
+        np.testing.assert_allclose(penalty_batch(spec, h), [3.0])
 
     def test_satisfied_value_vector(self):
         spec = two_regime_problem(c12=0.5)
         values = np.array([[3.0, 1.0]])
-        np.testing.assert_allclose(constraint_values(spec, 1, self.X, values, self.Z), [[0.0, 2.5]])
-        assert penalty_batch(spec, 1, self.X, values, self.Z)[0] == 0.0
+        h = constraint_values(spec, 1, self.X, values, self.Z)
+        np.testing.assert_allclose(h, [[0.0, 2.5]])
+        assert penalty_batch(spec, h)[0] == 0.0
 
     def test_level_zero_is_raw_driver(self):
         # one path, no atoms, a violating value vector: at level 0 the step
@@ -142,12 +144,13 @@ class TestPenalizedDriver:
         bundle = bundle_from_paths(spec, 0.5, [[]])
         ens = make_ensemble(spec, SchemeConfig(h=0.5, paths=1), bundle)
         y_next, z, u = np.array([1.0]), np.zeros((1, 1)), np.array([[0.0, 2.0]])
-        integral, mass, violation = _driver_terms(spec, 0, ens, 0, y_next, z, u)
+        integral, mass, violation, min_h = _driver_terms(spec, 0, ens, 0, y_next, z, u)
         compensator = 1.0 * 2.0  # sum_j lambda_j (yvec_j - yvec_1)
         assert integral[0] == pytest.approx(0.5 * (0.7 - compensator))
         assert mass[0] == 0.0
         assert violation[0] == pytest.approx(1.5)
-        integral3, mass3, _ = _driver_terms(spec, 3, ens, 0, y_next, z, u)
+        assert min_h[0] == pytest.approx(-1.5)  # h_12 = 1 - 3 + 0.5
+        integral3, mass3, _, _ = _driver_terms(spec, 3, ens, 0, y_next, z, u)
         assert mass3[0] == pytest.approx(0.5 * 3 * 1.5)
         assert integral3[0] - integral[0] == pytest.approx(mass3[0])
 
@@ -169,7 +172,7 @@ class TestPenalizedDriver:
         values = np.array([[y1, y2]])
         for i in (1, 2):
             h = constraint_values(spec, i, self.X, values, self.Z)
-            mass = penalty_batch(spec, i, self.X, values, self.Z)[0]
+            mass = penalty_batch(spec, h)[0]
             assert mass >= 0.0
             assert (mass == 0.0) == bool(np.all(h >= 0.0))
             driver = spec.driver(i, self.X, values, self.Z)[0]
