@@ -32,7 +32,7 @@ import numpy as np
 from .forward import PathBundle
 from .lattice import LatticeChain
 from .problem import ProblemSpec, constraint_values, penalty_batch
-from .regression import BasisSpec, _auto_ridge, build_design, ols_fit
+from .regression import BasisSpec, build_design, ols_fit
 
 Array = np.ndarray
 
@@ -67,8 +67,8 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("penalization level must be nonnegative")
+        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
+            raise ValueError(f"penalization level must be a nonnegative integer, got {self.n!r}")
         if self.paths < 1:
             raise ValueError("path count must be >= 1")
         if not self.h > 0:
@@ -168,22 +168,20 @@ class MonteCarloEnsemble:
             return out, records
         blocks = self._design(k)
         for stratum, block in sorted(blocks.items()):
-            ridge = _auto_ridge(block.matrix) if self.ridge is None else self.ridge
-            for col in range(c):
-                fit = ols_fit(block.matrix, targets[block.rows, col], ridge)
-                out[block.rows, col] = block.matrix @ fit.coefficients
-                label = family if c == 1 else f"{family}{col + 1}"
-                records.append(
-                    FitRecord(
-                        step=k,
-                        family=label,
-                        stratum=stratum,
-                        sample_count=fit.sample_count,
-                        gram_condition=fit.gram_condition,
-                        residual_mse=fit.residual_mse,
-                        rank_deficient=fit.rank_deficient,
-                    )
+            fit = ols_fit(block.matrix, targets[block.rows], self.ridge)
+            out[block.rows] = block.matrix @ fit.coefficients
+            records.extend(
+                FitRecord(
+                    step=k,
+                    family=family if c == 1 else f"{family}{col + 1}",
+                    stratum=stratum,
+                    sample_count=fit.sample_count,
+                    gram_condition=fit.gram_condition,
+                    residual_mse=float(mse),
+                    rank_deficient=fit.rank_deficient,
                 )
+                for col, mse in enumerate(fit.residual_mse)
+            )
         return out, records
 
     def thinnest_stratum(self) -> Optional[int]:
@@ -568,11 +566,12 @@ def penalization_ladder(
         raise ValueError("n_schedule must have at least one entry")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
+    configs = [replace(config, n=n) for n in n_schedule]  # refuses a bad level before any solve
     y0s: list[float] = []
     viols: list[float] = []
     skos: list[float] = []
-    for n in n_schedule:
-        result = solve_backward(spec, replace(config, n=int(n)), bundle)
+    for level in configs:
+        result = solve_backward(spec, level, bundle)
         y0s.append(result.y0)
         viols.append(float(np.mean(result.violation_mean)) if result.violation_mean.size else 0.0)
         skos.append(skorohod_residual(result))

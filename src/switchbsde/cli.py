@@ -32,6 +32,8 @@ from .regression import BasisSpec
 SCHEMA_VERSION = 1
 COMMANDS = ("simulate", "solve", "ladder", "oracle", "compare", "validate")
 FD_KEYS = ("M", "x_min", "x_max", "dt", "mode", "n")
+SCHEME_KEYS = ("h", "n", "paths", "basis", "ridge", "clip_to_growth_bound")
+BASIS_KEYS = ("kind", "degree", "stratify_by_regime")
 
 
 class ConfigError(ValueError):
@@ -72,16 +74,19 @@ def _optional(cfg: dict, key: str, kind, where: str, default):
     return _require(cfg, key, kind, where) if key in cfg else default
 
 
-def _section(cfg: dict, key: str, parent: str = "") -> dict:
+def _section(cfg: dict, key: str, parent: str = "", accepted: tuple[str, ...] | None = None) -> dict:
+    where = f"{parent + '.' if parent else ''}{key}"
     value = cfg.get(key, {})
     if not isinstance(value, dict):
-        raise ConfigError(f"{parent + '.' if parent else ''}{key} must be an object")
+        raise ConfigError(f"{where} must be an object")
+    if accepted is not None and set(value) - set(accepted):
+        raise ConfigError(f"unknown {where} keys {sorted(set(value) - set(accepted))}; accepted: {list(accepted)}")
     return value
 
 
 def _scheme_from(cfg: dict, seed: int) -> SchemeConfig:
-    scheme = _section(cfg, "scheme")
-    basis = _section(scheme, "basis", "scheme")
+    scheme = _section(cfg, "scheme", accepted=SCHEME_KEYS)
+    basis = _section(scheme, "basis", "scheme", accepted=BASIS_KEYS)
     try:
         return SchemeConfig(
             h=_require(scheme, "h", float, "scheme"),
@@ -172,10 +177,7 @@ def _problem_from(cfg: dict):
 
 
 def _fd_settings(cfg: dict, spec):
-    fd_cfg = _section(_section(cfg, "oracle"), "fd", "oracle")
-    unknown = sorted(set(fd_cfg) - set(FD_KEYS))
-    if unknown:
-        raise ConfigError(f"unknown oracle.fd keys {unknown}; accepted: {list(FD_KEYS)}")
+    fd_cfg = _section(_section(cfg, "oracle"), "fd", "oracle", accepted=FD_KEYS)
 
     def get(key, kind, default):
         return _optional(fd_cfg, key, kind, "oracle.fd", default)

@@ -3,7 +3,9 @@
 The estimators regress per-sample targets on a finite basis evaluated at the
 state, separately per regime value by default (stratification computes the
 conditional expectation given the discrete coordinate exactly). Features are
-standardized per stratum before expansion.
+standardized per stratum before expansion. One :func:`ols_fit` per stratum
+solves every target column from one eigendecomposition of the Gram matrix,
+which also gives the fit's condition number and numerical rank.
 """
 
 from __future__ import annotations
@@ -73,8 +75,10 @@ def _features(basis: BasisSpec, x: Array) -> Array:
     scale = x.std(axis=0)
     z = (x - shift) / np.where(scale > 0, scale, 1.0)
     if basis.kind == "global-polynomial":
-        exps = _exponents(x.shape[1], basis.degree)
-        return np.prod(z[:, None, :] ** exps[None, :, :], axis=2)
+        powers = np.ones((z.shape[0], basis.degree + 1, z.shape[1]))
+        for p in range(1, basis.degree + 1):
+            powers[:, p] = powers[:, p - 1] * z
+        return np.prod(powers[:, _exponents(x.shape[1], basis.degree), np.arange(x.shape[1])], axis=2)
     qs = np.linspace(0.0, 1.0, basis.degree + 2)[1:-1]
     knots = np.quantile(z[:, 0], qs) if basis.degree > 0 else np.empty(0)
     return np.column_stack([np.ones(z.shape[0]), z[:, 0], *(np.maximum(z[:, 0] - knot, 0.0) for knot in knots)])
@@ -86,42 +90,41 @@ class OlsFit:
 
     coefficients: Array
     gram_condition: float
-    residual_mse: float
+    residual_mse: Array
     sample_count: int
-    ridge: float = 0.0
     rank_deficient: bool = False
 
 
-def ols_fit(design: Array, targets: Array, ridge: float = 0.0) -> OlsFit:
-    """Minimize ``(1/n)||targets - design @ coef||^2 + ridge ||coef||^2``.
+def ols_fit(design: Array, targets: Array, ridge: float | None = 0.0) -> OlsFit:
+    """Minimize ``(1/n)||targets - design @ coef||^2 + ridge ||coef||^2`` per target column.
 
-    With ``ridge = 0`` and a rank-deficient design the minimum-norm solution
-    is returned and flagged rather than raising.
+    ``targets`` is ``(n,)`` or ``(n, c)``; ``coefficients`` and ``residual_mse``
+    follow its trailing shape. One eigendecomposition of ``G = design^T design / n``
+    gives the solve, ``gram_condition = max|e| / min|e|`` and the rank, the count of
+    eigenvalues above ``L * eps * max|e|``; ``rank_deficient`` is ``rank < L`` under
+    any ridge. ``ridge=None`` selects ``1e-10 trace(G) / L``; ``ridge = 0`` drops the
+    eigenvalues at or below the floor, which gives the minimum-norm solution.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     targets = np.asarray(targets, dtype=float)
     n, L = design.shape
-    if n < 1 or targets.shape[0] != n:
-        raise ValueError("design and target row counts must match and be >= 1")
+    if n < 1 or L < 1 or targets.shape[0] != n:
+        raise ValueError("design needs >= 1 row and column, and as many rows as the targets")
+    gram = design.T @ design / n
+    ridge = 1e-10 * float(np.trace(gram)) / L if ridge is None else ridge
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    gram = design.T @ design / n
-    gram_condition = float(np.linalg.cond(gram)) if L > 0 else 0.0
-    if ridge > 0.0:
-        coef = np.linalg.solve(gram + ridge * np.eye(L), design.T @ targets / n)
-        rank_deficient = False
-    else:
-        coef, _, rank, _ = np.linalg.lstsq(design, targets, rcond=None)
-        rank_deficient = rank < L
-    resid = targets - design @ coef
-    residual_mse = float(np.mean(resid**2)) if resid.ndim == 1 else float(np.mean(resid**2, axis=0).mean())
+    evals, evecs = np.linalg.eigh(gram)
+    magnitude = np.abs(evals)
+    floor = L * np.finfo(float).eps * magnitude.max()
+    inverse = np.divide(1.0, evals + ridge, out=np.zeros(L), where=evals + ridge > floor)
+    coef = (evecs * inverse) @ (evecs.T @ (design.T @ targets / n))
     return OlsFit(
         coefficients=coef,
-        gram_condition=gram_condition,
-        residual_mse=residual_mse,
+        gram_condition=float(magnitude.max() / magnitude.min()) if magnitude.min() > 0 else float("inf"),
+        residual_mse=np.mean((targets - design @ coef) ** 2, axis=0),
         sample_count=n,
-        ridge=float(ridge),
-        rank_deficient=rank_deficient,
+        rank_deficient=bool(np.count_nonzero(evals > floor) < L),
     )
 
 
@@ -153,8 +156,3 @@ def build_design(basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array) ->
         blocks[int(r)] = _Block(rows=rows, matrix=_features(basis, xs[rows]))
     return blocks
 
-
-def _auto_ridge(matrix: Array) -> float:
-    n, L = matrix.shape
-    gram_trace = float(np.einsum("ij,ij->", matrix, matrix)) / n
-    return 1e-10 * gram_trace / max(L, 1)

@@ -10,6 +10,7 @@ import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import switchbsde
@@ -59,3 +60,6 @@ def test_tracer_installs_and_uninstalls_cleanly():
         assert metrics[name] > 0, name
     # one constraint pass per step: every mark on every sub-interval, once per level
     assert metrics["problem.constraint_rows"] == len(levels) * spec.m * metrics["forward.subintervals"]
+    # one fit per (step, family, stratum): z, u and y each fit all their columns at once
+    strata = sum(len(np.unique(bundle.i_reg[:, k])) for k in range(1, bundle.K))
+    assert metrics["regression.fit_calls"] == len(levels) * 3 * strata

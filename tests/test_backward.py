@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from switchbsde import (
+    BasisSpec,
     DivergenceError,
     IntensityMeasure,
     LatticeSpec,
@@ -326,6 +327,18 @@ class TestStepAndSolve:
         assert result.clipped_fraction <= 0.01
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_collinear_basis_flagged_rank_deficient(self):
+        spec = build_problem("switch2-linear", {"T": 0.5})
+        # two paths switch to regime 1 at t = 0.1, two stay in regime 2
+        atoms = [[(0.1, 1)], [(0.1, 1)], [], []]
+        dws = [0.1 * (p + 1) * np.ones((len(a) + 4, 1)) for p, a in enumerate(atoms)]
+        bundle = bundle_from_paths(spec, 0.125, atoms, dws)
+        # two states per stratum against four basis functions, under the automatic ridge
+        result = solve_backward(spec, SchemeConfig(h=0.125, paths=4, basis=BasisSpec(degree=3)), bundle)
+        assert result.fit_records
+        assert all(r.rank_deficient for r in result.fit_records)
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_absent_stratum_flagged(self):
         spec = build_problem("switch3", {"T": 0.5})
         # two hand-built paths that never reach regime 3
@@ -351,6 +364,13 @@ class TestLadderAndSkorohod:
             penalization_ladder(spec, cfg, [1, 1], chain)
         with pytest.raises(ValueError, match="at least one"):
             penalization_ladder(spec, cfg, [], chain)
+        # a fractional level is refused, not truncated
+        with pytest.raises(ValueError, match="penalization level"):
+            penalization_ladder(spec, cfg, [1.5, 2.9], chain)
+        # numpy integer levels run as their values and are reported as plain ints
+        report = penalization_ladder(spec, cfg, [np.int64(1), np.int64(4)], chain)
+        assert report.to_dict() == penalization_ladder(spec, cfg, [1, 4], chain).to_dict()
+        assert all(type(n) is int for n in report.n_schedule)
 
     def test_unbinding_costs_make_ladder_flat(self):
         spec = build_problem("switch2-linear", {"costs": [[0.0, 1e6], [1e6, 0.0]]})

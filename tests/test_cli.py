@@ -83,6 +83,8 @@ class TestConfigErrors:
             {"n": 2.7},
             {"basis": {"degree": 1.5}},
             {"basis": [2]},
+            {"basis": {"degre": 5}},
+            {"clip": True},
         ],
     )
     def test_scheme_keys_checked(self, tmp_path, scheme):

@@ -158,6 +158,11 @@ class TestPenalizedDriver:
         with pytest.raises(ValueError, match="penalization level"):
             SchemeConfig(h=0.1, n=-1)
 
+    @pytest.mark.parametrize("n", [2.5, 2.0, True, "2"])
+    def test_non_integer_level_rejected(self, n):
+        with pytest.raises(ValueError, match="penalization level"):
+            SchemeConfig(h=0.1, n=n)
+
     @settings(max_examples=50, deadline=None)
     @given(
         y1=st.floats(-5, 5),

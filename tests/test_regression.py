@@ -68,13 +68,32 @@ class TestOlsFit:
         oracle = np.linalg.solve(design.T @ design, design.T @ targets)
         np.testing.assert_allclose(fit.coefficients, oracle, rtol=1e-10)
 
-    def test_rank_deficient_minimum_norm(self):
+    @pytest.mark.parametrize("ridge", [0.0, None, 1e-3])
+    def test_rank_deficient_minimum_norm(self, ridge):
         col = np.arange(4.0)
         design = np.column_stack([col, col])  # duplicated column
-        fit = ols_fit(design, 2 * col, ridge=0.0)
-        assert fit.rank_deficient
-        # minimum-norm splits the weight across the duplicates
-        np.testing.assert_allclose(fit.coefficients, [1.0, 1.0], atol=1e-10)
+        fit = ols_fit(design, 2 * col, ridge=ridge)
+        assert fit.rank_deficient  # the numerical rank, whatever the ridge
+        # the Gram matrix has eigenvalues 7 and 0; the ridge shrinks the fit along the first
+        shrink = 7.0 / (7.0 + (1e-10 * 7.0 / 2 if ridge is None else ridge))
+        np.testing.assert_allclose(design @ fit.coefficients, shrink * 2 * col, atol=1e-10)
+        if ridge == 0.0:
+            # minimum-norm splits the weight across the duplicates
+            np.testing.assert_allclose(fit.coefficients, [1.0, 1.0], atol=1e-10)
+
+    @pytest.mark.parametrize("ridge", [0.0, None, 1e-3])
+    def test_columns_fit_together(self, ridge):
+        rng = np.random.default_rng(5)
+        design = rng.standard_normal((80, 4))
+        targets = rng.standard_normal((80, 3))
+        fit = ols_fit(design, targets, ridge=ridge)
+        assert fit.coefficients.shape == (4, 3)
+        assert fit.residual_mse.shape == (3,)
+        for col in range(3):
+            single = ols_fit(design, targets[:, col], ridge=ridge)
+            np.testing.assert_allclose(fit.coefficients[:, col], single.coefficients, rtol=0, atol=1e-12)
+            assert fit.residual_mse[col] == pytest.approx(single.residual_mse, rel=1e-12)
+            assert (fit.gram_condition, fit.rank_deficient) == (single.gram_condition, single.rank_deficient)
 
     def test_ridge_continuity_at_zero(self):
         rng = np.random.default_rng(11)
