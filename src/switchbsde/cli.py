@@ -107,12 +107,15 @@ def _scheme_from(cfg: dict, seed: int) -> SchemeConfig:
 
 def _resolve_seed(cfg: dict, override) -> int:
     if override is not None:
-        return int(override)
-    if "seed" not in cfg:
+        seed = int(override)
+    elif "seed" not in cfg:
         raise ConfigError("seed is mandatory: set it in the config or pass --seed")
-    seed = cfg["seed"]
+    else:
+        seed = cfg["seed"]
     if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed must be an integer")
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
     return seed
 
 
@@ -208,6 +211,8 @@ def run(
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}; valid: {COMMANDS}")
         seed_val = _resolve_seed(cfg, seed)
+        if workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {workers}")
         out_dir = Path(out if out is not None else _section(cfg, "outputs").get("dir", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
 

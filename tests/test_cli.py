@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from switchbsde.cli import run
+from switchbsde.cli import COMMANDS, main, run
 
 
 def write_config(tmp_path: Path, payload: dict, name: str = "config.json") -> str:
@@ -48,6 +48,26 @@ class TestConfigErrors:
         assert run("solve", cfg, out=str(tmp_path)) == 3
         # but a CLI override suffices
         assert run("solve", cfg, seed=5, out=str(tmp_path)) == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_negative_seed_refused(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, solve_config(seed=-1)), out=str(out)) == 3
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", write_config(tmp_path, solve_config()), "--seed", "-1", "--out", str(out)])
+        assert exc.value.code == 3
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-5"])
+    def test_workers_below_one_refused(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", write_config(tmp_path, solve_config()), "--workers", workers, "--out", str(out)])
+        assert exc.value.code == 3
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_override_key(self, tmp_path):
         cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"zeta": 1}}))

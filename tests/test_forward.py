@@ -10,6 +10,7 @@ from switchbsde import (
     sample_jump_marks,
     simulate_paths,
 )
+from switchbsde import forward
 from switchbsde.forward import _euler_step
 from switchbsde.problem import CoefficientSet, ProblemSpec
 
@@ -154,6 +155,38 @@ class TestCompensatedIncrement:
         assert abs(vals.mean()) <= band
 
 
+SEEDS = (0, 31, 2**32 - 1, 2**32, 2**100 + 3)
+
+
+class TestBulkSeeding:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_match_seed_sequence(self, seed):
+        """The bulk seeder gives the PCG64 state of numpy's own SeedSequence((s, p))."""
+        paths = np.array([0, 1, 2**31, 2**32 - 1, *range(2, 70)])
+        for p, (state, inc) in zip(paths.tolist(), forward._pcg64_seeds(seed, paths)):
+            expected = np.random.default_rng(np.random.SeedSequence((seed, p))).bit_generator.state
+            assert expected["state"] == {"state": state, "inc": inc}, p
+
+    def test_draw_block_grows_past_its_room(self):
+        """A block with far more atoms than expected still draws the contract's stream."""
+        spec, K, seed = build_problem("switch2-linear"), 10, 5
+        mean_count = spec.intensity.total * spec.horizon
+        counts = [np.random.default_rng(np.random.SeedSequence((seed, p))).poisson(mean_count) for p in range(2000)]
+        p = int(np.argmax(counts))
+        assert counts[p] > mean_count + 4.0 * np.sqrt(mean_count)  # past a one-path block's initial room
+        c, uniforms, normals = forward._draw_block(spec, K, seed, p, p + 1)
+        rng = np.random.default_rng(np.random.SeedSequence((seed, p)))
+        assert c.tolist() == [rng.poisson(mean_count)]
+        np.testing.assert_array_equal(uniforms, rng.random(2 * c[0]))
+        np.testing.assert_array_equal(normals, rng.standard_normal((K + c[0]) * spec.d))
+
+    def test_refuses_out_of_range_inputs(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            forward._pcg64_seeds(-1, np.arange(3))
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
+            forward._pcg64_seeds(0, np.array([2**32]))
+
+
 class TestSimulatePaths:
     def test_degenerate_dynamics_freeze_state(self):
         spec = diffusion_spec(
@@ -203,6 +236,38 @@ class TestSimulatePaths:
             simulate_paths(spec, 10, 0.3, seed=0)
         with pytest.raises(ValueError, match=">= 1"):
             simulate_paths(spec, 0, 0.25, seed=0)
+        for seed in (-1, 2.7):
+            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+                simulate_paths(spec, 10, 0.25, seed=seed)
+        for workers in (0, -5):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                simulate_paths(spec, 10, 0.25, seed=0, workers=workers, problem_ref=("bm1", {}))
+
+    def test_worker_pool_capped_at_cpu_count(self, monkeypatch):
+        """A huge ``workers`` asks the pool for at most ``os.cpu_count()`` processes."""
+        requested = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(forward, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(forward.os, "cpu_count", lambda: 3)
+        spec = build_problem("switch3")
+        capped = simulate_paths(spec, 48, 0.25, seed=6, workers=10**6, problem_ref=("switch3", {}))
+        assert requested == [3]
+        serial = simulate_paths(spec, 48, 0.25, seed=6)
+        np.testing.assert_array_equal(capped.dw, serial.dw)
+        np.testing.assert_array_equal(capped.atom_times, serial.atom_times)
 
     def test_grid_contains_regular_times(self):
         spec = build_problem("switch3", {"T": 1.0})
@@ -307,25 +372,30 @@ class TestSimulatePaths:
                 assert a == b, name
 
     @pytest.mark.parametrize(
-        "make_spec, h",
+        "make_spec, h, seed",
         [
-            (lambda: build_problem("switch2-linear"), 0.1),
-            (lambda: build_problem("switch3"), 0.125),
-            (
-                lambda: diffusion_spec(
-                    drift_fn=lambda i, x: np.zeros_like(x),
-                    vol_fn=lambda i, x: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy(),
-                    d=2,
-                    intensity=(1.5,),
+            # seed 31, the original contract seed, keeps the bare case id
+            pytest.param(make_spec, h, seed, id=case if seed == 31 else f"{case}-seed{seed}")
+            for case, make_spec, h in [
+                ("switch2-linear", lambda: build_problem("switch2-linear"), 0.1),
+                ("switch3", lambda: build_problem("switch3"), 0.125),
+                (
+                    "d2",
+                    lambda: diffusion_spec(
+                        drift_fn=lambda i, x: np.zeros_like(x),
+                        vol_fn=lambda i, x: np.broadcast_to(np.eye(2), (x.shape[0], 2, 2)).copy(),
+                        d=2,
+                        intensity=(1.5,),
+                    ),
+                    0.25,
                 ),
-                0.25,
-            ),
+            ]
+            for seed in SEEDS
         ],
-        ids=["switch2-linear", "switch3", "d2"],
     )
-    def test_stream_contract(self, make_spec, h):
+    def test_stream_contract(self, make_spec, h, seed):
         """Path p draws its atoms, then its normals, from SeedSequence((s, p))."""
-        spec, seed = make_spec(), 31
+        spec = make_spec()
         b = simulate_paths(spec, 40, h, seed=seed)
         assert b.atom_times.size > 0
         for p in (0, 1, 7, 23, 39):
