@@ -109,8 +109,26 @@ class FitRecord:
 # ensembles: a uniform per-step view over Monte Carlo paths and chain nodes
 
 
+@dataclass
+class _StepView:
+    """One Monte Carlo step's arrays, built once and shared by all of that step's operations."""
+
+    k: int
+    regimes: Array           # (N,) int regime at t_k
+    xs: Array                # (N, d) state at t_k
+    counts: Optional[Array]  # (N, m) float mark counts over the step; None at k = K
+    strata: Array            # regimes present at t_k, increasing
+    blocks: Optional[dict] = None  # design blocks, built by the step's first fit
+
+
 class MonteCarloEnsemble:
-    """Per-step view of a :class:`PathBundle` with OLS conditional expectations."""
+    """Per-step view of a :class:`PathBundle` with OLS conditional expectations.
+
+    The arrays of one step (regimes, states, float counts, present strata,
+    design blocks and their Gram factors) live in a :class:`_StepView` that is
+    built on the step's first access and replaced when another step is asked
+    for, so the backward pass keeps one step alive at a time.
+    """
 
     exact = False
 
@@ -125,35 +143,55 @@ class MonteCarloEnsemble:
         self.ridge = ridge
         self.h = bundle.h
         self.n_steps = bundle.K
-        self._design_cache: tuple[int, dict] | None = None
+        self._step: Optional[_StepView] = None
         self._arange = np.arange(bundle.N)
+        self._weights = np.full(bundle.N, 1.0 / bundle.N)
+        self._weights.flags.writeable = False
+
+    def _view(self, k: int) -> _StepView:
+        if self._step is None or self._step.k != k:
+            self._step = None  # release the previous step before building this one
+            b = self.bundle
+            regimes = b.i_reg[:, k].astype(int)
+            self._step = _StepView(
+                k=k,
+                regimes=regimes,
+                xs=np.ascontiguousarray(b.x_reg[:, k, :]),
+                counts=b.counts_reg[:, k, :].astype(float) if k < self.n_steps else None,
+                strata=np.flatnonzero(np.bincount(regimes)),
+            )
+        return self._step
 
     def n_units(self, k: int) -> int:
         return self.bundle.N
 
     def states(self, k: int):
-        return self.bundle.i_reg[:, k].astype(int), self.bundle.x_reg[:, k, :]
+        view = self._view(k)
+        return view.regimes, view.xs
 
     def unit_weights(self, k: int) -> Array:
-        return np.full(self.bundle.N, 1.0 / self.bundle.N)
+        return self._weights
 
     def edge_arrays(self, k: int):
         """tail, head, prob, dW, counts for step k (one edge per path)."""
-        b = self.bundle
-        return self._arange, self._arange, None, b.dw_reg[:, k, :], b.counts_reg[:, k, :].astype(float)
+        return self._arange, self._arange, None, self.bundle.dw_reg[:, k, :], self._view(k).counts
 
     def segments(self, k: int):
-        """(edge index, duration, regime) for the step's sub-intervals."""
-        return self.bundle.step_segments()[k]
+        """(edge, tail unit, head unit, duration, regime) of the step's sub-intervals.
+
+        Edges are paths, so the edge index is the tail and the head unit too.
+        """
+        paths, durations, regimes = self.bundle.step_segments()[k]
+        return paths, paths, paths, durations, regimes
 
     def edge_to_unit(self, k: int, values: Array) -> Array:
         return values
 
     def _design(self, k: int) -> dict:
-        if self._design_cache is None or self._design_cache[0] != k:
-            regimes, xs = self.states(k)
-            self._design_cache = (k, build_design(self.basis, regimes, xs))
-        return self._design_cache[1]
+        view = self._view(k)
+        if view.blocks is None:
+            view.blocks = build_design(self.basis, view.regimes, view.xs)
+        return view.blocks
 
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[FitRecord]]:
         targets = np.atleast_2d(targets.T).T  # (N, c)
@@ -168,8 +206,9 @@ class MonteCarloEnsemble:
             return out, records
         blocks = self._design(k)
         for stratum, block in sorted(blocks.items()):
-            fit = ols_fit(block.matrix, targets[block.rows], self.ridge)
-            out[block.rows] = block.matrix @ fit.coefficients
+            fit = ols_fit(block.matrix, targets[block.rows], self.ridge, block.factor)
+            block.factor = fit.factor
+            out[block.rows] = fit.fitted
             records.extend(
                 FitRecord(
                     step=k,
@@ -198,7 +237,7 @@ class MonteCarloEnsemble:
         return min(int(c[c > 0].min()) for c in map(np.bincount, fitted.T))
 
     def absent_strata(self, k: int) -> list[int]:
-        present = set(np.unique(self.bundle.i_reg[:, k]).astype(int))
+        present = set(self._view(k).strata.tolist())
         return [i for i in range(1, self.spec.m + 1) if i not in present]
 
 
@@ -232,19 +271,20 @@ class LatticeEnsemble:
         return es.tail, es.head, es.prob, es.dw, es.counts.astype(float)
 
     def segments(self, k: int):
+        """(edge, tail node, head node, duration, regime): one whole-step sub-interval per edge."""
         es = self.chain.edges[k]
         n_edges = es.tail.size
         regimes = self.chain.nodes[k].regime[es.tail].astype(int)
-        return np.arange(n_edges), np.full(n_edges, self.h), regimes
+        return np.arange(n_edges), es.tail, es.head, np.full(n_edges, self.h), regimes
 
     def edge_to_unit(self, k: int, values: Array) -> Array:
         return self._reduce(k, values)
 
     def _reduce(self, k: int, per_edge: Array) -> Array:
         es = self.chain.edges[k]
-        per_edge = np.atleast_2d(per_edge.T).T
-        out = np.zeros((self.n_units(k), per_edge.shape[1]))
-        np.add.at(out, es.tail, es.prob[:, None] * per_edge)
+        weighted = es.prob[:, None] * np.atleast_2d(per_edge.T).T
+        # bincount adds in edge order, as np.add.at does, column by column
+        out = np.column_stack([np.bincount(es.tail, weights=col, minlength=self.n_units(k)) for col in weighted.T])
         return out[:, 0] if out.shape[1] == 1 else out
 
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[FitRecord]]:
@@ -333,43 +373,42 @@ def _driver_terms(
     zero where the constraint is not evaluated (one regime at level 0, where
     no penalty mass accrues).
     """
-    tail, head, _, _, _ = ens.edge_arrays(k)
     _, xs = ens.states(k)
     lam = spec.intensity.weights
-    seg_edge, seg_dt, seg_regime = ens.segments(k)
-
-    y_seg = y_next[head][seg_edge]
-    x_seg = xs[tail][seg_edge]
-    z_seg = z[tail][seg_edge]
-    u_seg = u[tail][seg_edge]
+    seg_edge, seg_tail, seg_head, seg_dt, seg_regime = ens.segments(k)
 
     f_val = np.empty(seg_edge.size)
     pen_val = np.zeros(seg_edge.size)
     min_h = np.zeros(seg_edge.size)
-    for r in np.unique(seg_regime):
+    for r in range(1, spec.m + 1):
         rows = np.flatnonzero(seg_regime == r)
-        yvec = y_seg[rows][:, None] + u_seg[rows]
-        yvec[:, r - 1] = y_seg[rows]
+        if rows.size == 0:
+            continue
+        tails = seg_tail[rows]
+        y_r = y_next[seg_head[rows]]
+        x_r, z_r = xs[tails], z[tails]
+        yvec = y_r[:, None] + u[tails]
+        yvec[:, r - 1] = y_r
         compensator = yvec @ lam - lam.sum() * yvec[:, r - 1]
-        f_val[rows] = spec.driver(int(r), x_seg[rows], yvec, z_seg[rows]) - compensator
+        f_val[rows] = spec.driver(r, x_r, yvec, z_r) - compensator
         if spec.m > 1 or n_pen > 0:
-            h = constraint_values(spec, int(r), x_seg[rows], yvec, z_seg[rows])
+            h = constraint_values(spec, r, x_r, yvec, z_r)
             pen_val[rows] = penalty_batch(spec, h)
             # reduce the whole column-major array: selecting rows first would
             # copy it to row-major
             min_h[rows] = h.min(axis=1)
             del h  # not alive beside the next group's arrays
 
-    n_edges = tail.size
     # segments are ordered by edge (by path in Monte Carlo, one per edge on a
-    # chain), so an edge's first row is its first sub-interval
-    min_h = min_h[np.searchsorted(seg_edge, np.arange(n_edges))]
-    integral = np.zeros(n_edges)
-    np.add.at(integral, seg_edge, seg_dt * (f_val + n_pen * pen_val))
-    penalty_mass = np.zeros(n_edges)
-    np.add.at(penalty_mass, seg_edge, seg_dt * n_pen * pen_val)
-    violation = np.zeros(n_edges)
-    np.add.at(violation, seg_edge, seg_dt * pen_val / ens.h)
+    # chain) and every edge has one, so an edge's first sub-interval is where
+    # the edge index changes
+    first = np.flatnonzero(np.diff(seg_edge, prepend=-1))
+    n_edges = first.size
+    min_h = min_h[first]
+    # bincount adds in segment order, as np.add.at does
+    integral = np.bincount(seg_edge, seg_dt * (f_val + n_pen * pen_val), n_edges)
+    penalty_mass = np.bincount(seg_edge, seg_dt * n_pen * pen_val, n_edges)
+    violation = np.bincount(seg_edge, seg_dt * pen_val / ens.h, n_edges)
     return integral, penalty_mass, violation, min_h
 
 
@@ -397,8 +436,10 @@ def step_y(
     penalty_mass = ens.edge_to_unit(k, penalty_edge)
     skorohod = 0.0
     if np.any(penalty_mass):
-        edge_prob = prob if prob is not None else np.ones(tail.size)
-        skorohod = float(np.sum(ens.unit_weights(k)[tail] * edge_prob * min_h * penalty_mass[tail]))
+        weight = ens.unit_weights(k)[tail]
+        if prob is not None:
+            weight = weight * prob
+        skorohod = float(np.sum(weight * min_h * penalty_mass[tail]))
     return y, penalty_mass, ens.edge_to_unit(k, violation_edge), skorohod, records
 
 

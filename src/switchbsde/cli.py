@@ -25,7 +25,7 @@ from .backward import (
 )
 from .catalog import build_problem, list_catalog
 from .forward import dump_paths_csv, simulate_paths
-from .oracles import GridSolution, default_grid, fd_solve, oracle_compare
+from .oracles import GridSolution, check_fd_inputs, default_grid, fd_solve, oracle_compare
 from .problem import validate_problem
 from .regression import BasisSpec
 
@@ -180,6 +180,7 @@ def _problem_from(cfg: dict):
 
 
 def _fd_settings(cfg: dict, spec):
+    """The ``oracle.fd`` grid, time step, mode and level, refused before any work if ``fd_solve`` cannot run them."""
     fd_cfg = _section(_section(cfg, "oracle"), "fd", "oracle", accepted=FD_KEYS)
 
     def get(key, kind, default):
@@ -187,11 +188,17 @@ def _fd_settings(cfg: dict, spec):
 
     M = get("M", int, 400)
     _, x_lo, x_hi = default_grid(spec, M)
-    x_lo, x_hi = get("x_min", float, x_lo), get("x_max", float, x_hi)
-    penalization = get("n", int, None)
+    grid = (M, float(get("x_min", float, x_lo)), float(get("x_max", float, x_hi)))
+    dt, mode, penalization = get("dt", float, 1e-3), get("mode", str, "projection"), get("n", int, None)
     if penalization is not None and penalization < 0:
         raise ConfigError("oracle.fd.n must be a nonnegative integer")
-    return (M, float(x_lo), float(x_hi)), get("dt", float, 1e-3), get("mode", str, "projection"), penalization
+    if mode == "penalized" and penalization is None:
+        raise ConfigError("oracle.fd.n is required in penalized mode")
+    try:
+        check_fd_inputs(spec, grid, dt, mode, penalization)
+    except ValueError as exc:
+        raise ConfigError(f"oracle.fd: {exc}") from exc
+    return grid, dt, mode, penalization
 
 
 def run(
@@ -224,12 +231,7 @@ def run(
 
         if command == "oracle":
             grid, dt, mode, n_pen = _fd_settings(cfg, spec)
-            if mode == "penalized" and n_pen is None:
-                raise ConfigError("oracle.fd.n is required in penalized mode")
-            try:
-                sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+            sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen)
             _grid_csv(sol, out_dir / "grid.csv")
             _json_dump(
                 {
@@ -298,7 +300,8 @@ def run(
             _json_dump(payload, out_dir / "result.json")
             return 0
 
-        # compare
+        # compare: the grid oracle needs neither the paths nor their segment cache
+        del bundle
         grid, dt, mode, n_pen = fd_settings
         sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen)
         report = oracle_compare(result, sol, (0.0, spec.initial_regime, float(spec.initial_state[0])))

@@ -519,6 +519,8 @@ def bundle_from_paths(
             raise ValueError(f"path {p} has an atom at a nonpositive time")
         if atom_list and atom_list[-1][0] > T:
             raise ValueError(f"path {p} has an atom beyond the horizon")
+        if any(not 1 <= j <= spec.m for _, j in atom_list):
+            raise ValueError(f"path {p} has a mark outside 1..{spec.m}")
         times.extend(float(t) for t, _ in atom_list)
         marks.extend(int(j) for _, j in atom_list)
         offsets.append(len(times))

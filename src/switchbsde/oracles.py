@@ -38,6 +38,7 @@ __all__ = [
     "GridSolution",
     "facelift_terminal",
     "default_grid",
+    "check_fd_inputs",
     "fd_solve",
     "oracle_compare",
     "CompareReport",
@@ -216,39 +217,63 @@ def _implicit_penalty_update(vhat: Array, costs: Array, lam: Array, n: int, dt: 
     """Solve ``v_i = vhat_i + dt n sum_j lam_j max((vhat_j - c_ij) - v_i, 0)``.
 
     The left side is increasing and the right side non-increasing in
-    ``v_i``, so the root is unique; it is found per node by scanning active
-    sets in decreasing obstacle order. Monotone in ``vhat``, the obstacles
-    and ``n``, and tends to ``max(vhat_i, max_j vhat_j - c_ij)`` as n grows.
+    ``v_i``, so the root is unique. Keeping only the q largest obstacles
+    ``o_j = vhat_j - c_ij`` (j != i) and dropping the ``max`` gives the linear
+    candidate ``(vhat_i + a sum_q lam_j o_j) / (1 + a sum_q lam_j)``, with
+    ``a = dt n``; every candidate is at most the root, and the one for the
+    active set equals it, so the root is the largest candidate (q = 0 gives
+    ``vhat_i``). With two regimes that is
+    ``max(vhat_i, (vhat_i + a lam_j o_j) / (1 + a lam_j))``, with no sort.
+    Monotone in ``vhat``, the obstacles and ``n``, and tends to
+    ``max(vhat_i, max_j vhat_j - c_ij)`` as n grows.
     """
-    m, nx = vhat.shape
+    m = vhat.shape[0]
     a = dt * float(n)
     out = np.empty_like(vhat)
     for i in range(m):
-        obstacles = vhat - costs[i][:, None]  # (m, nx); row i is vhat_i itself
-        order = np.argsort(-obstacles, axis=0)
-        o_sorted = np.take_along_axis(obstacles, order, axis=0)
-        lam_sorted = lam[order]
-        v = np.empty(nx)
-        solved = np.zeros(nx, dtype=bool)
-        lam_cum = np.zeros(nx)
-        weighted_cum = np.zeros(nx)
-        cand = vhat[i]  # q = 0 active obstacles
-        ok = cand >= o_sorted[0]
-        v[ok] = cand[ok]
-        solved |= ok
-        for q in range(1, m + 1):
-            lam_cum = lam_cum + lam_sorted[q - 1]
-            weighted_cum = weighted_cum + lam_sorted[q - 1] * o_sorted[q - 1]
-            cand = (vhat[i] + a * weighted_cum) / (1.0 + a * lam_cum)
-            eps = 1e-12 * (1.0 + np.abs(cand))
-            ok = ~solved & (cand <= o_sorted[q - 1] + eps)
-            if q < m:
-                ok &= cand >= o_sorted[q] - eps
-            v[ok] = cand[ok]
-            solved |= ok
-        v[~solved] = cand[~solved]  # float edge between segments; root is unique
+        others = np.arange(m) != i
+        obstacles = vhat[others] - costs[i, others][:, None]  # (m - 1, nx)
+        weights = lam[others][:, None]
+        if m > 2:  # order the obstacles, largest first; one needs no sort
+            order = np.argsort(-obstacles, axis=0)
+            obstacles = np.take_along_axis(obstacles, order, axis=0)
+            weights = lam[others][order]
+        v = vhat[i].copy()
+        lam_cum = weighted_cum = 0.0
+        for q in range(m - 1):
+            lam_cum = lam_cum + weights[q]
+            weighted_cum = weighted_cum + weights[q] * obstacles[q]
+            np.maximum(v, (vhat[i] + a * weighted_cum) / (1.0 + a * lam_cum), out=v)
         out[i] = v
     return out
+
+
+def check_fd_inputs(
+    spec: ProblemSpec,
+    grid: tuple[int, float, float],
+    dt: float,
+    mode: str,
+    penalization: Optional[int],
+) -> int:
+    """Refuse what :func:`fd_solve` cannot run (ValueError); returns the time-step count."""
+    if spec.d != 1:
+        raise ValueError("finite-difference oracle supports d = 1 only")
+    if spec.switching_costs is None:
+        raise ValueError("finite-difference oracle needs a switching-form problem")
+    if mode not in ("projection", "penalized"):
+        raise ValueError(f"unknown fd mode {mode!r}")
+    if mode == "penalized" and (penalization is None or penalization < 0):
+        raise ValueError("penalized mode needs a nonnegative penalization level")
+    M, x_min, x_max = grid
+    if M < 4 or not x_min < x_max:
+        raise ValueError("grid must have at least 5 nodes and x_min < x_max")
+    if not dt > 0:
+        raise ValueError(f"time step must be positive, got {dt}")
+    T = spec.horizon
+    n_t = int(round(T / dt))
+    if n_t < 1 or abs(n_t * dt - T) > 1e-9 * max(1.0, T):
+        raise ValueError(f"time step {dt} does not divide horizon {T}")
+    return n_t
 
 
 def fd_solve(
@@ -265,22 +290,9 @@ def fd_solve(
     ``"projection"`` or ``"penalized"`` (the latter needs ``penalization``).
     The time grid steps backward from the face-lifted terminal data.
     """
-    if spec.d != 1:
-        raise ValueError("finite-difference oracle supports d = 1 only")
-    if spec.switching_costs is None:
-        raise ValueError("finite-difference oracle needs a switching-form problem")
-    if mode not in ("projection", "penalized"):
-        raise ValueError(f"unknown fd mode {mode!r}")
-    if mode == "penalized" and (penalization is None or penalization < 0):
-        raise ValueError("penalized mode needs a nonnegative penalization level")
-
+    n_t = check_fd_inputs(spec, grid, dt, mode, penalization)
     M, x_min, x_max = grid
-    if M < 4 or not x_min < x_max:
-        raise ValueError("grid must have at least 5 nodes and x_min < x_max")
     T = spec.horizon
-    n_t = int(round(T / dt))
-    if n_t < 1 or abs(n_t * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"time step {dt} does not divide horizon {T}")
     dt = T / n_t
     half = 0.5 * dt
     xs = np.linspace(x_min, x_max, M + 1)

@@ -5,7 +5,11 @@ state, separately per regime value by default (stratification computes the
 conditional expectation given the discrete coordinate exactly). Features are
 standardized per stratum before expansion. One :func:`ols_fit` per stratum
 solves every target column from one eigendecomposition of the Gram matrix,
-which also gives the fit's condition number and numerical rank.
+which also gives the fit's condition number and numerical rank. A backward
+step builds one design per step and factors each stratum's Gram matrix once:
+the z, u and y fits of that step pass the :class:`GramFactor` of the first
+fit back in, so the three families share one factorization per
+(step, stratum).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ Array = np.ndarray
 
 __all__ = [
     "BasisSpec",
+    "GramFactor",
     "OlsFit",
     "build_design",
     "ols_fit",
@@ -84,47 +89,75 @@ def _features(basis: BasisSpec, x: Array) -> Array:
     return np.column_stack([np.ones(z.shape[0]), z[:, 0], *(np.maximum(z[:, 0] - knot, 0.0) for knot in knots)])
 
 
+@dataclass(frozen=True)
+class GramFactor:
+    """Eigendecomposition of one design's Gram matrix ``G = design^T design / n``."""
+
+    evals: Array
+    evecs: Array
+    trace: float
+
+    @classmethod
+    def of(cls, design: Array) -> "GramFactor":
+        gram = design.T @ design / design.shape[0]
+        evals, evecs = np.linalg.eigh(gram)
+        return cls(evals=evals, evecs=evecs, trace=float(np.trace(gram)))
+
+
 @dataclass
 class OlsFit:
-    """One least-squares fit: coefficients plus conditioning diagnostics."""
+    """One least-squares fit: coefficients, fitted values and conditioning diagnostics."""
 
     coefficients: Array
+    fitted: Array
     gram_condition: float
     residual_mse: Array
     sample_count: int
-    rank_deficient: bool = False
+    rank_deficient: bool
+    factor: GramFactor
 
 
-def ols_fit(design: Array, targets: Array, ridge: float | None = 0.0) -> OlsFit:
+def ols_fit(design: Array, targets: Array, ridge: float | None = 0.0, factor: GramFactor | None = None) -> OlsFit:
     """Minimize ``(1/n)||targets - design @ coef||^2 + ridge ||coef||^2`` per target column.
 
-    ``targets`` is ``(n,)`` or ``(n, c)``; ``coefficients`` and ``residual_mse``
-    follow its trailing shape. One eigendecomposition of ``G = design^T design / n``
-    gives the solve, ``gram_condition = max|e| / min|e|`` and the rank, the count of
-    eigenvalues above ``L * eps * max|e|``; ``rank_deficient`` is ``rank < L`` under
-    any ridge. ``ridge=None`` selects ``1e-10 trace(G) / L``; ``ridge = 0`` drops the
-    eigenvalues at or below the floor, which gives the minimum-norm solution.
+    ``targets`` is ``(n,)`` or ``(n, c)``; ``coefficients``, ``fitted`` and
+    ``residual_mse`` follow its trailing shape. One eigendecomposition of
+    ``G = design^T design / n`` gives the solve, ``gram_condition = max|e| / min|e|``
+    and the rank, the count of eigenvalues above ``L * eps * max|e|``;
+    ``rank_deficient`` is ``rank < L`` under any ridge. ``ridge=None`` selects
+    ``1e-10 trace(G) / L``; ``ridge = 0`` drops the eigenvalues at or below the
+    floor, which gives the minimum-norm solution. ``factor``, the ``factor`` of an
+    earlier fit on the same design, skips the eigendecomposition.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     targets = np.asarray(targets, dtype=float)
     n, L = design.shape
     if n < 1 or L < 1 or targets.shape[0] != n:
         raise ValueError("design needs >= 1 row and column, and as many rows as the targets")
-    gram = design.T @ design / n
-    ridge = 1e-10 * float(np.trace(gram)) / L if ridge is None else ridge
+    if factor is None:
+        factor = GramFactor.of(design)
+    elif factor.evals.shape != (L,):
+        raise ValueError("factor was computed for a design with a different column count")
+    ridge = 1e-10 * factor.trace / L if ridge is None else ridge
     if ridge < 0:
         raise ValueError("ridge must be nonnegative")
-    evals, evecs = np.linalg.eigh(gram)
+    evals, evecs = factor.evals, factor.evecs
     magnitude = np.abs(evals)
     floor = L * np.finfo(float).eps * magnitude.max()
     inverse = np.divide(1.0, evals + ridge, out=np.zeros(L), where=evals + ridge > floor)
     coef = (evecs * inverse) @ (evecs.T @ (design.T @ targets / n))
+    fitted = design @ coef
+    # one contiguous row per target column: a mean down the columns of (n, c) is strided
+    resid = (targets - fitted).reshape(n, -1).T.copy()
+    mse = np.mean(resid * resid, axis=1)
     return OlsFit(
         coefficients=coef,
+        fitted=fitted,
         gram_condition=float(magnitude.max() / magnitude.min()) if magnitude.min() > 0 else float("inf"),
-        residual_mse=np.mean((targets - design @ coef) ** 2, axis=0),
+        residual_mse=mse if targets.ndim > 1 else mse[0],
         sample_count=n,
         rank_deficient=bool(np.count_nonzero(evals > floor) < L),
+        factor=factor,
     )
 
 
@@ -132,6 +165,7 @@ def ols_fit(design: Array, targets: Array, ridge: float | None = 0.0) -> OlsFit:
 class _Block:
     rows: Array
     matrix: Array
+    factor: GramFactor | None = None  # set by the first fit on this block
 
 
 def build_design(basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array) -> dict[int, _Block]:

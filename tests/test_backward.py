@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from switchbsde import (
 )
 from switchbsde.backward import _driver_terms, make_ensemble, step_y
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
-from switchbsde.problem import constraint_values
+from switchbsde.problem import constraint_values, penalty_batch
 
 
 def chain_ensemble(spec, h, n=0, seed=0):
@@ -335,7 +336,8 @@ class TestStepAndSolve:
         bundle = bundle_from_paths(spec, 0.125, atoms, dws)
         # two states per stratum against four basis functions, under the automatic ridge
         result = solve_backward(spec, SchemeConfig(h=0.125, paths=4, basis=BasisSpec(degree=3)), bundle)
-        assert result.fit_records
+        # steps 1-3, two strata, z + u1 + u2 + y: one factorization per (step, stratum) serves all four
+        assert len(result.fit_records) == 24
         assert all(r.rank_deficient for r in result.fit_records)
 
     @pytest.mark.filterwarnings("ignore::UserWarning")
@@ -345,6 +347,125 @@ class TestStepAndSolve:
         bundle = bundle_from_paths(spec, 0.25, [[(0.1, 2)], []])
         result = solve_backward(spec, SchemeConfig(h=0.25, paths=2, seed=0), bundle)
         assert 3 in result.absent_strata_steps[1]
+
+
+def reference_driver_terms(spec, n_pen, segments, xs, y_next, z, u, h, n_edges):
+    """The driver terms gathered and summed one sub-interval at a time.
+
+    ``segments`` holds (edge, tail, head, duration, regime) rows. The driver
+    and the constraint run once per regime on that regime's rows, stacked in
+    order, as in the solver: a batched BLAS product need not round like a
+    one-row product, so only this keeps the comparison exact.
+    """
+    edges, tails, heads, durations, regimes = segments
+    lam = spec.intensity.weights
+    f, pen, row_min = np.empty(len(edges)), np.empty(len(edges)), np.empty(len(edges))
+    for r in range(1, spec.m + 1):
+        group = [s for s in range(len(edges)) if regimes[s] == r]
+        if not group:
+            continue
+        yvec = np.array([y_next[heads[s]] + u[tails[s]] for s in group])
+        for row, s in enumerate(group):
+            yvec[row, r - 1] = y_next[heads[s]]
+        x = np.array([xs[tails[s]] for s in group])
+        zk = np.array([z[tails[s]] for s in group])
+        f_r = spec.driver(r, x, yvec, zk) - (yvec @ lam - lam.sum() * yvec[:, r - 1])
+        h_r = constraint_values(spec, r, x, yvec, zk)
+        pen_r = penalty_batch(spec, h_r)
+        for row, s in enumerate(group):
+            f[s], pen[s], row_min[s] = f_r[row], pen_r[row], h_r[row].min()
+    integral, mass, violation = np.zeros(n_edges), np.zeros(n_edges), np.zeros(n_edges)
+    min_h = np.full(n_edges, np.nan)
+    for s, (edge, dt) in enumerate(zip(edges, durations)):
+        integral[edge] += dt * (f[s] + n_pen * pen[s])
+        mass[edge] += dt * n_pen * pen[s]
+        violation[edge] += dt * pen[s] / h
+        if np.isnan(min_h[edge]):  # the edge's first sub-interval
+            min_h[edge] = row_min[s]
+    return integral, mass, violation, min_h
+
+
+class TestStepView:
+    def test_driver_terms_match_per_segment_loop_on_bundle(self):
+        # high intensity: most paths cross several regimes within a step
+        spec = build_problem("switch3", {"intensity": [10.0, 8.0, 6.0]})
+        bundle = simulate_paths(spec, 300, 0.25, seed=5)
+        ens = make_ensemble(spec, SchemeConfig(h=0.25, paths=300, seed=5), bundle)
+        rng = np.random.default_rng(0)
+        y_next = rng.normal(size=bundle.N)
+        z, u = rng.normal(size=(bundle.N, 1)), rng.normal(scale=0.5, size=(bundle.N, 3))
+        for k in range(bundle.K):
+            paths, durations, regimes = bundle.step_segments()[k]
+            assert np.bincount(paths).max() >= 3
+            got = _driver_terms(spec, 16, ens, k, y_next, z, u)
+            segments = (paths, paths, paths, durations, regimes)
+            want = reference_driver_terms(spec, 16, segments, bundle.x_reg[:, k], y_next, z, u, bundle.h, bundle.N)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_driver_terms_match_per_segment_loop_on_chain(self):
+        spec = build_problem("switch3")
+        chain, ens = chain_ensemble(spec, 1 / 8)
+        rng = np.random.default_rng(1)
+        for k in (0, 3, chain.K - 1):
+            es, n_next = chain.edges[k], ens.n_units(k + 1)
+            y_next = rng.normal(size=n_next)
+            z, u = rng.normal(size=(ens.n_units(k), 1)), rng.normal(scale=0.5, size=(ens.n_units(k), 3))
+            got = _driver_terms(spec, 8, ens, k, y_next, z, u)
+            n_edges = es.tail.size
+            regimes = chain.nodes[k].regime[es.tail]
+            segments = (np.arange(n_edges), es.tail, es.head, np.full(n_edges, chain.h), regimes)
+            want = reference_driver_terms(spec, 8, segments, chain.nodes[k].x, y_next, z, u, chain.h, n_edges)
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_ladder_equals_separate_solves(self):
+        spec = build_problem("switch2-linear")
+        bundle = simulate_paths(spec, 2_000, 0.05, seed=13)
+        cfg = SchemeConfig(h=0.05, paths=2_000, seed=13, clip_to_growth_bound=True)
+        levels = [1, 4, 16, 64]
+        report = penalization_ladder(spec, cfg, levels, bundle)
+        for i, n in enumerate(levels):
+            result = solve_backward(spec, replace(cfg, n=n), bundle)
+            assert report.y0[i] == result.y0
+            assert report.mean_violation[i] == float(np.mean(result.violation_mean))
+            assert report.skorohod[i] == skorohod_residual(result)
+
+    def test_steps_in_any_order_match_fresh_ensembles(self):
+        spec = build_problem("switch3")
+        bundle = simulate_paths(spec, 1_000, 0.1, seed=2)
+        cfg = SchemeConfig(h=0.1, paths=1_000, seed=2)
+        shared = make_ensemble(spec, cfg, bundle)
+        y = np.random.default_rng(3).normal(size=bundle.N)
+        for k in (4, 1, 4, 0, 7, 1):
+            z, rec_z = estimate_z(shared, k, y)
+            u, _, rec_u = estimate_u(shared, k, y)
+            fresh = make_ensemble(spec, cfg, bundle)
+            z_ref, rec_z_ref = estimate_z(fresh, k, y)
+            u_ref, _, rec_u_ref = estimate_u(fresh, k, y)
+            np.testing.assert_array_equal(z, z_ref)
+            np.testing.assert_array_equal(u, u_ref)
+            assert [r.gram_condition for r in rec_z + rec_u] == [r.gram_condition for r in rec_z_ref + rec_u_ref]
+            assert shared.absent_strata(k) == fresh.absent_strata(k)
+
+    def test_one_factorization_per_step_and_stratum(self, monkeypatch):
+        from switchbsde.regression import GramFactor
+
+        factored = []
+        original = GramFactor.of.__func__
+
+        def counted(cls, design):
+            factored.append(design.shape)
+            return original(cls, design)
+
+        monkeypatch.setattr(GramFactor, "of", classmethod(counted))
+        spec = build_problem("switch3")
+        bundle = simulate_paths(spec, 1_000, 0.1, seed=2)
+        result = solve_backward(spec, SchemeConfig(h=0.1, paths=1_000, seed=2), bundle)
+        strata = sum(len(np.unique(bundle.i_reg[:, k])) for k in range(1, bundle.K))
+        assert len(factored) == strata
+        # z, u and y fit every stratum of every step: one column for z and y, three for u
+        assert len(result.fit_records) == strata * (1 + 3 + 1)
 
 
 class TestLadderAndSkorohod:

@@ -94,6 +94,28 @@ class TestConfigErrors:
         assert run("oracle", write_config(tmp_path, payload), out=str(tmp_path)) == 3
 
     @pytest.mark.parametrize(
+        "fd, message",
+        [
+            ({"mode": "penalized"}, "n is required in penalized mode"),
+            ({"mode": "implicit"}, "unknown fd mode"),
+            ({"dt": 0.3}, "does not divide horizon"),
+            ({"dt": 0.0}, "time step must be positive"),
+            ({"M": 3}, "at least 5 nodes"),
+            ({"x_min": 1.0, "x_max": -1.0}, "x_min < x_max"),
+        ],
+    )
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_bad_fd_refused_before_simulation(self, tmp_path, monkeypatch, capsys, fd, message, command):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated paths before checking oracle.fd")
+
+        monkeypatch.setattr("switchbsde.cli.simulate_paths", no_simulation)
+        monkeypatch.setattr("switchbsde.cli.fd_solve", no_simulation)
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}}, oracle={"fd": fd})
+        assert run(command, write_config(tmp_path, payload), out=str(tmp_path)) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "scheme",
         [
             {"ridge": "abc"},

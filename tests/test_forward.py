@@ -414,6 +414,13 @@ class TestBundleFromPaths:
         with pytest.raises(ValueError, match="beyond the horizon"):
             bundle_from_paths(spec, 0.25, [[(0.9, 2)]])
 
+    @pytest.mark.parametrize("mark", [0, 3])
+    def test_mark_outside_regimes_rejected(self, mark):
+        # every sub-interval's regime must be one the backward step evaluates
+        spec = build_problem("switch2-linear", {"T": 0.5})
+        with pytest.raises(ValueError, match="mark outside 1..2"):
+            bundle_from_paths(spec, 0.25, [[(0.1, 1)], [(0.2, mark)]])
+
     def test_atom_at_nonpositive_time_rejected(self):
         spec = build_problem("switch2-linear", {"T": 0.5})
         with pytest.raises(ValueError, match="nonpositive time"):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchbsde import BasisSpec, build_design, ols_fit
-from switchbsde.regression import POOLED
+from switchbsde.regression import POOLED, GramFactor
 
 
 def in_sample(basis, regimes, xs, targets):
@@ -94,6 +94,41 @@ class TestOlsFit:
             np.testing.assert_allclose(fit.coefficients[:, col], single.coefficients, rtol=0, atol=1e-12)
             assert fit.residual_mse[col] == pytest.approx(single.residual_mse, rel=1e-12)
             assert (fit.gram_condition, fit.rank_deficient) == (single.gram_condition, single.rank_deficient)
+
+    @pytest.mark.parametrize("ridge", [0.0, None, 1e-3])
+    @pytest.mark.parametrize("cols", [1, 2])
+    def test_reused_factor_matches_fresh_fit(self, ridge, cols):
+        rng = np.random.default_rng(17)
+        design = rng.standard_normal((120, 3)) @ np.diag([1.0, 1e-3, 30.0])
+        shape = (120,) if cols == 1 else (120, cols)
+        first = ols_fit(design, rng.standard_normal(shape), ridge=ridge)  # the step's z fit, say
+        targets = rng.standard_normal(shape)
+        reused = ols_fit(design, targets, ridge, first.factor)
+        fresh = ols_fit(design, targets, ridge)
+        assert reused.factor is first.factor
+        np.testing.assert_allclose(reused.coefficients, fresh.coefficients, rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(reused.fitted, design @ reused.coefficients)
+        assert reused.gram_condition == pytest.approx(fresh.gram_condition, rel=1e-12)
+        np.testing.assert_allclose(reused.residual_mse, fresh.residual_mse, rtol=1e-12)
+        assert np.shape(reused.residual_mse) == np.shape(fresh.residual_mse) == shape[1:]
+        assert reused.rank_deficient == fresh.rank_deficient is False
+
+    @pytest.mark.parametrize("ridge", [0.0, None])
+    def test_fewer_rows_than_basis_functions(self, ridge):
+        # a stratum with two samples against four basis functions
+        design = np.array([[1.0, -1.0, 1.0, -1.0], [1.0, 1.0, 1.0, 1.0]])
+        targets = np.array([[0.5, 2.0], [-1.5, 4.0]])
+        first = ols_fit(design, targets[:, 0], ridge)
+        fit = ols_fit(design, targets, ridge, first.factor)
+        assert fit.rank_deficient and fit.sample_count == 2
+        assert np.all(np.isfinite(fit.coefficients))
+        # two rows are interpolated, up to the automatic ridge's shrinkage
+        np.testing.assert_allclose(fit.fitted, targets, rtol=1e-8)
+
+    def test_factor_of_another_shape_refused(self):
+        factor = GramFactor.of(np.eye(3))
+        with pytest.raises(ValueError, match="column count"):
+            ols_fit(np.ones((5, 2)), np.ones(5), 0.0, factor)
 
     def test_ridge_continuity_at_zero(self):
         rng = np.random.default_rng(11)
