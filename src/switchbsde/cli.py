@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from pathlib import Path
 
@@ -107,16 +108,16 @@ def _scheme_from(cfg: dict, seed: int) -> SchemeConfig:
 
 def _resolve_seed(cfg: dict, override) -> int:
     if override is not None:
-        seed = int(override)
+        seed = override
     elif "seed" not in cfg:
         raise ConfigError("seed is mandatory: set it in the config or pass --seed")
     else:
         seed = cfg["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed must be an integer")
+    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
+        raise ConfigError(f"seed must be an integer, got {seed!r}")
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return seed
+    return int(seed)
 
 
 def _json_dump(obj: dict, path: Path) -> None:
@@ -300,7 +301,7 @@ def run(
             _json_dump(payload, out_dir / "result.json")
             return 0
 
-        # compare: the grid oracle needs neither the paths nor their segment cache
+        # compare: the grid oracle does not need the paths; free them before its solve
         del bundle
         grid, dt, mode, n_pen = fd_settings
         sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen)

@@ -7,16 +7,16 @@ the mark at every atom. Atoms whose mark equals the current regime are
 retained: they do not move the regime but they are counted by the
 compensated jump measure.
 
-The state follows an Euler recursion on the per-path concatenation of the
-regular time grid with the path's atom times, so drift and volatility always
-use the regime holding on each sub-interval and the integral of the driver
-can be segmented exactly.
+The state follows an Euler recursion on each path's regular time grid
+refined by the path's atom times, so drift and volatility always use the
+regime holding on each sub-interval and the integral of the driver can be
+segmented exactly.
 
 Reproducibility contract: path ``p`` of a run with seed ``s`` draws from the
 dedicated substream ``default_rng(SeedSequence((s, p)))`` and consumes, in
 order: the Poisson atom count, the atom times, the atom marks, then ``d``
-standard normals per concatenated sub-interval. Results are therefore
-independent of scheduling and of the worker count.
+standard normals per sub-interval of its grid, in time order. Results are
+therefore independent of scheduling and of the worker count.
 
 The substreams are seeded in bulk: the PCG64 state that ``SeedSequence((s,
 p))`` gives is computed for thousands of paths at once (``_pcg64_seeds``), and
@@ -31,8 +31,9 @@ Simulation runs in two phases. A per-path loop only draws: it takes
 ``K + count`` normal rows, enough for the longest grid the path can have,
 and an atom that merges with a grid node leaves the tail unused. That is
 why the normals must stay the last draws of a path. A vectorized build
-then merges the grids, places every node by scatter and runs the Euler
-sweep over all paths at once.
+then lays the sub-intervals out step-major (:class:`PathBundle`), one
+regular step at a time, and runs the step's Euler updates over all paths at
+once, one rank of sub-interval within the step at a time.
 """
 
 from __future__ import annotations
@@ -87,12 +88,17 @@ def _step_count(T: float, h: float) -> int:
 
 @dataclass
 class PathBundle:
-    """N simulated trajectories on per-path concatenated grids.
+    """N simulated trajectories, stored one sub-interval at a time.
 
-    Concatenated-grid arrays are padded to the longest path; padding
-    sub-intervals have ``dt = 0`` and zero Brownian increment, so they are
-    inert in every downstream reduction. ``regime[p, l]`` holds on
-    ``[times[p, l], times[p, l+1])`` (right-continuous).
+    Each path's grid is the regular grid refined by the path's atom times.
+    A sub-interval runs from one node of that grid to the next and belongs
+    to the regular step it starts in. The sub-interval arrays are flat and
+    ordered by (step, path, time): step ``k`` fills
+    ``step_offsets[k]:step_offsets[k+1]``, where every path has one
+    sub-interval from ``t_k`` followed by one from each of its atoms inside
+    ``(t_k, t_{k+1})``. ``regime[s]`` holds on ``[times[s], times[s] + dt[s])``
+    (right-continuous); ``x[s]`` is the state at its start and ``dw[s]`` its
+    Brownian increment. The terminal node is ``(T, i_reg[:, K], x_reg[:, K])``.
 
     Regular-grid views (``x_reg``, ``i_reg``, ``dw_reg``, ``counts_reg``)
     are derived once at build time: ``dw_reg[p, k]`` is the aggregate
@@ -109,15 +115,14 @@ class PathBundle:
     seed: int
     i0: int
     x0: Array
-    # padded concatenated-grid data
-    times: Array      # (N, L+1)
-    regime: Array     # (N, L+1) int16
-    x: Array          # (N, L+1, d)
-    dw: Array         # (N, L, d)
-    dt: Array         # (N, L)
-    step_of: Array    # (N, L) int32, regular interval of each sub-interval
-    n_nodes: Array    # (N,) real node count per path
-    reg_pos: Array    # (N, K+1) position of each regular time in the path grid
+    # sub-intervals, ordered by (step, path, time)
+    step_offsets: Array  # (K+1,) start of each step's sub-intervals
+    path: Array       # (S,) int32
+    times: Array      # (S,) start time
+    dt: Array         # (S,)
+    regime: Array     # (S,) int16
+    x: Array          # (S, d) state at the start
+    dw: Array         # (S, d)
     # regular-grid views
     x_reg: Array      # (N, K+1, d)
     i_reg: Array      # (N, K+1) int16
@@ -128,27 +133,15 @@ class PathBundle:
     atom_times: Array
     atom_marks: Array
 
-    _segments_cache: Optional[list] = None
-
     @property
     def regular(self) -> Array:
         return np.linspace(0.0, self.T, self.K + 1)
 
     def step_segments(self) -> list[tuple[Array, Array, Array]]:
-        """Per regular step: (path index, duration, regime) of every real
-        sub-interval, ordered by path. Cached after the first call."""
-        if self._segments_cache is None:
-            rows, cols = np.nonzero(self.dt > 0)
-            steps = self.step_of[rows, cols]
-            order = np.lexsort((rows, steps))
-            rows, cols, steps = rows[order], cols[order], steps[order]
-            bounds = np.searchsorted(steps, np.arange(self.K + 1))
-            cache = []
-            for k in range(self.K):
-                sl = slice(bounds[k], bounds[k + 1])
-                cache.append((rows[sl], self.dt[rows[sl], cols[sl]], self.regime[rows[sl], cols[sl]].astype(int)))
-            self._segments_cache = cache
-        return self._segments_cache
+        """Per regular step: (path index, duration, regime) of its sub-intervals,
+        ordered by path and then by time."""
+        bounds = self.step_offsets
+        return [(self.path[lo:hi], self.dt[lo:hi], self.regime[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _euler_step(spec: ProblemSpec, i: int, x: Array, dt: Array, dw: Array) -> Array:
@@ -317,52 +310,6 @@ def _atoms_from_draws(intensity: IntensityMeasure, T: float, counts: Array, unif
     return atom_offsets, times[keep], marks[keep]
 
 
-def _merge_grids(regular: Array, atom_offsets: Array, atom_times: Array, atom_marks: Array, i0: int):
-    """Padded concatenated grids of all paths, placed by scatter.
-
-    Row ``p`` of ``times`` is ``np.unique(np.concatenate([regular, atoms_p]))``
-    padded with ``T``: an atom on a regular time, or on an earlier atom of its
-    path, merges into that node. Call the other atoms new. Regular node ``k``
-    goes to column ``k`` plus the number of new atoms before it; a new atom
-    goes to column (its rank among its path's new atoms) plus (the number of
-    regular times below it). Atom times must be sorted within each path and
-    lie in ``(0, T]``.
-
-    Returns ``(times, regime, step_of, n_nodes, reg_pos)`` in the
-    :class:`PathBundle` layout.
-    """
-    N, K1 = atom_offsets.size - 1, regular.size
-    path = np.repeat(np.arange(N), np.diff(atom_offsets))
-    n_le = np.searchsorted(regular, atom_times, side="right")  # regular times <= atom, >= 1
-    new = regular[n_le - 1] != atom_times
-    new[1:] &= (atom_times[1:] != atom_times[:-1]) | (path[1:] != path[:-1])
-    new_upto = np.concatenate(([0], np.cumsum(new)))
-    col = new_upto[1:] - new_upto[atom_offsets[path]] + n_le - 1
-    n_nodes = (K1 + np.diff(new_upto[atom_offsets])).astype(np.int32)
-
-    reg_pos = np.bincount(path[new] * K1 + n_le[new], minlength=N * K1).reshape(N, K1).cumsum(axis=1)
-    reg_pos = (reg_pos + np.arange(K1)).astype(np.int32)
-
-    L1 = int(n_nodes.max())
-    rows = np.arange(N)[:, None]
-    times = np.full((N, L1), regular[-1])
-    times[rows, reg_pos] = regular
-    times[path[new], col[new]] = atom_times[new]
-    # sub-interval [s_l, s_{l+1}) belongs to the regular step it starts in
-    step_of = np.zeros((N, L1 - 1), dtype=np.int32)
-    step_of[rows, reg_pos[:, :-1]] = np.arange(K1 - 1)
-    step_of[path[new], col[new]] = n_le[new] - 1
-
-    # right-continuous regime: the mark of the latest atom at or before each node
-    latest_at_node = np.ones(path.size, dtype=bool)
-    latest_at_node[:-1] = (col[1:] != col[:-1]) | (path[1:] != path[:-1])
-    latest = np.zeros((N, L1), dtype=np.int32)
-    latest[path[latest_at_node], col[latest_at_node]] = np.flatnonzero(latest_at_node) + 1
-    latest = np.maximum.accumulate(latest, axis=1)
-    regime = np.concatenate(([i0], atom_marks)).astype(np.int16)[latest]
-    return times, regime, step_of, n_nodes, reg_pos
-
-
 def simulate_paths(
     spec: ProblemSpec,
     N: int,
@@ -406,9 +353,8 @@ def simulate_paths(
     normals = normals.reshape(-1, spec.d)
     first_row = np.concatenate(([0], np.cumsum(K + counts)[:-1]))  # of each path's normals
 
-    def increments(dt: Array, real: Array) -> Array:
-        rows = (first_row[:, None] + np.arange(dt.shape[1]))[real]
-        return normals[rows] * np.sqrt(dt[real])[:, None]
+    def increments(n_sub: Array) -> Callable[[Array, Array, Array], Array]:
+        return lambda path, pos, dt: normals[first_row[path] + pos] * np.sqrt(dt)[:, None]
 
     return _build_bundle(spec, K, seed, atom_offsets, atom_times, atom_marks, increments)
 
@@ -420,52 +366,80 @@ def _build_bundle(
     atom_offsets: Array,
     atom_times: Array,
     atom_marks: Array,
-    increments: Callable[[Array, Array], Array],
+    increments: Callable[[Array, Array, Array], Array],
 ) -> PathBundle:
     """Bundle from flat per-path atoms (sorted within each path, in (0, T]).
 
-    ``increments(dt, real)`` receives the padded ``dt`` and the mask of real
-    sub-intervals and returns their Brownian increments, one row per real
-    sub-interval in row-major order.
+    An atom on a regular time, or on an earlier atom of its path, merges into
+    that node, as ``np.unique`` of the regular and atom times would; call the
+    other atoms new. A node's regime is the mark of the latest atom at or
+    before it. ``increments(n_sub)``, given each path's sub-interval count,
+    returns the function ``(path, pos, dt)`` giving the Brownian increments of
+    the sub-intervals with those paths, positions in their path's grid and
+    durations, one row each; that function is called once per step.
     """
-    d, m, T = spec.d, spec.m, spec.horizon
+    d, m, T, N = spec.d, spec.m, spec.horizon, atom_offsets.size - 1
     regular = np.linspace(0.0, T, K + 1)
-    times, regime, step_of, n_nodes, reg_pos = _merge_grids(
-        regular, atom_offsets, atom_times, atom_marks, spec.initial_regime
-    )
-    N, L = step_of.shape
-    dt = np.diff(times, axis=1)  # the padding repeats T, so padded dt is 0
-    real = np.arange(L) < (n_nodes - 1)[:, None]
-    dw = np.zeros((N, L, d))
-    dw[real] = increments(dt, real)
+    atom_path = np.repeat(np.arange(N, dtype=np.int32), np.diff(atom_offsets))
+    node = np.searchsorted(regular, atom_times, side="left")  # first regular time at or after the atom, >= 1
 
-    # vectorized Euler sweep over padded columns, grouped by regime
-    x = np.empty((N, L + 1, d))
-    x[:, 0, :] = spec.initial_state
-    for l in range(L):
-        cur = x[:, l, :]
-        nxt = cur.copy()
-        active = dt[:, l] > 0
-        if np.any(active):
-            col_regimes = regime[:, l]
-            for i in np.unique(col_regimes[active]):
-                rows = np.flatnonzero(active & (col_regimes == i))
-                nxt[rows] = _euler_step(spec, int(i), cur[rows], dt[rows, l], dw[rows, l])
-        x[:, l + 1, :] = nxt
+    latest = np.zeros((N, K + 1), dtype=np.int32)  # 1 + index of the latest atom at or before t_k
+    np.maximum.at(latest, (atom_path, node), np.arange(1, atom_times.size + 1, dtype=np.int32))
+    np.maximum.accumulate(latest, axis=1, out=latest)
+    i_reg = np.concatenate(([spec.initial_regime], atom_marks)).astype(np.int16)[latest]
+    del latest
 
-    take = reg_pos[:, :, None]
-    x_reg = np.take_along_axis(x, np.broadcast_to(take, (N, K + 1, d)), axis=1)
-    i_reg = np.take_along_axis(regime, reg_pos, axis=1)
+    # runs of equal times within a path share one node; a new atom starts a run off the regular grid
+    repeat = np.zeros(atom_times.size, dtype=bool)
+    repeat[1:] = (atom_times[1:] == atom_times[:-1]) & (atom_path[1:] == atom_path[:-1])
+    starts = np.flatnonzero(~repeat)
+    run_last = np.append(starts[1:], atom_times.size) - 1
+    off_grid = regular[node[starts]] != atom_times[starts]
+    new, new_regime = starts[off_grid], atom_marks[run_last[off_grid]]
+    new_step = node[new] - 1
+    increment = increments(K + np.bincount(atom_path[new], minlength=N))
+    order = np.argsort(new_step, kind="stable")  # step-major, path and time order kept within a step
+    new_path, new_time, new_regime = atom_path[new][order], atom_times[new][order], new_regime[order]
+    by_step = np.searchsorted(new_step[order], np.arange(K + 1))
+    step_offsets = by_step + N * np.arange(K + 1)
 
-    dw_reg = np.zeros((N, K, d))
-    rows, cols = np.nonzero(dt > 0)
-    np.add.at(dw_reg, (rows, step_of[rows, cols]), dw[rows, cols])
+    S = int(step_offsets[-1])
+    path, times, dt, regime = np.empty(S, dtype=np.int32), np.empty(S), np.empty(S), np.empty(S, dtype=np.int16)
+    x, dw = np.empty((S, d)), np.empty((S, d))
+    x_reg, dw_reg = np.empty((N, K + 1, d)), np.zeros((N, K, d))
+    x_reg[:, 0] = spec.initial_state
+    state = x_reg[:, 0].copy()
+    paths = np.arange(N, dtype=np.int32)
+    earlier = np.zeros(N, dtype=int)  # new atoms of each path in the steps before
+    for k in range(K):
+        lo, hi = step_offsets[k], step_offsets[k + 1]
+        a = slice(by_step[k], by_step[k + 1])
+        p_k, s_k, dt_k, i_k, x_k, dw_k = path[lo:hi], times[lo:hi], dt[lo:hi], regime[lo:hi], x[lo:hi], dw[lo:hi]
+        a_path = new_path[a]
+        count = np.bincount(a_path, minlength=N)  # new atoms of each path in this step
+        first = paths + np.cumsum(count) - count  # where each path's block starts: its t_k sub-interval
+        slot = np.arange(1, a_path.size + 1) + a_path  # then its atoms', in time order
+        p_k[first], p_k[slot] = paths, a_path
+        s_k[first], s_k[slot] = regular[k], new_time[a]
+        i_k[first], i_k[slot] = i_reg[:, k], new_regime[a]
+        # a sub-interval ends where the next of its path starts: at its block's next atom, or at t_{k+1}
+        dt_k[:-1] = s_k[1:]
+        dt_k[first + count] = regular[k + 1]
+        dt_k -= s_k
+        rank = np.arange(hi - lo) - first[p_k]  # place in the path's block
+        dw_k[:] = increment(p_k, k + earlier[p_k] + rank, dt_k)
+        earlier += count
+        for r in range(int(rank.max()) + 1):  # rank 0 covers every path, later ranks those with atoms
+            at = np.flatnonzero(rank == r)
+            x_k[at] = state[p_k[at]]
+            for i in np.unique(i_k[at]):
+                rows = at[i_k[at] == i]
+                state[p_k[rows]] = _euler_step(spec, int(i), x_k[rows], dt_k[rows], dw_k[rows])
+            dw_reg[p_k[at], k] += dw_k[at]
+        x_reg[:, k + 1] = state
 
     counts_reg = np.zeros((N, K, m), dtype=np.int16)
-    if atom_times.size:
-        atom_path = np.repeat(np.arange(N), np.diff(atom_offsets))
-        atom_step = np.searchsorted(regular, atom_times, side="left") - 1
-        np.add.at(counts_reg, (atom_path, atom_step, atom_marks.astype(int) - 1), 1)
+    np.add.at(counts_reg, (atom_path, node - 1, atom_marks.astype(int) - 1), 1)
 
     return PathBundle(
         h=T / K,
@@ -477,14 +451,13 @@ def _build_bundle(
         seed=int(seed),
         i0=spec.initial_regime,
         x0=spec.initial_state,
+        step_offsets=step_offsets,
+        path=path,
         times=times,
+        dt=dt,
         regime=regime,
         x=x,
         dw=dw,
-        dt=dt,
-        step_of=step_of,
-        n_nodes=n_nodes,
-        reg_pos=reg_pos,
         x_reg=x_reg,
         i_reg=i_reg,
         dw_reg=dw_reg,
@@ -504,11 +477,11 @@ def bundle_from_paths(
     """Deterministic bundle from explicit atoms and Brownian increments.
 
     Intended for tests: ``atoms_per_path[p]`` lists ``(time, mark)`` atoms
-    and ``dw_per_path[p]`` gives one increment row per concatenated
-    sub-interval (zeros when omitted). Atoms at equal times, or on a regular
-    time, share one grid node, whose regime is the mark of the last of them
-    in ``(time, mark)`` order. The merge, the Euler recursion and all derived
-    views are those of :func:`simulate_paths`.
+    and ``dw_per_path[p]`` gives one increment row per sub-interval of the
+    path's grid, in time order (zeros when omitted). Atoms at equal times, or
+    on a regular time, share one grid node, whose regime is the mark of the
+    last of them in ``(time, mark)`` order. The merge, the Euler recursion and
+    all derived views are those of :func:`simulate_paths`.
     """
     T = spec.horizon
     K = _step_count(T, h)
@@ -525,13 +498,14 @@ def bundle_from_paths(
         marks.extend(int(j) for _, j in atom_list)
         offsets.append(len(times))
 
-    def increments(dt: Array, real: Array) -> Array:
-        n_sub = real.sum(axis=1)
+    def increments(n_sub: Array) -> Callable[[Array, Array, Array], Array]:
         if dw_per_path is None:
-            return np.zeros((int(n_sub.sum()), spec.d))
-        return np.concatenate(
+            return lambda path, pos, dt: np.zeros((path.size, spec.d))
+        rows = np.concatenate(
             [np.asarray(dw_per_path[p], dtype=float).reshape(n, spec.d) for p, n in enumerate(n_sub)]
         )
+        first_row = np.cumsum(n_sub) - n_sub
+        return lambda path, pos, dt: rows[first_row[path] + pos]
 
     return _build_bundle(
         spec,
@@ -545,12 +519,18 @@ def bundle_from_paths(
 
 
 def dump_paths_csv(bundle: PathBundle, path) -> None:
-    """Write (path, s, regime, x_1..x_d) rows for every real grid node."""
+    """Write (path, s, regime, x_1..x_d) rows for every grid node, path by path in time order."""
+    order = np.argsort(bundle.path, kind="stable")
+    bounds = np.searchsorted(bundle.path[order], np.arange(bundle.N + 1))
     with open(path, "w", encoding="utf-8") as fh:
         cols = ",".join(f"x_{j+1}" for j in range(bundle.d))
         fh.write(f"path,s,regime,{cols}\n")
+
+        def node(p, s, regime, x):
+            xs = ",".join(repr(float(v)) for v in x)
+            fh.write(f"{p},{float(s)!r},{int(regime)},{xs}\n")
+
         for p in range(bundle.N):
-            n = bundle.n_nodes[p]
-            for l in range(n):
-                xs = ",".join(repr(float(v)) for v in bundle.x[p, l])
-                fh.write(f"{p},{float(bundle.times[p, l])!r},{int(bundle.regime[p, l])},{xs}\n")
+            for s in order[bounds[p] : bounds[p + 1]]:
+                node(p, bundle.times[s], bundle.regime[s], bundle.x[s])
+            node(p, bundle.T, bundle.i_reg[p, -1], bundle.x_reg[p, -1])

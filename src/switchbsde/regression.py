@@ -185,7 +185,7 @@ def build_design(basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array) ->
     if not basis.stratify_by_regime:
         return {POOLED: _Block(rows=np.arange(xs.shape[0]), matrix=_features(basis, xs))}
     blocks: dict[int, _Block] = {}
-    for r in np.unique(regimes):
+    for r in np.flatnonzero(np.bincount(regimes)):
         rows = np.flatnonzero(regimes == r)
         blocks[int(r)] = _Block(rows=rows, matrix=_features(basis, xs[rows]))
     return blocks

@@ -1,6 +1,8 @@
+import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from switchbsde.cli import COMMANDS, main, run
@@ -46,8 +48,18 @@ class TestConfigErrors:
         del payload["seed"]
         cfg = write_config(tmp_path, payload)
         assert run("solve", cfg, out=str(tmp_path)) == 3
-        # but a CLI override suffices
-        assert run("solve", cfg, seed=5, out=str(tmp_path)) == 0
+        # but a CLI override suffices, a numpy integer too
+        assert run("solve", cfg, seed=5, out=str(tmp_path / "a")) == 0
+        assert run("solve", cfg, seed=np.int64(5), out=str(tmp_path / "b")) == 0
+        assert (tmp_path / "a" / "result.json").read_bytes() == (tmp_path / "b" / "result.json").read_bytes()
+
+    @pytest.mark.parametrize("seed", [2.7, 2.0, True, False, "5"])
+    def test_non_integer_seed_override_refused(self, tmp_path, capsys, seed):
+        # refused as the config's own non-integer seed is, not truncated to an integer
+        out = tmp_path / "out"
+        assert run("solve", write_config(tmp_path, solve_config()), seed=seed, out=str(out)) == 3
+        assert "seed must be an integer" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_negative_seed_refused(self, tmp_path, capsys, command):
@@ -224,6 +236,23 @@ class TestOtherCommands:
         cfg = write_config(tmp_path, solve_config())
         assert run("simulate", cfg, out=str(tmp_path / "s")) == 0
         assert (tmp_path / "s" / "paths.csv").exists()
+
+    def test_simulate_paths_csv_pinned(self, tmp_path):
+        """The bytes of paths.csv on a switch3 run with several atoms per step, for any worker count.
+
+        The digest was recorded from the padded per-path layout that preceded
+        the step-major sub-interval arrays.
+        """
+        payload = {
+            "problem": {"name": "switch3", "overrides": {"intensity": [6.0, 4.0, 2.0]}},
+            "scheme": {"h": 0.125, "paths": 40},
+            "seed": 19,
+        }
+        cfg = write_config(tmp_path, payload)
+        for w in (1, 2):
+            assert run("simulate", cfg, workers=w, out=str(tmp_path / f"w{w}")) == 0
+            data = (tmp_path / f"w{w}" / "paths.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == "f115ebfa01f5534fb202ba5d663e943eea2a61c45b87ec9ea2a16a53a2269949"
 
     def test_oracle_penalized_requires_level(self, tmp_path):
         payload = solve_config(problem={"name": "switch2-linear", "overrides": {}})

@@ -73,10 +73,20 @@ class TestSampleJumpMarks:
         assert times[0] > 0 and times[-1] <= 2.0
 
 
+def path_nodes(b, p):
+    """(times, regimes, states) of every grid node of path p in time order, the terminal node last."""
+    sub = np.flatnonzero(b.path == p)  # sub-intervals are ordered by step, then time, within a path
+    return (
+        np.append(b.times[sub], b.T),
+        np.append(b.regime[sub], b.i_reg[p, -1]),
+        np.concatenate([b.x[sub], b.x_reg[p, -1:]]),
+    )
+
+
 def regime_at(b, p, t):
     """Right-continuous regime of path p at time t, read off the bundle's grid."""
-    grid = b.times[p, : b.n_nodes[p]]
-    return int(b.regime[p, np.searchsorted(grid, t, side="right") - 1])
+    grid, regimes, _ = path_nodes(b, p)
+    return int(regimes[np.searchsorted(grid, t, side="right") - 1])
 
 
 def spec_from(name, T=1.0, i0=1):
@@ -196,7 +206,8 @@ class TestSimulatePaths:
             x0=0.4,
         )
         b = simulate_paths(spec, 20, 0.25, seed=0)
-        assert np.all(b.x == 0.4)
+        assert b.atom_times.size > 0
+        assert np.all(b.x == 0.4) and np.all(b.x_reg == 0.4)
 
     def test_unit_drift_exact(self):
         spec = diffusion_spec(
@@ -224,9 +235,8 @@ class TestSimulatePaths:
         spec = build_problem("switch2-linear")
         a = simulate_paths(spec, 64, 0.1, seed=99)
         b = simulate_paths(spec, 64, 0.1, seed=99)
-        np.testing.assert_array_equal(a.x, b.x)
-        np.testing.assert_array_equal(a.dw, b.dw)
-        np.testing.assert_array_equal(a.regime, b.regime)
+        for name in ("step_offsets", "path", "times", "x", "dw", "regime"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name), err_msg=name)
         c = simulate_paths(spec, 64, 0.1, seed=100)
         assert not np.array_equal(a.x, c.x)
 
@@ -274,28 +284,50 @@ class TestSimulatePaths:
         b = simulate_paths(spec, 40, 0.125, seed=3)
         regular = b.regular
         for p in range(b.N):
-            grid = b.times[p, : b.n_nodes[p]]
+            grid = path_nodes(b, p)[0]
             assert np.all(np.isin(regular, grid))
             np.testing.assert_array_equal(grid, np.unique(np.concatenate([regular, path_atoms(b, p)[0]])))
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_step_major_layout(self, seed):
+        """Step k lists, path by path, one sub-interval from t_k and then one per node inside the step."""
+        spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
+        b = simulate_paths(spec, 200, 0.125, seed=seed)
+        assert b.step_offsets[0] == 0 and b.step_offsets[b.K] == b.dt.size
+        for k, (t_k, t_next) in enumerate(zip(b.regular[:-1], b.regular[1:])):
+            block = slice(b.step_offsets[k], b.step_offsets[k + 1])
+            paths, starts = b.path[block], b.times[block]
+            assert np.all(np.diff(paths) >= 0)
+            opens = starts == t_k
+            # exactly one sub-interval per path starts at t_k, and it opens the path's block
+            np.testing.assert_array_equal(paths[opens], np.arange(b.N))
+            np.testing.assert_array_equal(np.flatnonzero(opens), np.flatnonzero(np.diff(paths, prepend=-1)))
+            later = starts[1:][paths[1:] == paths[:-1]]
+            assert np.all((later > t_k) & (later < t_next))
+            assert np.all(np.diff(starts)[paths[1:] == paths[:-1]] > 0)
+            np.testing.assert_allclose(np.bincount(paths, b.dt[block]), b.h, rtol=0, atol=1e-12)
+            dw_step = np.zeros((b.N, b.d))
+            np.add.at(dw_step, paths, b.dw[block])  # in time order within each path
+            np.testing.assert_array_equal(b.dw_reg[:, k], dw_step)
+        assert np.bincount(b.path[: b.step_offsets[1]]).max() >= 3
 
     def test_euler_recursion_recomputes_exactly(self):
         spec = build_problem("switch2-linear")
         b = simulate_paths(spec, 30, 0.1, seed=21)
         for p in range(5):
-            n = b.n_nodes[p]
-            x = b.x[p, 0][None, :]
-            for l in range(n - 1):
-                i = int(b.regime[p, l])
-                x = _euler_step(spec, i, x, b.dt[p, l : l + 1], b.dw[p, l][None, :])
-                np.testing.assert_array_equal(x[0], b.x[p, l + 1])
+            sub = np.flatnonzero(b.path == p)
+            x = b.x[sub[0]][None, :]
+            for s in sub:
+                np.testing.assert_array_equal(x[0], b.x[s])
+                x = _euler_step(spec, int(b.regime[s]), x, b.dt[s : s + 1], b.dw[s][None, :])
+            np.testing.assert_array_equal(x[0], b.x_reg[p, -1])
 
     def test_regime_changes_only_at_atoms(self):
         spec = build_problem("switch2-linear")
         b = simulate_paths(spec, 50, 0.05, seed=33)
         for p in range(b.N):
             times, marks = path_atoms(b, p)
-            grid = b.times[p, : b.n_nodes[p]]
-            reg = b.regime[p, : b.n_nodes[p]]
+            grid, reg, _ = path_nodes(b, p)
             changes = np.flatnonzero(np.diff(reg.astype(int)) != 0)
             for c in changes:
                 t_change = grid[c + 1]
@@ -306,8 +338,10 @@ class TestSimulatePaths:
     def test_initial_conditions(self):
         spec = build_problem("switch2-linear", {"x0": [0.7], "i0": 1})
         b = simulate_paths(spec, 10, 0.1, seed=2)
-        assert np.all(b.x[:, 0, 0] == 0.7)
-        assert np.all(b.regime[:, 0] == 1)
+        start = b.times == 0.0
+        assert np.array_equal(b.path[start], np.arange(b.N))
+        assert np.all(b.x[start, 0] == 0.7) and np.all(b.x_reg[:, 0, 0] == 0.7)
+        assert np.all(b.regime[start] == 1) and np.all(b.i_reg[:, 0] == 1)
 
     def test_weak_euler_error_halves_for_linear_drift(self):
         a = 1.0
@@ -403,9 +437,9 @@ class TestSimulatePaths:
             times, marks = sample_jump_marks(spec.intensity, spec.horizon, rng)
             np.testing.assert_array_equal(path_atoms(b, p)[0], times)
             np.testing.assert_array_equal(path_atoms(b, p)[1], marks)
-            n_sub = b.n_nodes[p] - 1
-            normals = rng.standard_normal((n_sub, spec.d))
-            np.testing.assert_array_equal(b.dw[p, :n_sub], normals * np.sqrt(b.dt[p, :n_sub])[:, None])
+            sub = np.flatnonzero(b.path == p)
+            normals = rng.standard_normal((sub.size, spec.d))
+            np.testing.assert_array_equal(b.dw[sub], normals * np.sqrt(b.dt[sub])[:, None])
 
 
 class TestBundleFromPaths:
@@ -426,12 +460,15 @@ class TestBundleFromPaths:
         with pytest.raises(ValueError, match="nonpositive time"):
             bundle_from_paths(spec, 0.25, [[(0.2, 1)], [(0.0, 2)]])
 
-    def test_merge_edge_cases(self):
+    def test_merge_edge_cases(self, tmp_path):
         """Coincident times share one node, as np.unique merges them.
 
-        The expected arrays were recorded from the per-path merge
-        (``np.unique`` of regular and atom times) that preceded the
-        vectorized one.
+        The expected arrays were recorded as padded per-path grids from the
+        per-path merge (``np.unique`` of regular and atom times) that preceded
+        the vectorized one, and converted by hand to the step-major layout:
+        each step lists, path by path, the sub-interval from ``t_k`` and then
+        one per node inside the step, and ``i_reg`` holds the recorded regime
+        at each path's regular nodes.
         """
         spec = build_problem("switch2-linear", {"T": 0.5, "i0": 1})
         b = bundle_from_paths(
@@ -447,18 +484,40 @@ class TestBundleFromPaths:
             ],
         )
         expected = {
-            "times": [[0.0, 0.25, 0.5, 0.5], [0.0, 0.1, 0.25, 0.5], [0.0, 0.25, 0.5, 0.5], [0.0, 0.25, 0.5, 0.5],
-                      [0.0, 0.25, 0.3, 0.5], [0.0, 0.1, 0.25, 0.5]],
-            "n_nodes": [3, 4, 3, 3, 4, 4],
-            "regime": [[1, 2, 2, 2], [1, 2, 2, 2], [1, 1, 2, 2], [1, 1, 1, 1], [1, 2, 2, 1], [1, 1, 1, 1]],
-            "reg_pos": [[0, 1, 2], [0, 2, 3], [0, 1, 2], [0, 1, 2], [0, 1, 3], [0, 2, 3]],
-            "step_of": [[0, 1, 0], [0, 0, 1], [0, 1, 0], [0, 1, 0], [0, 1, 1], [0, 0, 1]],
+            "step_offsets": [0, 8, 15],
+            "path": [0, 1, 1, 2, 3, 4, 5, 5, 0, 1, 2, 3, 4, 4, 5],
+            "times": [0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.1, 0.25, 0.25, 0.25, 0.25, 0.25, 0.3, 0.25],
+            "regime": [1, 1, 2, 1, 1, 1, 1, 1, 2, 2, 1, 1, 2, 2, 1],
+            "i_reg": [[1, 2, 2], [1, 2, 2], [1, 1, 2], [1, 1, 1], [1, 2, 1], [1, 1, 1]],
             "counts_reg": [[[0, 1], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]],
                            [[0, 1], [2, 1]], [[1, 0], [0, 0]]],
         }
         for name, values in expected.items():
             np.testing.assert_array_equal(getattr(b, name), values, err_msg=name)
-        np.testing.assert_array_equal(b.dt > 0, np.arange(3) < b.n_nodes[:, None] - 1)
+        ends = np.array([0.25, 0.1, 0.25, 0.25, 0.25, 0.25, 0.1, 0.25, 0.5, 0.5, 0.5, 0.5, 0.3, 0.5, 0.5])
+        np.testing.assert_array_equal(b.dt, ends - b.times)
+
+        # paths.csv lists each path's recorded nodes in time order, then its terminal node at T
+        nodes = {p: [] for p in range(b.N)}
+        for p, t, i in zip(expected["path"], expected["times"], expected["regime"]):
+            nodes[p].append((t, i))
+        forward.dump_paths_csv(b, tmp_path / "paths.csv")
+        rows = (tmp_path / "paths.csv").read_text().splitlines()
+        assert rows[0] == "path,s,regime,x_1"
+        written = [(int(p), float(t), int(i)) for p, t, i, _ in (row.split(",") for row in rows[1:])]
+        assert written == [(p, t, i) for p in range(b.N) for t, i in [*nodes[p], (0.5, expected["i_reg"][p][-1])]]
+
+    def test_increments_follow_merged_grid(self):
+        """dw_per_path gives one row per sub-interval left after the merge, and any other count is refused."""
+        spec = build_problem("switch2-linear", {"T": 0.5})
+        atoms = [[(0.25, 2), (0.1, 2), (0.1, 1), (0.3, 1)], []]  # path 0: 2 steps + 2 new nodes
+        dws = [np.arange(4.0), np.array([5.0, 6.0])]
+        b = bundle_from_paths(spec, 0.25, atoms, dws)
+        np.testing.assert_array_equal(b.dw[b.path == 0, 0], dws[0])
+        np.testing.assert_array_equal(b.dw[b.path == 1, 0], dws[1])
+        np.testing.assert_array_equal(b.dw_reg[:, :, 0], [[1.0, 5.0], [5.0, 6.0]])
+        with pytest.raises(ValueError):
+            bundle_from_paths(spec, 0.25, atoms, [np.arange(5.0), dws[1]])
 
     def test_manual_atoms_and_grid(self):
         spec = build_problem("switch2-linear", {"T": 0.5})
