@@ -69,8 +69,8 @@ class SchemeConfig:
     def __post_init__(self) -> None:
         if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
             raise ValueError(f"penalization level must be a nonnegative integer, got {self.n!r}")
-        if self.paths < 1:
-            raise ValueError("path count must be >= 1")
+        if isinstance(self.paths, bool) or not isinstance(self.paths, (int, np.integer)) or self.paths < 1:
+            raise ValueError(f"path count must be an integer >= 1, got {self.paths!r}")
         if not self.h > 0:
             raise ValueError("time step must be positive")
         if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
@@ -116,6 +116,7 @@ class _StepView:
     k: int
     regimes: Array           # (N,) int regime at t_k
     xs: Array                # (N, d) state at t_k
+    dw: Optional[Array]      # (N, d) Brownian increment over the step; None at k = K
     counts: Optional[Array]  # (N, m) float mark counts over the step; None at k = K
     strata: Array            # regimes present at t_k, increasing
     blocks: Optional[dict] = None  # design blocks, built by the step's first fit
@@ -124,10 +125,10 @@ class _StepView:
 class MonteCarloEnsemble:
     """Per-step view of a :class:`PathBundle` with OLS conditional expectations.
 
-    The arrays of one step (regimes, states, float counts, present strata,
+    The arrays of one step (regimes, states, increments, float counts, strata,
     design blocks and their Gram factors) live in a :class:`_StepView` that is
-    built on the step's first access and replaced when another step is asked
-    for, so the backward pass keeps one step alive at a time.
+    built on the step's first access, from the bundle's per-step reads, and
+    replaced when another step is asked for: one step is alive at a time.
     """
 
     exact = False
@@ -151,13 +152,14 @@ class MonteCarloEnsemble:
     def _view(self, k: int) -> _StepView:
         if self._step is None or self._step.k != k:
             self._step = None  # release the previous step before building this one
-            b = self.bundle
-            regimes = b.i_reg[:, k].astype(int)
+            regimes, xs = self.bundle.nodes(k)
+            dw, counts = self.bundle.step_increments(k) if k < self.n_steps else (None, None)
             self._step = _StepView(
                 k=k,
-                regimes=regimes,
-                xs=np.ascontiguousarray(b.x_reg[:, k, :]),
-                counts=b.counts_reg[:, k, :].astype(float) if k < self.n_steps else None,
+                regimes=regimes.astype(int),
+                xs=xs,
+                dw=dw,
+                counts=None if counts is None else counts.astype(float),
                 strata=np.flatnonzero(np.bincount(regimes)),
             )
         return self._step
@@ -174,14 +176,15 @@ class MonteCarloEnsemble:
 
     def edge_arrays(self, k: int):
         """tail, head, prob, dW, counts for step k (one edge per path)."""
-        return self._arange, self._arange, None, self.bundle.dw_reg[:, k, :], self._view(k).counts
+        view = self._view(k)
+        return self._arange, self._arange, None, view.dw, view.counts
 
     def segments(self, k: int):
         """(edge, tail unit, head unit, duration, regime) of the step's sub-intervals.
 
         Edges are paths, so the edge index is the tail and the head unit too.
         """
-        paths, durations, regimes = self.bundle.step_segments()[k]
+        paths, durations, regimes = self.bundle.step_segments(k)
         return paths, paths, paths, durations, regimes
 
     def edge_to_unit(self, k: int, values: Array) -> Array:
@@ -229,12 +232,12 @@ class MonteCarloEnsemble:
         Steps ``1..K-1`` are fitted (step 0 is a plain mean); ``None`` when
         there are none.
         """
-        fitted = self.bundle.i_reg[:, 1 : self.n_steps]
-        if fitted.shape[1] == 0:
+        if self.n_steps < 2:
             return None
         if not self.basis.stratify_by_regime:
             return self.bundle.N
-        return min(int(c[c > 0].min()) for c in map(np.bincount, fitted.T))
+        counts = (np.bincount(self.bundle.nodes(k)[0]) for k in range(1, self.n_steps))
+        return min(int(c[c > 0].min()) for c in counts)
 
     def absent_strata(self, k: int) -> list[int]:
         present = set(self._view(k).strata.tolist())

@@ -30,10 +30,9 @@ with numpy's own ``SeedSequence`` (``TestBulkSeeding``), and
 Simulation runs in two phases. A per-path loop only draws: it takes
 ``K + count`` normal rows, enough for the longest grid the path can have,
 and an atom that merges with a grid node leaves the tail unused. That is
-why the normals must stay the last draws of a path. A vectorized build
-then lays the sub-intervals out step-major (:class:`PathBundle`), one
-regular step at a time, and runs the step's Euler updates over all paths at
-once, one rank of sub-interval within the step at a time.
+why the normals must stay the last draws of a path. A vectorized build then
+runs the Euler updates one regular step at a time over all paths and stores
+each sub-interval once, step-major (:class:`PathBundle`).
 """
 
 from __future__ import annotations
@@ -98,12 +97,10 @@ class PathBundle:
     sub-interval from ``t_k`` followed by one from each of its atoms inside
     ``(t_k, t_{k+1})``. ``regime[s]`` holds on ``[times[s], times[s] + dt[s])``
     (right-continuous); ``x[s]`` is the state at its start and ``dw[s]`` its
-    Brownian increment. The terminal node is ``(T, i_reg[:, K], x_reg[:, K])``.
+    Brownian increment. The terminal node is ``(T, i_T, x_T)``.
 
-    Regular-grid views (``x_reg``, ``i_reg``, ``dw_reg``, ``counts_reg``)
-    are derived once at build time: ``dw_reg[p, k]`` is the aggregate
-    Brownian increment over ``(t_k, t_{k+1}]`` and ``counts_reg[p, k, j-1]``
-    the number of mark-j atoms there.
+    Only this module knows the layout: other code reads one regular step at a
+    time, through :meth:`step_segments`, :meth:`nodes` and :meth:`step_increments`.
     """
 
     h: float
@@ -113,8 +110,6 @@ class PathBundle:
     m: int
     T: float
     seed: int
-    i0: int
-    x0: Array
     # sub-intervals, ordered by (step, path, time)
     step_offsets: Array  # (K+1,) start of each step's sub-intervals
     path: Array       # (S,) int32
@@ -123,11 +118,8 @@ class PathBundle:
     regime: Array     # (S,) int16
     x: Array          # (S, d) state at the start
     dw: Array         # (S, d)
-    # regular-grid views
-    x_reg: Array      # (N, K+1, d)
-    i_reg: Array      # (N, K+1) int16
-    dw_reg: Array     # (N, K, d)
-    counts_reg: Array  # (N, K, m) int16
+    x_T: Array        # (N, d) terminal state
+    i_T: Array        # (N,) int16 terminal regime
     # flat atom storage
     atom_offsets: Array  # (N+1,)
     atom_times: Array
@@ -137,11 +129,29 @@ class PathBundle:
     def regular(self) -> Array:
         return np.linspace(0.0, self.T, self.K + 1)
 
-    def step_segments(self) -> list[tuple[Array, Array, Array]]:
-        """Per regular step: (path index, duration, regime) of its sub-intervals,
-        ordered by path and then by time."""
-        bounds = self.step_offsets
-        return [(self.path[lo:hi], self.dt[lo:hi], self.regime[lo:hi]) for lo, hi in zip(bounds[:-1], bounds[1:])]
+    def step_segments(self, k: int) -> tuple[Array, Array, Array]:
+        """(path index, duration, regime) of step ``k``'s sub-intervals, by path and then time."""
+        lo, hi = self.step_offsets[k : k + 2]
+        return self.path[lo:hi], self.dt[lo:hi], self.regime[lo:hi]
+
+    def nodes(self, k: int) -> tuple[Array, Array]:
+        """(regime, state) of every path at ``t_k``: shapes (N,) and (N, d)."""
+        if k == self.K:
+            return self.i_T, self.x_T
+        lo, hi = self.step_offsets[k : k + 2]
+        first = lo + np.flatnonzero(self.times[lo:hi] == self.regular[k])  # the others start inside the step
+        return self.regime[first], self.x[first]
+
+    def step_increments(self, k: int) -> tuple[Array, Array]:
+        """(dW, counts) of every path over ``(t_k, t_{k+1}]``: the Brownian increment
+        (N, d), summed in time order, and the number of mark-j atoms (N, m) at ``[:, j-1]``."""
+        lo, hi = self.step_offsets[k : k + 2]
+        dw = np.stack([np.bincount(self.path[lo:hi], self.dw[lo:hi, j], self.N) for j in range(self.d)], axis=1)
+        t_k, t_next = self.regular[k : k + 2]  # the build's rule: searchsorted(regular, t, "left") - 1 == k
+        atoms = np.flatnonzero((t_k < self.atom_times) & (self.atom_times <= t_next))
+        owner = np.searchsorted(self.atom_offsets, atoms, side="right") - 1
+        counts = np.bincount(owner * self.m + self.atom_marks[atoms] - 1, minlength=self.N * self.m)
+        return dw, counts.reshape(self.N, self.m)
 
 
 def _euler_step(spec: ProblemSpec, i: int, x: Array, dt: Array, dw: Array) -> Array:
@@ -329,8 +339,8 @@ def simulate_paths(
     rebuild the problem (coefficient closures do not cross process
     boundaries).
     """
-    if N < 1:
-        raise ValueError("path count must be >= 1")
+    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+        raise ValueError(f"path count must be an integer >= 1, got {N!r}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
     if workers < 1:
@@ -386,7 +396,7 @@ def _build_bundle(
     latest = np.zeros((N, K + 1), dtype=np.int32)  # 1 + index of the latest atom at or before t_k
     np.maximum.at(latest, (atom_path, node), np.arange(1, atom_times.size + 1, dtype=np.int32))
     np.maximum.accumulate(latest, axis=1, out=latest)
-    i_reg = np.concatenate(([spec.initial_regime], atom_marks)).astype(np.int16)[latest]
+    node_regime = np.concatenate(([spec.initial_regime], atom_marks)).astype(np.int16)[latest]
     del latest
 
     # runs of equal times within a path share one node; a new atom starts a run off the regular grid
@@ -406,9 +416,7 @@ def _build_bundle(
     S = int(step_offsets[-1])
     path, times, dt, regime = np.empty(S, dtype=np.int32), np.empty(S), np.empty(S), np.empty(S, dtype=np.int16)
     x, dw = np.empty((S, d)), np.empty((S, d))
-    x_reg, dw_reg = np.empty((N, K + 1, d)), np.zeros((N, K, d))
-    x_reg[:, 0] = spec.initial_state
-    state = x_reg[:, 0].copy()
+    state = np.tile(spec.initial_state, (N, 1))
     paths = np.arange(N, dtype=np.int32)
     earlier = np.zeros(N, dtype=int)  # new atoms of each path in the steps before
     for k in range(K):
@@ -421,7 +429,7 @@ def _build_bundle(
         slot = np.arange(1, a_path.size + 1) + a_path  # then its atoms', in time order
         p_k[first], p_k[slot] = paths, a_path
         s_k[first], s_k[slot] = regular[k], new_time[a]
-        i_k[first], i_k[slot] = i_reg[:, k], new_regime[a]
+        i_k[first], i_k[slot] = node_regime[:, k], new_regime[a]
         # a sub-interval ends where the next of its path starts: at its block's next atom, or at t_{k+1}
         dt_k[:-1] = s_k[1:]
         dt_k[first + count] = regular[k + 1]
@@ -435,11 +443,6 @@ def _build_bundle(
             for i in np.unique(i_k[at]):
                 rows = at[i_k[at] == i]
                 state[p_k[rows]] = _euler_step(spec, int(i), x_k[rows], dt_k[rows], dw_k[rows])
-            dw_reg[p_k[at], k] += dw_k[at]
-        x_reg[:, k + 1] = state
-
-    counts_reg = np.zeros((N, K, m), dtype=np.int16)
-    np.add.at(counts_reg, (atom_path, node - 1, atom_marks.astype(int) - 1), 1)
 
     return PathBundle(
         h=T / K,
@@ -449,8 +452,6 @@ def _build_bundle(
         m=m,
         T=T,
         seed=int(seed),
-        i0=spec.initial_regime,
-        x0=spec.initial_state,
         step_offsets=step_offsets,
         path=path,
         times=times,
@@ -458,10 +459,8 @@ def _build_bundle(
         regime=regime,
         x=x,
         dw=dw,
-        x_reg=x_reg,
-        i_reg=i_reg,
-        dw_reg=dw_reg,
-        counts_reg=counts_reg,
+        x_T=state,
+        i_T=node_regime[:, K].copy(),
         atom_offsets=atom_offsets,
         atom_times=atom_times,
         atom_marks=atom_marks,
@@ -481,8 +480,10 @@ def bundle_from_paths(
     path's grid, in time order (zeros when omitted). Atoms at equal times, or
     on a regular time, share one grid node, whose regime is the mark of the
     last of them in ``(time, mark)`` order. The merge, the Euler recursion and
-    all derived views are those of :func:`simulate_paths`.
+    the layout are those of :func:`simulate_paths`.
     """
+    if dw_per_path is not None and len(dw_per_path) != len(atoms_per_path):
+        raise ValueError(f"{len(dw_per_path)} increment arrays for {len(atoms_per_path)} paths")
     T = spec.horizon
     K = _step_count(T, h)
     offsets, times, marks = [0], [], []
@@ -520,17 +521,13 @@ def bundle_from_paths(
 
 def dump_paths_csv(bundle: PathBundle, path) -> None:
     """Write (path, s, regime, x_1..x_d) rows for every grid node, path by path in time order."""
+    regime_T, x_T = bundle.nodes(bundle.K)
     order = np.argsort(bundle.path, kind="stable")
     bounds = np.searchsorted(bundle.path[order], np.arange(bundle.N + 1))
     with open(path, "w", encoding="utf-8") as fh:
-        cols = ",".join(f"x_{j+1}" for j in range(bundle.d))
-        fh.write(f"path,s,regime,{cols}\n")
-
-        def node(p, s, regime, x):
-            xs = ",".join(repr(float(v)) for v in x)
-            fh.write(f"{p},{float(s)!r},{int(regime)},{xs}\n")
-
+        fh.write("path,s,regime," + ",".join(f"x_{j+1}" for j in range(bundle.d)) + "\n")
         for p in range(bundle.N):
-            for s in order[bounds[p] : bounds[p + 1]]:
-                node(p, bundle.times[s], bundle.regime[s], bundle.x[s])
-            node(p, bundle.T, bundle.i_reg[p, -1], bundle.x_reg[p, -1])
+            rows = order[bounds[p] : bounds[p + 1]]
+            nodes = zip(bundle.times[rows], bundle.regime[rows], bundle.x[rows])
+            for s, regime, x in [*nodes, (bundle.T, regime_T[p], x_T[p])]:
+                fh.write(f"{p},{float(s)!r},{int(regime)},{','.join(repr(float(v)) for v in x)}\n")

@@ -50,7 +50,7 @@ def test_criterion_01_martingale_benchmark():
     bundle = simulate_paths(spec, 10_000, 0.05, seed=42)
     result = solve_backward(spec, SchemeConfig(h=0.05, n=0, paths=10_000, seed=42), bundle)
     elapsed = time.monotonic() - start
-    band = 3.0 * float(np.std(bundle.x_reg[:, -1, 0])) / np.sqrt(bundle.N)
+    band = 3.0 * float(np.std(bundle.x_T[:, 0])) / np.sqrt(bundle.N)
     gap = abs(result.y0 - 0.7)
     ok = gap <= band and elapsed <= 30.0
     report("criterion 1", ok, f"|y0 - 0.7| = {gap:.4f} <= {band:.4f}, runtime {elapsed:.1f}s <= 30s")
@@ -62,7 +62,7 @@ def test_criterion_02_quadratic_benchmark():
     spec = build_problem("bm1-quad")
     bundle = simulate_paths(spec, 10_000, 0.02, seed=42)
     result = solve_backward(spec, SchemeConfig(h=0.02, n=0, paths=10_000, seed=42), bundle)
-    payoff = spec.terminal(1, bundle.x_reg[:, -1, :])
+    payoff = spec.terminal(1, bundle.x_T)
     band = 3.0 * float(np.std(payoff)) / np.sqrt(bundle.N) + 0.02
     gap = abs(result.y0 - 1.0)
     report("criterion 2", gap <= band, f"|y0 - 1.0| = {gap:.4f} <= {band:.4f}")
@@ -223,7 +223,7 @@ def test_criterion_09_forward_laws():
     gaps = []
     for h in (0.1, 0.05):
         bundle = simulate_paths(linear_drift_spec(), 100_000, h, seed=5)
-        gaps.append(abs(float(bundle.x_reg[:, -1, 0].mean()) - np.e))
+        gaps.append(abs(float(bundle.x_T[:, 0].mean()) - np.e))
     ratio = gaps[1] / gaps[0]
     ratio_ok = 0.35 <= ratio <= 0.65
 

@@ -61,5 +61,5 @@ def test_tracer_installs_and_uninstalls_cleanly():
     # one constraint pass per step: every mark on every sub-interval, once per level
     assert metrics["problem.constraint_rows"] == len(levels) * spec.m * metrics["forward.subintervals"]
     # one fit per (step, family, stratum): z, u and y each fit all their columns at once
-    strata = sum(len(np.unique(bundle.i_reg[:, k])) for k in range(1, bundle.K))
+    strata = sum(len(np.unique(bundle.nodes(k)[0])) for k in range(1, bundle.K))
     assert metrics["regression.fit_calls"] == len(levels) * 3 * strata

@@ -65,7 +65,7 @@ class TestEstimateZ:
         # default quadratic basis: noise stays small away from the tails
         ens2 = make_ensemble(spec, SchemeConfig(h=0.25, paths=20_000, seed=3), bundle)
         z2, _ = estimate_z(ens2, 2, np.full(bundle.N, 5.0))
-        xs = bundle.x_reg[:, 2, 0]
+        xs = bundle.nodes(2)[1][:, 0]
         interior = np.abs(xs - xs.mean()) <= xs.std()
         assert np.max(np.abs(z2[interior])) <= 0.25
 
@@ -191,7 +191,7 @@ class TestStepAndSolve:
         spec = build_problem("bm1")
         bundle = simulate_paths(spec, 200, 0.25, seed=5)
         result = solve_backward(spec, SchemeConfig(h=0.25, paths=200, seed=5), bundle)
-        g = spec.terminal(1, bundle.x_reg[:, -1, :])
+        g = spec.terminal(1, bundle.x_T)
         np.testing.assert_array_equal(result.ys[-1], g)
 
     def test_tower_property_on_chain(self):
@@ -213,14 +213,14 @@ class TestStepAndSolve:
         spec = build_problem("bm1")
         bundle = simulate_paths(spec, 10_000, 0.05, seed=42)
         result = solve_backward(spec, SchemeConfig(h=0.05, paths=10_000, seed=42), bundle)
-        se = float(np.std(bundle.x_reg[:, -1, 0]) / np.sqrt(bundle.N))
+        se = float(np.std(bundle.x_T[:, 0]) / np.sqrt(bundle.N))
         assert abs(result.y0 - 0.7) <= 3 * se
 
     def test_bm1_quad(self):
         spec = build_problem("bm1-quad")
         bundle = simulate_paths(spec, 10_000, 0.02, seed=7)
         result = solve_backward(spec, SchemeConfig(h=0.02, paths=10_000, seed=7), bundle)
-        g = spec.terminal(1, bundle.x_reg[:, -1, :])
+        g = spec.terminal(1, bundle.x_T)
         se = float(np.std(g) / np.sqrt(bundle.N))
         assert abs(result.y0 - 1.0) <= 3 * se + 0.02
 
@@ -266,7 +266,7 @@ class TestStepAndSolve:
         result = solve_backward(spec, cfg, bundle)
         assert result.clipped_fraction > 0
         for k in range(bundle.K):
-            bound = spec.growth_radius(bundle.x_reg[:, k, :])
+            bound = spec.growth_radius(bundle.nodes(k)[1])
             assert np.all(np.abs(result.ys[k]) <= bound + 1e-12)
 
     def test_non_finite_target_aborts_with_step(self):
@@ -294,6 +294,12 @@ class TestStepAndSolve:
     def test_bad_ridge_rejected_at_config(self, ridge):
         with pytest.raises(ValueError, match="ridge"):
             SchemeConfig(h=0.25, ridge=ridge)
+
+    @pytest.mark.parametrize("paths", [0, -3, 2.5, 3.0, True, "10"])
+    def test_bad_path_count_rejected_at_config(self, paths):
+        with pytest.raises(ValueError, match="path count"):
+            SchemeConfig(h=0.25, paths=paths)
+        assert SchemeConfig(h=0.25, paths=np.int64(5)).paths == 5
 
     def test_warns_when_strata_thinner_than_basis(self):
         spec = build_problem("switch2-linear")
@@ -395,11 +401,11 @@ class TestStepView:
         y_next = rng.normal(size=bundle.N)
         z, u = rng.normal(size=(bundle.N, 1)), rng.normal(scale=0.5, size=(bundle.N, 3))
         for k in range(bundle.K):
-            paths, durations, regimes = bundle.step_segments()[k]
+            paths, durations, regimes = bundle.step_segments(k)
             assert np.bincount(paths).max() >= 3
             got = _driver_terms(spec, 16, ens, k, y_next, z, u)
             segments = (paths, paths, paths, durations, regimes)
-            want = reference_driver_terms(spec, 16, segments, bundle.x_reg[:, k], y_next, z, u, bundle.h, bundle.N)
+            want = reference_driver_terms(spec, 16, segments, bundle.nodes(k)[1], y_next, z, u, bundle.h, bundle.N)
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
@@ -462,7 +468,7 @@ class TestStepView:
         spec = build_problem("switch3")
         bundle = simulate_paths(spec, 1_000, 0.1, seed=2)
         result = solve_backward(spec, SchemeConfig(h=0.1, paths=1_000, seed=2), bundle)
-        strata = sum(len(np.unique(bundle.i_reg[:, k])) for k in range(1, bundle.K))
+        strata = sum(len(np.unique(bundle.nodes(k)[0])) for k in range(1, bundle.K))
         assert len(factored) == strata
         # z, u and y fit every stratum of every step: one column for z and y, three for u
         assert len(result.fit_records) == strata * (1 + 3 + 1)

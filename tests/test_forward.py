@@ -41,9 +41,20 @@ def path_atoms(b, p):
     return b.atom_times[sl], b.atom_marks[sl]
 
 
+def regular_nodes(b):
+    """(regimes (N, K+1), states (N, K+1, d)) at every regular time, read through ``nodes(k)``."""
+    read = [b.nodes(k) for k in range(b.K + 1)]
+    return np.stack([r for r, _ in read], axis=1), np.stack([x for _, x in read], axis=1)
+
+
+def step_counts(b):
+    """Mark counts per step, shape (N, K, m), read through ``step_increments(k)``."""
+    return np.stack([b.step_increments(k)[1] for k in range(b.K)], axis=1)
+
+
 def compensated(b, lam):
-    """Compensated mark counts per step, ``counts_reg - lambda_j * h``, shape (N, K, m)."""
-    return b.counts_reg - np.asarray(lam) * b.h
+    """Compensated mark counts per step, ``counts - lambda_j * h``, shape (N, K, m)."""
+    return step_counts(b) - np.asarray(lam) * b.h
 
 
 class TestSampleJumpMarks:
@@ -78,8 +89,8 @@ def path_nodes(b, p):
     sub = np.flatnonzero(b.path == p)  # sub-intervals are ordered by step, then time, within a path
     return (
         np.append(b.times[sub], b.T),
-        np.append(b.regime[sub], b.i_reg[p, -1]),
-        np.concatenate([b.x[sub], b.x_reg[p, -1:]]),
+        np.append(b.regime[sub], b.i_T[p]),
+        np.concatenate([b.x[sub], b.x_T[p : p + 1]]),
     )
 
 
@@ -110,9 +121,10 @@ class TestMarkedPoissonPath:
         spec = spec_from("switch2-linear")
         b = bundle_from_paths(spec, 0.25, [[(0.25, 1), (0.5, 2), (0.5001, 1)]])
         # step k counts the atoms in (t_k, t_k+1]: left end excluded, right included
-        np.testing.assert_array_equal(b.counts_reg[0, 1], [0, 1])
-        np.testing.assert_array_equal(b.counts_reg[0, 0], [1, 0])
-        np.testing.assert_array_equal(b.counts_reg[0, 2], [1, 0])
+        counts = step_counts(b)
+        np.testing.assert_array_equal(counts[0, 1], [0, 1])
+        np.testing.assert_array_equal(counts[0, 0], [1, 0])
+        np.testing.assert_array_equal(counts[0, 2], [1, 0])
 
 
 class TestRegimePath:
@@ -124,7 +136,7 @@ class TestRegimePath:
     def test_self_marks_change_nothing(self):
         b = bundle_from_paths(spec_from("switch2-linear", i0=2), 0.25, [[(0.3, 2), (0.7, 2)]])
         assert [regime_at(b, 0, t) for t in (0.0, 0.5, 0.9)] == [2, 2, 2]
-        assert b.counts_reg[0, :, 1].sum() == 2
+        assert step_counts(b)[0, :, 1].sum() == 2
 
     def test_switching_path(self):
         b = bundle_from_paths(spec_from("switch2-linear"), 0.25, [[(0.3, 2), (0.7, 1)]])
@@ -207,7 +219,7 @@ class TestSimulatePaths:
         )
         b = simulate_paths(spec, 20, 0.25, seed=0)
         assert b.atom_times.size > 0
-        assert np.all(b.x == 0.4) and np.all(b.x_reg == 0.4)
+        assert np.all(b.x == 0.4) and np.all(regular_nodes(b)[1] == 0.4)
 
     def test_unit_drift_exact(self):
         spec = diffusion_spec(
@@ -217,7 +229,7 @@ class TestSimulatePaths:
             x0=0.25,
         )
         b = simulate_paths(spec, 5, 0.2, seed=1)
-        np.testing.assert_allclose(b.x_reg[:, -1, 0], 1.25, atol=1e-12)
+        np.testing.assert_allclose(b.x_T[:, 0], 1.25, atol=1e-12)
 
     def test_terminal_variance(self):
         spec = diffusion_spec(
@@ -226,7 +238,7 @@ class TestSimulatePaths:
             intensity=(0.0,),
         )
         b = simulate_paths(spec, 100_000, 0.25, seed=11)
-        xT = b.x_reg[:, -1, 0]
+        xT = b.x_T[:, 0]
         var = xT.var()
         band = 3.0 * np.sqrt(2.0 / xT.size)  # var of chi2-normalized estimate
         assert abs(var - 1.0) <= band
@@ -244,8 +256,10 @@ class TestSimulatePaths:
         spec = build_problem("bm1")
         with pytest.raises(ValueError, match="does not divide"):
             simulate_paths(spec, 10, 0.3, seed=0)
-        with pytest.raises(ValueError, match=">= 1"):
-            simulate_paths(spec, 0, 0.25, seed=0)
+        for N in (0, True, 3.0, 2.5):  # a bool would build one path, a float fail inside numpy
+            with pytest.raises(ValueError, match="path count must be an integer >= 1"):
+                simulate_paths(spec, N, 0.25, seed=0)
+        assert simulate_paths(spec, np.int64(3), 0.25, seed=0).N == 3
         for seed in (-1, 2.7):
             with pytest.raises(ValueError, match="seed must be a non-negative integer"):
                 simulate_paths(spec, 10, 0.25, seed=seed)
@@ -308,7 +322,11 @@ class TestSimulatePaths:
             np.testing.assert_allclose(np.bincount(paths, b.dt[block]), b.h, rtol=0, atol=1e-12)
             dw_step = np.zeros((b.N, b.d))
             np.add.at(dw_step, paths, b.dw[block])  # in time order within each path
-            np.testing.assert_array_equal(b.dw_reg[:, k], dw_step)
+            np.testing.assert_array_equal(b.step_increments(k)[0], dw_step)
+            # the regression dates' nodes are the sub-intervals from t_k
+            regimes, xs = b.nodes(k)
+            np.testing.assert_array_equal(regimes, b.regime[block][opens])
+            np.testing.assert_array_equal(xs, b.x[block][opens])
         assert np.bincount(b.path[: b.step_offsets[1]]).max() >= 3
 
     def test_euler_recursion_recomputes_exactly(self):
@@ -320,7 +338,7 @@ class TestSimulatePaths:
             for s in sub:
                 np.testing.assert_array_equal(x[0], b.x[s])
                 x = _euler_step(spec, int(b.regime[s]), x, b.dt[s : s + 1], b.dw[s][None, :])
-            np.testing.assert_array_equal(x[0], b.x_reg[p, -1])
+            np.testing.assert_array_equal(x[0], b.x_T[p])
 
     def test_regime_changes_only_at_atoms(self):
         spec = build_problem("switch2-linear")
@@ -340,8 +358,9 @@ class TestSimulatePaths:
         b = simulate_paths(spec, 10, 0.1, seed=2)
         start = b.times == 0.0
         assert np.array_equal(b.path[start], np.arange(b.N))
-        assert np.all(b.x[start, 0] == 0.7) and np.all(b.x_reg[:, 0, 0] == 0.7)
-        assert np.all(b.regime[start] == 1) and np.all(b.i_reg[:, 0] == 1)
+        regimes_0, x_0 = b.nodes(0)
+        assert np.all(b.x[start, 0] == 0.7) and np.all(x_0[:, 0] == 0.7)
+        assert np.all(b.regime[start] == 1) and np.all(regimes_0 == 1)
 
     def test_weak_euler_error_halves_for_linear_drift(self):
         a = 1.0
@@ -354,7 +373,7 @@ class TestSimulatePaths:
                 x0=1.0,
             )
             b = simulate_paths(spec, 100_000, h, seed=5)
-            gaps.append(abs(b.x_reg[:, -1, 0].mean() - np.e))
+            gaps.append(abs(b.x_T[:, 0].mean() - np.e))
         ratio = gaps[1] / gaps[0]
         assert 0.5 - 0.3 * 0.5 <= ratio <= 0.5 + 0.3 * 0.5
 
@@ -365,13 +384,14 @@ class TestSimulatePaths:
         total = sum(lam)
         # jumps arrive at the total rate and land on j with prob lam_j/total
         p2 = (1.0 - np.exp(-total)) * lam[1] / total
-        freq2 = np.mean(b.i_reg[:, -1] == 2)
+        freq2 = np.mean(b.i_T == 2)
         band = 3.0 * np.sqrt(p2 * (1 - p2) / b.N)
         assert abs(freq2 - p2) <= band
 
     def test_jump_counts_match_atoms(self):
         spec = build_problem("switch2-linear")
         b = simulate_paths(spec, 40, 0.125, seed=13)
+        counts = step_counts(b)
         for p in range(b.N):
             times, marks = path_atoms(b, p)
             regular = b.regular
@@ -379,7 +399,7 @@ class TestSimulatePaths:
                 for j in (1, 2):
                     inside = (times > regular[k]) & (times <= regular[k + 1])
                     expected = np.count_nonzero(inside & (marks == j))
-                    assert b.counts_reg[p, k, j - 1] == expected
+                    assert counts[p, k, j - 1] == expected
 
     def test_multidimensional_state(self):
         spec = diffusion_spec(
@@ -389,8 +409,25 @@ class TestSimulatePaths:
             intensity=(0.5,),
         )
         b = simulate_paths(spec, 500, 0.25, seed=4)
-        assert b.x_reg.shape == (500, 5, 2)
-        assert abs(b.x_reg[:, -1, 0].var() - 1.0) < 0.2
+        assert regular_nodes(b)[1].shape == (500, 5, 2)
+        assert abs(b.x_T[:, 0].var() - 1.0) < 0.2
+
+    def test_bundle_holds_no_regular_grid_copy(self):
+        """Every array is sized by sub-intervals, atoms, paths (the terminal node) or K + 1: no (N, K, .) array."""
+        spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
+        b = simulate_paths(spec, 50, 0.125, seed=3)
+        S, A, N, K, d = b.dt.size, b.atom_times.size, b.N, b.K, b.d
+        assert len({S, A, N, N + 1, K + 1}) == 5
+        shapes = {name: a.shape for name, a in vars(b).items() if isinstance(a, np.ndarray)}
+        assert shapes == {
+            "step_offsets": (K + 1,),
+            **dict.fromkeys(("path", "times", "dt", "regime"), (S,)),
+            **dict.fromkeys(("x", "dw"), (S, d)),
+            "x_T": (N, d),
+            "i_T": (N,),
+            "atom_offsets": (N + 1,),
+            **dict.fromkeys(("atom_times", "atom_marks"), (A,)),
+        }
 
     def test_worker_split_matches_serial(self):
         spec = build_problem("switch3")
@@ -467,8 +504,9 @@ class TestBundleFromPaths:
         per-path merge (``np.unique`` of regular and atom times) that preceded
         the vectorized one, and converted by hand to the step-major layout:
         each step lists, path by path, the sub-interval from ``t_k`` and then
-        one per node inside the step, and ``i_reg`` holds the recorded regime
-        at each path's regular nodes.
+        one per node inside the step. ``node_regimes`` holds the recorded regime
+        at each path's regular nodes and ``counts`` its mark counts per step,
+        as ``nodes(k)`` and ``step_increments(k)`` read them.
         """
         spec = build_problem("switch2-linear", {"T": 0.5, "i0": 1})
         b = bundle_from_paths(
@@ -488,12 +526,14 @@ class TestBundleFromPaths:
             "path": [0, 1, 1, 2, 3, 4, 5, 5, 0, 1, 2, 3, 4, 4, 5],
             "times": [0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.1, 0.25, 0.25, 0.25, 0.25, 0.25, 0.3, 0.25],
             "regime": [1, 1, 2, 1, 1, 1, 1, 1, 2, 2, 1, 1, 2, 2, 1],
-            "i_reg": [[1, 2, 2], [1, 2, 2], [1, 1, 2], [1, 1, 1], [1, 2, 1], [1, 1, 1]],
-            "counts_reg": [[[0, 1], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]],
-                           [[0, 1], [2, 1]], [[1, 0], [0, 0]]],
         }
         for name, values in expected.items():
             np.testing.assert_array_equal(getattr(b, name), values, err_msg=name)
+        node_regimes = [[1, 2, 2], [1, 2, 2], [1, 1, 2], [1, 1, 1], [1, 2, 1], [1, 1, 1]]
+        counts = [[[0, 1], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]],
+                  [[0, 1], [2, 1]], [[1, 0], [0, 0]]]
+        np.testing.assert_array_equal(regular_nodes(b)[0], node_regimes)
+        np.testing.assert_array_equal(step_counts(b), counts)
         ends = np.array([0.25, 0.1, 0.25, 0.25, 0.25, 0.25, 0.1, 0.25, 0.5, 0.5, 0.5, 0.5, 0.3, 0.5, 0.5])
         np.testing.assert_array_equal(b.dt, ends - b.times)
 
@@ -505,7 +545,7 @@ class TestBundleFromPaths:
         rows = (tmp_path / "paths.csv").read_text().splitlines()
         assert rows[0] == "path,s,regime,x_1"
         written = [(int(p), float(t), int(i)) for p, t, i, _ in (row.split(",") for row in rows[1:])]
-        assert written == [(p, t, i) for p in range(b.N) for t, i in [*nodes[p], (0.5, expected["i_reg"][p][-1])]]
+        assert written == [(p, t, i) for p in range(b.N) for t, i in [*nodes[p], (0.5, node_regimes[p][-1])]]
 
     def test_increments_follow_merged_grid(self):
         """dw_per_path gives one row per sub-interval left after the merge, and any other count is refused."""
@@ -515,17 +555,27 @@ class TestBundleFromPaths:
         b = bundle_from_paths(spec, 0.25, atoms, dws)
         np.testing.assert_array_equal(b.dw[b.path == 0, 0], dws[0])
         np.testing.assert_array_equal(b.dw[b.path == 1, 0], dws[1])
-        np.testing.assert_array_equal(b.dw_reg[:, :, 0], [[1.0, 5.0], [5.0, 6.0]])
+        dw_steps = np.stack([b.step_increments(k)[0][:, 0] for k in range(b.K)], axis=1)
+        np.testing.assert_array_equal(dw_steps, [[1.0, 5.0], [5.0, 6.0]])
         with pytest.raises(ValueError):
             bundle_from_paths(spec, 0.25, atoms, [np.arange(5.0), dws[1]])
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_increment_arrays_must_match_paths(self, count):
+        """One increment array per path: extra arrays are not ignored, and missing ones raise no IndexError."""
+        spec = build_problem("switch2-linear", {"T": 0.5})
+        dws = [np.zeros(2)] * count
+        with pytest.raises(ValueError, match=f"{count} increment arrays for 2 paths"):
+            bundle_from_paths(spec, 0.25, [[], []], dws)
 
     def test_manual_atoms_and_grid(self):
         spec = build_problem("switch2-linear", {"T": 0.5})
         b = bundle_from_paths(spec, 0.25, [[(0.1, 2)], []])
         assert b.N == 2
-        assert b.counts_reg[0, 0, 1] == 1
-        assert b.i_reg[0, 1] == 2 and b.i_reg[0, 2] == 2
-        assert b.i_reg[1, 1] == spec.initial_regime
-        rows, durations, regimes = b.step_segments()[0]
+        regimes_reg = regular_nodes(b)[0]
+        assert step_counts(b)[0, 0, 1] == 1
+        assert regimes_reg[0, 1] == 2 and regimes_reg[0, 2] == 2
+        assert regimes_reg[1, 1] == spec.initial_regime
+        rows, durations, regimes = b.step_segments(0)
         np.testing.assert_allclose(durations[rows == 0], [0.1, 0.15])
         assert list(regimes[rows == 0]) == [2, 2]

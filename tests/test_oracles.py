@@ -328,7 +328,7 @@ class TestOracleCompare:
         result = solve_backward(spec, SchemeConfig(h=0.05, paths=10_000, seed=21), bundle)
         sol = fd_solve(spec, (400, 0.7 - 4.0, 0.7 + 4.0), 1e-3)
         report = oracle_compare(result, sol, (0.0, 1, 0.7))
-        se = float(np.std(bundle.x_reg[:, -1, 0]) / np.sqrt(bundle.N))
+        se = float(np.std(bundle.x_T[:, 0]) / np.sqrt(bundle.N))
         assert report.abs_gap <= 3 * se + 2e-3
 
     def test_extrapolation_refused(self):
