@@ -19,13 +19,22 @@ mean by construction.
 After prediction the jump offsets are re-based: the own-regime component is
 subtracted from every component, which zeroes it exactly and makes the
 offsets consistent estimates of the cross-regime value differences.
+
+Every per-step operation also takes several penalization levels at once, on
+a leading level axis, and one private backward pass serves both
+:func:`solve_backward` (one level) and :func:`penalization_ladder` (the whole
+schedule): a step's view, design and Gram factors are built once for all
+levels. Products and sums still run level by level, each on its level's
+contiguous slice as a one-level pass has it, because batched ones need not
+round the same; so every level of a ladder is bit for bit its own solve.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -71,6 +80,8 @@ class SchemeConfig:
             raise ValueError(f"penalization level must be a nonnegative integer, got {self.n!r}")
         if isinstance(self.paths, bool) or not isinstance(self.paths, (int, np.integer)) or self.paths < 1:
             raise ValueError(f"path count must be an integer >= 1, got {self.paths!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.h > 0:
             raise ValueError("time step must be positive")
         if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
@@ -94,7 +105,7 @@ class SchemeConfig:
 
 @dataclass
 class FitRecord:
-    """Diagnostics of one per-step regression fit."""
+    """Diagnostics of one per-step regression fit of one target column at one level."""
 
     step: int
     family: str
@@ -197,33 +208,40 @@ class MonteCarloEnsemble:
         return view.blocks
 
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[FitRecord]]:
-        targets = np.atleast_2d(targets.T).T  # (N, c)
+        """Projection of ``targets``, shape (L, N, c): c columns at each of L levels.
+
+        One fit per stratum covers every column of every level. The records
+        come level by level, each level's as a one-level call gives them.
+        """
         if not np.all(np.isfinite(targets)):
             raise DivergenceError(f"non-finite regression target for {family} at step {k}")
-        n, c = targets.shape
+        levels, _, c = targets.shape
         out = np.empty_like(targets)
-        records: list[FitRecord] = []
         if k == 0:
             # all paths share the initial state: E_0 is the plain mean
-            out[:] = targets.mean(axis=0)[None, :]
-            return out, records
-        blocks = self._design(k)
-        for stratum, block in sorted(blocks.items()):
-            fit = ols_fit(block.matrix, targets[block.rows], self.ridge, block.factor)
+            for level in range(levels):
+                out[level] = targets[level].mean(axis=0)
+            return out, []
+        fits = []
+        for stratum, block in sorted(self._design(k).items()):
+            fit = ols_fit(block.matrix, np.take(targets, block.rows, axis=1), self.ridge, block.factor)
             block.factor = fit.factor
-            out[block.rows] = fit.fitted
-            records.extend(
-                FitRecord(
-                    step=k,
-                    family=family if c == 1 else f"{family}{col + 1}",
-                    stratum=stratum,
-                    sample_count=fit.sample_count,
-                    gram_condition=fit.gram_condition,
-                    residual_mse=float(mse),
-                    rank_deficient=fit.rank_deficient,
-                )
-                for col, mse in enumerate(fit.residual_mse)
+            out[:, block.rows] = fit.fitted
+            fits.append((stratum, fit))
+        records = [
+            FitRecord(
+                step=k,
+                family=family if c == 1 else f"{family}{col + 1}",
+                stratum=stratum,
+                sample_count=fit.sample_count,
+                gram_condition=fit.gram_condition,
+                residual_mse=float(fit.residual_mse[level, col]),
+                rank_deficient=fit.rank_deficient,
             )
+            for level in range(levels)
+            for stratum, fit in fits
+            for col in range(c)
+        ]
         return out, records
 
     def thinnest_stratum(self) -> Optional[int]:
@@ -284,13 +302,19 @@ class LatticeEnsemble:
         return self._reduce(k, values)
 
     def _reduce(self, k: int, per_edge: Array) -> Array:
+        """Probability-weighted sum over each node's out-edges of ``per_edge``, shape (L, edges, ...)."""
         es = self.chain.edges[k]
-        weighted = es.prob[:, None] * np.atleast_2d(per_edge.T).T
-        # bincount adds in edge order, as np.add.at does, column by column
-        out = np.column_stack([np.bincount(es.tail, weights=col, minlength=self.n_units(k)) for col in weighted.T])
-        return out[:, 0] if out.shape[1] == 1 else out
+        columns = per_edge.reshape(per_edge.shape[:2] + (-1,))
+        out = np.empty((columns.shape[0], self.n_units(k), columns.shape[2]))
+        for level, level_columns in enumerate(columns):
+            weighted = es.prob[:, None] * level_columns
+            # bincount adds in edge order, as np.add.at does, column by column
+            for col, weights in enumerate(weighted.T):
+                out[level, :, col] = np.bincount(es.tail, weights=weights, minlength=out.shape[1])
+        return out.reshape(out.shape[:2] + per_edge.shape[2:])
 
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[FitRecord]]:
+        """Exact conditional expectation of ``targets``, shape (L, edges, c)."""
         if not np.all(np.isfinite(targets)):
             raise DivergenceError(f"non-finite target for {family} at step {k}")
         return self._reduce(k, targets), []
@@ -323,17 +347,30 @@ def _check_step(ens: Ensemble, k: int) -> None:
         raise ValueError(f"step index {k} out of range [0, {ens.n_steps})")
 
 
+def _leveled(values: Array, single: bool) -> Array:
+    """``values`` with a leading level axis, added when it holds a single level."""
+    return values[None] if single else values
+
+
+def _unleveled(values: Array, single: bool) -> Array:
+    return values[0] if single else values
+
+
 def estimate_z(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[FitRecord]]:
     """Gradient-proxy estimate at step k from next-step values.
 
     Regresses ``Y_{k+1} * dW / h`` componentwise; ``dW`` is the aggregate
-    increment over the whole step.
+    increment over the whole step. ``y_next`` of shape (n,) gives ``z`` of
+    shape (N, d); ``y_next`` of shape (L, n), one row per level, gives
+    (L, N, d).
     """
     _check_step(ens, k)
+    single = y_next.ndim == 1
     _, head, _, dw, _ = ens.edge_arrays(k)
-    targets = y_next[head][:, None] * dw / ens.h
+    targets = np.take(_leveled(y_next, single), head, axis=1)[:, :, None] * dw
+    targets /= ens.h
     values, records = ens.condexp(k, targets, "z")
-    return np.atleast_2d(values.T).T, records
+    return _unleveled(values, single), records
 
 
 def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list[FitRecord]]:
@@ -341,24 +378,26 @@ def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list
 
     Returns ``(u, u_raw, fit records)`` where ``u_raw`` is the direct
     compensated-count regression and ``u`` subtracts each unit's own-regime
-    component (making it exactly zero there).
+    component (making it exactly zero there). Both are (N, m), or (L, N, m)
+    for ``y_next`` of shape (L, n).
     """
     _check_step(ens, k)
     ens.spec.intensity.require_positive()
+    single = y_next.ndim == 1
     lam = ens.spec.intensity.weights
     _, head, _, _, counts = ens.edge_arrays(k)
     compensated = counts - lam[None, :] * ens.h
-    targets = y_next[head][:, None] * compensated / (lam[None, :] * ens.h)
+    targets = np.take(_leveled(y_next, single), head, axis=1)[:, :, None] * compensated
+    targets /= lam[None, :] * ens.h
     u_raw, records = ens.condexp(k, targets, "u")
-    u_raw = np.atleast_2d(u_raw.T).T
     regimes, _ = ens.states(k)
-    own = u_raw[np.arange(u_raw.shape[0]), regimes - 1]
-    u = u_raw - own[:, None]
-    return u, u_raw, records
+    own = u_raw[:, np.arange(u_raw.shape[1]), regimes - 1]
+    u = u_raw - own[:, :, None]
+    return _unleveled(u, single), _unleveled(u_raw, single), records
 
 
 def _driver_terms(
-    spec: ProblemSpec, n_pen: int, ens: Ensemble, k: int, y_next: Array, z: Array, u: Array
+    spec: ProblemSpec, n_pen: Union[int, Sequence[int]], ens: Ensemble, k: int, y_next: Array, z: Array, u: Array
 ) -> tuple[Array, Array, Array, Array]:
     """Per-edge driver integral, penalty mass, time-averaged violation and ``min_j h_ij``.
 
@@ -375,44 +414,59 @@ def _driver_terms(
     ``X_k`` in the tail regime: the arguments of the Skorohod residual. It is
     zero where the constraint is not evaluated (one regime at level 0, where
     no penalty mass accrues).
+
+    ``n_pen`` is one level, with ``y_next`` (n,), ``z`` (N, d) and ``u``
+    (N, m), or a sequence of L levels, with a leading level axis on those
+    arrays and on the four (edges,) outputs. The gathers and sums that do
+    not depend on the level run once; the driver, the constraint, the
+    compensator product and the per-edge sums run once per level.
     """
+    single = np.ndim(n_pen) == 0
+    levels = np.atleast_1d(n_pen)
+    y_next, z, u = (_leveled(a, single) for a in (y_next, z, u))
     _, xs = ens.states(k)
     lam = spec.intensity.weights
     seg_edge, seg_tail, seg_head, seg_dt, seg_regime = ens.segments(k)
 
-    f_val = np.empty(seg_edge.size)
-    pen_val = np.zeros(seg_edge.size)
-    min_h = np.zeros(seg_edge.size)
+    f_val = np.empty((levels.size, seg_edge.size))
+    pen_val = np.zeros((levels.size, seg_edge.size))
+    min_h = np.zeros((levels.size, seg_edge.size))
     for r in range(1, spec.m + 1):
         rows = np.flatnonzero(seg_regime == r)
         if rows.size == 0:
             continue
         tails = seg_tail[rows]
-        y_r = y_next[seg_head[rows]]
-        x_r, z_r = xs[tails], z[tails]
-        yvec = y_r[:, None] + u[tails]
-        yvec[:, r - 1] = y_r
-        compensator = yvec @ lam - lam.sum() * yvec[:, r - 1]
-        f_val[rows] = spec.driver(r, x_r, yvec, z_r) - compensator
-        if spec.m > 1 or n_pen > 0:
-            h = constraint_values(spec, r, x_r, yvec, z_r)
-            pen_val[rows] = penalty_batch(spec, h)
-            # reduce the whole column-major array: selecting rows first would
-            # copy it to row-major
-            min_h[rows] = h.min(axis=1)
-            del h  # not alive beside the next group's arrays
+        # take() keeps each level's rows contiguous, as a one-level pass has them
+        y_r = np.take(y_next, seg_head[rows], axis=1)
+        x_r, z_r = xs[tails], np.take(z, tails, axis=1)
+        yvec = y_r[:, :, None] + np.take(u, tails, axis=1)
+        yvec[:, :, r - 1] = y_r
+        for level, n in enumerate(levels):
+            values, z_level = yvec[level], z_r[level]
+            # a product over all levels' rows at once need not round the same
+            compensator = values @ lam - lam.sum() * values[:, r - 1]
+            f_val[level, rows] = spec.driver(r, x_r, values, z_level) - compensator
+            if spec.m > 1 or n > 0:
+                h = constraint_values(spec, r, x_r, values, z_level)
+                pen_val[level, rows] = penalty_batch(spec, h)
+                # reduce the whole column-major array: selecting rows first would
+                # copy it to row-major
+                min_h[level, rows] = h.min(axis=1)
+                del h  # not alive beside the next group's arrays
+        del y_r, z_r, yvec  # free this regime's arrays before the next regime's
 
     # segments are ordered by edge (by path in Monte Carlo, one per edge on a
     # chain) and every edge has one, so an edge's first sub-interval is where
     # the edge index changes
     first = np.flatnonzero(np.diff(seg_edge, prepend=-1))
     n_edges = first.size
-    min_h = min_h[first]
-    # bincount adds in segment order, as np.add.at does
-    integral = np.bincount(seg_edge, seg_dt * (f_val + n_pen * pen_val), n_edges)
-    penalty_mass = np.bincount(seg_edge, seg_dt * n_pen * pen_val, n_edges)
-    violation = np.bincount(seg_edge, seg_dt * pen_val / ens.h, n_edges)
-    return integral, penalty_mass, violation, min_h
+    # per level, as a one-level pass has it; bincount adds in segment order, as np.add.at does
+    integral, penalty_mass, violation = sums = [np.empty((levels.size, n_edges)) for _ in range(3)]
+    for level, (n, f, pen) in enumerate(zip(levels, f_val, pen_val)):
+        integral[level] = np.bincount(seg_edge, seg_dt * (f + n * pen), n_edges)
+        penalty_mass[level] = np.bincount(seg_edge, seg_dt * n * pen, n_edges)
+        violation[level] = np.bincount(seg_edge, seg_dt * pen / ens.h, n_edges)
+    return tuple(_unleveled(a, single) for a in (*sums, min_h[:, first]))
 
 
 def step_y(
@@ -422,28 +476,40 @@ def step_y(
     z_k: Array,
     u_k: Array,
     spec: ProblemSpec,
-    n: int,
-) -> tuple[Array, Array, Array, float, list[FitRecord]]:
+    n: Union[int, Sequence[int]],
+) -> tuple[Array, Array, Array, Union[float, Array], list[FitRecord]]:
     """Value estimate at step k: project ``Y_{k+1} + int f^n`` on the basis.
 
     Returns ``(y, penalty_mass, violation, skorohod, fit records)`` with the
     penalty mass and the time-averaged constraint violation reduced per
     unit, and the step's Skorohod term ``E[min_j h_ij * penalty_mass]``.
+    ``n`` is one level, or a sequence of L levels with a leading level axis
+    on ``y_next``, ``z_k``, ``u_k`` and the per-unit outputs and an (L,)
+    array of Skorohod terms.
     """
     _check_step(ens, k)
+    single = np.ndim(n) == 0
+    y_next = _leveled(y_next, single)
     tail, head, prob, _, _ = ens.edge_arrays(k)
-    integral, penalty_edge, violation_edge, min_h = _driver_terms(spec, n, ens, k, y_next, z_k, u_k)
-    targets = y_next[head] + integral
-    y, records = ens.condexp(k, targets, "y")
-    y = np.asarray(y).reshape(-1)
+    integral, penalty_edge, violation_edge, min_h = _driver_terms(
+        spec, np.atleast_1d(n), ens, k, y_next, _leveled(z_k, single), _leveled(u_k, single)
+    )
+    targets = np.take(y_next, head, axis=1) + integral
+    y, records = ens.condexp(k, targets[:, :, None], "y")
     penalty_mass = ens.edge_to_unit(k, penalty_edge)
-    skorohod = 0.0
-    if np.any(penalty_mass):
-        weight = ens.unit_weights(k)[tail]
-        if prob is not None:
-            weight = weight * prob
-        skorohod = float(np.sum(weight * min_h * penalty_mass[tail]))
-    return y, penalty_mass, ens.edge_to_unit(k, violation_edge), skorohod, records
+    skorohod = np.zeros(len(penalty_mass))
+    weight = None
+    for level, mass in enumerate(penalty_mass):
+        if np.any(mass):
+            if weight is None:
+                weight = ens.unit_weights(k)[tail]
+                if prob is not None:
+                    weight = weight * prob
+            skorohod[level] = np.sum(weight * min_h[level] * mass[tail])
+    violation = ens.edge_to_unit(k, violation_edge)
+    if single:
+        return y[0, :, 0], penalty_mass[0], violation[0], float(skorohod[0]), records
+    return y[:, :, 0], penalty_mass, violation, skorohod, records
 
 
 # ---------------------------------------------------------------------------
@@ -478,24 +544,85 @@ class SolveResult:
         }
 
 
-def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResult:
-    """Run the backward scheme on a path bundle or an enumerated chain."""
+@dataclass
+class _Step:
+    """One step of a backward pass; arrays carry a leading level axis."""
+
+    k: int
+    y: Array                # (L, N)
+    z: Array                # (L, N, d)
+    u: Array                # (L, N, m)
+    penalty_mass: Array     # (L, N)
+    violation_mean: Array   # (L,)
+    violation_max: Array    # (L,)
+    skorohod: Array         # (L,)
+    clipped: Array          # (L,) count of values clipped to the growth bound
+    records: list[FitRecord]
+    absent: list[int]
+
+
+def _backward_pass(
+    spec: ProblemSpec, config: SchemeConfig, levels: Sequence[int], bundle
+) -> tuple[Ensemble, Array, Iterator[_Step]]:
+    """One backward pass for every penalization level in ``levels`` at once.
+
+    Returns the ensemble, the terminal values and an iterator over the steps
+    ``K - 1, ..., 0``. Only the current step's arrays and the values they were
+    built from are alive, so a caller keeps what it needs of each step.
+    """
     spec.intensity.require_positive()
     ens = make_ensemble(spec, config, bundle)
-    K = ens.n_steps
-
     if isinstance(ens, MonteCarloEnsemble):
         thinnest, size = ens.thinnest_stratum(), config.basis.size(spec.d)
         if thinnest is not None and thinnest < size:
-            warnings.warn(f"fewer paths per stratum than basis functions ({thinnest} < {size})", stacklevel=2)
-
-    regimes_T, x_T = ens.states(K)
-    y = np.empty(regimes_T.size)
+            warnings.warn(f"fewer paths per stratum than basis functions ({thinnest} < {size})", stacklevel=3)
+    regimes_T, x_T = ens.states(ens.n_steps)
+    y_T = np.empty(regimes_T.size)
     for i in np.unique(regimes_T):
         rows = np.flatnonzero(regimes_T == i)
-        y[rows] = spec.terminal(int(i), x_T[rows])
+        y_T[rows] = spec.terminal(int(i), x_T[rows])
+    return ens, y_T, _steps(spec, config, np.asarray(levels), ens, y_T)
 
-    ys: list[Array] = [None] * (K + 1)
+
+def _steps(spec: ProblemSpec, config: SchemeConfig, levels: Array, ens: Ensemble, y_T: Array) -> Iterator[_Step]:
+    y = np.repeat(y_T[None], levels.size, axis=0)
+    for k in range(ens.n_steps - 1, -1, -1):
+        z, rec_z = estimate_z(ens, k, y)
+        u, rec_u = itemgetter(0, 2)(estimate_u(ens, k, y))  # u_raw is not kept alive beside the step
+        y, pm, vl, skorohod, rec_y = step_y(ens, k, y, z, u, spec, levels)
+
+        clipped = np.zeros(levels.size, dtype=int)
+        if spec.growth_bound is not None:
+            _, xs = ens.states(k)
+            radius = spec.growth_radius(xs)
+            if config.clip_to_growth_bound:
+                clipped = np.count_nonzero(np.abs(y) > radius, axis=1)
+                y = np.clip(y, -radius, radius)
+            if np.any(np.abs(y) > 10.0 * radius):
+                raise DivergenceError(f"value estimate exceeded 10x the growth bound at step {k}")
+
+        w = ens.unit_weights(k)
+        yield _Step(
+            k=k,
+            y=y,
+            z=z,
+            u=u,
+            penalty_mass=pm,
+            violation_mean=np.array([w @ row for row in vl]),
+            violation_max=vl.max(axis=1) if vl.size else np.zeros(levels.size),
+            skorohod=skorohod,
+            clipped=clipped,
+            records=rec_z + rec_u + rec_y,
+            absent=ens.absent_strata(k),
+        )
+        del pm, vl  # not alive beside the next step's arrays
+
+
+def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResult:
+    """Run the backward scheme on a path bundle or an enumerated chain."""
+    ens, y_T, steps = _backward_pass(spec, config, [config.n], bundle)
+    K = ens.n_steps
+    ys: list[Array] = [None] * K + [y_T]
     zs: list[Array] = [None] * K
     us: list[Array] = [None] * K
     pmass: list[Array] = [None] * K
@@ -506,37 +633,18 @@ def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResu
     absent: dict[int, list[int]] = {}
     clipped = 0
     total_units = 0
-    ys[K] = y
+    for step in steps:
+        k = step.k
+        ys[k], zs[k], us[k], pmass[k] = step.y[0], step.z[0], step.u[0], step.penalty_mass[0]
+        viol_mean[k], viol_max[k], skorohod[k] = step.violation_mean[0], step.violation_max[0], step.skorohod[0]
+        records.extend(step.records)
+        if step.absent:
+            absent[k] = step.absent
+        clipped += int(step.clipped[0])
+        total_units += ys[k].size
 
-    for k in range(K - 1, -1, -1):
-        z, rec_z = estimate_z(ens, k, y)
-        u, _, rec_u = estimate_u(ens, k, y)
-        y_new, pm, vl, skorohod[k], rec_y = step_y(ens, k, y, z, u, spec, config.n)
-
-        if config.clip_to_growth_bound and spec.growth_bound is not None:
-            _, xs = ens.states(k)
-            bound = spec.growth_radius(xs)
-            clipped += int(np.count_nonzero(np.abs(y_new) > bound))
-            y_new = np.clip(y_new, -bound, bound)
-        if spec.growth_bound is not None:
-            _, xs = ens.states(k)
-            if np.any(np.abs(y_new) > 10.0 * spec.growth_radius(xs)):
-                raise DivergenceError(f"value estimate exceeded 10x the growth bound at step {k}")
-
-        w = ens.unit_weights(k)
-        viol_mean[k] = float(w @ vl)
-        viol_max[k] = float(vl.max()) if vl.size else 0.0
-        missing = ens.absent_strata(k)
-        if missing:
-            absent[k] = missing
-        records.extend(rec_z + rec_u + rec_y)
-        ys[k], zs[k], us[k], pmass[k] = y_new, z, u, pm
-        total_units += y_new.size
-        y = y_new
-
-    y0 = float(ens.unit_weights(0) @ ys[0])
     return SolveResult(
-        y0=y0,
+        y0=float(ens.unit_weights(0) @ ys[0]),
         scheme=config,
         mode="exact" if ens.exact else "mc",
         ys=ys,
@@ -552,7 +660,15 @@ def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResu
     )
 
 
-def skorohod_residual(result: SolveResult) -> float:
+@dataclass
+class _LevelSummary:
+    """What a ladder keeps of one level: the parts of a :class:`SolveResult` its report reads."""
+
+    violation_mean: Array
+    skorohod_steps: Array
+
+
+def skorohod_residual(result: Union[SolveResult, _LevelSummary]) -> float:
     """Discrete minimality diagnostic: sum of min-constraint times penalty mass.
 
     Accumulates, in increasing step order, the terms ``step_y`` formed from
@@ -604,27 +720,32 @@ def penalization_ladder(
     """Run the backward solve along an increasing penalization schedule.
 
     All levels share the same paths (or chain), so differences along the
-    ladder are purely due to the penalty level.
+    ladder are purely due to the penalty level. One backward pass carries
+    every level; each level's y0, violation and Skorohod residual are bit for
+    bit those of its own :func:`solve_backward`. A level that trips the
+    growth-bound guard aborts the whole ladder.
     """
     if not n_schedule:
         raise ValueError("n_schedule must have at least one entry")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    configs = [replace(config, n=n) for n in n_schedule]  # refuses a bad level before any solve
-    y0s: list[float] = []
-    viols: list[float] = []
-    skos: list[float] = []
-    for level in configs:
-        result = solve_backward(spec, level, bundle)
-        y0s.append(result.y0)
-        viols.append(float(np.mean(result.violation_mean)) if result.violation_mean.size else 0.0)
-        skos.append(skorohod_residual(result))
-        del result  # free this level's per-step arrays before the next solve
+    levels = [replace(config, n=n).n for n in n_schedule]  # refuses a bad level before the pass
+    ens, _, steps = _backward_pass(spec, config, levels, bundle)
+    viol = np.zeros((len(levels), ens.n_steps))
+    skos = np.zeros((len(levels), ens.n_steps))
+    for step in steps:
+        viol[:, step.k] = step.violation_mean
+        skos[:, step.k] = step.skorohod
+        if step.k == 0:
+            y0s = [float(ens.unit_weights(0) @ y) for y in step.y]
+        del step  # free this step's arrays before the pass computes the next
+    summaries = [_LevelSummary(v, s) for v, s in zip(viol, skos)]
+    viols = [float(np.mean(s.violation_mean)) if s.violation_mean.size else 0.0 for s in summaries]
     return ConvergenceReport(
         n_schedule=[int(n) for n in n_schedule],
         y0=y0s,
         mean_violation=viols,
         y0_nondecreasing=[b >= a for a, b in zip(y0s, y0s[1:])],
         violation_nonincreasing=[b <= a for a, b in zip(viols, viols[1:])],
-        skorohod=skos,
+        skorohod=[skorohod_residual(s) for s in summaries],
     )

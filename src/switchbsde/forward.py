@@ -341,8 +341,8 @@ def simulate_paths(
     """
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"path count must be an integer >= 1, got {N!r}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     T = spec.horizon

@@ -9,7 +9,9 @@ which also gives the fit's condition number and numerical rank. A backward
 step builds one design per step and factors each stratum's Gram matrix once:
 the z, u and y fits of that step pass the :class:`GramFactor` of the first
 fit back in, so the three families share one factorization per
-(step, stratum).
+(step, stratum). Targets may carry a leading axis of blocks (the levels of
+a penalization ladder): one fit covers every block, with each block's
+products run in the one-block shape.
 """
 
 from __future__ import annotations
@@ -120,20 +122,27 @@ class OlsFit:
 def ols_fit(design: Array, targets: Array, ridge: float | None = 0.0, factor: GramFactor | None = None) -> OlsFit:
     """Minimize ``(1/n)||targets - design @ coef||^2 + ridge ||coef||^2`` per target column.
 
-    ``targets`` is ``(n,)`` or ``(n, c)``; ``coefficients``, ``fitted`` and
-    ``residual_mse`` follow its trailing shape. One eigendecomposition of
-    ``G = design^T design / n`` gives the solve, ``gram_condition = max|e| / min|e|``
-    and the rank, the count of eigenvalues above ``L * eps * max|e|``;
-    ``rank_deficient`` is ``rank < L`` under any ridge. ``ridge=None`` selects
-    ``1e-10 trace(G) / L``; ``ridge = 0`` drops the eigenvalues at or below the
-    floor, which gives the minimum-norm solution. ``factor``, the ``factor`` of an
-    earlier fit on the same design, skips the eigendecomposition.
+    ``targets`` is ``(n,)``, ``(n, c)`` or ``(B, n, c)``; ``coefficients``,
+    ``fitted`` and ``residual_mse`` follow its shape. A leading axis of ``B``
+    blocks runs every product block by block in the ``(n, c)`` shape, so block
+    ``b`` gets bit for bit what a fit on ``targets[b]`` alone gets: a product
+    over all ``B * c`` columns at once need not round the same. One
+    eigendecomposition of ``G = design^T design / n`` gives the solve,
+    ``gram_condition = max|e| / min|e|`` and the rank, the count of
+    eigenvalues above ``L * eps * max|e|``; ``rank_deficient`` is ``rank < L``
+    under any ridge. ``ridge=None`` selects ``1e-10 trace(G) / L``;
+    ``ridge = 0`` drops the eigenvalues at or below the floor, which gives the
+    minimum-norm solution. ``factor``, the ``factor`` of an earlier fit on the
+    same design, skips the eigendecomposition.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     targets = np.asarray(targets, dtype=float)
     n, L = design.shape
-    if n < 1 or L < 1 or targets.shape[0] != n:
+    blocked = targets.ndim == 3
+    if n < 1 or L < 1 or targets.shape[int(blocked)] != n:
         raise ValueError("design needs >= 1 row and column, and as many rows as the targets")
+    if targets.ndim > 3:
+        raise ValueError("targets must be (n,), (n, c) or (blocks, n, c)")
     if factor is None:
         factor = GramFactor.of(design)
     elif factor.evals.shape != (L,):
@@ -145,11 +154,20 @@ def ols_fit(design: Array, targets: Array, ridge: float | None = 0.0, factor: Gr
     magnitude = np.abs(evals)
     floor = L * np.finfo(float).eps * magnitude.max()
     inverse = np.divide(1.0, evals + ridge, out=np.zeros(L), where=evals + ridge > floor)
-    coef = (evecs * inverse) @ (evecs.T @ (design.T @ targets / n))
-    fitted = design @ coef
+    solve = evecs * inverse
+    if blocked:
+        coef = np.stack([solve @ (evecs.T @ (design.T @ np.ascontiguousarray(block) / n)) for block in targets])
+        fitted = np.empty(targets.shape)
+        for block_coef, block_fitted in zip(coef, fitted):
+            np.matmul(design, block_coef, out=block_fitted)
+    else:
+        coef = solve @ (evecs.T @ (design.T @ targets / n))
+        fitted = design @ coef
     # one contiguous row per target column: a mean down the columns of (n, c) is strided
-    resid = (targets - fitted).reshape(n, -1).T.copy()
-    mse = np.mean(resid * resid, axis=1)
+    by_column = [np.swapaxes(a if blocked else a.reshape(n, -1), -1, -2) for a in (targets, fitted)]
+    resid = np.subtract(*by_column, out=np.empty(by_column[0].shape))
+    resid *= resid
+    mse = np.mean(resid, axis=-1)
     return OlsFit(
         coefficients=coef,
         fitted=fitted,

@@ -49,6 +49,9 @@ def test_tracer_installs_and_uninstalls_cleanly():
         config = api.backward.SchemeConfig(h=0.125, n=4, paths=40, seed=1)
         levels = [1, 4]
         api.backward.penalization_ladder(spec, config, levels, bundle)
+        ladder_metrics = tracer.metrics()
+        # the ladder runs one backward pass of its own: solve_backward only spans this solve
+        api.backward.solve_backward(spec, config, bundle)
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is orig for (owner, attr), orig in zip(hooked, before))
@@ -59,7 +62,7 @@ def test_tracer_installs_and_uninstalls_cleanly():
     for name in ("forward.simulate_s", "backward.solve_s", "backward.skorohod_s"):
         assert metrics[name] > 0, name
     # one constraint pass per step: every mark on every sub-interval, once per level
-    assert metrics["problem.constraint_rows"] == len(levels) * spec.m * metrics["forward.subintervals"]
-    # one fit per (step, family, stratum): z, u and y each fit all their columns at once
+    assert ladder_metrics["problem.constraint_rows"] == len(levels) * spec.m * ladder_metrics["forward.subintervals"]
+    # one fit per (step, family, stratum): z, u and y each fit all their columns of all levels at once
     strata = sum(len(np.unique(bundle.nodes(k)[0])) for k in range(1, bundle.K))
-    assert metrics["regression.fit_calls"] == len(levels) * 3 * strata
+    assert ladder_metrics["regression.fit_calls"] == 3 * strata

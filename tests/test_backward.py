@@ -301,6 +301,12 @@ class TestStepAndSolve:
             SchemeConfig(h=0.25, paths=paths)
         assert SchemeConfig(h=0.25, paths=np.int64(5)).paths == 5
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, False, "7"])
+    def test_bad_seed_rejected_at_config(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SchemeConfig(h=0.25, seed=seed)
+        assert SchemeConfig(h=0.25, seed=np.int64(5)).seed == 5
+
     def test_warns_when_strata_thinner_than_basis(self):
         spec = build_problem("switch2-linear")
         bundle = simulate_paths(spec, 4, 0.25, seed=0)
@@ -391,6 +397,16 @@ def reference_driver_terms(spec, n_pen, segments, xs, y_next, z, u, h, n_edges):
     return integral, mass, violation, min_h
 
 
+def assert_ladder_equals_separate_solves(spec, cfg, levels, bundle):
+    """Each ladder level reports, bit for bit, what its own solve gives."""
+    report = penalization_ladder(spec, cfg, levels, bundle)
+    for i, n in enumerate(levels):
+        result = solve_backward(spec, replace(cfg, n=n), bundle)
+        assert report.y0[i] == result.y0
+        assert report.mean_violation[i] == float(np.mean(result.violation_mean))
+        assert report.skorohod[i] == skorohod_residual(result)
+
+
 class TestStepView:
     def test_driver_terms_match_per_segment_loop_on_bundle(self):
         # high intensity: most paths cross several regimes within a step
@@ -429,13 +445,50 @@ class TestStepView:
         spec = build_problem("switch2-linear")
         bundle = simulate_paths(spec, 2_000, 0.05, seed=13)
         cfg = SchemeConfig(h=0.05, paths=2_000, seed=13, clip_to_growth_bound=True)
-        levels = [1, 4, 16, 64]
-        report = penalization_ladder(spec, cfg, levels, bundle)
-        for i, n in enumerate(levels):
-            result = solve_backward(spec, replace(cfg, n=n), bundle)
-            assert report.y0[i] == result.y0
-            assert report.mean_violation[i] == float(np.mean(result.violation_mean))
-            assert report.skorohod[i] == skorohod_residual(result)
+        assert_ladder_equals_separate_solves(spec, cfg, [1, 4, 16, 64], bundle)
+
+    @pytest.mark.parametrize(
+        "case", ["switch3-mc-unclipped", "switch2-mc-level-zero", "switch2-chain-96", "switch3-chain-24"]
+    )
+    def test_ladder_equals_separate_solves_in_more_cases(self, case):
+        levels = [1, 2, 4, 8, 16, 32, 64]
+        if case == "switch2-mc-level-zero":
+            levels = [0]
+            spec = build_problem("switch2-linear")
+            bundle = simulate_paths(spec, 1_000, 0.05, seed=19)
+            cfg = SchemeConfig(h=0.05, paths=1_000, seed=19, clip_to_growth_bound=True)
+        elif case == "switch3-mc-unclipped":
+            # unclipped, switch3 at h = 0.05 runs away from n = 8 on (y0 ~ 2.7 against ~1)
+            levels = [0, 1, 2, 4]
+            spec = build_problem("switch3")
+            bundle = simulate_paths(spec, 3_000, 0.05, seed=17)
+            cfg = SchemeConfig(h=0.05, paths=3_000, seed=17)
+            assert cfg.basis.stratify_by_regime and not cfg.clip_to_growth_bound
+        else:
+            name, h = ("switch2-linear", 1 / 96) if case == "switch2-chain-96" else ("switch3", 1 / 24)
+            spec = build_problem(name)
+            bundle = build_lattice_chain(spec, LatticeSpec(h=h))
+            cfg = SchemeConfig(h=h, paths=1, seed=0)
+        assert_ladder_equals_separate_solves(spec, cfg, levels, bundle)
+
+    def test_thin_strata_warn_once_per_ladder(self):
+        spec = build_problem("switch2-linear")
+        bundle = simulate_paths(spec, 4, 0.25, seed=0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            penalization_ladder(spec, SchemeConfig(h=0.25, paths=4, seed=0), [1, 2, 4, 8], bundle)
+        assert len([w for w in caught if "fewer paths per stratum" in str(w.message)]) == 1
+
+    def test_diverging_top_level_aborts_ladder(self):
+        # the explicit penalty step is unstable once n * Lambda * h >> 1: here 2000 * 3 * 0.05 = 300
+        spec = build_problem("switch2-linear")
+        bundle = simulate_paths(spec, 1_000, 0.05, seed=23)
+        cfg = SchemeConfig(h=0.05, paths=1_000, seed=23)
+        assert len(penalization_ladder(spec, cfg, [1, 4], bundle).y0) == 2
+        with pytest.raises(DivergenceError, match="growth bound"):
+            solve_backward(spec, replace(cfg, n=2_000), bundle)
+        with pytest.raises(DivergenceError, match="growth bound"):
+            penalization_ladder(spec, cfg, [1, 4, 2_000], bundle)
 
     def test_steps_in_any_order_match_fresh_ensembles(self):
         spec = build_problem("switch3")

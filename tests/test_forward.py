@@ -260,7 +260,7 @@ class TestSimulatePaths:
             with pytest.raises(ValueError, match="path count must be an integer >= 1"):
                 simulate_paths(spec, N, 0.25, seed=0)
         assert simulate_paths(spec, np.int64(3), 0.25, seed=0).N == 3
-        for seed in (-1, 2.7):
+        for seed in (-1, 2.7, 3.0, True, False, "7"):  # a bool used to run as seed 0 or 1
             with pytest.raises(ValueError, match="seed must be a non-negative integer"):
                 simulate_paths(spec, 10, 0.25, seed=seed)
         for workers in (0, -5):
