@@ -10,7 +10,8 @@ jump-measure estimator identities hold exactly node by node; it requires
 
 Because atoms sit at step ends, each step is a single sub-interval in the
 current regime and the state update never depends on the mark, so states
-recombine. States are deduplicated per step on (regime, rounded x).
+recombine. States are deduplicated per step on (regime, rounded x) by one
+lexicographic sort, and each step's nodes are stored in that order.
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ def build_lattice_chain(spec: ProblemSpec, lattice: LatticeSpec) -> LatticeChain
     if spec.d != 1:
         raise ValueError("lattice chain supports d = 1 only")
     T, h = spec.horizon, lattice.h
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"lattice step must be finite and positive, got {h!r}")
     K = int(round(T / h))
     if K < 1 or abs(K * h - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"lattice step {h} does not divide horizon {T}")
@@ -122,22 +125,29 @@ def build_lattice_chain(spec: ProblemSpec, lattice: LatticeSpec) -> LatticeChain
         has_atom = outcome > 0
         counts[np.flatnonzero(has_atom), outcome[has_atom] - 1] = 1
 
-        key_x = np.round(child_x, _ROUND_DECIMALS)
-        keys = np.stack([child_regime.astype(float), key_x], axis=1)
-        uniq, head = np.unique(keys, axis=0, return_inverse=True)
-        head = head.ravel()
+        # dedupe on (regime, rounded x), nodes in that order; + 0.0 turns -0.0 into 0.0
+        key_x = np.round(child_x, _ROUND_DECIMALS) + 0.0
+        order = np.lexsort((key_x, child_regime))
+        sorted_regime, sorted_x = child_regime[order], key_x[order]
+        starts = np.empty(order.size, dtype=bool)
+        starts[0] = True
+        starts[1:] = (sorted_regime[1:] != sorted_regime[:-1]) | (sorted_x[1:] != sorted_x[:-1])
+        run = np.cumsum(starts) - 1
+        head = np.empty(order.size, dtype=np.intp)
+        head[order] = run
+        n_new = int(run[-1]) + 1
 
-        mass = np.zeros(uniq.shape[0])
+        mass = np.zeros(n_new)
         np.add.at(mass, head, cur.mass[tail] * prob)
 
-        size += uniq.shape[0]
+        size += n_new
         if size > lattice.node_cap:
             raise ValueError(
                 f"lattice enumeration exceeds the cap: {size} states after "
                 f"step {k + 1} of {K} (cap {lattice.node_cap})"
             )
 
-        nodes.append(NodeSet(regime=uniq[:, 0].astype(int), x=uniq[:, 1][:, None], mass=mass))
+        nodes.append(NodeSet(regime=sorted_regime[starts], x=sorted_x[starts][:, None], mass=mass))
         edges.append(EdgeSet(tail=tail, head=head, prob=prob, dw=dw, counts=counts))
 
     return LatticeChain(h=h, K=K, d=1, m=m, T=T, nodes=nodes, edges=edges)

@@ -6,13 +6,14 @@ implementation of the recursion in :mod:`switchbsde.backward` (exact mode):
 the two share only the chain object, so agreement validates both.
 
 ``fd_solve`` solves the coupled obstacle system for switching-form problems
-on a one-dimensional grid with a Crank-Nicolson step per regime, whose banded
-matrix is factored once per solve. Projection mode applies the switching
-obstacle ``v_i >= max_j (v_j - c_ij)`` after each linear step as one
-:func:`facelift_terminal` sweep; penalized mode adds the penalty implicitly
-through a per-node scalar solve, which keeps the values monotone in the
-penalty level for any step size and converges to the projection update as
-the level grows.
+on a one-dimensional grid with a Crank-Nicolson step per regime. Its banded
+matrix is factored once per distinct stencil, and the regimes sharing a
+stencil are solved together, one banded solve per step. Projection mode
+applies the switching obstacle ``v_i >= max_j (v_j - c_ij)`` after each
+linear step as one :func:`facelift_terminal` sweep; penalized mode adds the
+penalty implicitly through a per-node scalar solve, vectorized over regimes,
+which keeps the values monotone in the penalty level for any step size and
+converges to the projection update as the level grows.
 """
 
 from __future__ import annotations
@@ -229,23 +230,26 @@ def _implicit_penalty_update(vhat: Array, costs: Array, lam: Array, n: int, dt: 
     """
     m = vhat.shape[0]
     a = dt * float(n)
-    out = np.empty_like(vhat)
-    for i in range(m):
-        others = np.arange(m) != i
-        obstacles = vhat[others] - costs[i, others][:, None]  # (m - 1, nx)
-        weights = lam[others][:, None]
-        if m > 2:  # order the obstacles, largest first; one needs no sort
-            order = np.argsort(-obstacles, axis=0)
-            obstacles = np.take_along_axis(obstacles, order, axis=0)
-            weights = lam[others][order]
-        v = vhat[i].copy()
-        lam_cum = weighted_cum = 0.0
-        for q in range(m - 1):
-            lam_cum = lam_cum + weights[q]
-            weighted_cum = weighted_cum + weights[q] * obstacles[q]
-            np.maximum(v, (vhat[i] + a * weighted_cum) / (1.0 + a * lam_cum), out=v)
-        out[i] = v
-    return out
+    # row i lists the regimes j != i, in increasing order
+    others = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
+    obstacles = vhat[others] - costs[np.arange(m)[:, None], others][..., None]  # (m, m - 1, nx)
+    weights = lam[others][..., None]
+    if m > 2:  # order each regime's obstacles, largest first; one needs no sort
+        order = np.argsort(-obstacles, axis=1)
+        obstacles = np.take_along_axis(obstacles, order, axis=1)
+        weights = lam[np.take_along_axis(others[..., None], order, axis=1)]
+    v = vhat.copy()
+    lam_cum = weighted_cum = 0.0
+    for q in range(m - 1):
+        lam_cum = lam_cum + weights[:, q]
+        weighted_cum = weighted_cum + weights[:, q] * obstacles[:, q]
+        np.maximum(v, (vhat + a * weighted_cum) / (1.0 + a * lam_cum), out=v)
+    return v
+
+
+def _is_int(value) -> bool:
+    """An integer that is not a bool (the rule ``SchemeConfig`` applies to ``n`` and ``seed``)."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 def check_fd_inputs(
@@ -262,11 +266,13 @@ def check_fd_inputs(
         raise ValueError("finite-difference oracle needs a switching-form problem")
     if mode not in ("projection", "penalized"):
         raise ValueError(f"unknown fd mode {mode!r}")
-    if mode == "penalized" and (penalization is None or penalization < 0):
-        raise ValueError("penalized mode needs a nonnegative penalization level")
+    if mode == "penalized" and not (_is_int(penalization) and penalization >= 0):
+        raise ValueError(f"penalized mode needs a nonnegative integer penalization level, got {penalization!r}")
     M, x_min, x_max = grid
-    if M < 4 or not x_min < x_max:
-        raise ValueError("grid must have at least 5 nodes and x_min < x_max")
+    if not _is_int(M):
+        raise ValueError(f"grid node count M must be an integer, got {M!r}")
+    if M < 4 or not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
+        raise ValueError("grid must have at least 5 nodes and finite x_min < x_max")
     if not dt > 0:
         raise ValueError(f"time step must be positive, got {dt}")
     T = spec.horizon
@@ -289,6 +295,9 @@ def fd_solve(
     one-sided stencils (no artificial Dirichlet data). ``mode`` is
     ``"projection"`` or ``"penalized"`` (the latter needs ``penalization``).
     The time grid steps backward from the face-lifted terminal data.
+    ``I - dt/2 G`` is factored once per distinct stencil: regimes whose
+    generator rows are equal share one factor and are solved together as
+    its right-hand-side columns, which is bit-identical to one solve each.
     """
     n_t = check_fd_inputs(spec, grid, dt, mode, penalization)
     M, x_min, x_max = grid
@@ -321,27 +330,47 @@ def fd_solve(
     second = np.array([1.0, -2.0, 1.0])
     w = (diff2 / (2 * dx**2))[..., None] * second + (drift / (2 * dx))[..., None] * first
 
-    # I - dt/2 G in LAPACK band storage (A[r, c] at ab[4 + r - c, c]), factored once
-    factors = []
+    # I - dt/2 G in LAPACK band storage (A[r, c] at ab[4 + r - c, c]), factored
+    # once per distinct stencil; the regimes sharing it solve as its columns
+    groups: list[list[int]] = []
     for i in range(m):
+        for group in groups:
+            if np.array_equal(w[group[0]], w[i]):
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    factors = []
+    for group in groups:
         ab = np.zeros((7, M + 1), order="F")
-        ab[4 + rows[:, None] - cols, cols] = -half * w[i]
+        ab[4 + rows[:, None] - cols, cols] = -half * w[group[0]]
         ab[4] += 1.0
         lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=True)
         if info != 0:
-            raise ValueError(f"Crank-Nicolson matrix of regime {i + 1} is singular")
-        factors.append((lu, piv))
+            raise ValueError(f"Crank-Nicolson matrix of regime {group[0] + 1} is singular")
+        factors.append((np.array(group), lu, piv))
     dt_source = dt * source
+    # interior rows weigh v[r - 1], v[r], v[r + 1]; rows 0 and M (the slice
+    # ::M) weigh the three columns in cols[[0, M]]
+    w_inner = [np.ascontiguousarray(w[:, 1:M, k]) for k in range(3)]
+    w_ends, cols_ends = w[:, [0, M]], cols[[0, M]]
 
     def cn_step(v: Array) -> Array:
-        rhs = w[..., 0] * v[:, cols[:, 0]]
+        rhs = np.empty_like(v)
+        inner = rhs[:, 1:M]
+        np.multiply(w_inner[0], v[:, :-2], out=inner)
+        inner += w_inner[1] * v[:, 1:-1]
+        inner += w_inner[2] * v[:, 2:]
+        v_ends = v[:, cols_ends]
+        edge = w_ends[..., 0] * v_ends[..., 0]
         for k in (1, 2):
-            rhs += w[..., k] * v[:, cols[:, k]]
+            edge += w_ends[..., k] * v_ends[..., k]
+        rhs[:, ::M] = edge
         rhs *= half
         rhs += v
         rhs += dt_source
-        for i, (lu, piv) in enumerate(factors):
-            rhs[i] = lapack.dgbtrs(lu, 2, 2, rhs[i], piv, overwrite_b=True)[0]
+        for group, lu, piv in factors:
+            rhs[group] = lapack.dgbtrs(lu, 2, 2, rhs[group].T, piv, overwrite_b=True)[0].T
         return rhs
 
     g = np.stack([np.asarray(spec.terminal(i, x2d), dtype=float) for i in range(1, m + 1)])
@@ -359,9 +388,10 @@ def fd_solve(
             v = facelift_terminal(vhat, costs)
         else:
             v = _implicit_penalty_update(vhat, costs, lam, penalization, dt)
-        if bound is not None and np.any(np.abs(v) > bound):
-            raise DivergenceError(f"finite-difference values exceeded 10x the growth bound at t-step {step}")
-        if not np.all(np.isfinite(v)):
+        # one reduction per step (NaN fails it too); the message is chosen on failure
+        if not (np.isfinite(v).all() if bound is None else (np.abs(v) <= bound).all()):
+            if bound is not None and np.any(np.abs(v) > bound):
+                raise DivergenceError(f"finite-difference values exceeded 10x the growth bound at t-step {step}")
             raise DivergenceError(f"finite-difference values became non-finite at t-step {step}")
         values[:, step] = v
 

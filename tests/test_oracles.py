@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchbsde import (
+    DivergenceError,
     LatticeSpec,
     SchemeConfig,
     build_lattice_chain,
@@ -16,6 +17,7 @@ from switchbsde import (
     simulate_paths,
     solve_backward,
 )
+from switchbsde.lattice import _ROUND_DECIMALS
 
 
 class TestLatticeChain:
@@ -71,6 +73,35 @@ class TestLatticeChain:
         )
         with pytest.raises(ValueError, match="d = 1"):
             build_lattice_chain(spec, LatticeSpec(h=0.25))
+
+    @pytest.mark.parametrize("h", [0.0, -0.125, float("nan"), float("inf")])
+    def test_bad_step_refused(self, h):
+        spec = build_problem("switch2-linear")
+        with pytest.raises(ValueError, match="finite and positive"):
+            build_lattice_chain(spec, LatticeSpec(h=h))
+
+    @pytest.mark.parametrize("name", ["switch2-linear", "switch3"])
+    def test_nodes_sorted_unique_and_heads_match(self, name):
+        spec = build_problem(name)
+        chain = build_lattice_chain(spec, LatticeSpec(h=1 / 32))  # reaches x = 0 from both sides
+        for k, ns in enumerate(chain.nodes):
+            r, x = ns.regime, ns.x[:, 0]
+            assert np.all((r[1:] > r[:-1]) | ((r[1:] == r[:-1]) & (x[1:] > x[:-1])))
+            assert not np.any(np.signbit(x) & (x == 0.0))
+            assert abs(ns.mass.sum() - 1.0) <= 1e-12
+            if k == chain.K:
+                break
+            es, nxt = chain.edges[k], chain.nodes[k + 1]
+            tail_r, tail_x = r[es.tail], ns.x[es.tail]
+            child_r = np.where(es.counts.any(axis=1), es.counts.argmax(axis=1) + 1, tail_r)
+            child_x = np.empty(es.tail.size)
+            for i in np.unique(tail_r):
+                rows = tail_r == i
+                b = spec.drift(int(i), tail_x[rows])[:, 0]
+                s = spec.vol(int(i), tail_x[rows])[:, 0, 0]
+                child_x[rows] = (tail_x[rows, 0] + b * chain.h) + s * es.dw[rows, 0]
+            np.testing.assert_array_equal(nxt.regime[es.head], child_r)
+            np.testing.assert_array_equal(nxt.x[es.head, 0], np.round(child_x, _ROUND_DECIMALS))
 
 
 class TestLatticeDp:
@@ -234,6 +265,21 @@ class TestFdSolve:
             alone = fd_solve(single, grid, 1e-3)
             assert np.max(np.abs(coupled.values[i - 1] - alone.values[0])) <= 1e-8
 
+    def test_shared_stencil_solves_as_separate_regimes(self):
+        # equal drifts and vols: both regimes are columns of one banded
+        # solve; prohibitive costs decouple them, so each column must equal
+        # its own single-regime solve bit for bit
+        over = {"sigma": [0.25, 0.25], "drift": [0.3, 0.3], "costs": [[0.0, 1e6], [1e6, 0.0]]}
+        spec = build_problem("switch2-linear", over)
+        grid = (200, -1.0, 1.0)
+        coupled = fd_solve(spec, grid, 1e-3, mode="projection")
+        for i, rew in enumerate([0.5, -0.5], start=1):
+            single = build_problem(
+                "bm1", {"sigma": [0.25], "drift": [0.3], "rewards": [rew], "x0": [0.0], "T": spec.horizon}
+            )
+            alone = fd_solve(single, grid, 1e-3)
+            np.testing.assert_array_equal(coupled.values[i - 1], alone.values[0])
+
     def test_requires_switching_form(self):
         spec = build_problem("bm1")
         object.__setattr__(spec, "switching_costs", None)
@@ -244,6 +290,54 @@ class TestFdSolve:
         spec = build_problem("switch2-linear")
         with pytest.raises(ValueError, match="penalization level"):
             fd_solve(spec, (50, -1, 1), 1e-3, mode="penalized")
+
+    @pytest.mark.parametrize("level", [2.5, 4.0, True, -1, "4"])
+    def test_bad_level_refused(self, level):
+        spec = build_problem("switch2-linear")
+        with pytest.raises(ValueError, match="nonnegative integer penalization level"):
+            fd_solve(spec, (50, -1.0, 1.0), 1e-2, mode="penalized", penalization=level)
+
+    @pytest.mark.parametrize("level", [0, 4, np.int64(4)])
+    def test_integer_level_accepted(self, level):
+        spec = build_problem("switch2-linear")
+        sol = fd_solve(spec, (50, -1.0, 1.0), 1e-1, mode="penalized", penalization=level)
+        assert sol.penalization == level
+
+    @pytest.mark.parametrize("M", [50.5, 50.0, True])
+    def test_bad_node_count_refused(self, M):
+        spec = build_problem("switch2-linear")
+        with pytest.raises(ValueError, match="node count M must be an integer"):
+            fd_solve(spec, (M, -1.0, 1.0), 1e-2)
+
+    @pytest.mark.parametrize("x_min, x_max", [(-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (1.0, -1.0)])
+    def test_bad_grid_bounds_refused(self, x_min, x_max):
+        spec = build_problem("switch2-linear")
+        with pytest.raises(ValueError, match="finite x_min < x_max"):
+            fd_solve(spec, (50, x_min, x_max), 1e-2)
+
+    def test_growth_bound_divergence(self):
+        spec = build_problem("switch2-linear", {"growth_bound": [0.0, 0.001]})
+        with pytest.raises(DivergenceError, match="exceeded 10x the growth bound at t-step 4"):
+            fd_solve(spec, (50, -1.0, 1.0), 1e-1)
+
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_non_finite_divergence(self, bounded):
+        import switchbsde.problem as pb
+
+        spec = build_problem("switch2-linear")
+        base = spec.coefficients
+        coeffs = pb.CoefficientSet(
+            drift=base.drift,
+            vol=base.vol,
+            driver=base.driver,
+            constraint=base.constraint,
+            terminal=lambda i, x: np.where(x[:, 0] > 0.5, np.nan, x[:, 0]),
+        )
+        object.__setattr__(spec, "coefficients", coeffs)
+        if not bounded:
+            object.__setattr__(spec, "growth_bound", None)
+        with pytest.raises(DivergenceError, match="became non-finite at t-step 4"):
+            fd_solve(spec, (50, -1.0, 1.0), 1e-1)
 
 
 # Crank-Nicolson values recorded (repr) before the stencil was factored once
@@ -268,7 +362,42 @@ FD_PINS = {
 }
 
 
+# Both regimes of this problem share one stencil and one banded factor;
+# values at nodes 0, 25, 50, 75, 100 (both one-sided end rows included) at
+# t-steps 0 and 50, recorded (repr) before shared stencils were solved together.
+SHARED_STENCIL_PINS = {
+    ("projection", None): {
+        0: [
+            [-0.5000000000001715, 4.873017641227163e-16, 0.49999999999999994, 0.9999999999999972, 1.5000000000000844],
+            [-0.6000000000001715, -0.09999999999999952, 0.3999999999999999, 0.8999999999999972, 1.4000000000000843],
+        ],
+        50: [
+            [-0.7500000000000699, -0.2499999999999988, 0.25, 0.7499999999999996, 1.2500000000000262],
+            [-0.8500000000000699, -0.3499999999999988, 0.15, 0.6499999999999996, 1.1500000000000261],
+        ],
+    },
+    ("penalized", 64): {
+        0: [
+            [-0.5000000000001715, 4.873017641227163e-16, 0.49999999999999994, 0.9999999999999972, 1.5000000000000844],
+            [-0.6104166666668384, -0.11041666666666619, 0.3895833333333333, 0.8895833333333306, 1.389583333333418],
+        ],
+        50: [
+            [-0.7500000000000699, -0.2499999999999988, 0.25, 0.7499999999999996, 1.2500000000000262],
+            [-0.8604166666667158, -0.36041666666664424, 0.13958333333335457, 0.6395833333333542, 1.1395833333333811],
+        ],
+    },
+}
+
+
 class TestFdPinned:
+    @pytest.mark.parametrize("key", sorted(SHARED_STENCIL_PINS, key=str))
+    def test_shared_stencil_switch2_values(self, key):
+        mode, n = key
+        spec = build_problem("switch2-linear", {"sigma": [0.25, 0.25], "T": 1.0})
+        sol = fd_solve(spec, default_grid(spec, 100), 1e-2, mode=mode, penalization=n)
+        for kt, rows in SHARED_STENCIL_PINS[key].items():
+            np.testing.assert_allclose(sol.values[:, kt, ::25], rows, rtol=0.0, atol=1e-12)
+
     @pytest.mark.parametrize("key", sorted(FD_PINS, key=str))
     def test_switch3_values(self, key):
         name, mode, n = key
