@@ -219,6 +219,8 @@ def run(
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}; valid: {COMMANDS}")
         seed_val = _resolve_seed(cfg, seed)
+        if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
+            raise ConfigError(f"--workers must be an integer, got {workers!r}")
         if workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {workers}")
         out_dir = Path(out if out is not None else _section(cfg, "outputs").get("dir", "."))

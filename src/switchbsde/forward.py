@@ -12,27 +12,23 @@ refined by the path's atom times, so drift and volatility always use the
 regime holding on each sub-interval and the integral of the driver can be
 segmented exactly.
 
-Reproducibility contract: path ``p`` of a run with seed ``s`` draws from the
-dedicated substream ``default_rng(SeedSequence((s, p)))`` and consumes, in
-order: the Poisson atom count, the atom times, the atom marks, then ``d``
-standard normals per sub-interval of its grid, in time order. Results are
-therefore independent of scheduling and of the worker count.
+Reproducibility contract: paths form fixed blocks of ``_BLOCK = 1024``
+consecutive indices, and block ``b`` of a run with seed ``s`` draws from the
+dedicated substream ``default_rng(SeedSequence(s, spawn_key=(b,)))``. It
+consumes, in order: the Poisson atom counts of all the block's paths, their
+atom times and marks path by path, then ``d`` standard normals per
+sub-interval of each present path's grid, path by path in time order. Path
+``p``'s draws therefore depend only on ``(s, p)``: a run of ``N`` paths is a
+prefix of any longer run, and the worker pool, which splits whole blocks,
+gives bit-identical results for any worker count.
 
-The substreams are seeded in bulk: the PCG64 state that ``SeedSequence((s,
-p))`` gives is computed for thousands of paths at once (``_pcg64_seeds``), and
-one generator is set to each state in turn, so every draw stays the one of the
-contract. This relies on numpy's stream-compatibility policy (NEP 19), which
-fixes the ``SeedSequence`` algorithm and PCG64's seeding across releases.
-``tests/test_forward.py`` guards it twice: the seeder's states are compared
-with numpy's own ``SeedSequence`` (``TestBulkSeeding``), and
-``TestSimulatePaths::test_stream_contract`` redraws paths from it.
-
-Simulation runs in two phases. A per-path loop only draws: it takes
-``K + count`` normal rows, enough for the longest grid the path can have,
-and an atom that merges with a grid node leaves the tail unused. That is
-why the normals must stay the last draws of a path. A vectorized build then
-runs the Euler updates one regular step at a time over all paths and stores
-each sub-interval once, step-major (:class:`PathBundle`).
+Simulation runs in two phases. The block draws come first: each path takes
+``K + count`` normal rows, enough for the longest grid it can have, and an
+atom that merges with a grid node leaves the tail unused. Only the paths a
+run holds take normals, which is why they are the last draws of a block.
+A vectorized build then runs the Euler updates one regular step at a time
+over all paths and stores each sub-interval once, step-major
+(:class:`PathBundle`).
 """
 
 from __future__ import annotations
@@ -61,8 +57,9 @@ def sample_jump_marks(intensity: IntensityMeasure, T: float, stream: np.random.G
 
     Atom count is Poisson(total * T); times are sorted uniforms; marks are
     i.i.d. with probabilities ``lambda_j / total``. A zero total intensity
-    yields an empty path. This is the per-path law that
-    :func:`simulate_paths` draws in bulk.
+    yields an empty path. :func:`simulate_paths` draws the same law for a
+    block of paths from one stream (all counts first, then the uniforms), so
+    its paths follow this law without being this function's draws.
     """
     if not T > 0:
         raise ValueError("horizon must be positive")
@@ -161,138 +158,49 @@ def _euler_step(spec: ProblemSpec, i: int, x: Array, dt: Array, dw: Array) -> Ar
     return x + drift * dt[:, None] + np.einsum("nij,nj->ni", vol, dw)
 
 
-# numpy's SeedSequence and PCG64 seeding constants (numpy/random/bit_generator.pyx,
-# numpy/random/src/pcg64), fixed by its stream-compatibility policy (NEP 19)
-_POOL_SIZE = 4
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_SEED_CHUNK = 4096  # paths seeded per bulk pass; bounds the transient Python-int states
+_BLOCK = 1024  # paths per substream
 
 
-def _uint32_words(n: int) -> list[int]:
-    """``n`` as little-endian uint32 words, as SeedSequence reads an integer."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def _pcg64_seeds(seed: int, paths: Array) -> list[tuple[int, int]]:
-    """PCG64 ``(state, inc)`` of ``default_rng(SeedSequence((seed, p)))`` for each ``p``.
-
-    SeedSequence's entropy mixing and ``generate_state(4, uint64)`` run in
-    uint32 arithmetic over all of ``paths`` at once, which wraps exactly as
-    numpy's scalar loop does; PCG64's ``set_seed`` step then runs per path on
-    Python ints. The entropy is the words of ``seed`` followed by the one word
-    of ``p``, so a seed of four or more words (``seed >= 2**96``) overflows
-    the 4-word pool and takes SeedSequence's extra mixing rounds.
-    """
-    seed = int(seed)
-    paths = np.asarray(paths, dtype=np.int64)
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    if paths.size and (paths.min() < 0 or paths.max() > _MASK32):
-        raise ValueError("path indices must lie in [0, 2**32)")
-    entropy = [np.full(paths.shape, w, dtype=np.uint32) for w in _uint32_words(seed)]
-    entropy.append(paths.astype(np.uint32))
-    shift = np.uint32(16)
-    hash_const = _INIT_A
-
-    def hashmix(value: Array) -> Array:
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> shift)
-
-    def mix(x: Array, y: Array) -> Array:
-        r = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-        return r ^ (r >> shift)
-
-    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0])) for i in range(_POOL_SIZE)]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    words, hash_const = [], _INIT_B
-    for i in range(8):  # generate_state(4, uint64): 8 uint32 words drawn from the pool
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        words.append(value ^ (value >> shift))
-    seed64 = np.stack(words, axis=-1).astype("<u4").view("<u8").tolist()
-
-    seeds = []
-    for hi, lo, inc_hi, inc_lo in seed64:  # pcg64_set_seed: initstate, then initseq
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        seeds.append((((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return seeds
-
-
-def _reserve(buf: Array, need: int) -> Array:
-    """``buf`` if it holds ``need`` elements, else a copy of it with room for
-    at least twice as many."""
-    if need <= buf.size:
-        return buf
-    grown = np.empty(max(need, 2 * buf.size))
-    grown[: buf.size] = buf
-    return grown
-
-
-def _draw_block(spec: ProblemSpec, K: int, seed: int, p_lo: int, p_hi: int) -> tuple[Array, Array, Array]:
+def _draw_blocks(spec: ProblemSpec, K: int, seed: int, p_lo: int, p_hi: int) -> tuple[Array, Array, Array]:
     """Raw draws of paths ``[p_lo, p_hi)``: atom counts, uniforms, normals.
 
-    Path ``p`` draws from ``default_rng(SeedSequence((seed, p)))``, in order:
-    the Poisson atom count ``c`` (skipped at zero intensity), ``2c`` uniforms
-    (the atom times, then the marks, as :func:`sample_jump_marks` consumes
-    them) and ``(K + c) * d`` standard normals, one row per sub-interval the
-    path's grid can have. The normals come last, so the rows left over when
-    atoms merge with grid nodes change nothing. Each output concatenates the
-    per-path draws in path order.
+    ``p_lo`` is a multiple of ``_BLOCK``. Block ``b`` (paths ``b * _BLOCK`` to
+    ``(b + 1) * _BLOCK - 1``) draws from ``default_rng(SeedSequence(seed,
+    spawn_key=(b,)))``, in order: the Poisson atom counts of all its paths,
+    even those at or past ``p_hi``; ``2c`` uniforms per path in path order (the
+    atom times, then the marks, as :func:`sample_jump_marks` consumes them);
+    then ``(K + c) * d`` standard normals per path below ``p_hi``, in path
+    order, one row per sub-interval the path's grid can have. The normals
+    come last because only paths below ``p_hi`` take them, so path ``p``'s
+    draws depend on ``seed`` and ``p`` alone. The rows a path leaves unused
+    when atoms merge with grid nodes are skipped.
 
-    The substreams are not built one by one: :func:`_pcg64_seeds` computes
-    their PCG64 states in bulk, and one generator is set to each in turn and
-    draws straight into the outputs. These start with room for the expected
-    atom count plus four standard deviations and grow past it if needed.
+    Each block's counts and uniforms are drawn first; its generator then
+    writes its normals into its rows of one preallocated array.
     """
-    total, d, n = spec.intensity.total, spec.d, p_hi - p_lo
-    mean_count = total * spec.horizon
-    room = n * mean_count + 4.0 * np.sqrt(n * mean_count)
-    counts = np.zeros(n, dtype=np.int64)
-    uniforms, normals = np.empty(int(2 * room)), np.empty(int(d * (n * K + room)))
-    u_end = z_end = 0
-    rng = np.random.Generator(np.random.PCG64(0))
-    bitgen = rng.bit_generator
-    for lo in range(p_lo, p_hi, _SEED_CHUNK):
-        seeds = _pcg64_seeds(seed, np.arange(lo, min(lo + _SEED_CHUNK, p_hi)))
-        for i, (state, inc) in enumerate(seeds, lo - p_lo):
-            bitgen.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            c = counts[i] = int(rng.poisson(mean_count)) if total != 0.0 else 0
-            u_lo, z_lo, u_end, z_end = u_end, z_end, u_end + 2 * c, z_end + (K + c) * d
-            uniforms, normals = _reserve(uniforms, u_end), _reserve(normals, z_end)
-            rng.random(out=uniforms[u_lo:u_end])
-            rng.standard_normal(out=normals[z_lo:z_end])
-    return counts, uniforms[:u_end], normals[:z_end]
+    mean_count = spec.intensity.total * spec.horizon
+    streams, counts, uniforms = [], [], []
+    for lo in range(p_lo, p_hi, _BLOCK):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK,)))
+        c = rng.poisson(mean_count, _BLOCK)
+        u = rng.random(2 * int(c.sum()))
+        c = c[: p_hi - lo]
+        streams.append(rng)
+        counts.append(c)
+        uniforms.append(u[: 2 * int(c.sum())])
+    counts = np.concatenate(counts)
+    rows = np.concatenate(([0], np.cumsum(K + counts)))  # each path's first normal row, then the total
+    normals = np.empty((int(rows[-1]), spec.d))
+    for b, rng in enumerate(streams):
+        rng.standard_normal(out=normals[rows[b * _BLOCK] : rows[min((b + 1) * _BLOCK, counts.size)]])
+    return counts, np.concatenate(uniforms), normals
 
 
 def _catalog_block_worker(args):
     name, overrides, K, seed, p_lo, p_hi = args
     from .catalog import build_problem
 
-    return _draw_block(build_problem(name, overrides), K, seed, p_lo, p_hi)
+    return _draw_blocks(build_problem(name, overrides), K, seed, p_lo, p_hi)
 
 
 def _atoms_from_draws(intensity: IntensityMeasure, T: float, counts: Array, uniforms: Array):
@@ -332,9 +240,10 @@ def simulate_paths(
     """Simulate ``N`` paths of the regime process and the Euler state.
 
     ``h`` must divide the horizon and ``seed`` be a non-negative integer.
-    ``workers > 1`` bounds the processes the random draws are split over; the
-    pool never exceeds ``os.cpu_count()``. Because every path has its own
-    substream the result is bit-identical for any worker count. Multiprocess
+    ``workers``, an integer ``>= 1``, bounds the processes the random draws
+    are split over; the pool never exceeds ``os.cpu_count()``. It splits whole
+    blocks of paths, and every block has its own substream, so the result is
+    bit-identical for any worker count. Multiprocess
     mode needs ``problem_ref = (catalog_name, overrides)`` so workers can
     rebuild the problem (coefficient closures do not cross process
     boundaries).
@@ -343,6 +252,8 @@ def simulate_paths(
         raise ValueError(f"path count must be an integer >= 1, got {N!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"workers must be an integer, got {workers!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     T = spec.horizon
@@ -350,17 +261,16 @@ def simulate_paths(
 
     workers = min(workers, os.cpu_count() or 1)
     if workers > 1 and problem_ref is not None and N >= 2 * workers:
-        chunk = (N + workers - 1) // workers
+        chunk = -(-N // (workers * _BLOCK)) * _BLOCK  # whole blocks per task
         name, overrides = problem_ref
         args = [(name, overrides, K, seed, lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(_catalog_block_worker, args))
-        counts, uniforms, normals = (np.concatenate(parts) for parts in zip(*blocks))
+            parts = list(pool.map(_catalog_block_worker, args))
+        counts, uniforms, normals = (np.concatenate(arrays) for arrays in zip(*parts))
     else:
-        counts, uniforms, normals = _draw_block(spec, K, seed, 0, N)
+        counts, uniforms, normals = _draw_blocks(spec, K, seed, 0, N)
 
     atom_offsets, atom_times, atom_marks = _atoms_from_draws(spec.intensity, T, counts, uniforms)
-    normals = normals.reshape(-1, spec.d)
     first_row = np.concatenate(([0], np.cumsum(K + counts)[:-1]))  # of each path's normals
 
     def increments(n_sub: Array) -> Callable[[Array, Array, Array], Array]:

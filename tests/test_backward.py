@@ -309,7 +309,7 @@ class TestStepAndSolve:
 
     def test_warns_when_strata_thinner_than_basis(self):
         spec = build_problem("switch2-linear")
-        bundle = simulate_paths(spec, 4, 0.25, seed=0)
+        bundle = bundle_from_paths(spec, 0.25, [[(0.1, 1)], [], [], []])  # regime 1 holds one path at t_1
         with pytest.warns(UserWarning, match="fewer paths per stratum"):
             solve_backward(spec, SchemeConfig(h=0.25, paths=4, seed=0), bundle)
         # a configured path count the bundle does not hold is refused
@@ -473,7 +473,7 @@ class TestStepView:
 
     def test_thin_strata_warn_once_per_ladder(self):
         spec = build_problem("switch2-linear")
-        bundle = simulate_paths(spec, 4, 0.25, seed=0)
+        bundle = bundle_from_paths(spec, 0.25, [[(0.1, 1)], [], [], []])  # regime 1 holds one path at t_1
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             penalization_ladder(spec, SchemeConfig(h=0.25, paths=4, seed=0), [1, 2, 4, 8], bundle)

@@ -81,6 +81,14 @@ class TestConfigErrors:
         assert "--workers must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers", ["2", 2.5, 2.0, True])
+    def test_non_integer_workers_refused(self, tmp_path, capsys, workers):
+        # a string used to escape as a TypeError, and 2.5 to run as the cpu cap allowed
+        out = tmp_path / "out"
+        assert run("solve", write_config(tmp_path, solve_config()), workers=workers, out=str(out)) == 3
+        assert "--workers must be an integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_override_key(self, tmp_path):
         cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"zeta": 1}}))
         assert run("solve", cfg, out=str(tmp_path)) == 3
@@ -240,8 +248,9 @@ class TestOtherCommands:
     def test_simulate_paths_csv_pinned(self, tmp_path):
         """The bytes of paths.csv on a switch3 run with several atoms per step, for any worker count.
 
-        The digest was recorded from the padded per-path layout that preceded
-        the step-major sub-interval arrays.
+        The digest was recorded when the draws moved to one substream per
+        block of paths; the step-major layout that came before gave the same
+        bytes as the padded per-path one on the per-path stream.
         """
         payload = {
             "problem": {"name": "switch3", "overrides": {"intensity": [6.0, 4.0, 2.0]}},
@@ -252,7 +261,7 @@ class TestOtherCommands:
         for w in (1, 2):
             assert run("simulate", cfg, workers=w, out=str(tmp_path / f"w{w}")) == 0
             data = (tmp_path / f"w{w}" / "paths.csv").read_bytes()
-            assert hashlib.sha256(data).hexdigest() == "f115ebfa01f5534fb202ba5d663e943eea2a61c45b87ec9ea2a16a53a2269949"
+            assert hashlib.sha256(data).hexdigest() == "a3faff828f305265017035355029ac5275f88eb431eefcb9885f464d21dc1c5b"
 
     def test_oracle_penalized_requires_level(self, tmp_path):
         payload = solve_config(problem={"name": "switch2-linear", "overrides": {}})

@@ -180,33 +180,55 @@ class TestCompensatedIncrement:
 SEEDS = (0, 31, 2**32 - 1, 2**32, 2**100 + 3)
 
 
-class TestBulkSeeding:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_states_match_seed_sequence(self, seed):
-        """The bulk seeder gives the PCG64 state of numpy's own SeedSequence((s, p))."""
-        paths = np.array([0, 1, 2**31, 2**32 - 1, *range(2, 70)])
-        for p, (state, inc) in zip(paths.tolist(), forward._pcg64_seeds(seed, paths)):
-            expected = np.random.default_rng(np.random.SeedSequence((seed, p))).bit_generator.state
-            assert expected["state"] == {"state": state, "inc": inc}, p
+def assert_same_bundle(a, b):
+    """Every array of the two bundles bit-identical, dtypes included, and every scalar equal."""
+    for name, value in vars(a).items():
+        other = getattr(b, name)
+        if isinstance(value, np.ndarray):
+            assert value.dtype == other.dtype, name
+            np.testing.assert_array_equal(value, other, err_msg=name)
+        else:
+            assert value == other, name
 
-    def test_draw_block_grows_past_its_room(self):
-        """A block with far more atoms than expected still draws the contract's stream."""
-        spec, K, seed = build_problem("switch2-linear"), 10, 5
-        mean_count = spec.intensity.total * spec.horizon
-        counts = [np.random.default_rng(np.random.SeedSequence((seed, p))).poisson(mean_count) for p in range(2000)]
-        p = int(np.argmax(counts))
-        assert counts[p] > mean_count + 4.0 * np.sqrt(mean_count)  # past a one-path block's initial room
-        c, uniforms, normals = forward._draw_block(spec, K, seed, p, p + 1)
-        rng = np.random.default_rng(np.random.SeedSequence((seed, p)))
-        assert c.tolist() == [rng.poisson(mean_count)]
-        np.testing.assert_array_equal(uniforms, rng.random(2 * c[0]))
-        np.testing.assert_array_equal(normals, rng.standard_normal((K + c[0]) * spec.d))
 
-    def test_refuses_out_of_range_inputs(self):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
-            forward._pcg64_seeds(-1, np.arange(3))
-        with pytest.raises(ValueError, match=r"\[0, 2\*\*32\)"):
-            forward._pcg64_seeds(0, np.array([2**32]))
+def first_paths(b, n):
+    """The arrays of paths ``0..n-1`` of bundle ``b``, laid out as a run of ``n`` paths holds them."""
+    keep = b.path < n
+    atoms = slice(0, b.atom_offsets[n])
+    return {
+        "step_offsets": np.searchsorted(np.flatnonzero(keep), b.step_offsets),
+        **{name: getattr(b, name)[keep] for name in ("path", "times", "dt", "regime", "x", "dw")},
+        "x_T": b.x_T[:n],
+        "i_T": b.i_T[:n],
+        "atom_offsets": b.atom_offsets[: n + 1],
+        "atom_times": b.atom_times[atoms],
+        "atom_marks": b.atom_marks[atoms],
+    }
+
+
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Run the worker pool's tasks in this process on a 3-CPU host; returns the tasks' path ranges."""
+    ranges = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            items = list(items)
+            ranges.append([item[-2:] for item in items])
+            return map(fn, items)
+
+    monkeypatch.setattr(forward, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(forward.os, "cpu_count", lambda: 3)
+    return ranges
 
 
 class TestSimulatePaths:
@@ -266,6 +288,10 @@ class TestSimulatePaths:
         for workers in (0, -5):
             with pytest.raises(ValueError, match="workers must be >= 1"):
                 simulate_paths(spec, 10, 0.25, seed=0, workers=workers, problem_ref=("bm1", {}))
+        for workers in (True, 2.5, 2.0, "2"):  # 2.5 used to run as the cpu cap allowed, "2" to raise a TypeError
+            with pytest.raises(ValueError, match="workers must be an integer"):
+                simulate_paths(spec, 10, 0.25, seed=0, workers=workers, problem_ref=("bm1", {}))
+        assert simulate_paths(spec, 10, 0.25, seed=0, workers=np.int64(1)).N == 10
 
     def test_worker_pool_capped_at_cpu_count(self, monkeypatch):
         """A huge ``workers`` asks the pool for at most ``os.cpu_count()`` processes."""
@@ -430,17 +456,36 @@ class TestSimulatePaths:
         }
 
     def test_worker_split_matches_serial(self):
+        """Real worker processes (two where the host has two CPUs), one block each, give the serial bundle."""
         spec = build_problem("switch3")
-        serial = simulate_paths(spec, 48, 0.25, seed=6)
-        split = simulate_paths(spec, 48, 0.25, seed=6, workers=2, problem_ref=("switch3", {}))
+        N = forward._BLOCK + 300
+        serial = simulate_paths(spec, N, 0.25, seed=6)
+        split = simulate_paths(spec, N, 0.25, seed=6, workers=2, problem_ref=("switch3", {}))
         assert serial.atom_times.size > 0
-        for name, a in vars(serial).items():
-            b = getattr(split, name)
-            if isinstance(a, np.ndarray):
-                assert a.dtype == b.dtype, name
-                np.testing.assert_array_equal(a, b, err_msg=name)
-            else:
-                assert a == b, name
+        assert_same_bundle(serial, split)
+
+    def test_worker_tasks_split_whole_blocks(self, in_process_pool):
+        """Each task draws whole blocks, the last one ending at N, and every split gives the serial bundle."""
+        spec = build_problem("switch3")
+        B = forward._BLOCK
+        N = 2 * B + 17
+        serial = simulate_paths(spec, N, 0.25, seed=6)
+        for workers in (2, 3):
+            split = simulate_paths(spec, N, 0.25, seed=6, workers=workers, problem_ref=("switch3", {}))
+            assert_same_bundle(serial, split)
+        assert in_process_pool == [[(0, 2 * B), (2 * B, N)], [(0, B), (B, 2 * B), (2 * B, N)]]
+
+    def test_shorter_run_is_a_prefix(self):
+        """Path p's draws depend on (seed, p) alone: the first 40 paths of 1100 are a 40-path run."""
+        spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
+        short = simulate_paths(spec, 40, 0.125, seed=12)
+        long = simulate_paths(spec, 1100, 0.125, seed=12)
+        arrays = {name: value for name, value in vars(short).items() if isinstance(value, np.ndarray)}
+        prefix = first_paths(long, 40)
+        assert arrays.keys() == prefix.keys()
+        for name, value in arrays.items():
+            assert value.dtype == prefix[name].dtype, name
+            np.testing.assert_array_equal(value, prefix[name], err_msg=name)
 
     @pytest.mark.parametrize(
         "make_spec, h, seed",
@@ -465,18 +510,31 @@ class TestSimulatePaths:
         ],
     )
     def test_stream_contract(self, make_spec, h, seed):
-        """Path p draws its atoms, then its normals, from SeedSequence((s, p))."""
+        """Block b draws its paths' counts, atoms and normals from SeedSequence(s, spawn_key=(b,))."""
         spec = make_spec()
-        b = simulate_paths(spec, 40, h, seed=seed)
+        B, T, d = forward._BLOCK, spec.horizon, spec.d
+        N = B + 40  # the run ends inside block 1
+        b = simulate_paths(spec, N, h, seed=seed)
         assert b.atom_times.size > 0
-        for p in (0, 1, 7, 23, 39):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, p)))
-            times, marks = sample_jump_marks(spec.intensity, spec.horizon, rng)
-            np.testing.assert_array_equal(path_atoms(b, p)[0], times)
-            np.testing.assert_array_equal(path_atoms(b, p)[1], marks)
-            sub = np.flatnonzero(b.path == p)
-            normals = rng.standard_normal((sub.size, spec.d))
-            np.testing.assert_array_equal(b.dw[sub], normals * np.sqrt(b.dt[sub])[:, None])
+        order = np.argsort(b.path, kind="stable")  # each path's sub-intervals in time order
+        sizes = np.bincount(b.path, minlength=N)
+        pos = np.empty(order.size, dtype=int)  # a sub-interval's place in its path's grid
+        pos[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        for block in (0, 1):
+            lo, hi = block * B, min((block + 1) * B, N)
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(block,)))
+            counts = rng.poisson(spec.intensity.total * T, B)  # every path of the block, present or not
+            p_marks = spec.intensity.mark_probabilities()
+            atoms = [(np.sort(rng.random(c)) * T, rng.choice(spec.intensity.m, size=c, p=p_marks) + 1) for c in counts]
+            for p in range(lo, hi):
+                np.testing.assert_array_equal(path_atoms(b, p)[0], atoms[p - lo][0])
+                np.testing.assert_array_equal(path_atoms(b, p)[1], atoms[p - lo][1])
+            rows = b.K + counts[: hi - lo]  # normal rows of each present path, in path order
+            normals = rng.standard_normal((int(rows.sum()), d))
+            first_row = np.cumsum(rows) - rows
+            sub = np.flatnonzero((b.path >= lo) & (b.path < hi))
+            expected = normals[first_row[b.path[sub] - lo] + pos[sub]] * np.sqrt(b.dt[sub])[:, None]
+            np.testing.assert_array_equal(b.dw[sub], expected)
 
 
 class TestBundleFromPaths:
