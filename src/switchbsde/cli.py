@@ -2,8 +2,9 @@
 
 Commands: ``simulate``, ``solve``, ``ladder``, ``oracle``, ``compare``,
 ``validate``. Artifacts are plain JSON/CSV with no timestamps or host
-information, so identical config and seed reproduce byte-identical files
-regardless of the worker count.
+information, so identical config and seed reproduce byte-identical files.
+Simulation runs in this process; ``--workers`` is checked and accepted for
+compatibility and changes no output.
 
 Exit codes: 0 success, 1 validation hard-failure, 2 numerical abort,
 3 configuration error.
@@ -253,9 +254,7 @@ def run(
         fd_settings = _fd_settings(cfg, spec) if command == "compare" else None
 
         if command == "simulate":
-            bundle = simulate_paths(
-                spec, scheme.paths, scheme.h, seed_val, workers=workers, problem_ref=(name, overrides)
-            )
+            bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
             dump_paths_csv(bundle, out_dir / "paths.csv")
             return 0
 
@@ -263,9 +262,7 @@ def run(
             schedule = _optional(_section(cfg, "ladder"), "n_schedule", list, "ladder", [1, 2, 4, 8, 16, 32, 64])
             if not all(isinstance(n, int) and not isinstance(n, bool) for n in schedule):
                 raise ConfigError("ladder.n_schedule must be a list of integers")
-            bundle = simulate_paths(
-                spec, scheme.paths, scheme.h, seed_val, workers=workers, problem_ref=(name, overrides)
-            )
+            bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
             report = penalization_ladder(spec, scheme, schedule, bundle)
             _json_dump(
                 {
@@ -279,9 +276,7 @@ def run(
             return 0
 
         # solve / compare share the solve stage
-        bundle = simulate_paths(
-            spec, scheme.paths, scheme.h, seed_val, workers=workers, problem_ref=(name, overrides)
-        )
+        bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
         result = solve_backward(spec, scheme, bundle)
         residual = skorohod_residual(result)
         payload = {
@@ -355,7 +350,12 @@ def main(argv=None) -> None:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1, help="bound on simulation parallelism")
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="accepted for compatibility (an integer >= 1); simulation runs in one process",
+    )
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--dump-paths", action="store_true")
     parser.add_argument("--dump-steps", action="store_true")

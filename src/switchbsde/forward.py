@@ -19,8 +19,7 @@ consumes, in order: the Poisson atom counts of all the block's paths, their
 atom times and marks path by path, then ``d`` standard normals per
 sub-interval of each present path's grid, path by path in time order. Path
 ``p``'s draws therefore depend only on ``(s, p)``: a run of ``N`` paths is a
-prefix of any longer run, and the worker pool, which splits whole blocks,
-gives bit-identical results for any worker count.
+prefix of any longer run.
 
 Simulation runs in two phases. The block draws come first: each path takes
 ``K + count`` normal rows, enough for the longest grid it can have, and an
@@ -33,8 +32,6 @@ over all paths and stores each sub-interval once, step-major
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -161,30 +158,29 @@ def _euler_step(spec: ProblemSpec, i: int, x: Array, dt: Array, dw: Array) -> Ar
 _BLOCK = 1024  # paths per substream
 
 
-def _draw_blocks(spec: ProblemSpec, K: int, seed: int, p_lo: int, p_hi: int) -> tuple[Array, Array, Array]:
-    """Raw draws of paths ``[p_lo, p_hi)``: atom counts, uniforms, normals.
+def _draw_blocks(spec: ProblemSpec, K: int, seed: int, N: int) -> tuple[Array, Array, Array]:
+    """Raw draws of paths ``[0, N)``: atom counts, uniforms, normals.
 
-    ``p_lo`` is a multiple of ``_BLOCK``. Block ``b`` (paths ``b * _BLOCK`` to
-    ``(b + 1) * _BLOCK - 1``) draws from ``default_rng(SeedSequence(seed,
-    spawn_key=(b,)))``, in order: the Poisson atom counts of all its paths,
-    even those at or past ``p_hi``; ``2c`` uniforms per path in path order (the
-    atom times, then the marks, as :func:`sample_jump_marks` consumes them);
-    then ``(K + c) * d`` standard normals per path below ``p_hi``, in path
-    order, one row per sub-interval the path's grid can have. The normals
-    come last because only paths below ``p_hi`` take them, so path ``p``'s
-    draws depend on ``seed`` and ``p`` alone. The rows a path leaves unused
-    when atoms merge with grid nodes are skipped.
+    Block ``b`` (paths ``b * _BLOCK`` to ``(b + 1) * _BLOCK - 1``) draws from
+    ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, in order: the Poisson
+    atom counts of all its paths, even those at or past ``N``; ``2c`` uniforms
+    per path in path order (the atom times, then the marks, as
+    :func:`sample_jump_marks` consumes them); then ``(K + c) * d`` standard
+    normals per path below ``N``, in path order, one row per sub-interval the
+    path's grid can have. The normals come last because only paths below ``N``
+    take them, so path ``p``'s draws depend on ``seed`` and ``p`` alone. The
+    rows a path leaves unused when atoms merge with grid nodes are skipped.
 
     Each block's counts and uniforms are drawn first; its generator then
     writes its normals into its rows of one preallocated array.
     """
     mean_count = spec.intensity.total * spec.horizon
     streams, counts, uniforms = [], [], []
-    for lo in range(p_lo, p_hi, _BLOCK):
+    for lo in range(0, N, _BLOCK):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(lo // _BLOCK,)))
         c = rng.poisson(mean_count, _BLOCK)
         u = rng.random(2 * int(c.sum()))
-        c = c[: p_hi - lo]
+        c = c[: N - lo]
         streams.append(rng)
         counts.append(c)
         uniforms.append(u[: 2 * int(c.sum())])
@@ -192,15 +188,8 @@ def _draw_blocks(spec: ProblemSpec, K: int, seed: int, p_lo: int, p_hi: int) -> 
     rows = np.concatenate(([0], np.cumsum(K + counts)))  # each path's first normal row, then the total
     normals = np.empty((int(rows[-1]), spec.d))
     for b, rng in enumerate(streams):
-        rng.standard_normal(out=normals[rows[b * _BLOCK] : rows[min((b + 1) * _BLOCK, counts.size)]])
+        rng.standard_normal(out=normals[rows[b * _BLOCK] : rows[min((b + 1) * _BLOCK, N)]])
     return counts, np.concatenate(uniforms), normals
-
-
-def _catalog_block_worker(args):
-    name, overrides, K, seed, p_lo, p_hi = args
-    from .catalog import build_problem
-
-    return _draw_blocks(build_problem(name, overrides), K, seed, p_lo, p_hi)
 
 
 def _atoms_from_draws(intensity: IntensityMeasure, T: float, counts: Array, uniforms: Array):
@@ -228,47 +217,18 @@ def _atoms_from_draws(intensity: IntensityMeasure, T: float, counts: Array, unif
     return atom_offsets, times[keep], marks[keep]
 
 
-def simulate_paths(
-    spec: ProblemSpec,
-    N: int,
-    h: float,
-    seed: int,
-    *,
-    workers: int = 1,
-    problem_ref: Optional[tuple[str, dict]] = None,
-) -> PathBundle:
+def simulate_paths(spec: ProblemSpec, N: int, h: float, seed: int) -> PathBundle:
     """Simulate ``N`` paths of the regime process and the Euler state.
 
     ``h`` must divide the horizon and ``seed`` be a non-negative integer.
-    ``workers``, an integer ``>= 1``, bounds the processes the random draws
-    are split over; the pool never exceeds ``os.cpu_count()``. It splits whole
-    blocks of paths, and every block has its own substream, so the result is
-    bit-identical for any worker count. Multiprocess
-    mode needs ``problem_ref = (catalog_name, overrides)`` so workers can
-    rebuild the problem (coefficient closures do not cross process
-    boundaries).
     """
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
         raise ValueError(f"path count must be an integer >= 1, got {N!r}")
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-        raise ValueError(f"workers must be an integer, got {workers!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
     T = spec.horizon
     K = _step_count(T, h)
-
-    workers = min(workers, os.cpu_count() or 1)
-    if workers > 1 and problem_ref is not None and N >= 2 * workers:
-        chunk = -(-N // (workers * _BLOCK)) * _BLOCK  # whole blocks per task
-        name, overrides = problem_ref
-        args = [(name, overrides, K, seed, lo, min(lo + chunk, N)) for lo in range(0, N, chunk)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_catalog_block_worker, args))
-        counts, uniforms, normals = (np.concatenate(arrays) for arrays in zip(*parts))
-    else:
-        counts, uniforms, normals = _draw_blocks(spec, K, seed, 0, N)
+    counts, uniforms, normals = _draw_blocks(spec, K, seed, N)
 
     atom_offsets, atom_times, atom_marks = _atoms_from_draws(spec.intensity, T, counts, uniforms)
     first_row = np.concatenate(([0], np.cumsum(K + counts)[:-1]))  # of each path's normals

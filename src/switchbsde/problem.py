@@ -15,7 +15,7 @@ Conventions used throughout the package:
   ``x`` has shape ``(n, d)``, vector outputs ``(n, d)``, matrix outputs
   ``(n, d, d)``, scalar outputs ``(n,)``;
 * evaluators must be pure and reentrant; a ``ProblemSpec`` is immutable
-  after construction and safe to share across workers.
+  after construction.
 """
 
 from __future__ import annotations

@@ -53,8 +53,8 @@ class BasisSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("global-polynomial", "piecewise-linear"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if self.degree < 0:
-            raise ValueError("basis degree must be nonnegative")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)) or self.degree < 0:
+            raise ValueError(f"basis degree must be a nonnegative integer, got {self.degree!r}")
 
     def size(self, d: int) -> int:
         """Number of basis functions per stratum."""

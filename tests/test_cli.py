@@ -1,5 +1,7 @@
 import hashlib
 import json
+import multiprocessing
+import os
 from pathlib import Path
 
 import numpy as np
@@ -304,11 +306,18 @@ class TestOtherCommands:
         assert {"value", "oracle_value", "abs_gap", "rel_gap"} <= report.keys()
         assert report["abs_gap"] < 0.25
 
-    def test_workers_do_not_change_bytes(self, tmp_path):
+    def test_workers_do_not_change_bytes(self, tmp_path, monkeypatch):
+        """``--workers`` is an accepted bound: the run stays in this process and the bytes stay put."""
+
+        def refuse_start(process):
+            raise AssertionError("a child process was started")
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", refuse_start)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)  # a pool would have room on any host
         cfg = write_config(tmp_path, solve_config())
         outs = []
-        for w in (1, 2):
+        for w in (1, 2, 8):
             out = tmp_path / f"w{w}"
             assert run("solve", cfg, workers=w, out=str(out)) == 0
             outs.append((out / "result.json").read_bytes())
-        assert outs[0] == outs[1]
+        assert len(set(outs)) == 1

@@ -40,10 +40,17 @@ class TestBuildDesign:
 
     def test_basis_size_reported(self):
         assert BasisSpec(degree=2).size(1) == 3
+        assert BasisSpec(degree=np.int64(2)).size(1) == 3
         assert BasisSpec(degree=2).size(2) == 6
         assert BasisSpec(kind="piecewise-linear", degree=3).size(1) == 5
         with pytest.raises(ValueError, match="d = 1"):
             BasisSpec(kind="piecewise-linear", degree=3).size(2)
+
+    @pytest.mark.parametrize("degree", [True, False, 2.0, 2.5, "2", -1])
+    def test_degree_must_be_nonnegative_integer(self, degree):
+        """``True`` used to run as degree 1 and ``2.0`` to fail with a TypeError inside the solve."""
+        with pytest.raises(ValueError, match="basis degree must be a nonnegative integer"):
+            BasisSpec(degree=degree)
 
 
 class TestOlsFit:
