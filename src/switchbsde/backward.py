@@ -82,8 +82,8 @@ class SchemeConfig:
             raise ValueError(f"path count must be an integer >= 1, got {self.paths!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        if not self.h > 0:
-            raise ValueError("time step must be positive")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"time step must be finite and positive, got {self.h!r}")
         if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
             raise ValueError("ridge must be None or a finite nonnegative number")
 
@@ -327,15 +327,16 @@ Ensemble = Union[MonteCarloEnsemble, LatticeEnsemble]
 
 
 def make_ensemble(spec: ProblemSpec, config: SchemeConfig, bundle) -> Ensemble:
-    if isinstance(bundle, PathBundle):
-        if abs(bundle.h - config.h) > 1e-9 * max(1.0, config.h):
-            raise ValueError("bundle step does not match the configured step")
-        if bundle.N != config.paths:
-            raise ValueError(f"bundle path count {bundle.N} does not match the configured {config.paths}")
-        return MonteCarloEnsemble(spec, bundle, config.basis, config.ridge)
+    if not isinstance(bundle, (PathBundle, LatticeChain)):
+        raise TypeError(f"cannot build an ensemble from {type(bundle).__name__}")
+    kind = "bundle" if isinstance(bundle, PathBundle) else "chain"
+    if abs(bundle.h - config.h) > 1e-9 * max(1.0, config.h):
+        raise ValueError(f"{kind} step does not match the configured step ({bundle.h!r} against {config.h!r})")
     if isinstance(bundle, LatticeChain):
         return LatticeEnsemble(spec, bundle)
-    raise TypeError(f"cannot build an ensemble from {type(bundle).__name__}")
+    if bundle.N != config.paths:
+        raise ValueError(f"bundle path count {bundle.N} does not match the configured {config.paths}")
+    return MonteCarloEnsemble(spec, bundle, config.basis, config.ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -518,21 +519,26 @@ def step_y(
 
 @dataclass
 class SolveResult:
-    """Output of one backward solve."""
+    """Output of one backward solve.
+
+    ``ys`` (steps ``0..K``), ``zs``, ``us`` and ``penalty_mass`` (steps
+    ``0..K-1``) are the per-unit arrays of every step; they are ``None``
+    unless the solve ran with ``keep_steps=True``.
+    """
 
     y0: float
     scheme: SchemeConfig
     mode: str
-    ys: list[Array]
-    zs: list[Array]
-    us: list[Array]
-    penalty_mass: list[Array]
     violation_mean: Array
     violation_max: Array
     skorohod_steps: Array
     fit_records: list[FitRecord]
     absent_strata_steps: dict[int, list[int]] = field(default_factory=dict)
     clipped_fraction: float = 0.0
+    ys: Optional[list[Array]] = None
+    zs: Optional[list[Array]] = None
+    us: Optional[list[Array]] = None
+    penalty_mass: Optional[list[Array]] = None
 
     def diagnostics_dict(self) -> dict:
         return {
@@ -618,14 +624,18 @@ def _steps(spec: ProblemSpec, config: SchemeConfig, levels: Array, ens: Ensemble
         del pm, vl  # not alive beside the next step's arrays
 
 
-def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResult:
-    """Run the backward scheme on a path bundle or an enumerated chain."""
+def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle, *, keep_steps: bool = False) -> SolveResult:
+    """Run the backward scheme on a path bundle or an enumerated chain.
+
+    The result holds ``y0`` and the per-step scalars and fit records; with
+    ``keep_steps=True`` it also holds every step's ``Y``, ``Z``, ``U`` and
+    penalty mass per unit.
+    """
     ens, y_T, steps = _backward_pass(spec, config, [config.n], bundle)
     K = ens.n_steps
-    ys: list[Array] = [None] * K + [y_T]
-    zs: list[Array] = [None] * K
-    us: list[Array] = [None] * K
-    pmass: list[Array] = [None] * K
+    kept: dict[str, list[Array]] = {}
+    if keep_steps:
+        kept = {"ys": [None] * K + [y_T], "zs": [None] * K, "us": [None] * K, "penalty_mass": [None] * K}
     viol_mean = np.zeros(K)
     viol_max = np.zeros(K)
     skorohod = np.zeros(K)
@@ -635,28 +645,29 @@ def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle) -> SolveResu
     total_units = 0
     for step in steps:
         k = step.k
-        ys[k], zs[k], us[k], pmass[k] = step.y[0], step.z[0], step.u[0], step.penalty_mass[0]
+        for arrays, values in zip(kept.values(), (step.y, step.z, step.u, step.penalty_mass)):
+            arrays[k] = values[0]
         viol_mean[k], viol_max[k], skorohod[k] = step.violation_mean[0], step.violation_max[0], step.skorohod[0]
         records.extend(step.records)
         if step.absent:
             absent[k] = step.absent
         clipped += int(step.clipped[0])
-        total_units += ys[k].size
+        total_units += step.y.shape[1]
+        if k == 0:
+            y0 = float(ens.unit_weights(0) @ step.y[0])
+        del step  # free this step's arrays before the pass computes the next
 
     return SolveResult(
-        y0=float(ens.unit_weights(0) @ ys[0]),
+        y0=y0,
         scheme=config,
         mode="exact" if ens.exact else "mc",
-        ys=ys,
-        zs=zs,
-        us=us,
-        penalty_mass=pmass,
         violation_mean=viol_mean,
         violation_max=viol_max,
         skorohod_steps=skorohod,
         fit_records=records,
         absent_strata_steps=absent,
         clipped_fraction=clipped / max(total_units, 1),
+        **kept,
     )
 
 

@@ -34,6 +34,10 @@ from .regression import BasisSpec
 SCHEMA_VERSION = 1
 COMMANDS = ("simulate", "solve", "ladder", "oracle", "compare", "validate")
 FD_KEYS = ("M", "x_min", "x_max", "dt", "mode", "n")
+ORACLE_KEYS = ("fd",)
+LADDER_KEYS = ("n_schedule",)
+OUTPUTS_KEYS = ("dir",)
+VALIDATE_KEYS = ("samples",)
 SCHEME_KEYS = ("h", "n", "paths", "basis", "ridge", "clip_to_growth_bound")
 BASIS_KEYS = ("kind", "degree", "stratify_by_regime")
 
@@ -183,7 +187,7 @@ def _problem_from(cfg: dict):
 
 def _fd_settings(cfg: dict, spec):
     """The ``oracle.fd`` grid, time step, mode and level, refused before any work if ``fd_solve`` cannot run them."""
-    fd_cfg = _section(_section(cfg, "oracle"), "fd", "oracle", accepted=FD_KEYS)
+    fd_cfg = _section(_section(cfg, "oracle", accepted=ORACLE_KEYS), "fd", "oracle", accepted=FD_KEYS)
 
     def get(key, kind, default):
         return _optional(fd_cfg, key, kind, "oracle.fd", default)
@@ -224,7 +228,8 @@ def run(
             raise ConfigError(f"--workers must be an integer, got {workers!r}")
         if workers < 1:
             raise ConfigError(f"--workers must be >= 1, got {workers}")
-        out_dir = Path(out if out is not None else _section(cfg, "outputs").get("dir", "."))
+        outputs = _section(cfg, "outputs", accepted=OUTPUTS_KEYS)
+        out_dir = Path(out if out is not None else _optional(outputs, "dir", str, "outputs", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
 
         if command == "validate":
@@ -259,7 +264,8 @@ def run(
             return 0
 
         if command == "ladder":
-            schedule = _optional(_section(cfg, "ladder"), "n_schedule", list, "ladder", [1, 2, 4, 8, 16, 32, 64])
+            ladder = _section(cfg, "ladder", accepted=LADDER_KEYS)
+            schedule = _optional(ladder, "n_schedule", list, "ladder", [1, 2, 4, 8, 16, 32, 64])
             if not all(isinstance(n, int) and not isinstance(n, bool) for n in schedule):
                 raise ConfigError("ladder.n_schedule must be a list of integers")
             bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
@@ -277,7 +283,7 @@ def run(
 
         # solve / compare share the solve stage
         bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
-        result = solve_backward(spec, scheme, bundle)
+        result = solve_backward(spec, scheme, bundle, keep_steps=dump_steps)
         residual = skorohod_residual(result)
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -325,7 +331,7 @@ def run(
 
 
 def _cmd_validate(cfg: dict, out_dir: Path) -> int:
-    samples = _optional(_section(cfg, "validate"), "samples", int, "validate", 200)
+    samples = _optional(_section(cfg, "validate", accepted=VALIDATE_KEYS), "samples", int, "validate", 200)
     if samples < 1:
         raise ConfigError("validate.samples must be a positive integer")
     try:

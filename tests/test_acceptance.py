@@ -75,7 +75,7 @@ def test_criterion_03_regression_free_equivalence():
     terminal_states = chain.nodes[-1].regime.size
     assert terminal_states <= 2**12
     dp = lattice_dp_solve(spec, chain, n=8)
-    res = solve_backward(spec, SchemeConfig(h=0.05, n=8, paths=1, seed=0), chain)
+    res = solve_backward(spec, SchemeConfig(h=0.05, n=8, paths=1, seed=0), chain, keep_steps=True)
     y0_gap = abs(dp.y0 - res.y0)
     u_gap = max(float(np.max(np.abs(dp.u[k] - res.us[k]))) for k in range(chain.K))
     ok = y0_gap <= 1e-12 and u_gap <= 1e-12

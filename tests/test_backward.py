@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -190,7 +191,7 @@ class TestStepAndSolve:
     def test_terminal_condition_exact(self):
         spec = build_problem("bm1")
         bundle = simulate_paths(spec, 200, 0.25, seed=5)
-        result = solve_backward(spec, SchemeConfig(h=0.25, paths=200, seed=5), bundle)
+        result = solve_backward(spec, SchemeConfig(h=0.25, paths=200, seed=5), bundle, keep_steps=True)
         g = spec.terminal(1, bundle.x_T)
         np.testing.assert_array_equal(result.ys[-1], g)
 
@@ -242,15 +243,15 @@ class TestStepAndSolve:
         spec = build_problem("switch2-linear")
         bundle = simulate_paths(spec, 2_000, 0.05, seed=11)
         cfg = SchemeConfig(h=0.05, n=4, paths=2_000, seed=11)
-        a = solve_backward(spec, cfg, bundle)
-        b = solve_backward(spec, cfg, bundle)
+        a = solve_backward(spec, cfg, bundle, keep_steps=True)
+        b = solve_backward(spec, cfg, bundle, keep_steps=True)
         assert a.y0 == b.y0
         np.testing.assert_array_equal(a.ys[0], b.ys[0])
 
     def test_step_zero_is_plain_mean(self):
         spec = build_problem("bm1")
         bundle = simulate_paths(spec, 300, 0.5, seed=13)
-        result = solve_backward(spec, SchemeConfig(h=0.5, paths=300, seed=13), bundle)
+        result = solve_backward(spec, SchemeConfig(h=0.5, paths=300, seed=13), bundle, keep_steps=True)
         assert np.ptp(result.ys[0]) == 0.0  # every path carries the same estimate
 
     def test_divergence_guard(self):
@@ -263,7 +264,7 @@ class TestStepAndSolve:
         spec = build_problem("bm1", {"growth_bound": [0.1, 0.1]})
         bundle = simulate_paths(spec, 500, 0.25, seed=2)
         cfg = SchemeConfig(h=0.25, paths=500, seed=2, clip_to_growth_bound=True)
-        result = solve_backward(spec, cfg, bundle)
+        result = solve_backward(spec, cfg, bundle, keep_steps=True)
         assert result.clipped_fraction > 0
         for k in range(bundle.K):
             bound = spec.growth_radius(bundle.nodes(k)[1])
@@ -289,6 +290,21 @@ class TestStepAndSolve:
         bundle = simulate_paths(spec, 50, 0.25, seed=0)
         with pytest.raises(ValueError, match="step does not match"):
             solve_backward(spec, SchemeConfig(h=0.125, paths=50, seed=0), bundle)
+
+    def test_mismatched_chain_step_rejected(self):
+        # the chain's step would run while the result echoes the configured one
+        spec = build_problem("switch2-linear")
+        chain = build_lattice_chain(spec, LatticeSpec(h=0.05))
+        cfg = SchemeConfig(h=0.1, n=4, paths=1, seed=0)
+        with pytest.raises(ValueError, match="chain step does not match"):
+            solve_backward(spec, cfg, chain)
+        with pytest.raises(ValueError, match="chain step does not match"):
+            penalization_ladder(spec, cfg, [1, 2], chain)
+
+    @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -0.25])
+    def test_bad_step_rejected_at_config(self, h):
+        with pytest.raises(ValueError, match="time step must be finite and positive"):
+            SchemeConfig(h=h)
 
     @pytest.mark.parametrize("ridge", [-1e-3, float("inf"), float("nan")])
     def test_bad_ridge_rejected_at_config(self, ridge):
@@ -359,6 +375,73 @@ class TestStepAndSolve:
         bundle = bundle_from_paths(spec, 0.25, [[(0.1, 2)], []])
         result = solve_backward(spec, SchemeConfig(h=0.25, paths=2, seed=0), bundle)
         assert 3 in result.absent_strata_steps[1]
+
+
+class TestKeepSteps:
+    """``keep_steps`` changes what the result holds, never what the pass computes."""
+
+    SUMMARY = (
+        "y0",
+        "violation_mean",
+        "violation_max",
+        "skorohod_steps",
+        "clipped_fraction",
+        "absent_strata_steps",
+        "fit_records",
+    )
+
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @pytest.mark.parametrize("case", ["switch2-mc", "bm1-clipped", "switch3-absent", "switch2-chain"])
+    def test_summary_equal_with_and_without_steps(self, case):
+        if case == "switch2-mc":
+            spec = build_problem("switch2-linear")
+            bundle = simulate_paths(spec, 2_000, 0.05, seed=9)
+            cfg = SchemeConfig(h=0.05, n=16, paths=2_000, seed=9, clip_to_growth_bound=True)
+        elif case == "bm1-clipped":
+            spec = build_problem("bm1", {"growth_bound": [0.1, 0.1]})
+            bundle = simulate_paths(spec, 500, 0.25, seed=2)
+            cfg = SchemeConfig(h=0.25, paths=500, seed=2, clip_to_growth_bound=True)
+        elif case == "switch3-absent":
+            spec = build_problem("switch3", {"T": 0.5})
+            bundle = bundle_from_paths(spec, 0.25, [[(0.1, 2)], []])
+            cfg = SchemeConfig(h=0.25, n=4, paths=2, seed=0)
+        else:
+            spec = build_problem("switch2-linear")
+            bundle = build_lattice_chain(spec, LatticeSpec(h=1 / 32))
+            cfg = SchemeConfig(h=1 / 32, n=8, paths=1, seed=0)
+        lean = solve_backward(spec, cfg, bundle)
+        kept = solve_backward(spec, cfg, bundle, keep_steps=True)
+        assert lean.ys is None and lean.zs is None and lean.us is None and lean.penalty_mass is None
+        assert len(kept.ys) == bundle.K + 1
+        assert len(kept.zs) == len(kept.us) == len(kept.penalty_mass) == bundle.K
+        for name in self.SUMMARY:
+            a, b = getattr(lean, name), getattr(kept, name)
+            if isinstance(a, np.ndarray):
+                a, b = a.tolist(), b.tolist()
+            assert a == b, name
+        if case == "bm1-clipped":
+            assert lean.clipped_fraction > 0
+        if case == "switch3-absent":
+            assert lean.absent_strata_steps
+
+    def test_lean_result_holds_a_tenth_of_the_kept_one(self):
+        spec = build_problem("switch2-linear")
+        bundle = simulate_paths(spec, 4_000, 0.05, seed=3)
+        cfg = SchemeConfig(h=0.05, n=16, paths=4_000, seed=3)
+        solve_backward(spec, cfg, bundle)  # one-time set-up is not the result's
+        held = {}
+        tracemalloc.start()
+        try:
+            for keep in (False, True):
+                before = tracemalloc.get_traced_memory()[0]
+                result = solve_backward(spec, cfg, bundle, keep_steps=keep)
+                held[keep] = tracemalloc.get_traced_memory()[0] - before
+                del result
+        finally:
+            tracemalloc.stop()
+        # the kept arrays, 4 000 paths each: K + 1 of Y, and K each of Z (d = 1), U (m = 2) and penalty mass
+        assert held[True] >= 4_000 * 8 * (11 + 10 * 4)
+        assert held[False] < held[True] / 10
 
 
 def reference_driver_terms(spec, n_pen, segments, xs, y_next, z, u, h, n_edges):
@@ -587,7 +670,7 @@ class TestLadderAndSkorohod:
             spec = build_problem("switch2-linear")
             bundle = build_lattice_chain(spec, LatticeSpec(h=1 / 48))
             cfg = SchemeConfig(h=1 / 48, n=8, paths=1, seed=0)
-        result = solve_backward(spec, cfg, bundle)
+        result = solve_backward(spec, cfg, bundle, keep_steps=True)
         reference = two_pass_skorohod(result, spec, bundle)
         assert reference != 0.0
         assert skorohod_residual(result) == reference

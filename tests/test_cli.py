@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from switchbsde import BasisSpec, SchemeConfig, build_problem, simulate_paths, solve_backward
 from switchbsde.cli import COMMANDS, main, run
 
 
@@ -107,6 +108,33 @@ class TestConfigErrors:
     def test_section_must_be_an_object(self, tmp_path, command, section, value):
         cfg = write_config(tmp_path, solve_config(**{section: value}))
         assert run(command, cfg, out=None if section == "outputs" else str(tmp_path)) == 3
+
+    @pytest.mark.parametrize(
+        "command, section, value",
+        [
+            ("ladder", "ladder", {"n_shedule": [1, 2]}),
+            ("validate", "validate", {"sampels": 5}),
+            ("solve", "outputs", {"dir": "out", "format": "csv"}),
+            ("compare", "oracle", {"fd": {"M": 80}, "grid": {"M": 80}}),
+        ],
+    )
+    def test_unknown_section_keys_refused(self, tmp_path, monkeypatch, capsys, command, section, value):
+        # a misspelt key must not run on its default
+        def no_work(*args, **kwargs):
+            raise AssertionError("started work before checking the config")
+
+        monkeypatch.setattr("switchbsde.cli.simulate_paths", no_work)
+        monkeypatch.setattr("switchbsde.cli.validate_problem", no_work)
+        out = tmp_path / "out"
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}}, **{section: value})
+        assert run(command, write_config(tmp_path, payload), out=str(out)) == 3
+        assert f"unknown {section} keys" in capsys.readouterr().err
+        assert list(out.glob("*")) == []
+
+    def test_outputs_dir_must_be_a_string(self, tmp_path, capsys):
+        # a configuration error, not a TypeError from pathlib
+        assert run("solve", write_config(tmp_path, solve_config(outputs={"dir": 5}))) == 3
+        assert "outputs.dir has the wrong type" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "fd", [{"mode": "penalized", "n": "256"}, {"n": -1}, {"M": 40.0}, {"facelift": True}, {"theta": 0.5}]
@@ -232,6 +260,35 @@ class TestSolveCommand:
         assert header.startswith("step,family,stratum")
         steps_row = (tmp_path / "o" / "steps.csv").read_text().splitlines()[1]
         assert all(v == repr(float(v)) or v.isdigit() for v in steps_row.split(","))
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    def test_dump_steps_changes_no_other_artifact(self, tmp_path, command):
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}})
+        payload["scheme"] = {"h": 0.125, "n": 4, "paths": 300}
+        payload["oracle"] = {"fd": {"M": 80, "dt": 0.005}}
+        cfg = write_config(tmp_path, payload)
+        plain, dumped = tmp_path / "plain", tmp_path / "dumped"
+        assert run(command, cfg, out=str(plain), dump_regression=True) == 0
+        assert run(command, cfg, out=str(dumped), dump_regression=True, dump_steps=True) == 0
+        assert not (plain / "steps.csv").exists() and (dumped / "steps.csv").exists()
+        names = ["result.json", "regression.csv"] + (["compare.json"] if command == "compare" else [])
+        for name in names:
+            assert (plain / name).read_bytes() == (dumped / name).read_bytes(), name
+
+    def test_steps_csv_holds_the_kept_arrays(self, tmp_path):
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}})
+        payload["scheme"] = {"h": 0.125, "n": 4, "paths": 300}
+        assert run("solve", write_config(tmp_path, payload), out=str(tmp_path), dump_steps=True) == 0
+        spec = build_problem("switch2-linear")
+        scheme = SchemeConfig(h=0.125, n=4, paths=300, basis=BasisSpec(degree=2), seed=7)
+        kept = solve_backward(spec, scheme, simulate_paths(spec, 300, 0.125, seed=7), keep_steps=True)
+        paths = np.arange(300)
+        expected = [
+            np.column_stack([np.full(300, k), paths, kept.ys[k], kept.zs[k], kept.us[k], kept.penalty_mass[k]])
+            for k in range(len(kept.zs))
+        ]
+        rows = np.loadtxt(tmp_path / "steps.csv", delimiter=",", skiprows=1)
+        np.testing.assert_array_equal(rows, np.concatenate(expected))
 
     def test_divergence_exit_code(self, tmp_path):
         cfg = write_config(

@@ -121,7 +121,7 @@ class TestLatticeDp:
         spec = build_problem("switch2-linear")
         chain = build_lattice_chain(spec, LatticeSpec(h=0.05))
         dp = lattice_dp_solve(spec, chain, n=8)
-        res = solve_backward(spec, SchemeConfig(h=0.05, n=8, paths=1, seed=0), chain)
+        res = solve_backward(spec, SchemeConfig(h=0.05, n=8, paths=1, seed=0), chain, keep_steps=True)
         assert abs(dp.y0 - res.y0) <= 1e-12
         for k in range(chain.K):
             assert np.max(np.abs(dp.u[k] - res.us[k])) <= 1e-12
@@ -167,7 +167,7 @@ class TestLatticeDp:
         spec = build_problem("switch3")
         chain = build_lattice_chain(spec, LatticeSpec(h=1 / 16))
         dp = lattice_dp_solve(spec, chain, n=6)
-        res = solve_backward(spec, SchemeConfig(h=1 / 16, n=6, paths=1, seed=0), chain)
+        res = solve_backward(spec, SchemeConfig(h=1 / 16, n=6, paths=1, seed=0), chain, keep_steps=True)
         assert abs(dp.y0 - res.y0) <= 1e-12
         for k in range(chain.K):
             assert np.max(np.abs(dp.u[k] - res.us[k])) <= 1e-12
