@@ -20,10 +20,12 @@ After prediction the jump offsets are re-based: the own-regime component is
 subtracted from every component, which zeroes it exactly and makes the
 offsets consistent estimates of the cross-regime value differences.
 
-Every per-step operation also takes several penalization levels at once, on
-a leading level axis, and one private backward pass serves both
-:func:`solve_backward` (one level) and :func:`penalization_ladder` (the whole
-schedule): a step's view, design and Gram factors are built once for all
+Every per-step operation works on several penalization levels at once: its
+arrays carry a leading level axis, and a single level is the one-row case.
+One private driver runs the pass for a list of levels and returns one
+:class:`SolveResult` per level; :func:`solve_backward` is its one-level
+call and :func:`penalization_ladder` reads its results for the whole
+schedule. A step's view, design and Gram factors are built once for all
 levels. Products and sums still run level by level, each on its level's
 contiguous slice as a one-level pass has it, because batched ones need not
 round the same; so every level of a ladder is bit for bit its own solve.
@@ -33,14 +35,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .forward import PathBundle
 from .lattice import LatticeChain
-from .problem import ProblemSpec, constraint_values, penalty_batch
+from .problem import ProblemSpec, _is_int, constraint_values, penalty_batch
 from .regression import BasisSpec, build_design, ols_fit
 
 Array = np.ndarray
@@ -76,11 +77,11 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 0:
+        if not _is_int(self.n) or self.n < 0:
             raise ValueError(f"penalization level must be a nonnegative integer, got {self.n!r}")
-        if isinstance(self.paths, bool) or not isinstance(self.paths, (int, np.integer)) or self.paths < 1:
+        if not _is_int(self.paths) or self.paths < 1:
             raise ValueError(f"path count must be an integer >= 1, got {self.paths!r}")
-        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not (np.isfinite(self.h) and self.h > 0):
             raise ValueError(f"time step must be finite and positive, got {self.h!r}")
@@ -207,11 +208,11 @@ class MonteCarloEnsemble:
             view.blocks = build_design(self.basis, view.regimes, view.xs)
         return view.blocks
 
-    def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[FitRecord]]:
+    def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[list[FitRecord]]]:
         """Projection of ``targets``, shape (L, N, c): c columns at each of L levels.
 
         One fit per stratum covers every column of every level. The records
-        come level by level, each level's as a one-level call gives them.
+        come as one list per level, each as a one-level call gives it.
         """
         if not np.all(np.isfinite(targets)):
             raise DivergenceError(f"non-finite regression target for {family} at step {k}")
@@ -221,7 +222,7 @@ class MonteCarloEnsemble:
             # all paths share the initial state: E_0 is the plain mean
             for level in range(levels):
                 out[level] = targets[level].mean(axis=0)
-            return out, []
+            return out, [[] for _ in range(levels)]
         fits = []
         for stratum, block in sorted(self._design(k).items()):
             fit = ols_fit(block.matrix, np.take(targets, block.rows, axis=1), self.ridge, block.factor)
@@ -229,18 +230,20 @@ class MonteCarloEnsemble:
             out[:, block.rows] = fit.fitted
             fits.append((stratum, fit))
         records = [
-            FitRecord(
-                step=k,
-                family=family if c == 1 else f"{family}{col + 1}",
-                stratum=stratum,
-                sample_count=fit.sample_count,
-                gram_condition=fit.gram_condition,
-                residual_mse=float(fit.residual_mse[level, col]),
-                rank_deficient=fit.rank_deficient,
-            )
+            [
+                FitRecord(
+                    step=k,
+                    family=family if c == 1 else f"{family}{col + 1}",
+                    stratum=stratum,
+                    sample_count=fit.sample_count,
+                    gram_condition=fit.gram_condition,
+                    residual_mse=float(fit.residual_mse[level, col]),
+                    rank_deficient=fit.rank_deficient,
+                )
+                for stratum, fit in fits
+                for col in range(c)
+            ]
             for level in range(levels)
-            for stratum, fit in fits
-            for col in range(c)
         ]
         return out, records
 
@@ -313,11 +316,11 @@ class LatticeEnsemble:
                 out[level, :, col] = np.bincount(es.tail, weights=weights, minlength=out.shape[1])
         return out.reshape(out.shape[:2] + per_edge.shape[2:])
 
-    def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[FitRecord]]:
+    def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[list[FitRecord]]]:
         """Exact conditional expectation of ``targets``, shape (L, edges, c)."""
         if not np.all(np.isfinite(targets)):
             raise DivergenceError(f"non-finite target for {family} at step {k}")
-        return self._reduce(k, targets), []
+        return self._reduce(k, targets), [[] for _ in targets]
 
     def absent_strata(self, k: int) -> list[int]:
         return []
@@ -343,62 +346,52 @@ def make_ensemble(spec: ProblemSpec, config: SchemeConfig, bundle) -> Ensemble:
 # per-step operations
 
 
-def _check_step(ens: Ensemble, k: int) -> None:
+def _check_step(ens: Ensemble, k: int, y_next: Array) -> None:
     if not 0 <= k < ens.n_steps:
         raise ValueError(f"step index {k} out of range [0, {ens.n_steps})")
+    if np.ndim(y_next) != 2:
+        raise ValueError(f"y_next must have shape (L, n), one row per level, got shape {np.shape(y_next)}")
 
 
-def _leveled(values: Array, single: bool) -> Array:
-    """``values`` with a leading level axis, added when it holds a single level."""
-    return values[None] if single else values
-
-
-def _unleveled(values: Array, single: bool) -> Array:
-    return values[0] if single else values
-
-
-def estimate_z(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[FitRecord]]:
+def estimate_z(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[list[FitRecord]]]:
     """Gradient-proxy estimate at step k from next-step values.
 
     Regresses ``Y_{k+1} * dW / h`` componentwise; ``dW`` is the aggregate
-    increment over the whole step. ``y_next`` of shape (n,) gives ``z`` of
-    shape (N, d); ``y_next`` of shape (L, n), one row per level, gives
-    (L, N, d).
+    increment over the whole step. ``y_next`` of shape (L, n), one row per
+    level, gives ``z`` of shape (L, N, d) and one list of fit records per
+    level.
     """
-    _check_step(ens, k)
-    single = y_next.ndim == 1
+    _check_step(ens, k, y_next)
     _, head, _, dw, _ = ens.edge_arrays(k)
-    targets = np.take(_leveled(y_next, single), head, axis=1)[:, :, None] * dw
+    targets = np.take(y_next, head, axis=1)[:, :, None] * dw
     targets /= ens.h
-    values, records = ens.condexp(k, targets, "z")
-    return _unleveled(values, single), records
+    return ens.condexp(k, targets, "z")
 
 
-def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list[FitRecord]]:
+def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list[list[FitRecord]]]:
     """Jump-offset estimates at step k, re-based at the current regime.
 
     Returns ``(u, u_raw, fit records)`` where ``u_raw`` is the direct
     compensated-count regression and ``u`` subtracts each unit's own-regime
-    component (making it exactly zero there). Both are (N, m), or (L, N, m)
-    for ``y_next`` of shape (L, n).
+    component (making it exactly zero there). ``y_next`` has shape (L, n),
+    one row per level; both estimates are (L, N, m), and the fit records
+    come one list per level.
     """
-    _check_step(ens, k)
+    _check_step(ens, k, y_next)
     ens.spec.intensity.require_positive()
-    single = y_next.ndim == 1
     lam = ens.spec.intensity.weights
     _, head, _, _, counts = ens.edge_arrays(k)
     compensated = counts - lam[None, :] * ens.h
-    targets = np.take(_leveled(y_next, single), head, axis=1)[:, :, None] * compensated
+    targets = np.take(y_next, head, axis=1)[:, :, None] * compensated
     targets /= lam[None, :] * ens.h
     u_raw, records = ens.condexp(k, targets, "u")
     regimes, _ = ens.states(k)
     own = u_raw[:, np.arange(u_raw.shape[1]), regimes - 1]
-    u = u_raw - own[:, :, None]
-    return _unleveled(u, single), _unleveled(u_raw, single), records
+    return u_raw - own[:, :, None], u_raw, records
 
 
 def _driver_terms(
-    spec: ProblemSpec, n_pen: Union[int, Sequence[int]], ens: Ensemble, k: int, y_next: Array, z: Array, u: Array
+    spec: ProblemSpec, levels: Sequence[int], ens: Ensemble, k: int, y_next: Array, z: Array, u: Array
 ) -> tuple[Array, Array, Array, Array]:
     """Per-edge driver integral, penalty mass, time-averaged violation and ``min_j h_ij``.
 
@@ -416,15 +409,13 @@ def _driver_terms(
     zero where the constraint is not evaluated (one regime at level 0, where
     no penalty mass accrues).
 
-    ``n_pen`` is one level, with ``y_next`` (n,), ``z`` (N, d) and ``u``
-    (N, m), or a sequence of L levels, with a leading level axis on those
-    arrays and on the four (edges,) outputs. The gathers and sums that do
-    not depend on the level run once; the driver, the constraint, the
-    compensator product and the per-edge sums run once per level.
+    ``levels`` holds L levels; ``y_next`` (L, n), ``z`` (L, N, d), ``u``
+    (L, N, m) and the four (L, edges) outputs carry one row per level. The
+    gathers and sums that do not depend on the level run once; the driver,
+    the constraint, the compensator product and the per-edge sums run once
+    per level.
     """
-    single = np.ndim(n_pen) == 0
-    levels = np.atleast_1d(n_pen)
-    y_next, z, u = (_leveled(a, single) for a in (y_next, z, u))
+    levels = np.asarray(levels)
     _, xs = ens.states(k)
     lam = spec.intensity.weights
     seg_edge, seg_tail, seg_head, seg_dt, seg_regime = ens.segments(k)
@@ -462,12 +453,12 @@ def _driver_terms(
     first = np.flatnonzero(np.diff(seg_edge, prepend=-1))
     n_edges = first.size
     # per level, as a one-level pass has it; bincount adds in segment order, as np.add.at does
-    integral, penalty_mass, violation = sums = [np.empty((levels.size, n_edges)) for _ in range(3)]
+    integral, penalty_mass, violation = [np.empty((levels.size, n_edges)) for _ in range(3)]
     for level, (n, f, pen) in enumerate(zip(levels, f_val, pen_val)):
         integral[level] = np.bincount(seg_edge, seg_dt * (f + n * pen), n_edges)
         penalty_mass[level] = np.bincount(seg_edge, seg_dt * n * pen, n_edges)
         violation[level] = np.bincount(seg_edge, seg_dt * pen / ens.h, n_edges)
-    return tuple(_unleveled(a, single) for a in (*sums, min_h[:, first]))
+    return integral, penalty_mass, violation, min_h[:, first]
 
 
 def step_y(
@@ -477,24 +468,22 @@ def step_y(
     z_k: Array,
     u_k: Array,
     spec: ProblemSpec,
-    n: Union[int, Sequence[int]],
-) -> tuple[Array, Array, Array, Union[float, Array], list[FitRecord]]:
+    levels: Sequence[int],
+) -> tuple[Array, Array, Array, Array, list[list[FitRecord]]]:
     """Value estimate at step k: project ``Y_{k+1} + int f^n`` on the basis.
 
     Returns ``(y, penalty_mass, violation, skorohod, fit records)`` with the
     penalty mass and the time-averaged constraint violation reduced per
     unit, and the step's Skorohod term ``E[min_j h_ij * penalty_mass]``.
-    ``n`` is one level, or a sequence of L levels with a leading level axis
-    on ``y_next``, ``z_k``, ``u_k`` and the per-unit outputs and an (L,)
-    array of Skorohod terms.
+    ``levels`` holds L levels, one per row of ``y_next`` (L, n), ``z_k``
+    (L, N, d) and ``u_k`` (L, N, m); the per-unit outputs are (L, N), the
+    Skorohod terms (L,), and the fit records come one list per level.
     """
-    _check_step(ens, k)
-    single = np.ndim(n) == 0
-    y_next = _leveled(y_next, single)
+    _check_step(ens, k, y_next)
+    if np.ndim(levels) != 1 or len(levels) != y_next.shape[0]:
+        raise ValueError(f"need one level per row of y_next ({y_next.shape[0]}), got levels {levels!r}")
     tail, head, prob, _, _ = ens.edge_arrays(k)
-    integral, penalty_edge, violation_edge, min_h = _driver_terms(
-        spec, np.atleast_1d(n), ens, k, y_next, _leveled(z_k, single), _leveled(u_k, single)
-    )
+    integral, penalty_edge, violation_edge, min_h = _driver_terms(spec, levels, ens, k, y_next, z_k, u_k)
     targets = np.take(y_next, head, axis=1) + integral
     y, records = ens.condexp(k, targets[:, :, None], "y")
     penalty_mass = ens.edge_to_unit(k, penalty_edge)
@@ -507,10 +496,7 @@ def step_y(
                 if prob is not None:
                     weight = weight * prob
             skorohod[level] = np.sum(weight * min_h[level] * mass[tail])
-    violation = ens.edge_to_unit(k, violation_edge)
-    if single:
-        return y[0, :, 0], penalty_mass[0], violation[0], float(skorohod[0]), records
-    return y[:, :, 0], penalty_mass, violation, skorohod, records
+    return y[:, :, 0], penalty_mass, ens.edge_to_unit(k, violation_edge), skorohod, records
 
 
 # ---------------------------------------------------------------------------
@@ -540,42 +526,31 @@ class SolveResult:
     us: Optional[list[Array]] = None
     penalty_mass: Optional[list[Array]] = None
 
+    @property
+    def mean_violation(self) -> float:
+        """Mean over the steps of the per-step mean violation; 0 without steps."""
+        return float(np.mean(self.violation_mean)) if len(self.violation_mean) else 0.0
+
     def diagnostics_dict(self) -> dict:
         return {
             "violation_mean": [float(v) for v in self.violation_mean],
             "violation_max": [float(v) for v in self.violation_max],
-            "mean_violation": float(np.mean(self.violation_mean)) if len(self.violation_mean) else 0.0,
+            "mean_violation": self.mean_violation,
             "clipped_fraction": self.clipped_fraction,
             "absent_strata_steps": {str(k): v for k, v in self.absent_strata_steps.items()},
         }
 
 
-@dataclass
-class _Step:
-    """One step of a backward pass; arrays carry a leading level axis."""
-
-    k: int
-    y: Array                # (L, N)
-    z: Array                # (L, N, d)
-    u: Array                # (L, N, m)
-    penalty_mass: Array     # (L, N)
-    violation_mean: Array   # (L,)
-    violation_max: Array    # (L,)
-    skorohod: Array         # (L,)
-    clipped: Array          # (L,) count of values clipped to the growth bound
-    records: list[FitRecord]
-    absent: list[int]
-
-
-def _backward_pass(
-    spec: ProblemSpec, config: SchemeConfig, levels: Sequence[int], bundle
-) -> tuple[Ensemble, Array, Iterator[_Step]]:
+def _solve_levels(
+    spec: ProblemSpec, config: SchemeConfig, levels: Sequence[int], bundle, keep_steps: bool = False
+) -> list[SolveResult]:
     """One backward pass for every penalization level in ``levels`` at once.
 
-    Returns the ensemble, the terminal values and an iterator over the steps
-    ``K - 1, ..., 0``. Only the current step's arrays and the values they were
-    built from are alive, so a caller keeps what it needs of each step.
+    Returns one result per level, its scheme ``config`` at that level. Only
+    the current step's arrays and the values they were built from are alive,
+    unless ``keep_steps`` keeps every step's per-unit arrays.
     """
+    schemes = [replace(config, n=n) for n in levels]  # refuses a bad level before the pass
     spec.intensity.require_positive()
     ens = make_ensemble(spec, config, bundle)
     if isinstance(ens, MonteCarloEnsemble):
@@ -587,41 +562,58 @@ def _backward_pass(
     for i in np.unique(regimes_T):
         rows = np.flatnonzero(regimes_T == i)
         y_T[rows] = spec.terminal(int(i), x_T[rows])
-    return ens, y_T, _steps(spec, config, np.asarray(levels), ens, y_T)
 
-
-def _steps(spec: ProblemSpec, config: SchemeConfig, levels: Array, ens: Ensemble, y_T: Array) -> Iterator[_Step]:
-    y = np.repeat(y_T[None], levels.size, axis=0)
-    for k in range(ens.n_steps - 1, -1, -1):
+    K, L = ens.n_steps, len(levels)
+    y = np.repeat(y_T[None], L, axis=0)
+    # each step's (L, units) arrays; a level's result holds their rows
+    kept = {"ys": [None] * K + [y], "zs": [None] * K, "us": [None] * K, "penalty_mass": [None] * K} if keep_steps else {}
+    viol_mean, viol_max, skorohod = (np.zeros((L, K)) for _ in range(3))
+    records: list[list[FitRecord]] = [[] for _ in range(L)]
+    absent: dict[int, list[int]] = {}
+    clipped = np.zeros(L, dtype=int)
+    total_units = 0
+    for k in range(K - 1, -1, -1):
         z, rec_z = estimate_z(ens, k, y)
-        u, rec_u = itemgetter(0, 2)(estimate_u(ens, k, y))  # u_raw is not kept alive beside the step
-        y, pm, vl, skorohod, rec_y = step_y(ens, k, y, z, u, spec, levels)
+        u, rec_u = estimate_u(ens, k, y)[::2]  # u_raw is not kept alive beside the step
+        y, pm, vl, skorohod[:, k], rec_y = step_y(ens, k, y, z, u, spec, levels)
 
-        clipped = np.zeros(levels.size, dtype=int)
         if spec.growth_bound is not None:
             _, xs = ens.states(k)
             radius = spec.growth_radius(xs)
             if config.clip_to_growth_bound:
-                clipped = np.count_nonzero(np.abs(y) > radius, axis=1)
+                clipped += np.count_nonzero(np.abs(y) > radius, axis=1)
                 y = np.clip(y, -radius, radius)
             if np.any(np.abs(y) > 10.0 * radius):
                 raise DivergenceError(f"value estimate exceeded 10x the growth bound at step {k}")
 
         w = ens.unit_weights(k)
-        yield _Step(
-            k=k,
-            y=y,
-            z=z,
-            u=u,
-            penalty_mass=pm,
-            violation_mean=np.array([w @ row for row in vl]),
-            violation_max=vl.max(axis=1) if vl.size else np.zeros(levels.size),
-            skorohod=skorohod,
-            clipped=clipped,
-            records=rec_z + rec_u + rec_y,
-            absent=ens.absent_strata(k),
-        )
+        viol_mean[:, k] = [w @ row for row in vl]
+        viol_max[:, k] = vl.max(axis=1) if vl.size else 0.0
+        for level_records, z_records, u_records, y_records in zip(records, rec_z, rec_u, rec_y):
+            level_records += z_records + u_records + y_records
+        missing = ens.absent_strata(k)
+        if missing:
+            absent[k] = missing
+        total_units += y.shape[1]
+        for arrays, values in zip(kept.values(), (y, z, u, pm)):
+            arrays[k] = values
         del pm, vl  # not alive beside the next step's arrays
+
+    return [
+        SolveResult(
+            y0=float(ens.unit_weights(0) @ y[level]),
+            scheme=scheme,
+            mode="exact" if ens.exact else "mc",
+            violation_mean=viol_mean[level],
+            violation_max=viol_max[level],
+            skorohod_steps=skorohod[level],
+            fit_records=records[level],
+            absent_strata_steps=dict(absent),
+            clipped_fraction=int(clipped[level]) / max(total_units, 1),
+            **{name: [values[level] for values in arrays] for name, arrays in kept.items()},
+        )
+        for level, scheme in enumerate(schemes)
+    ]
 
 
 def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle, *, keep_steps: bool = False) -> SolveResult:
@@ -631,55 +623,10 @@ def solve_backward(spec: ProblemSpec, config: SchemeConfig, bundle, *, keep_step
     ``keep_steps=True`` it also holds every step's ``Y``, ``Z``, ``U`` and
     penalty mass per unit.
     """
-    ens, y_T, steps = _backward_pass(spec, config, [config.n], bundle)
-    K = ens.n_steps
-    kept: dict[str, list[Array]] = {}
-    if keep_steps:
-        kept = {"ys": [None] * K + [y_T], "zs": [None] * K, "us": [None] * K, "penalty_mass": [None] * K}
-    viol_mean = np.zeros(K)
-    viol_max = np.zeros(K)
-    skorohod = np.zeros(K)
-    records: list[FitRecord] = []
-    absent: dict[int, list[int]] = {}
-    clipped = 0
-    total_units = 0
-    for step in steps:
-        k = step.k
-        for arrays, values in zip(kept.values(), (step.y, step.z, step.u, step.penalty_mass)):
-            arrays[k] = values[0]
-        viol_mean[k], viol_max[k], skorohod[k] = step.violation_mean[0], step.violation_max[0], step.skorohod[0]
-        records.extend(step.records)
-        if step.absent:
-            absent[k] = step.absent
-        clipped += int(step.clipped[0])
-        total_units += step.y.shape[1]
-        if k == 0:
-            y0 = float(ens.unit_weights(0) @ step.y[0])
-        del step  # free this step's arrays before the pass computes the next
-
-    return SolveResult(
-        y0=y0,
-        scheme=config,
-        mode="exact" if ens.exact else "mc",
-        violation_mean=viol_mean,
-        violation_max=viol_max,
-        skorohod_steps=skorohod,
-        fit_records=records,
-        absent_strata_steps=absent,
-        clipped_fraction=clipped / max(total_units, 1),
-        **kept,
-    )
+    return _solve_levels(spec, config, [config.n], bundle, keep_steps)[0]
 
 
-@dataclass
-class _LevelSummary:
-    """What a ladder keeps of one level: the parts of a :class:`SolveResult` its report reads."""
-
-    violation_mean: Array
-    skorohod_steps: Array
-
-
-def skorohod_residual(result: Union[SolveResult, _LevelSummary]) -> float:
+def skorohod_residual(result: SolveResult) -> float:
     """Discrete minimality diagnostic: sum of min-constraint times penalty mass.
 
     Accumulates, in increasing step order, the terms ``step_y`` formed from
@@ -732,31 +679,22 @@ def penalization_ladder(
 
     All levels share the same paths (or chain), so differences along the
     ladder are purely due to the penalty level. One backward pass carries
-    every level; each level's y0, violation and Skorohod residual are bit for
-    bit those of its own :func:`solve_backward`. A level that trips the
-    growth-bound guard aborts the whole ladder.
+    every level, and each level's result is bit for bit that of its own
+    :func:`solve_backward`. A level that trips the growth-bound guard aborts
+    the whole ladder.
     """
     if not n_schedule:
         raise ValueError("n_schedule must have at least one entry")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")
-    levels = [replace(config, n=n).n for n in n_schedule]  # refuses a bad level before the pass
-    ens, _, steps = _backward_pass(spec, config, levels, bundle)
-    viol = np.zeros((len(levels), ens.n_steps))
-    skos = np.zeros((len(levels), ens.n_steps))
-    for step in steps:
-        viol[:, step.k] = step.violation_mean
-        skos[:, step.k] = step.skorohod
-        if step.k == 0:
-            y0s = [float(ens.unit_weights(0) @ y) for y in step.y]
-        del step  # free this step's arrays before the pass computes the next
-    summaries = [_LevelSummary(v, s) for v, s in zip(viol, skos)]
-    viols = [float(np.mean(s.violation_mean)) if s.violation_mean.size else 0.0 for s in summaries]
+    results = _solve_levels(spec, config, n_schedule, bundle)
+    y0s = [r.y0 for r in results]
+    viols = [r.mean_violation for r in results]
     return ConvergenceReport(
         n_schedule=[int(n) for n in n_schedule],
         y0=y0s,
         mean_violation=viols,
         y0_nondecreasing=[b >= a for a, b in zip(y0s, y0s[1:])],
         violation_nonincreasing=[b <= a for a, b in zip(viols, viols[1:])],
-        skorohod=[skorohod_residual(s) for s in summaries],
+        skorohod=[skorohod_residual(r) for r in results],
     )

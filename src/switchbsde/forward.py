@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .problem import IntensityMeasure, ProblemSpec
+from .problem import IntensityMeasure, ProblemSpec, _is_int
 
 Array = np.ndarray
 
@@ -222,9 +222,9 @@ def simulate_paths(spec: ProblemSpec, N: int, h: float, seed: int) -> PathBundle
 
     ``h`` must divide the horizon and ``seed`` be a non-negative integer.
     """
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)) or N < 1:
+    if not _is_int(N) or N < 1:
         raise ValueError(f"path count must be an integer >= 1, got {N!r}")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     T = spec.horizon
     K = _step_count(T, h)

@@ -26,7 +26,7 @@ from scipy.linalg import lapack
 
 from .backward import DivergenceError
 from .lattice import LatticeChain, LatticeSpec, build_lattice_chain
-from .problem import ProblemSpec
+from .problem import ProblemSpec, _is_int
 
 Array = np.ndarray
 
@@ -245,11 +245,6 @@ def _implicit_penalty_update(vhat: Array, costs: Array, lam: Array, n: int, dt: 
         weighted_cum = weighted_cum + weights[:, q] * obstacles[:, q]
         np.maximum(v, (vhat + a * weighted_cum) / (1.0 + a * lam_cum), out=v)
     return v
-
-
-def _is_int(value) -> bool:
-    """An integer that is not a bool (the rule ``SchemeConfig`` applies to ``n`` and ``seed``)."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
 def check_fd_inputs(

@@ -42,6 +42,11 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """An integer that is not a bool: the rule every integer setting of the package applies."""
+    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+
+
 def check_regime(i: int, m: int) -> int:
     """Validate a 1-based regime index against the regime count."""
     i = int(i)

@@ -23,6 +23,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .problem import _is_int
+
 Array = np.ndarray
 
 __all__ = [
@@ -53,7 +55,7 @@ class BasisSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("global-polynomial", "piecewise-linear"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, (int, np.integer)) or self.degree < 0:
+        if not _is_int(self.degree) or self.degree < 0:
             raise ValueError(f"basis degree must be a nonnegative integer, got {self.degree!r}")
 
     def size(self, d: int) -> int:

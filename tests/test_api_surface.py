@@ -61,6 +61,9 @@ def test_tracer_installs_and_uninstalls_cleanly():
         assert metrics[name] > 0, name
     for name in ("forward.simulate_s", "backward.solve_s", "backward.skorohod_s"):
         assert metrics[name] > 0, name
+    # the driver calls the per-step operations by their module names, where the tracer hooks them
+    for name in ("backward.z_self_s", "backward.u_self_s", "backward.y_self_s"):
+        assert metrics[name] > 0, name
     # one constraint pass per step: every mark on every sub-interval, once per level
     assert ladder_metrics["problem.constraint_rows"] == len(levels) * spec.m * ladder_metrics["forward.subintervals"]
     # one fit per (step, family, stratum): z, u and y each fit all their columns of all levels at once

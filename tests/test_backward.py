@@ -1,6 +1,6 @@
 import tracemalloc
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +22,7 @@ from switchbsde import (
     skorohod_residual,
     solve_backward,
 )
-from switchbsde.backward import _driver_terms, make_ensemble, step_y
+from switchbsde.backward import SolveResult, _driver_terms, _solve_levels, make_ensemble, step_y
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
 from switchbsde.problem import constraint_values, penalty_batch
 
@@ -48,8 +48,8 @@ class TestEstimateZ:
         spec = build_problem("bm1", {"x0": [0.0], "T": 0.25})
         chain, ens = chain_ensemble(spec, 0.25)
         y = terminal_values(spec, ens)
-        z, _ = estimate_z(ens, 0, y)
-        assert abs(float(z[0, 0]) - 1.0) <= 1e-12
+        z, _ = estimate_z(ens, 0, y[None])
+        assert abs(float(z[0, 0, 0]) - 1.0) <= 1e-12
 
     def test_constant_next_value_gives_zero_mean_noise(self):
         from switchbsde import BasisSpec
@@ -60,30 +60,36 @@ class TestEstimateZ:
         # sits within a few standard errors of zero
         cfg = SchemeConfig(h=0.25, paths=20_000, seed=3, basis=BasisSpec(degree=0))
         ens = make_ensemble(spec, cfg, bundle)
-        z, _ = estimate_z(ens, 2, np.full(bundle.N, 5.0))
+        (z,), _ = estimate_z(ens, 2, np.full((1, bundle.N), 5.0))
         se = 5.0 / np.sqrt(bundle.h) / np.sqrt(bundle.N)
         assert np.max(np.abs(z)) <= 3 * se
         # default quadratic basis: noise stays small away from the tails
         ens2 = make_ensemble(spec, SchemeConfig(h=0.25, paths=20_000, seed=3), bundle)
-        z2, _ = estimate_z(ens2, 2, np.full(bundle.N, 5.0))
+        (z2,), _ = estimate_z(ens2, 2, np.full((1, bundle.N), 5.0))
         xs = bundle.nodes(2)[1][:, 0]
         interior = np.abs(xs - xs.mean()) <= xs.std()
         assert np.max(np.abs(z2[interior])) <= 0.25
 
-    @pytest.mark.parametrize("at", ["-1", "K"])
-    @pytest.mark.parametrize("func", ["estimate_z", "estimate_u", "step_y"])
+    @pytest.mark.parametrize(
+        "func, at",
+        [(func, at) for func in ("estimate_z", "estimate_u", "step_y") for at in ("-1", "K", "1-d")]
+        + [("step_y", "levels"), ("step_y", "scalar-level")],
+    )
     def test_step_index_validated(self, func, at):
         spec = build_problem("switch2-linear")
         bundle = simulate_paths(spec, 50, 0.25, seed=1)
         ens = make_ensemble(spec, SchemeConfig(h=0.25, paths=50, seed=1), bundle)
-        k = -1 if at == "-1" else ens.n_steps
-        y = np.zeros(bundle.N)
+        k = {"-1": -1, "K": ens.n_steps}.get(at, 0)
+        # the per-step API takes one row per level; a flat (n,) array is refused, not broadcast
+        y = np.zeros(bundle.N) if at == "1-d" else np.zeros((1, bundle.N))
+        levels = {"levels": [0, 4], "scalar-level": 0}.get(at, [0])
         calls = {
             "estimate_z": lambda: estimate_z(ens, k, y),
             "estimate_u": lambda: estimate_u(ens, k, y),
-            "step_y": lambda: step_y(ens, k, y, np.zeros((bundle.N, 1)), np.zeros((bundle.N, 2)), spec, 0),
+            "step_y": lambda: step_y(ens, k, y, np.zeros((1, bundle.N, 1)), np.zeros((1, bundle.N, 2)), spec, levels),
         }
-        with pytest.raises(ValueError, match="step index"):
+        match = {"1-d": r"shape \(L, n\)", "levels": "one level per row", "scalar-level": "one level per row"}
+        with pytest.raises(ValueError, match=match.get(at, "step index")):
             calls[func]()
 
 
@@ -92,14 +98,14 @@ class TestEstimateU:
         spec = build_problem("switch2-linear", {"sigma": [0.25, 0.25]})
         chain, ens = chain_ensemble(spec, 0.125)
         y = terminal_values(spec, ens)  # g = x in both regimes
-        u, u_raw, _ = estimate_u(ens, ens.n_steps - 1, y)
+        u, u_raw, _ = estimate_u(ens, ens.n_steps - 1, y[None])
         assert np.max(np.abs(u_raw)) <= 1e-13
         assert np.max(np.abs(u)) <= 1e-13
 
     def test_zero_next_value_gives_zero(self):
         spec = build_problem("switch2-linear")
         chain, ens = chain_ensemble(spec, 0.125)
-        u, u_raw, _ = estimate_u(ens, 0, np.zeros(ens.n_units(1)))
+        u, u_raw, _ = estimate_u(ens, 0, np.zeros((1, ens.n_units(1))))
         assert np.max(np.abs(u_raw)) == 0.0
 
     def test_own_component_exactly_zero(self):
@@ -108,7 +114,7 @@ class TestEstimateU:
         cfg = SchemeConfig(h=0.125, paths=500, seed=9)
         ens = make_ensemble(spec, cfg, bundle)
         y = terminal_values(spec, ens)
-        u, _, _ = estimate_u(ens, bundle.K - 1, y)
+        (u,), _, _ = estimate_u(ens, bundle.K - 1, y[None])
         regimes, _ = ens.states(bundle.K - 1)
         own = u[np.arange(u.shape[0]), regimes - 1]
         assert np.all(own == 0.0)
@@ -143,8 +149,8 @@ def one_path_integral(spec, h, atoms, n_pen, y_next, z_k, u_k):
     """Step-0 integral of the scheme's integrand on one hand-built path, as the solver runs it."""
     bundle = bundle_from_paths(spec, h, [atoms])
     ens = make_ensemble(spec, SchemeConfig(h=h, paths=1), bundle)
-    integral = _driver_terms(spec, n_pen, ens, 0, np.array([y_next]), np.atleast_2d(z_k), np.atleast_2d(u_k))[0]
-    return float(integral[0])
+    integral = _driver_terms(spec, [n_pen], ens, 0, np.array([[y_next]]), np.array([[z_k]]), np.array([[u_k]]))[0]
+    return float(integral[0, 0])
 
 
 class TestDriverIntegral:
@@ -480,14 +486,33 @@ def reference_driver_terms(spec, n_pen, segments, xs, y_next, z, u, h, n_edges):
     return integral, mass, violation, min_h
 
 
+def assert_results_equal(got, want):
+    """Every field of two solve results equal, arrays element for element."""
+    for name in (f.name for f in fields(SolveResult)):
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, list) and a and isinstance(a[0], np.ndarray):  # per-step arrays
+            assert len(a) == len(b), name
+            for a_step, b_step in zip(a, b):
+                np.testing.assert_array_equal(a_step, b_step, err_msg=name)
+        elif isinstance(a, np.ndarray):
+            assert a.tolist() == b.tolist(), name
+        else:
+            assert a == b, name
+
+
 def assert_ladder_equals_separate_solves(spec, cfg, levels, bundle):
-    """Each ladder level reports, bit for bit, what its own solve gives."""
+    """Each level of one pass is, bit for bit and field for field, its own solve; the ladder reports it."""
     report = penalization_ladder(spec, cfg, levels, bundle)
-    for i, n in enumerate(levels):
-        result = solve_backward(spec, replace(cfg, n=n), bundle)
-        assert report.y0[i] == result.y0
-        assert report.mean_violation[i] == float(np.mean(result.violation_mean))
-        assert report.skorohod[i] == skorohod_residual(result)
+    for keep in (False, True):
+        results = _solve_levels(spec, cfg, levels, bundle, keep_steps=keep)
+        assert len(results) == len(levels)
+        for i, (n, result) in enumerate(zip(levels, results)):
+            own = solve_backward(spec, replace(cfg, n=n), bundle, keep_steps=keep)
+            assert (own.ys is not None) == keep
+            assert_results_equal(result, own)
+            assert report.y0[i] == own.y0
+            assert report.mean_violation[i] == float(np.mean(own.violation_mean))
+            assert report.skorohod[i] == skorohod_residual(own)
 
 
 class TestStepView:
@@ -502,10 +527,10 @@ class TestStepView:
         for k in range(bundle.K):
             paths, durations, regimes = bundle.step_segments(k)
             assert np.bincount(paths).max() >= 3
-            got = _driver_terms(spec, 16, ens, k, y_next, z, u)
+            got = _driver_terms(spec, [16], ens, k, y_next[None], z[None], u[None])
             segments = (paths, paths, paths, durations, regimes)
             want = reference_driver_terms(spec, 16, segments, bundle.nodes(k)[1], y_next, z, u, bundle.h, bundle.N)
-            for a, b in zip(got, want):
+            for (a,), b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
     def test_driver_terms_match_per_segment_loop_on_chain(self):
@@ -516,12 +541,12 @@ class TestStepView:
             es, n_next = chain.edges[k], ens.n_units(k + 1)
             y_next = rng.normal(size=n_next)
             z, u = rng.normal(size=(ens.n_units(k), 1)), rng.normal(scale=0.5, size=(ens.n_units(k), 3))
-            got = _driver_terms(spec, 8, ens, k, y_next, z, u)
+            got = _driver_terms(spec, [8], ens, k, y_next[None], z[None], u[None])
             n_edges = es.tail.size
             regimes = chain.nodes[k].regime[es.tail]
             segments = (np.arange(n_edges), es.tail, es.head, np.full(n_edges, chain.h), regimes)
             want = reference_driver_terms(spec, 8, segments, chain.nodes[k].x, y_next, z, u, chain.h, n_edges)
-            for a, b in zip(got, want):
+            for (a,), b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
     def test_ladder_equals_separate_solves(self):
@@ -578,13 +603,13 @@ class TestStepView:
         bundle = simulate_paths(spec, 1_000, 0.1, seed=2)
         cfg = SchemeConfig(h=0.1, paths=1_000, seed=2)
         shared = make_ensemble(spec, cfg, bundle)
-        y = np.random.default_rng(3).normal(size=bundle.N)
+        y = np.random.default_rng(3).normal(size=(1, bundle.N))
         for k in (4, 1, 4, 0, 7, 1):
-            z, rec_z = estimate_z(shared, k, y)
-            u, _, rec_u = estimate_u(shared, k, y)
+            z, (rec_z,) = estimate_z(shared, k, y)
+            u, _, (rec_u,) = estimate_u(shared, k, y)
             fresh = make_ensemble(spec, cfg, bundle)
-            z_ref, rec_z_ref = estimate_z(fresh, k, y)
-            u_ref, _, rec_u_ref = estimate_u(fresh, k, y)
+            z_ref, (rec_z_ref,) = estimate_z(fresh, k, y)
+            u_ref, _, (rec_u_ref,) = estimate_u(fresh, k, y)
             np.testing.assert_array_equal(z, z_ref)
             np.testing.assert_array_equal(u, u_ref)
             assert [r.gram_condition for r in rec_z + rec_u] == [r.gram_condition for r in rec_z_ref + rec_u_ref]

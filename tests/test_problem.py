@@ -143,14 +143,14 @@ class TestPenalizedDriver:
         spec = two_regime_problem(rewards=(0.7, -0.2))
         bundle = bundle_from_paths(spec, 0.5, [[]])
         ens = make_ensemble(spec, SchemeConfig(h=0.5, paths=1), bundle)
-        y_next, z, u = np.array([1.0]), np.zeros((1, 1)), np.array([[0.0, 2.0]])
-        integral, mass, violation, min_h = _driver_terms(spec, 0, ens, 0, y_next, z, u)
+        y_next, z, u = np.array([[1.0]]), np.zeros((1, 1, 1)), np.array([[[0.0, 2.0]]])
+        (integral,), (mass,), (violation,), (min_h,) = _driver_terms(spec, [0], ens, 0, y_next, z, u)
         compensator = 1.0 * 2.0  # sum_j lambda_j (yvec_j - yvec_1)
         assert integral[0] == pytest.approx(0.5 * (0.7 - compensator))
         assert mass[0] == 0.0
         assert violation[0] == pytest.approx(1.5)
         assert min_h[0] == pytest.approx(-1.5)  # h_12 = 1 - 3 + 0.5
-        integral3, mass3, _, _ = _driver_terms(spec, 3, ens, 0, y_next, z, u)
+        (integral3,), (mass3,), _, _ = _driver_terms(spec, [3], ens, 0, y_next, z, u)
         assert mass3[0] == pytest.approx(0.5 * 3 * 1.5)
         assert integral3[0] - integral[0] == pytest.approx(mass3[0])
 
