@@ -195,6 +195,9 @@ class MonteCarloEnsemble:
         """(edge, tail unit, head unit, duration, regime) of the step's sub-intervals.
 
         Edges are paths, so the edge index is the tail and the head unit too.
+        The first ``N`` segments are the paths' first sub-intervals, from
+        ``t_k``; the sub-intervals from atoms inside the step follow, by path
+        and then time.
         """
         paths, durations, regimes = self.bundle.step_segments(k)
         return paths, paths, paths, durations, regimes
@@ -295,7 +298,7 @@ class LatticeEnsemble:
         return es.tail, es.head, es.prob, es.dw, es.counts.astype(float)
 
     def segments(self, k: int):
-        """(edge, tail node, head node, duration, regime): one whole-step sub-interval per edge."""
+        """(edge, tail node, head node, duration, regime): one whole-step sub-interval per edge, in edge order."""
         es = self.chain.edges[k]
         n_edges = es.tail.size
         regimes = self.chain.nodes[k].regime[es.tail].astype(int)
@@ -447,18 +450,16 @@ def _driver_terms(
                 del h  # not alive beside the next group's arrays
         del y_r, z_r, yvec  # free this regime's arrays before the next regime's
 
-    # segments are ordered by edge (by path in Monte Carlo, one per edge on a
-    # chain) and every edge has one, so an edge's first sub-interval is where
-    # the edge index changes
-    first = np.flatnonzero(np.diff(seg_edge, prepend=-1))
-    n_edges = first.size
+    # every edge has a sub-interval, and the first n_edges segments are the
+    # edges' first sub-intervals in edge order
+    n_edges = int(seg_edge.max()) + 1
     # per level, as a one-level pass has it; bincount adds in segment order, as np.add.at does
     integral, penalty_mass, violation = [np.empty((levels.size, n_edges)) for _ in range(3)]
     for level, (n, f, pen) in enumerate(zip(levels, f_val, pen_val)):
         integral[level] = np.bincount(seg_edge, seg_dt * (f + n * pen), n_edges)
         penalty_mass[level] = np.bincount(seg_edge, seg_dt * n * pen, n_edges)
         violation[level] = np.bincount(seg_edge, seg_dt * pen / ens.h, n_edges)
-    return integral, penalty_mass, violation, min_h[:, first]
+    return integral, penalty_mass, violation, min_h[:, :n_edges]
 
 
 def step_y(
@@ -683,7 +684,7 @@ def penalization_ladder(
     :func:`solve_backward`. A level that trips the growth-bound guard aborts
     the whole ladder.
     """
-    if not n_schedule:
+    if len(n_schedule) == 0:  # any sequence, a numpy array included
         raise ValueError("n_schedule must have at least one entry")
     if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
         raise ValueError("n_schedule must be strictly increasing")

@@ -18,6 +18,8 @@ import numbers
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .backward import (
     DivergenceError,
     SchemeConfig,
@@ -150,13 +152,9 @@ def _steps_csv(result, path: Path) -> None:
         ucols = ",".join(f"u_{c+1}" for c in range(mm))
         fh.write(f"step,path,y,{zcols},{ucols},penalty_mass\n")
         for k in range(len(result.zs)):
-            for p in range(result.ys[k].shape[0]):
-                zs = ",".join(repr(float(v)) for v in result.zs[k][p])
-                us = ",".join(repr(float(v)) for v in result.us[k][p])
-                fh.write(
-                    f"{k},{p},{float(result.ys[k][p])!r},{zs},{us},"
-                    f"{float(result.penalty_mass[k][p])!r}\n"
-                )
+            # one tolist() per step: repr of a Python float is the text repr(float(v)) gives
+            columns = np.column_stack((result.ys[k], result.zs[k], result.us[k], result.penalty_mass[k]))
+            fh.writelines(f"{k},{p},{','.join(map(repr, row))}\n" for p, row in enumerate(columns.tolist()))
 
 
 def _regression_csv(result, path: Path) -> None:

@@ -660,6 +660,16 @@ class TestLadderAndSkorohod:
         assert report.to_dict() == penalization_ladder(spec, cfg, [1, 4], chain).to_dict()
         assert all(type(n) is int for n in report.n_schedule)
 
+    def test_numpy_array_schedule(self):
+        """A numpy array of levels runs as the same tuple does, and an empty one is refused as an empty list is."""
+        spec = build_problem("switch2-linear")
+        chain = build_lattice_chain(spec, LatticeSpec(h=1 / 16))
+        cfg = SchemeConfig(h=1 / 16, paths=1, seed=0)
+        report = penalization_ladder(spec, cfg, np.array([1, 2, 4]), chain)
+        assert report == penalization_ladder(spec, cfg, (1, 2, 4), chain)
+        with pytest.raises(ValueError, match="at least one"):
+            penalization_ladder(spec, cfg, np.array([], dtype=int), chain)
+
     def test_unbinding_costs_make_ladder_flat(self):
         spec = build_problem("switch2-linear", {"costs": [[0.0, 1e6], [1e6, 0.0]]})
         chain = build_lattice_chain(spec, LatticeSpec(h=1 / 16))

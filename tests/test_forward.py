@@ -86,9 +86,10 @@ class TestSampleJumpMarks:
 
 def path_nodes(b, p):
     """(times, regimes, states) of every grid node of path p in time order, the terminal node last."""
-    sub = np.flatnonzero(b.path == p)  # sub-intervals are ordered by step, then time, within a path
+    paths, starts = b._row_starts()
+    sub = np.flatnonzero(paths == p)  # by step, and within a step the node row before the inner rows
     return (
-        np.append(b.times[sub], b.T),
+        np.append(starts[sub], b.T),
         np.append(b.regime[sub], b.i_T[p]),
         np.concatenate([b.x[sub], b.x_T[p : p + 1]]),
     )
@@ -193,11 +194,13 @@ def assert_same_bundle(a, b):
 
 def first_paths(b, n):
     """The arrays of paths ``0..n-1`` of bundle ``b``, laid out as a run of ``n`` paths holds them."""
-    keep = b.path < n
+    keep = b._row_starts()[0] < n
+    inner = b.inner_path < n
     atoms = slice(0, b.atom_offsets[n])
     return {
         "step_offsets": np.searchsorted(np.flatnonzero(keep), b.step_offsets),
-        **{name: getattr(b, name)[keep] for name in ("path", "times", "dt", "regime", "x", "dw")},
+        **{name: getattr(b, name)[keep] for name in ("dt", "regime", "x", "dw")},
+        **{name: getattr(b, name)[inner] for name in ("inner_path", "inner_times")},
         "x_T": b.x_T[:n],
         "i_T": b.i_T[:n],
         "atom_offsets": b.atom_offsets[: n + 1],
@@ -271,36 +274,62 @@ class TestSimulatePaths:
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_step_major_layout(self, seed):
-        """Step k lists, path by path, one sub-interval from t_k and then one per node inside the step."""
+        """Step k lists the N node rows from t_k in path order, then one inner row per node inside the step by (path, time)."""
         spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
         b = simulate_paths(spec, 200, 0.125, seed=seed)
+        N = b.N
         assert b.step_offsets[0] == 0 and b.step_offsets[b.K] == b.dt.size
+        assert b.inner_path.size == b.inner_times.size == b.dt.size - b.K * N
         for k, (t_k, t_next) in enumerate(zip(b.regular[:-1], b.regular[1:])):
-            block = slice(b.step_offsets[k], b.step_offsets[k + 1])
-            paths, starts = b.path[block], b.times[block]
+            lo, hi = b.step_offsets[k : k + 2]
+            inner = slice(lo - k * N, hi - (k + 1) * N)  # the step's inner rows follow its N node rows
+            paths, starts = b.inner_path[inner], b.inner_times[inner]
+            assert paths.size == hi - lo - N
+            # one node row per path opens the step; inner rows start strictly inside it, by path and then time
+            seg_paths, durations, _ = b.step_segments(k)
+            np.testing.assert_array_equal(seg_paths, np.concatenate((np.arange(N), paths)))
             assert np.all(np.diff(paths) >= 0)
-            opens = starts == t_k
-            # exactly one sub-interval per path starts at t_k, and it opens the path's block
-            np.testing.assert_array_equal(paths[opens], np.arange(b.N))
-            np.testing.assert_array_equal(np.flatnonzero(opens), np.flatnonzero(np.diff(paths, prepend=-1)))
-            later = starts[1:][paths[1:] == paths[:-1]]
-            assert np.all((later > t_k) & (later < t_next))
+            assert np.all((starts > t_k) & (starts < t_next))
             assert np.all(np.diff(starts)[paths[1:] == paths[:-1]] > 0)
-            np.testing.assert_allclose(np.bincount(paths, b.dt[block]), b.h, rtol=0, atol=1e-12)
-            dw_step = np.zeros((b.N, b.d))
-            np.add.at(dw_step, paths, b.dw[block])  # in time order within each path
+            np.testing.assert_array_equal(durations, b.dt[lo:hi])
+            np.testing.assert_allclose(np.bincount(seg_paths, durations), b.h, rtol=0, atol=1e-12)
+            dw_step = np.zeros((N, b.d))
+            np.add.at(dw_step, seg_paths, b.dw[lo:hi])  # in time order within each path
             np.testing.assert_array_equal(b.step_increments(k)[0], dw_step)
-            # the regression dates' nodes are the sub-intervals from t_k
+            # the regression dates' nodes are the node rows
             regimes, xs = b.nodes(k)
-            np.testing.assert_array_equal(regimes, b.regime[block][opens])
-            np.testing.assert_array_equal(xs, b.x[block][opens])
-        assert np.bincount(b.path[: b.step_offsets[1]]).max() >= 3
+            np.testing.assert_array_equal(regimes, b.regime[lo : lo + N])
+            np.testing.assert_array_equal(xs, b.x[lo : lo + N])
+        assert np.bincount(b.inner_path[: b.step_offsets[1] - N]).max() >= 2
+
+    def test_nodes_are_views(self):
+        """nodes(k) slices the bundle's node rows, read-only: no gather, no copy."""
+        spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
+        b = simulate_paths(spec, 50, 0.125, seed=3)
+        for k in range(b.K):
+            regimes, xs = b.nodes(k)
+            assert np.shares_memory(regimes, b.regime) and np.shares_memory(xs, b.x)
+            with pytest.raises(ValueError, match="read-only"):
+                xs[0] = 1.0
+
+    def test_footprint_matches_layout(self):
+        """Rows take S (8 + 2 + 16 d) bytes and each inner row 12 more; atom, terminal and offset arrays on top."""
+        spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
+        b = simulate_paths(spec, 200, 0.125, seed=3)
+        S, I, A, N, K, d = b.dt.size, b.inner_path.size, b.atom_times.size, b.N, b.K, b.d
+        assert all(np.diff(b.step_offsets) >= N + 2 * N // 5)  # several atoms per step
+        rows = S * (8 + 2 + 16 * d) + 12 * I
+        atoms = 8 * (N + 1) + (8 + 2) * A
+        terminal = 8 * N * d + 2 * N
+        held = sum(a.nbytes for a in vars(b).values() if isinstance(a, np.ndarray))
+        assert held == rows + atoms + terminal + 8 * (K + 1)
 
     def test_euler_recursion_recomputes_exactly(self):
         spec = build_problem("switch2-linear")
         b = simulate_paths(spec, 30, 0.1, seed=21)
+        paths = b._row_starts()[0]
         for p in range(5):
-            sub = np.flatnonzero(b.path == p)
+            sub = np.flatnonzero(paths == p)  # in time order
             x = b.x[sub[0]][None, :]
             for s in sub:
                 np.testing.assert_array_equal(x[0], b.x[s])
@@ -323,8 +352,10 @@ class TestSimulatePaths:
     def test_initial_conditions(self):
         spec = build_problem("switch2-linear", {"x0": [0.7], "i0": 1})
         b = simulate_paths(spec, 10, 0.1, seed=2)
-        start = b.times == 0.0
-        assert np.array_equal(b.path[start], np.arange(b.N))
+        paths, starts = b._row_starts()
+        start = starts == 0.0
+        assert np.array_equal(np.flatnonzero(start), np.arange(b.N))  # step 0's node rows
+        assert np.array_equal(paths[start], np.arange(b.N))
         regimes_0, x_0 = b.nodes(0)
         assert np.all(b.x[start, 0] == 0.7) and np.all(x_0[:, 0] == 0.7)
         assert np.all(b.regime[start] == 1) and np.all(regimes_0 == 1)
@@ -380,16 +411,18 @@ class TestSimulatePaths:
         assert abs(b.x_T[:, 0].var() - 1.0) < 0.2
 
     def test_bundle_holds_no_regular_grid_copy(self):
-        """Every array is sized by sub-intervals, atoms, paths (the terminal node) or K + 1: no (N, K, .) array."""
+        """Every array is sized by sub-intervals, inner sub-intervals, atoms, paths (the terminal node) or K + 1: no (N, K, .) array."""
         spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
         b = simulate_paths(spec, 50, 0.125, seed=3)
         S, A, N, K, d = b.dt.size, b.atom_times.size, b.N, b.K, b.d
         assert len({S, A, N, N + 1, K + 1}) == 5
+        I = S - K * N  # the inner rows: every row but the K N node rows
         shapes = {name: a.shape for name, a in vars(b).items() if isinstance(a, np.ndarray)}
         assert shapes == {
             "step_offsets": (K + 1,),
-            **dict.fromkeys(("path", "times", "dt", "regime"), (S,)),
+            **dict.fromkeys(("dt", "regime"), (S,)),
             **dict.fromkeys(("x", "dw"), (S, d)),
+            **dict.fromkeys(("inner_path", "inner_times"), (I,)),
             "x_T": (N, d),
             "i_T": (N,),
             "atom_offsets": (N + 1,),
@@ -437,8 +470,9 @@ class TestSimulatePaths:
         N = B + 40  # the run ends inside block 1
         b = simulate_paths(spec, N, h, seed=seed)
         assert b.atom_times.size > 0
-        order = np.argsort(b.path, kind="stable")  # each path's sub-intervals in time order
-        sizes = np.bincount(b.path, minlength=N)
+        paths = b._row_starts()[0]
+        order = np.argsort(paths, kind="stable")  # each path's sub-intervals in time order
+        sizes = np.bincount(paths, minlength=N)
         pos = np.empty(order.size, dtype=int)  # a sub-interval's place in its path's grid
         pos[order] = np.arange(order.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         for block in (0, 1):
@@ -453,8 +487,8 @@ class TestSimulatePaths:
             rows = b.K + counts[: hi - lo]  # normal rows of each present path, in path order
             normals = rng.standard_normal((int(rows.sum()), d))
             first_row = np.cumsum(rows) - rows
-            sub = np.flatnonzero((b.path >= lo) & (b.path < hi))
-            expected = normals[first_row[b.path[sub] - lo] + pos[sub]] * np.sqrt(b.dt[sub])[:, None]
+            sub = np.flatnonzero((paths >= lo) & (paths < hi))
+            expected = normals[first_row[paths[sub] - lo] + pos[sub]] * np.sqrt(b.dt[sub])[:, None]
             np.testing.assert_array_equal(b.dw[sub], expected)
 
 
@@ -481,9 +515,10 @@ class TestBundleFromPaths:
 
         The expected arrays were recorded as padded per-path grids from the
         per-path merge (``np.unique`` of regular and atom times) that preceded
-        the vectorized one, and converted by hand to the step-major layout:
-        each step lists, path by path, the sub-interval from ``t_k`` and then
-        one per node inside the step. ``node_regimes`` holds the recorded regime
+        the vectorized one, and converted by hand to the node-first layout:
+        each step lists the sub-intervals from ``t_k`` in path order, then one
+        per node inside the step by path and time; ``rows`` holds each row's
+        path and start time. ``node_regimes`` holds the recorded regime
         at each path's regular nodes and ``counts`` its mark counts per step,
         as ``nodes(k)`` and ``step_increments(k)`` read them.
         """
@@ -502,23 +537,29 @@ class TestBundleFromPaths:
         )
         expected = {
             "step_offsets": [0, 8, 15],
-            "path": [0, 1, 1, 2, 3, 4, 5, 5, 0, 1, 2, 3, 4, 4, 5],
-            "times": [0.0, 0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.1, 0.25, 0.25, 0.25, 0.25, 0.25, 0.3, 0.25],
-            "regime": [1, 1, 2, 1, 1, 1, 1, 1, 2, 2, 1, 1, 2, 2, 1],
+            "inner_path": [1, 5, 4],
+            "inner_times": [0.1, 0.1, 0.3],
+            "regime": [1, 1, 1, 1, 1, 1, 2, 1, 2, 2, 1, 1, 2, 1, 2],
         }
         for name, values in expected.items():
             np.testing.assert_array_equal(getattr(b, name), values, err_msg=name)
+        rows = {
+            "path": [0, 1, 2, 3, 4, 5, 1, 5, 0, 1, 2, 3, 4, 5, 4],
+            "times": [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1, 0.1, 0.25, 0.25, 0.25, 0.25, 0.25, 0.25, 0.3],
+        }
+        for name, got in zip(rows, b._row_starts()):
+            np.testing.assert_array_equal(got, rows[name], err_msg=name)
         node_regimes = [[1, 2, 2], [1, 2, 2], [1, 1, 2], [1, 1, 1], [1, 2, 1], [1, 1, 1]]
         counts = [[[0, 1], [0, 0]], [[1, 1], [0, 0]], [[0, 0], [0, 1]], [[0, 0], [0, 0]],
                   [[0, 1], [2, 1]], [[1, 0], [0, 0]]]
         np.testing.assert_array_equal(regular_nodes(b)[0], node_regimes)
         np.testing.assert_array_equal(step_counts(b), counts)
-        ends = np.array([0.25, 0.1, 0.25, 0.25, 0.25, 0.25, 0.1, 0.25, 0.5, 0.5, 0.5, 0.5, 0.3, 0.5, 0.5])
-        np.testing.assert_array_equal(b.dt, ends - b.times)
+        ends = np.array([0.25, 0.1, 0.25, 0.25, 0.25, 0.1, 0.25, 0.25, 0.5, 0.5, 0.5, 0.5, 0.3, 0.5, 0.5])
+        np.testing.assert_array_equal(b.dt, ends - np.array(rows["times"]))
 
         # paths.csv lists each path's recorded nodes in time order, then its terminal node at T
         nodes = {p: [] for p in range(b.N)}
-        for p, t, i in zip(expected["path"], expected["times"], expected["regime"]):
+        for p, t, i in zip(rows["path"], rows["times"], expected["regime"]):
             nodes[p].append((t, i))
         forward.dump_paths_csv(b, tmp_path / "paths.csv")
         rows = (tmp_path / "paths.csv").read_text().splitlines()
@@ -532,8 +573,9 @@ class TestBundleFromPaths:
         atoms = [[(0.25, 2), (0.1, 2), (0.1, 1), (0.3, 1)], []]  # path 0: 2 steps + 2 new nodes
         dws = [np.arange(4.0), np.array([5.0, 6.0])]
         b = bundle_from_paths(spec, 0.25, atoms, dws)
-        np.testing.assert_array_equal(b.dw[b.path == 0, 0], dws[0])
-        np.testing.assert_array_equal(b.dw[b.path == 1, 0], dws[1])
+        paths = b._row_starts()[0]
+        np.testing.assert_array_equal(b.dw[paths == 0, 0], dws[0])  # in time order
+        np.testing.assert_array_equal(b.dw[paths == 1, 0], dws[1])
         dw_steps = np.stack([b.step_increments(k)[0][:, 0] for k in range(b.K)], axis=1)
         np.testing.assert_array_equal(dw_steps, [[1.0, 5.0], [5.0, 6.0]])
         with pytest.raises(ValueError):
