@@ -542,6 +542,16 @@ class SolveResult:
         }
 
 
+def _terminal_values(spec: ProblemSpec, ens: Ensemble) -> Array:
+    """``g_i(X_T)`` of every unit at the horizon, under its terminal regime."""
+    regimes_T, x_T = ens.states(ens.n_steps)
+    y_T = np.empty(regimes_T.size)
+    for i in np.unique(regimes_T):
+        rows = np.flatnonzero(regimes_T == i)
+        y_T[rows] = spec.terminal(int(i), x_T[rows])
+    return y_T
+
+
 def _solve_levels(
     spec: ProblemSpec, config: SchemeConfig, levels: Sequence[int], bundle, keep_steps: bool = False
 ) -> list[SolveResult]:
@@ -558,14 +568,8 @@ def _solve_levels(
         thinnest, size = ens.thinnest_stratum(), config.basis.size(spec.d)
         if thinnest is not None and thinnest < size:
             warnings.warn(f"fewer paths per stratum than basis functions ({thinnest} < {size})", stacklevel=3)
-    regimes_T, x_T = ens.states(ens.n_steps)
-    y_T = np.empty(regimes_T.size)
-    for i in np.unique(regimes_T):
-        rows = np.flatnonzero(regimes_T == i)
-        y_T[rows] = spec.terminal(int(i), x_T[rows])
-
     K, L = ens.n_steps, len(levels)
-    y = np.repeat(y_T[None], L, axis=0)
+    y = np.repeat(_terminal_values(spec, ens)[None], L, axis=0)
     # each step's (L, units) arrays; a level's result holds their rows
     kept = {"ys": [None] * K + [y], "zs": [None] * K, "us": [None] * K, "penalty_mass": [None] * K} if keep_steps else {}
     viol_mean, viol_max, skorohod = (np.zeros((L, K)) for _ in range(3))

@@ -25,17 +25,21 @@ Simulation runs in two phases. The block draws come first: each path takes
 ``K + count`` normal rows, enough for the longest grid it can have, and an
 atom that merges with a grid node leaves the tail unused. Only the paths a
 run holds take normals, which is why they are the last draws of a block.
-A vectorized build then runs the Euler updates one regular step at a time
-over all paths and stores each sub-interval once, step-major and node-first
-(:class:`PathBundle`): a step's first ``N`` rows are the paths'
+A vectorized build then stores each sub-interval once, step-major and
+node-first (:class:`PathBundle`): a step's first ``N`` rows are the paths'
 sub-intervals from ``t_k`` in path order, so only the few rows that start at
-an atom inside the step store a path index and a start time. At 50 000
-switch2-linear paths and h = 0.02, 94 % of the rows are node rows and the
-bundle holds 35.3 MiB.
+an atom inside the step store a path index, a start time and a duration.
+The build takes two passes over the regular steps: the first writes the
+regimes and Brownian increments, after which the normals are freed; the
+second runs the Euler updates. At 50 000 switch2-linear paths and h = 0.02,
+94 % of the rows are node rows, the bundle holds 25.8 MiB (35.3 MiB when
+every row stored its duration), and ``tracemalloc`` peaks at 31.9 MiB while
+simulating (58.3 MiB when the normals lived through the Euler updates).
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -96,15 +100,19 @@ class PathBundle:
     grid node inside ``(t_k, t_{k+1})`` (an atom, or atoms at one time),
     ordered by path and then time. A row's
     position gives a node row's path and start time, so only inner rows store
-    them: step ``k``'s inner rows are ``inner_path`` and ``inner_times`` at
-    ``step_offsets[k] - k N : step_offsets[k+1] - (k+1) N``. ``regime[s]``
-    holds on its row's sub-interval ``[start, start + dt[s])``
+    them: step ``k``'s inner rows are ``inner_path``, ``inner_times`` and
+    ``inner_dt`` at ``step_offsets[k] - k N : step_offsets[k+1] - (k+1) N``.
+    ``regime[s]`` holds on its row's sub-interval ``[start, start + dt[s])``
     (right-continuous); ``x[s]`` is the state at its start and ``dw[s]`` its
-    Brownian increment. The terminal node is ``(T, i_T, x_T)``.
+    Brownian increment. The terminal node is ``(T, i_T, x_T)``. A node row's
+    duration is not stored either: it runs to the path's first inner node of
+    the step, or to ``t_{k+1}``. :meth:`step_segments` derives it for one
+    step, and the ``dt`` property rebuilds every row's duration.
 
     With ``S`` rows and ``I`` inner rows the row arrays take
-    ``S (8 + 2 + 16 d) + 12 I`` bytes; the atom, terminal and offset arrays
-    come on top.
+    ``S (2 + 16 d) + 20 I`` bytes; the atom, terminal and offset arrays
+    come on top. At 50 000 switch2-linear paths and h = 0.02 (``S`` = 1 325 524,
+    ``I`` = 75 524) that is 25.8 MiB in all.
 
     Only this module knows the layout: other code reads one regular step at a
     time, through :meth:`step_segments`, :meth:`nodes` and :meth:`step_increments`.
@@ -119,12 +127,12 @@ class PathBundle:
     seed: int
     # sub-intervals, step by step: the N node rows, then the inner rows by (path, time)
     step_offsets: Array  # (K+1,) start of each step's rows
-    dt: Array         # (S,)
     regime: Array     # (S,) int16
     x: Array          # (S, d) state at the start
     dw: Array         # (S, d)
     inner_path: Array   # (I,) int32 path of each inner row
     inner_times: Array  # (I,) start time of each inner row
+    inner_dt: Array     # (I,) duration of each inner row
     x_T: Array        # (N, d) terminal state
     i_T: Array        # (N,) int16 terminal regime
     # flat atom storage
@@ -141,6 +149,18 @@ class PathBundle:
         lo, hi = self.step_offsets[k : k + 2]
         return slice(lo - k * self.N, hi - (k + 1) * self.N)
 
+    def _step_paths(self, k: int) -> Array:
+        """Path index of each of step ``k``'s rows: ``0..N-1``, then the inner rows' paths."""
+        return np.concatenate((np.arange(self.N, dtype=np.int32), self.inner_path[self._inner(k)]))
+
+    def _step_dt(self, k: int, out: Array) -> Array:
+        """Step ``k``'s row durations into ``out``: the node rows' derived as the build does, then the inner rows'."""
+        inner = self._inner(k)
+        t_k, t_next = self.regular[k : k + 2]
+        _node_dt(out[: self.N], t_k, t_next, self.inner_path[inner], self.inner_times[inner])
+        out[self.N :] = self.inner_dt[inner]
+        return out
+
     def step_segments(self, k: int) -> tuple[Array, Array, Array]:
         """(path index, duration, regime) of step ``k``'s sub-intervals.
 
@@ -149,8 +169,15 @@ class PathBundle:
         path and then time.
         """
         lo, hi = self.step_offsets[k : k + 2]
-        paths = np.concatenate((np.arange(self.N, dtype=np.int32), self.inner_path[self._inner(k)]))
-        return paths, self.dt[lo:hi], self.regime[lo:hi]
+        return self._step_paths(k), self._step_dt(k, np.empty(hi - lo)), self.regime[lo:hi]
+
+    @property
+    def dt(self) -> Array:
+        """Every row's duration, in row order, rebuilt: only the inner rows store theirs."""
+        dt = np.empty(self.regime.size)
+        for k in range(self.K):
+            self._step_dt(k, dt[self.step_offsets[k] : self.step_offsets[k + 1]])
+        return dt
 
     def nodes(self, k: int) -> tuple[Array, Array]:
         """(regime, state) of every path at ``t_k``: shapes (N,) and (N, d), views into the bundle."""
@@ -165,7 +192,7 @@ class PathBundle:
         """(dW, counts) of every path over ``(t_k, t_{k+1}]``: the Brownian increment
         (N, d), summed in time order, and the number of mark-j atoms (N, m) at ``[:, j-1]``."""
         lo, hi = self.step_offsets[k : k + 2]
-        paths = self.step_segments(k)[0]
+        paths = self._step_paths(k)
         dw = np.stack([np.bincount(paths, self.dw[lo:hi, j], self.N) for j in range(self.d)], axis=1)
         t_k, t_next = self.regular[k : k + 2]  # the build's rule: searchsorted(regular, t, "left") - 1 == k
         atoms = np.flatnonzero((t_k < self.atom_times) & (self.atom_times <= t_next))
@@ -177,9 +204,24 @@ class PathBundle:
         """(path index, start time) of every row, in row order."""
         paths, times = [], []
         for k, t_k in enumerate(self.regular[:-1]):
-            paths.append(self.step_segments(k)[0])
+            paths.append(self._step_paths(k))
             times += [np.full(self.N, t_k), self.inner_times[self._inner(k)]]
         return np.concatenate(paths), np.concatenate(times)
+
+
+def _node_dt(out: Array, t_k: float, t_next: float, inner_path: Array, inner_times: Array) -> Array:
+    """One step's node-row durations into ``out`` (one entry per path).
+
+    A path's node row ends at its first inner node of the step, or at
+    ``t_{k+1}`` when it has none, and lasts that end minus ``t_k``;
+    ``inner_path`` and ``inner_times`` are the step's inner rows, by path and
+    then time.
+    """
+    out[:] = t_next - t_k
+    first = np.ones(inner_path.size, dtype=bool)
+    first[1:] = inner_path[1:] != inner_path[:-1]
+    out[inner_path[first]] = inner_times[first] - t_k
+    return out
 
 
 def _euler_step(spec: ProblemSpec, i: int, x: Array, dt: Array, dw: Array) -> Array:
@@ -192,8 +234,8 @@ def _euler_step(spec: ProblemSpec, i: int, x: Array, dt: Array, dw: Array) -> Ar
 _BLOCK = 1024  # paths per substream
 
 
-def _draw_blocks(spec: ProblemSpec, K: int, seed: int, N: int) -> tuple[Array, Array, Array]:
-    """Raw draws of paths ``[0, N)``: atom counts, uniforms, normals.
+def _draw_blocks(spec: ProblemSpec, K: int, seed: int, N: int) -> tuple[Array, Array, Callable[[], Array]]:
+    """Raw draws of paths ``[0, N)``: atom counts, uniforms, and a function drawing the normals.
 
     Block ``b`` (paths ``b * _BLOCK`` to ``(b + 1) * _BLOCK - 1``) draws from
     ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, in order: the Poisson
@@ -205,8 +247,9 @@ def _draw_blocks(spec: ProblemSpec, K: int, seed: int, N: int) -> tuple[Array, A
     take them, so path ``p``'s draws depend on ``seed`` and ``p`` alone. The
     rows a path leaves unused when atoms merge with grid nodes are skipped.
 
-    Each block's counts and uniforms are drawn first; its generator then
-    writes its normals into its rows of one preallocated array.
+    Each block's counts and uniforms are drawn here. The returned function,
+    called once, has each block's generator write its normals into its rows
+    of one new array, so the normals live only as long as its caller holds them.
     """
     mean_count = spec.intensity.total * spec.horizon
     streams, counts, uniforms = [], [], []
@@ -220,10 +263,14 @@ def _draw_blocks(spec: ProblemSpec, K: int, seed: int, N: int) -> tuple[Array, A
         uniforms.append(u[: 2 * int(c.sum())])
     counts = np.concatenate(counts)
     rows = np.concatenate(([0], np.cumsum(K + counts)))  # each path's first normal row, then the total
-    normals = np.empty((int(rows[-1]), spec.d))
-    for b, rng in enumerate(streams):
-        rng.standard_normal(out=normals[rows[b * _BLOCK] : rows[min((b + 1) * _BLOCK, N)]])
-    return counts, np.concatenate(uniforms), normals
+
+    def draw_normals() -> Array:
+        normals = np.empty((int(rows[-1]), spec.d))
+        for b, rng in enumerate(streams):
+            rng.standard_normal(out=normals[rows[b * _BLOCK] : rows[min((b + 1) * _BLOCK, N)]])
+        return normals
+
+    return counts, np.concatenate(uniforms), draw_normals
 
 
 def _atoms_from_draws(intensity: IntensityMeasure, T: float, counts: Array, uniforms: Array):
@@ -262,12 +309,14 @@ def simulate_paths(spec: ProblemSpec, N: int, h: float, seed: int) -> PathBundle
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     T = spec.horizon
     K = _step_count(T, h)
-    counts, uniforms, normals = _draw_blocks(spec, K, seed, N)
+    counts, uniforms, draw_normals = _draw_blocks(spec, K, seed, N)
 
     atom_offsets, atom_times, atom_marks = _atoms_from_draws(spec.intensity, T, counts, uniforms)
     first_row = np.concatenate(([0], np.cumsum(K + counts)[:-1]))  # of each path's normals
+    del counts, uniforms
 
     def increments(n_sub: Array) -> Callable[[Array, Array, Array], Array]:
+        normals = draw_normals()  # held by the returned function alone: the build's del frees them
         return lambda path, pos, dt: normals[first_row[path] + pos] * np.sqrt(dt)[:, None]
 
     return _build_bundle(spec, K, seed, atom_offsets, atom_times, atom_marks, increments)
@@ -292,6 +341,14 @@ def _build_bundle(
     the sub-intervals with those paths, positions in their path's grid and
     durations, one row each; that function is called twice per step, for the
     step's node rows and then for its inner rows.
+
+    The build runs in two passes over the steps. The first fills what does
+    not depend on the state: ``regime``, ``dw`` and the inner rows'
+    durations. The increment function, with the normals it holds, and the
+    regimes at the regular times are then dropped, so the second pass, which
+    allocates ``x`` and runs the Euler updates, holds only the bundle's
+    arrays. A node row's duration is not stored: :func:`_node_dt` derives it
+    in each pass, as :meth:`PathBundle.step_segments` does.
     """
     d, m, T, N = spec.d, spec.m, spec.horizon, atom_offsets.size - 1
     regular = np.linspace(0.0, T, K + 1)
@@ -312,46 +369,54 @@ def _build_bundle(
     off_grid = regular[node[starts]] != atom_times[starts]
     new, new_regime = starts[off_grid], atom_marks[run_last[off_grid]]
     new_step = node[new] - 1
-    increment = increments(K + np.bincount(atom_path[new], minlength=N))
     order = np.argsort(new_step, kind="stable")  # step-major, path and time order kept within a step
     inner_path, inner_times, inner_regime = atom_path[new][order], atom_times[new][order], new_regime[order]
     by_step = np.searchsorted(new_step[order], np.arange(K + 1))
     step_offsets = by_step + N * np.arange(K + 1)
+    increment = increments(K + np.bincount(atom_path[new], minlength=N))
+    del atom_path, node, repeat, starts, run_last, off_grid, new, new_regime, new_step, order
 
-    S = int(step_offsets[-1])
-    dt, regime, x, dw = np.empty(S), np.empty(S, dtype=np.int16), np.empty((S, d)), np.empty((S, d))
-    state = np.tile(spec.initial_state, (N, 1))
+    S, I = int(step_offsets[-1]), inner_path.size
+    regime, dw, inner_dt = np.empty(S, dtype=np.int16), np.empty((S, d)), np.empty(I)
+    rank = np.empty(I, dtype=np.int32)  # of an inner row among its path's in its step, 0 for the first
     paths = np.arange(N, dtype=np.int32)
+    dt_n = np.empty(N)  # the node rows' durations of one step
     earlier = np.zeros(N, dtype=int)  # inner rows of each path in the steps before
-    for k in range(K):
+    for k in range(K):  # pass 1: regimes, increments and inner durations
         lo, hi = step_offsets[k], step_offsets[k + 1]
-        t_k, t_next = regular[k], regular[k + 1]
         a = slice(by_step[k], by_step[k + 1])
-        a_path, a_time = inner_path[a], inner_times[a]
+        a_path, a_time, dt_a = inner_path[a], inner_times[a], inner_dt[a]
         count = np.bincount(a_path, minlength=N)  # inner rows of each path in this step
         first = np.cumsum(count) - count  # each path's first inner row
-        has = count > 0
-        # a sub-interval ends where the next of its path starts: at the path's next atom, or at t_{k+1}
-        i_n, dt_n, x_n, dw_n = regime[lo : lo + N], dt[lo : lo + N], x[lo : lo + N], dw[lo : lo + N]
-        i_n[:] = node_regime[:, k]
-        dt_n[:] = t_next
-        dt_n[has] = a_time[first[has]]
-        dt_n -= t_k
-        dw_n[:] = increment(paths, k + earlier, dt_n)
+        regime[lo : lo + N] = node_regime[:, k]
+        _node_dt(dt_n, regular[k], regular[k + 1], a_path, a_time)
+        dw[lo : lo + N] = increment(paths, k + earlier, dt_n)
+        # an inner sub-interval ends where the next of its path starts: at the path's next atom, or at t_{k+1}
+        regime[lo + N : hi] = inner_regime[a]
+        dt_a[:-1] = a_time[1:]
+        dt_a[(first + count - 1)[count > 0]] = regular[k + 1]
+        dt_a -= a_time
+        rank[a] = np.arange(a_path.size) - first[a_path]
+        dw[lo + N : hi] = increment(a_path, k + 1 + earlier[a_path] + rank[a], dt_a)
+        earlier += count
+    i_T = node_regime[:, K].copy()
+    del increment, node_regime, inner_regime, earlier, count, first
+
+    x = np.empty((S, d))
+    state = np.tile(spec.initial_state, (N, 1))
+    for k in range(K):  # pass 2: the Euler updates, the node rows' and then the inner rows' by rank
+        lo, hi = step_offsets[k], step_offsets[k + 1]
+        a = slice(by_step[k], by_step[k + 1])
+        a_path, a_rank = inner_path[a], rank[a]
+        i_n, x_n, dw_n = regime[lo : lo + N], x[lo : lo + N], dw[lo : lo + N]
+        _node_dt(dt_n, regular[k], regular[k + 1], a_path, inner_times[a])
         x_n[:] = state
         for i in np.unique(i_n):
             rows = np.flatnonzero(i_n == i)
             state[rows] = _euler_step(spec, int(i), x_n[rows], dt_n[rows], dw_n[rows])
-        i_a, dt_a, x_a, dw_a = regime[lo + N : hi], dt[lo + N : hi], x[lo + N : hi], dw[lo + N : hi]
-        i_a[:] = inner_regime[a]
-        dt_a[:-1] = a_time[1:]
-        dt_a[(first + count - 1)[has]] = t_next
-        dt_a -= a_time
-        rank = np.arange(a_path.size) - first[a_path]  # 0 for a path's first atom in the step
-        dw_a[:] = increment(a_path, k + 1 + earlier[a_path] + rank, dt_a)
-        earlier += count
-        for r in range(int(count.max())):  # the r-th atoms of all paths that have one, in path order
-            at = np.flatnonzero(rank == r)
+        i_a, dt_a, x_a, dw_a = regime[lo + N : hi], inner_dt[a], x[lo + N : hi], dw[lo + N : hi]
+        for r in range(int(a_rank.max(initial=-1)) + 1):  # the r-th atoms of all paths that have one, in path order
+            at = np.flatnonzero(a_rank == r)
             x_a[at] = state[a_path[at]]
             for i in np.unique(i_a[at]):
                 rows = at[i_a[at] == i]
@@ -366,14 +431,14 @@ def _build_bundle(
         T=T,
         seed=int(seed),
         step_offsets=step_offsets,
-        dt=dt,
         regime=regime,
         x=x,
         dw=dw,
         inner_path=inner_path,
         inner_times=inner_times,
+        inner_dt=inner_dt,
         x_T=state,
-        i_T=node_regime[:, K].copy(),
+        i_T=i_T,
         atom_offsets=atom_offsets,
         atom_times=atom_times,
         atom_marks=atom_marks,
@@ -433,15 +498,23 @@ def bundle_from_paths(
 
 
 def dump_paths_csv(bundle: PathBundle, path) -> None:
-    """Write (path, s, regime, x_1..x_d) rows for every grid node, path by path in time order."""
+    """Write (path, s, regime, x_1..x_d) rows for every grid node, path by path in time order.
+
+    Each path's rows are formatted column by column, from one ``tolist()`` per column.
+    """
     regime_T, x_T = bundle.nodes(bundle.K)
     paths, times = bundle._row_starts()
     order = np.argsort(paths, kind="stable")  # a path's rows are in time order: by step, its node row first
     bounds = np.searchsorted(paths[order], np.arange(bundle.N + 1))
+    T = float(bundle.T)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("path,s,regime," + ",".join(f"x_{j+1}" for j in range(bundle.d)) + "\n")
         for p in range(bundle.N):
             rows = order[bounds[p] : bounds[p + 1]]
-            nodes = zip(times[rows], bundle.regime[rows], bundle.x[rows])
-            for s, regime, x in [*nodes, (bundle.T, regime_T[p], x_T[p])]:
-                fh.write(f"{p},{float(s)!r},{int(regime)},{','.join(repr(float(v)) for v in x)}\n")
+            columns = (
+                itertools.repeat(str(p)),
+                map(repr, times[rows].tolist() + [T]),
+                map(str, bundle.regime[rows].tolist() + [int(regime_T[p])]),
+                *(map(repr, bundle.x[rows, j].tolist() + [float(x_T[p, j])]) for j in range(bundle.d)),
+            )
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,8 +200,8 @@ def first_paths(b, n):
     atoms = slice(0, b.atom_offsets[n])
     return {
         "step_offsets": np.searchsorted(np.flatnonzero(keep), b.step_offsets),
-        **{name: getattr(b, name)[keep] for name in ("dt", "regime", "x", "dw")},
-        **{name: getattr(b, name)[inner] for name in ("inner_path", "inner_times")},
+        **{name: getattr(b, name)[keep] for name in ("regime", "x", "dw")},
+        **{name: getattr(b, name)[inner] for name in ("inner_path", "inner_times", "inner_dt")},
         "x_T": b.x_T[:n],
         "i_T": b.i_T[:n],
         "atom_offsets": b.atom_offsets[: n + 1],
@@ -313,12 +314,12 @@ class TestSimulatePaths:
                 xs[0] = 1.0
 
     def test_footprint_matches_layout(self):
-        """Rows take S (8 + 2 + 16 d) bytes and each inner row 12 more; atom, terminal and offset arrays on top."""
+        """Rows take S (2 + 16 d) bytes and each inner row 20 more; atom, terminal and offset arrays on top."""
         spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
         b = simulate_paths(spec, 200, 0.125, seed=3)
-        S, I, A, N, K, d = b.dt.size, b.inner_path.size, b.atom_times.size, b.N, b.K, b.d
+        S, I, A, N, K, d = b.regime.size, b.inner_path.size, b.atom_times.size, b.N, b.K, b.d
         assert all(np.diff(b.step_offsets) >= N + 2 * N // 5)  # several atoms per step
-        rows = S * (8 + 2 + 16 * d) + 12 * I
+        rows = S * (2 + 16 * d) + 20 * I
         atoms = 8 * (N + 1) + (8 + 2) * A
         terminal = 8 * N * d + 2 * N
         held = sum(a.nbytes for a in vars(b).values() if isinstance(a, np.ndarray))
@@ -414,15 +415,15 @@ class TestSimulatePaths:
         """Every array is sized by sub-intervals, inner sub-intervals, atoms, paths (the terminal node) or K + 1: no (N, K, .) array."""
         spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
         b = simulate_paths(spec, 50, 0.125, seed=3)
-        S, A, N, K, d = b.dt.size, b.atom_times.size, b.N, b.K, b.d
+        S, A, N, K, d = b.regime.size, b.atom_times.size, b.N, b.K, b.d
         assert len({S, A, N, N + 1, K + 1}) == 5
         I = S - K * N  # the inner rows: every row but the K N node rows
         shapes = {name: a.shape for name, a in vars(b).items() if isinstance(a, np.ndarray)}
         assert shapes == {
             "step_offsets": (K + 1,),
-            **dict.fromkeys(("dt", "regime"), (S,)),
+            "regime": (S,),
             **dict.fromkeys(("x", "dw"), (S, d)),
-            **dict.fromkeys(("inner_path", "inner_times"), (I,)),
+            **dict.fromkeys(("inner_path", "inner_times", "inner_dt"), (I,)),
             "x_T": (N, d),
             "i_T": (N,),
             "atom_offsets": (N + 1,),
@@ -440,6 +441,38 @@ class TestSimulatePaths:
         for name, value in arrays.items():
             assert value.dtype == prefix[name].dtype, name
             np.testing.assert_array_equal(value, prefix[name], err_msg=name)
+        np.testing.assert_array_equal(short.dt, long.dt[long._row_starts()[0] < 40])  # the derived durations too
+
+    def test_durations_end_at_the_next_row_start(self):
+        """A row lasts until its path's next row in the step starts, or until t_{k+1}: derived and stored alike."""
+        spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
+        b = simulate_paths(spec, 200, 0.125, seed=3)
+        assert all(np.diff(b.step_offsets) >= b.N + 2 * b.N // 5)  # several atoms per step
+        paths, starts = b._row_starts()
+        ends = np.empty_like(starts)
+        for k, t_next in enumerate(b.regular[1:]):
+            lo, hi = b.step_offsets[k : k + 2]
+            step_paths, step_starts = paths[lo:hi], starts[lo:hi]
+            order = np.argsort(step_paths, kind="stable")  # each path's rows of the step in time order
+            later = np.append(step_paths[order][1:] == step_paths[order][:-1], False)
+            step_ends = np.full(hi - lo, t_next)
+            step_ends[order[later]] = step_starts[order][1:][later[:-1]]
+            ends[lo:hi] = step_ends
+            np.testing.assert_array_equal(b.step_segments(k)[1], step_ends - step_starts)
+        np.testing.assert_array_equal(b.dt, ends - starts)
+
+    def test_simulation_peak_is_near_the_bundle(self):
+        """The normals die before the Euler pass: simulating holds at most half a bundle beside the bundle."""
+        spec = build_problem("switch2-linear")
+        simulate_paths(spec, 100, 0.02, seed=1)  # one-time set-up is not the simulation's
+        tracemalloc.start()
+        try:
+            b = simulate_paths(spec, 20_000, 0.02, seed=42)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in vars(b).values() if isinstance(a, np.ndarray))
+        assert peak <= 1.5 * held
 
     @pytest.mark.parametrize(
         "make_spec, h, seed",
