@@ -29,6 +29,18 @@ schedule. A step's view, design and Gram factors are built once for all
 levels. Products and sums still run level by level, each on its level's
 contiguous slice as a one-level pass has it, because batched ones need not
 round the same; so every level of a ladder is bit for bit its own solve.
+
+The step's arithmetic keeps its inner loops long. Products over the short
+trailing axes (the ``d`` Brownian components, the ``m`` marks) run one
+column at a time as ufuncs writing through ``out=``, so each loop runs over
+the units or edges instead of over two or three entries. No result is
+placed by an advanced-index scatter: each regression stratum is fitted on a
+contiguous slice of one stratum-ordered copy of its targets, and the driver
+terms fill contiguous slices of regime-ordered buffers; each result is
+gathered back once through the inverse permutation. The orders are stable
+and every value comes from the same floating-point operations in the same
+order as an element-by-element evaluation, so the outputs do not depend on
+this layout.
 """
 
 from __future__ import annotations
@@ -132,6 +144,25 @@ class _StepView:
     counts: Optional[Array]  # (N, m) float mark counts over the step; None at k = K
     strata: Array            # regimes present at t_k, increasing
     blocks: Optional[dict] = None  # design blocks, built by the step's first fit
+    # the blocks' path indices laid end to end by increasing stratum, each
+    # block's slice of them, and their inverse; set with the blocks
+    order: Optional[Array] = None
+    slices: Optional[list[slice]] = None
+    inverse: Optional[Array] = None
+
+
+def _slices(groups: Sequence[Array]) -> list[slice]:
+    """Each index group's range when the groups are laid end to end."""
+    bounds = np.cumsum([0] + [group.size for group in groups]).tolist()
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _inverse(groups: Sequence[Array]) -> Array:
+    """``inverse`` with ``np.take(a, inverse)`` putting rows laid out group by group back in index order."""
+    inverse = np.empty(sum(group.size for group in groups), dtype=np.intp)
+    for group, rows in zip(groups, _slices(groups)):
+        inverse[group] = np.arange(rows.start, rows.stop)
+    return inverse
 
 
 class MonteCarloEnsemble:
@@ -202,14 +233,23 @@ class MonteCarloEnsemble:
         paths, durations, regimes = self.bundle.step_segments(k)
         return paths, paths, paths, durations, regimes
 
+    def at_heads(self, k: int, values: Array) -> Array:
+        """``values`` (L, N) of step k + 1 on the step's edges: the paths themselves."""
+        return values
+
     def edge_to_unit(self, k: int, values: Array) -> Array:
         return values
 
-    def _design(self, k: int) -> dict:
+    def _design(self, k: int) -> _StepView:
+        """The step's view with its design blocks and their path order."""
         view = self._view(k)
         if view.blocks is None:
-            view.blocks = build_design(self.basis, view.regimes, view.xs)
-        return view.blocks
+            view.blocks = dict(sorted(build_design(self.basis, view.regimes, view.xs).items()))
+            groups = [block.rows for block in view.blocks.values()]
+            view.order, view.slices, view.inverse = np.concatenate(groups), _slices(groups), _inverse(groups)
+            for block, rows in zip(view.blocks.values(), view.slices):
+                block.rows = view.order[rows]  # a view: the paths are held once
+        return view
 
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[list[FitRecord]]]:
         """Projection of ``targets``, shape (L, N, c): c columns at each of L levels.
@@ -220,35 +260,37 @@ class MonteCarloEnsemble:
         if not np.all(np.isfinite(targets)):
             raise DivergenceError(f"non-finite regression target for {family} at step {k}")
         levels, _, c = targets.shape
-        out = np.empty_like(targets)
         if k == 0:
             # all paths share the initial state: E_0 is the plain mean
+            out = np.empty_like(targets)
             for level in range(levels):
                 out[level] = targets[level].mean(axis=0)
             return out, [[] for _ in range(levels)]
-        fits = []
-        for stratum, block in sorted(self._design(k).items()):
-            fit = ols_fit(block.matrix, np.take(targets, block.rows, axis=1), self.ridge, block.factor)
+        view = self._design(k)
+        # each stratum fits a contiguous slice of one stratum-ordered copy of
+        # the targets, its rows in the order an advanced index gives them; the
+        # fitted values overwrite the slice and are gathered back once, and
+        # each fit's records are taken before the next fit replaces it
+        ordered = np.take(targets, view.order, axis=1)
+        records: list[list[FitRecord]] = [[] for _ in range(levels)]
+        for (stratum, block), rows in zip(view.blocks.items(), view.slices):
+            fit = ols_fit(block.matrix, ordered[:, rows], self.ridge, block.factor)
             block.factor = fit.factor
-            out[:, block.rows] = fit.fitted
-            fits.append((stratum, fit))
-        records = [
-            [
-                FitRecord(
-                    step=k,
-                    family=family if c == 1 else f"{family}{col + 1}",
-                    stratum=stratum,
-                    sample_count=fit.sample_count,
-                    gram_condition=fit.gram_condition,
-                    residual_mse=float(fit.residual_mse[level, col]),
-                    rank_deficient=fit.rank_deficient,
-                )
-                for stratum, fit in fits
-                for col in range(c)
-            ]
-            for level in range(levels)
-        ]
-        return out, records
+            ordered[:, rows] = fit.fitted
+            for level, level_records in enumerate(records):
+                level_records += [
+                    FitRecord(
+                        step=k,
+                        family=family if c == 1 else f"{family}{col + 1}",
+                        stratum=stratum,
+                        sample_count=fit.sample_count,
+                        gram_condition=fit.gram_condition,
+                        residual_mse=float(fit.residual_mse[level, col]),
+                        rank_deficient=fit.rank_deficient,
+                    )
+                    for col in range(c)
+                ]
+        return np.take(ordered, view.inverse, axis=1), records
 
     def thinnest_stratum(self) -> Optional[int]:
         """Fewest paths in any regression stratum over the fitted steps.
@@ -304,6 +346,10 @@ class LatticeEnsemble:
         regimes = self.chain.nodes[k].regime[es.tail].astype(int)
         return np.arange(n_edges), es.tail, es.head, np.full(n_edges, self.h), regimes
 
+    def at_heads(self, k: int, values: Array) -> Array:
+        """``values`` (L, nodes at k + 1) at the head of each of step k's edges."""
+        return np.take(values, self.chain.edges[k].head, axis=1)
+
     def edge_to_unit(self, k: int, values: Array) -> Array:
         return self._reduce(k, values)
 
@@ -312,10 +358,12 @@ class LatticeEnsemble:
         es = self.chain.edges[k]
         columns = per_edge.reshape(per_edge.shape[:2] + (-1,))
         out = np.empty((columns.shape[0], self.n_units(k), columns.shape[2]))
+        weights = np.empty(es.prob.size)
+        # column by column, each product one contiguous loop over the edges;
+        # bincount adds in edge order, as np.add.at does
         for level, level_columns in enumerate(columns):
-            weighted = es.prob[:, None] * level_columns
-            # bincount adds in edge order, as np.add.at does, column by column
-            for col, weights in enumerate(weighted.T):
+            for col in range(columns.shape[2]):
+                np.multiply(es.prob, level_columns[:, col], out=weights)
                 out[level, :, col] = np.bincount(es.tail, weights=weights, minlength=out.shape[1])
         return out.reshape(out.shape[:2] + per_edge.shape[2:])
 
@@ -365,8 +413,12 @@ def estimate_z(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[list[F
     level.
     """
     _check_step(ens, k, y_next)
-    _, head, _, dw, _ = ens.edge_arrays(k)
-    targets = np.take(y_next, head, axis=1)[:, :, None] * dw
+    dw = ens.edge_arrays(k)[3]
+    y_head = ens.at_heads(k, y_next)
+    targets = np.empty(y_head.shape + dw.shape[1:])
+    # column by column: a broadcast product loops over the d columns innermost
+    for col in range(dw.shape[1]):
+        np.multiply(y_head, dw[:, col], out=targets[:, :, col])
     targets /= ens.h
     return ens.condexp(k, targets, "z")
 
@@ -382,15 +434,25 @@ def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list
     """
     _check_step(ens, k, y_next)
     ens.spec.intensity.require_positive()
-    lam = ens.spec.intensity.weights
-    _, head, _, _, counts = ens.edge_arrays(k)
-    compensated = counts - lam[None, :] * ens.h
-    targets = np.take(y_next, head, axis=1)[:, :, None] * compensated
-    targets /= lam[None, :] * ens.h
+    lam_h = ens.spec.intensity.weights * ens.h
+    counts = ens.edge_arrays(k)[4]
+    y_head = ens.at_heads(k, y_next)
+    targets = np.empty(y_head.shape + counts.shape[1:])
+    # column by column, as for z
+    for j in range(counts.shape[1]):
+        column = targets[:, :, j]
+        np.multiply(y_head, counts[:, j] - lam_h[j], out=column)
+        column /= lam_h[j]
     u_raw, records = ens.condexp(k, targets, "u")
+    del targets
+    levels, units, m = u_raw.shape
     regimes, _ = ens.states(k)
-    own = u_raw[:, np.arange(u_raw.shape[1]), regimes - 1]
-    return u_raw - own[:, :, None], u_raw, records
+    # each unit's own-regime column, by a flat gather
+    own = np.take(u_raw.reshape(levels, units * m), np.arange(0, units * m, m) + (regimes - 1), axis=1)
+    u = np.empty_like(u_raw)
+    for j in range(m):
+        np.subtract(u_raw[:, :, j], own, out=u[:, :, j])
+    return u, u_raw, records
 
 
 def _driver_terms(
@@ -422,44 +484,61 @@ def _driver_terms(
     _, xs = ens.states(k)
     lam = spec.intensity.weights
     seg_edge, seg_tail, seg_head, seg_dt, seg_regime = ens.segments(k)
+    # every edge has a sub-interval, and the first n_edges segments are the
+    # edges' first sub-intervals in edge order
+    n_edges = int(seg_edge.max()) + 1
 
+    # each regime's values fill its contiguous slice of regime-ordered
+    # buffers, one level at a time; each buffer is gathered back to segment
+    # order once, after the regimes' arrays are freed
+    groups = [np.flatnonzero(seg_regime == r) for r in range(1, spec.m + 1)]
     f_val = np.empty((levels.size, seg_edge.size))
     pen_val = np.zeros((levels.size, seg_edge.size))
     min_h = np.zeros((levels.size, seg_edge.size))
-    for r in range(1, spec.m + 1):
-        rows = np.flatnonzero(seg_regime == r)
-        if rows.size == 0:
+    for r, (segments, rows) in enumerate(zip(groups, _slices(groups)), start=1):
+        if segments.size == 0:
             continue
-        tails = seg_tail[rows]
+        tails = seg_tail[segments]
         # take() keeps each level's rows contiguous, as a one-level pass has them
-        y_r = np.take(y_next, seg_head[rows], axis=1)
+        y_r = np.take(y_next, seg_head[segments], axis=1)
         x_r, z_r = xs[tails], np.take(z, tails, axis=1)
-        yvec = y_r[:, :, None] + np.take(u, tails, axis=1)
-        yvec[:, :, r - 1] = y_r
+        u_r = np.take(u, tails, axis=1)
+        yvec = np.empty(u_r.shape)  # filled column by column
+        for j in range(spec.m):
+            if j == r - 1:
+                yvec[:, :, j] = y_r
+            else:
+                np.add(y_r, u_r[:, :, j], out=yvec[:, :, j])
+        del u_r
         for level, n in enumerate(levels):
             values, z_level = yvec[level], z_r[level]
             # a product over all levels' rows at once need not round the same
-            compensator = values @ lam - lam.sum() * values[:, r - 1]
-            f_val[level, rows] = spec.driver(r, x_r, values, z_level) - compensator
+            compensator = values @ lam
+            compensator -= lam.sum() * values[:, r - 1]
+            np.subtract(spec.driver(r, x_r, values, z_level), compensator, out=f_val[level, rows])
+            del compensator
             if spec.m > 1 or n > 0:
                 h = constraint_values(spec, r, x_r, values, z_level)
                 pen_val[level, rows] = penalty_batch(spec, h)
                 # reduce the whole column-major array: selecting rows first would
                 # copy it to row-major
-                min_h[level, rows] = h.min(axis=1)
+                np.min(h, axis=1, out=min_h[level, rows])
                 del h  # not alive beside the next group's arrays
         del y_r, z_r, yvec  # free this regime's arrays before the next regime's
+    inverse = _inverse(groups)
+    del groups
+    f_val = np.take(f_val, inverse, axis=1)
+    pen_val = np.take(pen_val, inverse, axis=1)
+    min_h = np.take(min_h, inverse[:n_edges], axis=1)
+    del inverse
 
-    # every edge has a sub-interval, and the first n_edges segments are the
-    # edges' first sub-intervals in edge order
-    n_edges = int(seg_edge.max()) + 1
     # per level, as a one-level pass has it; bincount adds in segment order, as np.add.at does
     integral, penalty_mass, violation = [np.empty((levels.size, n_edges)) for _ in range(3)]
     for level, (n, f, pen) in enumerate(zip(levels, f_val, pen_val)):
         integral[level] = np.bincount(seg_edge, seg_dt * (f + n * pen), n_edges)
         penalty_mass[level] = np.bincount(seg_edge, seg_dt * n * pen, n_edges)
         violation[level] = np.bincount(seg_edge, seg_dt * pen / ens.h, n_edges)
-    return integral, penalty_mass, violation, min_h[:, :n_edges]
+    return integral, penalty_mass, violation, min_h
 
 
 def step_y(
@@ -483,10 +562,11 @@ def step_y(
     _check_step(ens, k, y_next)
     if np.ndim(levels) != 1 or len(levels) != y_next.shape[0]:
         raise ValueError(f"need one level per row of y_next ({y_next.shape[0]}), got levels {levels!r}")
-    tail, head, prob, _, _ = ens.edge_arrays(k)
-    integral, penalty_edge, violation_edge, min_h = _driver_terms(spec, levels, ens, k, y_next, z_k, u_k)
-    targets = np.take(y_next, head, axis=1) + integral
+    tail, _, prob, _, _ = ens.edge_arrays(k)
+    targets, penalty_edge, violation_edge, min_h = _driver_terms(spec, levels, ens, k, y_next, z_k, u_k)
+    targets += ens.at_heads(k, y_next)  # the driver integral plus Y_{k+1}
     y, records = ens.condexp(k, targets[:, :, None], "y")
+    del targets
     penalty_mass = ens.edge_to_unit(k, penalty_edge)
     skorohod = np.zeros(len(penalty_mass))
     weight = None

@@ -88,7 +88,13 @@ class LatticeSolution:
 
 
 def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: int = 0) -> LatticeSolution:
-    """Evaluate the penalized backward recursion exactly on the chain."""
+    """Evaluate the penalized backward recursion exactly on the chain.
+
+    Raises :class:`DivergenceError` under the backward pass's guard: when a
+    problem with a growth bound ``(c0, c1)`` gets a step's value
+    ``|v| > 10 (c0 + c1 |x|)`` at one of the step's nodes, as the explicit
+    penalty step does past ``n * Lambda * h ~ 1``.
+    """
     chain = lattice if isinstance(lattice, LatticeChain) else build_lattice_chain(spec, lattice)
     lam = spec.intensity.weights
     spec.intensity.require_positive()
@@ -153,6 +159,8 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
             f_edge[rows] = fv
 
         v = reduce(es.prob * (v_head + h * f_edge))
+        if spec.growth_bound is not None and np.any(np.abs(v) > 10.0 * spec.growth_radius(nodes.x)):
+            raise DivergenceError(f"DP value exceeded 10x the growth bound at step {k}")
         values[k], zs[k], us[k], us_raw[k], proxies[k] = v, z, u, u_raw, proxy
 
     return LatticeSolution(chain=chain, y0=float(values[0][0]), values=values, z=zs, u=us, u_raw=us_raw, proxies=proxies)

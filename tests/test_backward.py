@@ -22,9 +22,10 @@ from switchbsde import (
     skorohod_residual,
     solve_backward,
 )
-from switchbsde.backward import SolveResult, _driver_terms, _solve_levels, make_ensemble, step_y
+from switchbsde.backward import FitRecord, SolveResult, _driver_terms, _solve_levels, make_ensemble, step_y
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
 from switchbsde.problem import constraint_values, penalty_batch
+from switchbsde.regression import build_design, ols_fit
 
 
 def chain_ensemble(spec, h, n=0, seed=0):
@@ -633,6 +634,183 @@ class TestStepView:
         assert len(factored) == strata
         # z, u and y fit every stratum of every step: one column for z and y, three for u
         assert len(result.fit_records) == strata * (1 + 3 + 1)
+
+
+def parent_condexp(ens, k, targets, family):
+    """Monte Carlo projection fitted stratum by stratum on an advanced-index copy, scattered back."""
+    regimes, xs = ens.states(k)
+    levels, _, c = targets.shape
+    out, fits = np.empty_like(targets), []
+    for stratum, block in sorted(build_design(ens.basis, regimes, xs).items()):
+        fit = ols_fit(block.matrix, np.take(targets, block.rows, axis=1), ens.ridge)
+        out[:, block.rows] = fit.fitted
+        fits.append((stratum, fit))
+    records = [
+        [
+            FitRecord(k, f"{family}{col + 1}", stratum, fit.sample_count, fit.gram_condition,
+                      float(fit.residual_mse[level, col]), fit.rank_deficient)
+            for stratum, fit in fits
+            for col in range(c)
+        ]
+        for level in range(levels)
+    ]
+    return out, records
+
+
+def parent_z_targets(ens, k, y_next):
+    _, head, _, dw, _ = ens.edge_arrays(k)
+    targets = np.take(y_next, head, axis=1)[:, :, None] * dw
+    targets /= ens.h
+    return targets
+
+
+def parent_u_targets(ens, k, y_next):
+    lam = ens.spec.intensity.weights
+    _, head, _, _, counts = ens.edge_arrays(k)
+    targets = np.take(y_next, head, axis=1)[:, :, None] * (counts - lam[None, :] * ens.h)
+    targets /= lam[None, :] * ens.h
+    return targets
+
+
+def parent_rebase(ens, k, u_raw):
+    regimes, _ = ens.states(k)
+    return u_raw - u_raw[:, np.arange(u_raw.shape[1]), regimes - 1][:, :, None]
+
+
+def parent_driver_terms(spec, levels, ens, k, y_next, z, u):
+    """The driver terms with each regime's values scattered into segment order by an advanced index."""
+    levels = np.asarray(levels)
+    _, xs = ens.states(k)
+    lam = spec.intensity.weights
+    seg_edge, seg_tail, seg_head, seg_dt, seg_regime = ens.segments(k)
+    f_val = np.empty((levels.size, seg_edge.size))
+    pen_val, min_h = np.zeros((levels.size, seg_edge.size)), np.zeros((levels.size, seg_edge.size))
+    for r in range(1, spec.m + 1):
+        rows = np.flatnonzero(seg_regime == r)
+        if rows.size == 0:
+            continue
+        tails = seg_tail[rows]
+        y_r = np.take(y_next, seg_head[rows], axis=1)
+        x_r, z_r = xs[tails], np.take(z, tails, axis=1)
+        yvec = y_r[:, :, None] + np.take(u, tails, axis=1)
+        yvec[:, :, r - 1] = y_r
+        for level, n in enumerate(levels):
+            values, z_level = yvec[level], z_r[level]
+            compensator = values @ lam - lam.sum() * values[:, r - 1]
+            f_val[level, rows] = spec.driver(r, x_r, values, z_level) - compensator
+            if spec.m > 1 or n > 0:
+                h = constraint_values(spec, r, x_r, values, z_level)
+                pen_val[level, rows] = penalty_batch(spec, h)
+                min_h[level, rows] = h.min(axis=1)
+    n_edges = int(seg_edge.max()) + 1
+    integral, penalty_mass, violation = [np.empty((levels.size, n_edges)) for _ in range(3)]
+    for level, (n, f, pen) in enumerate(zip(levels, f_val, pen_val)):
+        integral[level] = np.bincount(seg_edge, seg_dt * (f + n * pen), n_edges)
+        penalty_mass[level] = np.bincount(seg_edge, seg_dt * n * pen, n_edges)
+        violation[level] = np.bincount(seg_edge, seg_dt * pen / ens.h, n_edges)
+    return integral, penalty_mass, violation, min_h[:, :n_edges]
+
+
+def parent_reduce(ens, k, per_edge):
+    es = ens.chain.edges[k]
+    columns = per_edge.reshape(per_edge.shape[:2] + (-1,))
+    out = np.empty((columns.shape[0], ens.n_units(k), columns.shape[2]))
+    for level, level_columns in enumerate(columns):
+        weighted = es.prob[:, None] * level_columns
+        for col, weights in enumerate(weighted.T):
+            out[level, :, col] = np.bincount(es.tail, weights=weights, minlength=out.shape[1])
+    return out.reshape(out.shape[:2] + per_edge.shape[2:])
+
+
+class TestBitForBitReference:
+    """The per-step arithmetic against its advanced-index form, element for element.
+
+    The step runs per-column products and fits on contiguous slices of
+    stratum- and regime-ordered copies. The orders are stable, so every fit
+    sees the rows, and every sum the terms, in the order an advanced index
+    gives them, and the results must match bit for bit: at m = 3, with
+    several levels, on a bundle whose strata interleave.
+    """
+
+    LEVELS = [0, 4, 16]
+
+    @pytest.fixture(scope="class")
+    def mc(self):
+        spec = build_problem("switch3", {"intensity": [10.0, 8.0, 6.0]})
+        bundle = simulate_paths(spec, 600, 0.1, seed=31)
+        ens = make_ensemble(spec, SchemeConfig(h=0.1, paths=600, seed=31), bundle)
+        rng = np.random.default_rng(8)
+        L, N = len(self.LEVELS), bundle.N
+        return spec, ens, rng.normal(size=(L, N)), rng.normal(size=(L, N, 1)), rng.normal(scale=0.5, size=(L, N, 3))
+
+    @pytest.fixture(scope="class")
+    def chain(self):
+        spec = build_problem("switch3")
+        chain, ens = chain_ensemble(spec, 1 / 8)
+        return spec, ens
+
+    def test_strata_interleave(self, mc):
+        _, ens, *_ = mc
+        for k in (1, 3, ens.n_steps - 1):
+            regimes, _ = ens.states(k)
+            assert np.unique(regimes).size == 3
+            assert np.count_nonzero(np.diff(regimes)) > 100  # regimes alternate along the path index
+
+    def test_condexp(self, mc):
+        _, ens, y, *_ = mc
+        targets = np.random.default_rng(9).normal(size=y.shape + (3,))
+        for k in range(1, ens.n_steps):
+            got, records = ens.condexp(k, targets, "t")
+            want, want_records = parent_condexp(ens, k, targets, "t")
+            assert np.array_equal(got, want)
+            assert records == want_records
+
+    def test_estimate_z_and_u(self, mc):
+        _, ens, y, *_ = mc
+        for k in range(ens.n_steps):
+            z, _ = estimate_z(ens, k, y)
+            assert np.array_equal(z, ens.condexp(k, parent_z_targets(ens, k, y), "z")[0])
+            u, u_raw, _ = estimate_u(ens, k, y)
+            want_raw = ens.condexp(k, parent_u_targets(ens, k, y), "u")[0]
+            assert np.array_equal(u_raw, want_raw)
+            assert np.array_equal(u, parent_rebase(ens, k, want_raw))
+
+    def test_estimate_z_and_u_on_chain(self, chain):
+        spec, ens = chain
+        rng = np.random.default_rng(4)
+        for k in (0, 3, ens.n_steps - 1):
+            y = rng.normal(size=(len(self.LEVELS), ens.n_units(k + 1)))
+            z, _ = estimate_z(ens, k, y)
+            assert np.array_equal(z, parent_reduce(ens, k, parent_z_targets(ens, k, y)))
+            u, u_raw, _ = estimate_u(ens, k, y)
+            want_raw = parent_reduce(ens, k, parent_u_targets(ens, k, y))
+            assert np.array_equal(u_raw, want_raw)
+            assert np.array_equal(u, parent_rebase(ens, k, want_raw))
+
+    def test_driver_terms(self, mc, chain):
+        spec, ens, y, z, u = mc
+        for k in range(ens.n_steps):
+            got = _driver_terms(spec, self.LEVELS, ens, k, y, z, u)
+            for a, b in zip(got, parent_driver_terms(spec, self.LEVELS, ens, k, y, z, u)):
+                assert np.array_equal(a, b)
+        spec, ens = chain
+        rng = np.random.default_rng(5)
+        for k in (0, 3, ens.n_steps - 1):
+            L, n = len(self.LEVELS), ens.n_units(k)
+            y = rng.normal(size=(L, ens.n_units(k + 1)))
+            z, u = rng.normal(size=(L, n, 1)), rng.normal(scale=0.5, size=(L, n, 3))
+            got = _driver_terms(spec, self.LEVELS, ens, k, y, z, u)
+            for a, b in zip(got, parent_driver_terms(spec, self.LEVELS, ens, k, y, z, u)):
+                assert np.array_equal(a, b)
+
+    def test_lattice_reduce(self, chain):
+        _, ens = chain
+        rng = np.random.default_rng(6)
+        for k in (0, 3, ens.n_steps - 1):
+            edges = ens.chain.edges[k].tail.size
+            for shape in [(3, edges), (3, edges, 1), (3, edges, 3)]:
+                values = rng.normal(size=shape)
+                assert np.array_equal(ens._reduce(k, values), parent_reduce(ens, k, values))
 
 
 class TestLadderAndSkorohod:

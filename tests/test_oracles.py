@@ -172,6 +172,23 @@ class TestLatticeDp:
         for k in range(chain.K):
             assert np.max(np.abs(dp.u[k] - res.us[k])) <= 1e-12
 
+    def test_growth_bound_divergence_matches_backward_solver(self):
+        # n * Lambda * h = 61: the explicit penalty step runs away (y0 ~ 1e26 unguarded)
+        spec = build_problem("switch2-linear")
+        chain = build_lattice_chain(spec, LatticeSpec(h=0.02))
+        with pytest.raises(DivergenceError, match="growth bound at step 17"):
+            lattice_dp_solve(spec, chain, n=1024)
+        with pytest.raises(DivergenceError, match="growth bound at step 17"):
+            solve_backward(spec, SchemeConfig(h=0.02, n=1024, paths=1, seed=0), chain)
+
+    def test_oracle_sized_dp_stays_inside_growth_bound(self):
+        spec = build_problem("switch2-linear", {"sigma": [0.25, 0.25], "T": 1.0})
+        sol = lattice_dp_solve(spec, LatticeSpec(h=1 / 192), n=64)
+        # the largest |v| / (c0 + c1 |x|) over the chain is 1.65, far from the guard's 10
+        ratio = max(np.max(np.abs(v) / spec.growth_radius(ns.x)) for ns, v in zip(sol.chain.nodes, sol.values))
+        assert ratio < 2.0
+        assert abs(sol.y0 - 0.4) <= 0.02
+
 
 def quad_grid(spec, M=400):
     return (M, -4.0, 4.0) if float(spec.initial_state[0]) == 0.0 else (M, -4.0 + 0.7, 4.0 + 0.7)
