@@ -138,7 +138,7 @@ class _StepView:
     """One Monte Carlo step's arrays, built once and shared by all of that step's operations."""
 
     k: int
-    regimes: Array           # (N,) int regime at t_k
+    regimes: Array           # (N,) regime at t_k, a read-only view into the bundle
     xs: Array                # (N, d) state at t_k
     dw: Optional[Array]      # (N, d) Brownian increment over the step; None at k = K
     counts: Optional[Array]  # (N, m) float mark counts over the step; None at k = K
@@ -199,7 +199,7 @@ class MonteCarloEnsemble:
             dw, counts = self.bundle.step_increments(k) if k < self.n_steps else (None, None)
             self._step = _StepView(
                 k=k,
-                regimes=regimes.astype(int),
+                regimes=regimes,
                 xs=xs,
                 dw=dw,
                 counts=None if counts is None else counts.astype(float),
