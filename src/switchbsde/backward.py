@@ -237,6 +237,10 @@ class MonteCarloEnsemble:
         """``values`` (L, N) of step k + 1 on the step's edges: the paths themselves."""
         return values
 
+    def at_tails(self, k: int, values: Array) -> Array:
+        """``values`` (..., N) of step k on the step's edges: the paths themselves."""
+        return values
+
     def edge_to_unit(self, k: int, values: Array) -> Array:
         return values
 
@@ -349,6 +353,10 @@ class LatticeEnsemble:
     def at_heads(self, k: int, values: Array) -> Array:
         """``values`` (L, nodes at k + 1) at the head of each of step k's edges."""
         return np.take(values, self.chain.edges[k].head, axis=1)
+
+    def at_tails(self, k: int, values: Array) -> Array:
+        """``values`` (..., nodes at k) at the tail of each of step k's edges."""
+        return np.take(values, self.chain.edges[k].tail, axis=-1)
 
     def edge_to_unit(self, k: int, values: Array) -> Array:
         return self._reduce(k, values)
@@ -502,14 +510,14 @@ def _driver_terms(
         # take() keeps each level's rows contiguous, as a one-level pass has them
         y_r = np.take(y_next, seg_head[segments], axis=1)
         x_r, z_r = xs[tails], np.take(z, tails, axis=1)
-        u_r = np.take(u, tails, axis=1)
-        yvec = np.empty(u_r.shape)  # filled column by column
+        # the value vector Y_{k+1} + U_k(j), built column by column in the
+        # gathered offsets, with Y_{k+1} itself in the own-regime column
+        yvec = np.take(u, tails, axis=1)
         for j in range(spec.m):
             if j == r - 1:
                 yvec[:, :, j] = y_r
             else:
-                np.add(y_r, u_r[:, :, j], out=yvec[:, :, j])
-        del u_r
+                yvec[:, :, j] += y_r
         for level, n in enumerate(levels):
             values, z_level = yvec[level], z_r[level]
             # a product over all levels' rows at once need not round the same
@@ -532,12 +540,24 @@ def _driver_terms(
     min_h = np.take(min_h, inverse[:n_edges], axis=1)
     del inverse
 
-    # per level, as a one-level pass has it; bincount adds in segment order, as np.add.at does
+    # per level, as a one-level pass has it; bincount adds in segment order, as
+    # np.add.at does, and is handed the edges as intp so it does not convert
+    # them on each call. The weights seg_dt (f + n pen), seg_dt n pen and
+    # seg_dt pen / h are built, operation by operation, in one reused buffer.
+    seg_edge = seg_edge.astype(np.intp, copy=False)
+    weights = np.empty(seg_edge.size)
     integral, penalty_mass, violation = [np.empty((levels.size, n_edges)) for _ in range(3)]
     for level, (n, f, pen) in enumerate(zip(levels, f_val, pen_val)):
-        integral[level] = np.bincount(seg_edge, seg_dt * (f + n * pen), n_edges)
-        penalty_mass[level] = np.bincount(seg_edge, seg_dt * n * pen, n_edges)
-        violation[level] = np.bincount(seg_edge, seg_dt * pen / ens.h, n_edges)
+        np.multiply(n, pen, out=weights)
+        weights += f
+        weights *= seg_dt
+        integral[level] = np.bincount(seg_edge, weights, n_edges)
+        np.multiply(seg_dt, n, out=weights)
+        weights *= pen
+        penalty_mass[level] = np.bincount(seg_edge, weights, n_edges)
+        np.multiply(seg_dt, pen, out=weights)
+        weights /= ens.h
+        violation[level] = np.bincount(seg_edge, weights, n_edges)
     return integral, penalty_mass, violation, min_h
 
 
@@ -562,7 +582,7 @@ def step_y(
     _check_step(ens, k, y_next)
     if np.ndim(levels) != 1 or len(levels) != y_next.shape[0]:
         raise ValueError(f"need one level per row of y_next ({y_next.shape[0]}), got levels {levels!r}")
-    tail, _, prob, _, _ = ens.edge_arrays(k)
+    prob = ens.edge_arrays(k)[2]
     targets, penalty_edge, violation_edge, min_h = _driver_terms(spec, levels, ens, k, y_next, z_k, u_k)
     targets += ens.at_heads(k, y_next)  # the driver integral plus Y_{k+1}
     y, records = ens.condexp(k, targets[:, :, None], "y")
@@ -573,10 +593,10 @@ def step_y(
     for level, mass in enumerate(penalty_mass):
         if np.any(mass):
             if weight is None:
-                weight = ens.unit_weights(k)[tail]
+                weight = ens.at_tails(k, ens.unit_weights(k))
                 if prob is not None:
                     weight = weight * prob
-            skorohod[level] = np.sum(weight * min_h[level] * mass[tail])
+            skorohod[level] = np.sum(weight * min_h[level] * ens.at_tails(k, mass))
     return y[:, :, 0], penalty_mass, ens.edge_to_unit(k, violation_edge), skorohod, records
 
 
