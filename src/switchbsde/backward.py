@@ -12,9 +12,12 @@ Stepping backward from the terminal payoff, each step estimates
 Conditional expectations ``E_k`` are either least-squares projections on a
 basis at ``(I_k, X_k)`` (Monte Carlo mode, :class:`PathBundle` input) or
 exact transition averages (enumerated mode, :class:`LatticeChain` input).
-The backward code path is identical in both modes. At ``k = 0`` all paths
-share the initial state, so the estimate degenerates to the plain sample
-mean by construction.
+The backward code path is identical in both modes: each ensemble hands it
+one record per step with the same fields (units at ``t_k`` with their
+weights, and edges to ``t_{k+1}`` with their increments), and keeps only its
+sub-intervals and its conditional expectation to itself. At ``k = 0`` all
+paths share the initial state, so the estimate degenerates to the plain
+sample mean by construction.
 
 After prediction the jump offsets are re-based: the own-regime component is
 subtracted from every component, which zeroes it exactly and makes the
@@ -25,7 +28,7 @@ arrays carry a leading level axis, and a single level is the one-row case.
 One private driver runs the pass for a list of levels and returns one
 :class:`SolveResult` per level; :func:`solve_backward` is its one-level
 call and :func:`penalization_ladder` reads its results for the whole
-schedule. A step's view, design and Gram factors are built once for all
+schedule. A step's record, design and Gram factors are built once for all
 levels. Products and sums still run level by level, each on its level's
 contiguous slice as a one-level pass has it, because batched ones need not
 round the same; so every level of a ladder is bit for bit its own solve.
@@ -46,7 +49,7 @@ this layout.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -101,19 +104,7 @@ class SchemeConfig:
             raise ValueError("ridge must be None or a finite nonnegative number")
 
     def echo(self) -> dict:
-        return {
-            "h": self.h,
-            "n": self.n,
-            "paths": self.paths,
-            "basis": {
-                "kind": self.basis.kind,
-                "degree": self.basis.degree,
-                "stratify_by_regime": self.basis.stratify_by_regime,
-            },
-            "ridge": self.ridge,
-            "clip_to_growth_bound": self.clip_to_growth_bound,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -130,25 +121,59 @@ class FitRecord:
 
 
 # ---------------------------------------------------------------------------
-# ensembles: a uniform per-step view over Monte Carlo paths and chain nodes
+# ensembles: one step record over Monte Carlo paths and chain nodes
 
 
 @dataclass
-class _StepView:
-    """One Monte Carlo step's arrays, built once and shared by all of that step's operations."""
+class _Step:
+    """One step of an ensemble: its units at ``t_k`` and their edges to ``t_{k+1}``.
+
+    The fields mean the same in both modes. A chain's units are its nodes at
+    ``t_k``; a bundle's are its paths, and edge ``p`` is path ``p`` at both
+    ends with probability 1, so ``tail``, ``head`` and ``prob`` are ``None``.
+    The per-edge fields are ``None`` at ``k = K``.
+    """
 
     k: int
-    regimes: Array           # (N,) regime at t_k, a read-only view into the bundle
-    xs: Array                # (N, d) state at t_k
-    dw: Optional[Array]      # (N, d) Brownian increment over the step; None at k = K
-    counts: Optional[Array]  # (N, m) float mark counts over the step; None at k = K
-    strata: Array            # regimes present at t_k, increasing
-    blocks: Optional[dict] = None  # design blocks, built by the step's first fit
-    # the blocks' path indices laid end to end by increasing stratum, each
-    # block's slice of them, and their inverse; set with the blocks
+    regimes: Array           # (units,) regime at t_k
+    xs: Array                # (units, d) state at t_k
+    weights: Array           # (units,) probability of each unit
+    dw: Optional[Array] = None      # (edges, d) Brownian increment over the step
+    counts: Optional[Array] = None  # (edges, m) float mark counts over the step
+    tail: Optional[Array] = None    # (edges,) unit at t_k
+    head: Optional[Array] = None    # (edges,) unit at t_{k+1}
+    prob: Optional[Array] = None    # (edges,) probability given the tail
+    # Monte Carlo only, set by the step's first fit: the design blocks, their
+    # path indices laid end to end by increasing stratum, each block's slice
+    # of them, and their inverse
+    blocks: Optional[dict] = None
     order: Optional[Array] = None
     slices: Optional[list[slice]] = None
     inverse: Optional[Array] = None
+
+
+def _along(index: Optional[Array], values: Array) -> Array:
+    """``values`` (..., units) at each edge's unit in ``index``; ``None``, on a bundle, where edges are units."""
+    return values if index is None else np.take(values, index, axis=-1)
+
+
+def _reduce(step: _Step, per_edge: Array) -> Array:
+    """Probability-weighted sum of ``per_edge`` (L, edges, ...) over each unit's out-edges.
+
+    On a bundle each unit has one edge, of probability 1: ``per_edge`` itself.
+    """
+    if step.prob is None:
+        return per_edge
+    columns = per_edge.reshape(per_edge.shape[:2] + (-1,))
+    out = np.empty((columns.shape[0], step.regimes.size, columns.shape[2]))
+    weights = np.empty(step.prob.size)
+    # column by column, each product one contiguous loop over the edges;
+    # bincount adds in edge order, as np.add.at does
+    for level, level_columns in enumerate(columns):
+        for col in range(columns.shape[2]):
+            np.multiply(step.prob, level_columns[:, col], out=weights)
+            out[level, :, col] = np.bincount(step.tail, weights=weights, minlength=out.shape[1])
+    return out.reshape(out.shape[:2] + per_edge.shape[2:])
 
 
 def _slices(groups: Sequence[Array]) -> list[slice]:
@@ -166,94 +191,56 @@ def _inverse(groups: Sequence[Array]) -> Array:
 
 
 class MonteCarloEnsemble:
-    """Per-step view of a :class:`PathBundle` with OLS conditional expectations.
+    """A :class:`PathBundle` with OLS conditional expectations.
 
-    The arrays of one step (regimes, states, increments, float counts, strata,
-    design blocks and their Gram factors) live in a :class:`_StepView` that is
-    built on the step's first access, from the bundle's per-step reads, and
-    replaced when another step is asked for: one step is alive at a time.
+    :meth:`step` builds a step's record from the bundle's per-step reads on
+    the step's first access, and the step's first fit adds its design blocks
+    and their Gram factors. Asking for another step replaces the record: one
+    step is alive at a time.
     """
 
     exact = False
 
     def __init__(self, spec: ProblemSpec, bundle: PathBundle, basis: BasisSpec, ridge: Optional[float]):
-        if bundle.m != spec.m or bundle.d != spec.d:
-            raise ValueError("bundle was generated from a different problem shape")
-        if abs(bundle.T - spec.horizon) > 1e-9:
-            raise ValueError("bundle horizon does not match the problem")
         self.spec = spec
         self.bundle = bundle
         self.basis = basis
         self.ridge = ridge
         self.h = bundle.h
         self.n_steps = bundle.K
-        self._step: Optional[_StepView] = None
-        self._arange = np.arange(bundle.N)
+        self._step: Optional[_Step] = None
         self._weights = np.full(bundle.N, 1.0 / bundle.N)
         self._weights.flags.writeable = False
 
-    def _view(self, k: int) -> _StepView:
+    def step(self, k: int) -> _Step:
         if self._step is None or self._step.k != k:
             self._step = None  # release the previous step before building this one
             regimes, xs = self.bundle.nodes(k)
-            dw, counts = self.bundle.step_increments(k) if k < self.n_steps else (None, None)
-            self._step = _StepView(
-                k=k,
-                regimes=regimes,
-                xs=xs,
-                dw=dw,
-                counts=None if counts is None else counts.astype(float),
-                strata=np.flatnonzero(np.bincount(regimes)),
-            )
+            self._step = _Step(k, regimes, xs, self._weights)
+            if k < self.n_steps:
+                dw, counts = self.bundle.step_increments(k)
+                self._step.dw, self._step.counts = dw, counts.astype(float)
         return self._step
 
-    def n_units(self, k: int) -> int:
-        return self.bundle.N
+    def segments(self, k: int) -> tuple[Array, Array, Array]:
+        """(edge, duration, regime) of the step's sub-intervals.
 
-    def states(self, k: int):
-        view = self._view(k)
-        return view.regimes, view.xs
-
-    def unit_weights(self, k: int) -> Array:
-        return self._weights
-
-    def edge_arrays(self, k: int):
-        """tail, head, prob, dW, counts for step k (one edge per path)."""
-        view = self._view(k)
-        return self._arange, self._arange, None, view.dw, view.counts
-
-    def segments(self, k: int):
-        """(edge, tail unit, head unit, duration, regime) of the step's sub-intervals.
-
-        Edges are paths, so the edge index is the tail and the head unit too.
         The first ``N`` segments are the paths' first sub-intervals, from
         ``t_k``; the sub-intervals from atoms inside the step follow, by path
         and then time.
         """
-        paths, durations, regimes = self.bundle.step_segments(k)
-        return paths, paths, paths, durations, regimes
+        return self.bundle.step_segments(k)
 
-    def at_heads(self, k: int, values: Array) -> Array:
-        """``values`` (L, N) of step k + 1 on the step's edges: the paths themselves."""
-        return values
-
-    def at_tails(self, k: int, values: Array) -> Array:
-        """``values`` (..., N) of step k on the step's edges: the paths themselves."""
-        return values
-
-    def edge_to_unit(self, k: int, values: Array) -> Array:
-        return values
-
-    def _design(self, k: int) -> _StepView:
-        """The step's view with its design blocks and their path order."""
-        view = self._view(k)
-        if view.blocks is None:
-            view.blocks = dict(sorted(build_design(self.basis, view.regimes, view.xs).items()))
-            groups = [block.rows for block in view.blocks.values()]
-            view.order, view.slices, view.inverse = np.concatenate(groups), _slices(groups), _inverse(groups)
-            for block, rows in zip(view.blocks.values(), view.slices):
-                block.rows = view.order[rows]  # a view: the paths are held once
-        return view
+    def _design(self, k: int) -> _Step:
+        """The step's record with its design blocks and their path order."""
+        step = self.step(k)
+        if step.blocks is None:
+            step.blocks = dict(sorted(build_design(self.basis, step.regimes, step.xs).items()))
+            groups = [block.rows for block in step.blocks.values()]
+            step.order, step.slices, step.inverse = np.concatenate(groups), _slices(groups), _inverse(groups)
+            for block, rows in zip(step.blocks.values(), step.slices):
+                block.rows = step.order[rows]  # a view: the paths are held once
+        return step
 
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[list[FitRecord]]]:
         """Projection of ``targets``, shape (L, N, c): c columns at each of L levels.
@@ -270,14 +257,14 @@ class MonteCarloEnsemble:
             for level in range(levels):
                 out[level] = targets[level].mean(axis=0)
             return out, [[] for _ in range(levels)]
-        view = self._design(k)
+        step = self._design(k)
         # each stratum fits a contiguous slice of one stratum-ordered copy of
         # the targets, its rows in the order an advanced index gives them; the
         # fitted values overwrite the slice and are gathered back once, and
         # each fit's records are taken before the next fit replaces it
-        ordered = np.take(targets, view.order, axis=1)
+        ordered = np.take(targets, step.order, axis=1)
         records: list[list[FitRecord]] = [[] for _ in range(levels)]
-        for (stratum, block), rows in zip(view.blocks.items(), view.slices):
+        for (stratum, block), rows in zip(step.blocks.items(), step.slices):
             fit = ols_fit(block.matrix, ordered[:, rows], self.ridge, block.factor)
             block.factor = fit.factor
             ordered[:, rows] = fit.fitted
@@ -294,7 +281,7 @@ class MonteCarloEnsemble:
                     )
                     for col in range(c)
                 ]
-        return np.take(ordered, view.inverse, axis=1), records
+        return np.take(ordered, step.inverse, axis=1), records
 
     def thinnest_stratum(self) -> Optional[int]:
         """Fewest paths in any regression stratum over the fitted steps.
@@ -310,76 +297,42 @@ class MonteCarloEnsemble:
         return min(int(c[c > 0].min()) for c in counts)
 
     def absent_strata(self, k: int) -> list[int]:
-        present = set(self._view(k).strata.tolist())
+        present = set(np.flatnonzero(np.bincount(self.step(k).regimes)).tolist())
         return [i for i in range(1, self.spec.m + 1) if i not in present]
 
 
 class LatticeEnsemble:
-    """Per-step view of a :class:`LatticeChain` with exact conditional expectations."""
+    """A :class:`LatticeChain` with exact conditional expectations; :meth:`step` holds one step's record at a time."""
 
     exact = True
 
     def __init__(self, spec: ProblemSpec, chain: LatticeChain):
-        if chain.m != spec.m or chain.d != spec.d:
-            raise ValueError("chain was built from a different problem shape")
-        if abs(chain.T - spec.horizon) > 1e-9:
-            raise ValueError("chain horizon does not match the problem")
         self.spec = spec
         self.chain = chain
         self.h = chain.h
         self.n_steps = chain.K
+        self._step: Optional[_Step] = None
 
-    def n_units(self, k: int) -> int:
-        return self.chain.nodes[k].regime.size
+    def step(self, k: int) -> _Step:
+        if self._step is None or self._step.k != k:
+            nodes, edges = self.chain.nodes[k], ()
+            if k < self.n_steps:
+                es = self.chain.edges[k]
+                edges = (es.dw, es.counts.astype(float), es.tail, es.head, es.prob)
+            self._step = _Step(k, nodes.regime.astype(int), nodes.x, nodes.mass, *edges)
+        return self._step
 
-    def states(self, k: int):
-        ns = self.chain.nodes[k]
-        return ns.regime.astype(int), ns.x
-
-    def unit_weights(self, k: int) -> Array:
-        return self.chain.nodes[k].mass
-
-    def edge_arrays(self, k: int):
-        es = self.chain.edges[k]
-        return es.tail, es.head, es.prob, es.dw, es.counts.astype(float)
-
-    def segments(self, k: int):
-        """(edge, tail node, head node, duration, regime): one whole-step sub-interval per edge, in edge order."""
-        es = self.chain.edges[k]
-        n_edges = es.tail.size
-        regimes = self.chain.nodes[k].regime[es.tail].astype(int)
-        return np.arange(n_edges), es.tail, es.head, np.full(n_edges, self.h), regimes
-
-    def at_heads(self, k: int, values: Array) -> Array:
-        """``values`` (L, nodes at k + 1) at the head of each of step k's edges."""
-        return np.take(values, self.chain.edges[k].head, axis=1)
-
-    def at_tails(self, k: int, values: Array) -> Array:
-        """``values`` (..., nodes at k) at the tail of each of step k's edges."""
-        return np.take(values, self.chain.edges[k].tail, axis=-1)
-
-    def edge_to_unit(self, k: int, values: Array) -> Array:
-        return self._reduce(k, values)
-
-    def _reduce(self, k: int, per_edge: Array) -> Array:
-        """Probability-weighted sum over each node's out-edges of ``per_edge``, shape (L, edges, ...)."""
-        es = self.chain.edges[k]
-        columns = per_edge.reshape(per_edge.shape[:2] + (-1,))
-        out = np.empty((columns.shape[0], self.n_units(k), columns.shape[2]))
-        weights = np.empty(es.prob.size)
-        # column by column, each product one contiguous loop over the edges;
-        # bincount adds in edge order, as np.add.at does
-        for level, level_columns in enumerate(columns):
-            for col in range(columns.shape[2]):
-                np.multiply(es.prob, level_columns[:, col], out=weights)
-                out[level, :, col] = np.bincount(es.tail, weights=weights, minlength=out.shape[1])
-        return out.reshape(out.shape[:2] + per_edge.shape[2:])
+    def segments(self, k: int) -> tuple[Array, Array, Array]:
+        """(edge, duration, regime): one whole-step sub-interval per edge, in edge order."""
+        step = self.step(k)
+        n_edges = step.tail.size
+        return np.arange(n_edges), np.full(n_edges, self.h), np.take(step.regimes, step.tail)
 
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[list[FitRecord]]]:
         """Exact conditional expectation of ``targets``, shape (L, edges, c)."""
         if not np.all(np.isfinite(targets)):
             raise DivergenceError(f"non-finite target for {family} at step {k}")
-        return self._reduce(k, targets), [[] for _ in targets]
+        return _reduce(self.step(k), targets), [[] for _ in targets]
 
     def absent_strata(self, k: int) -> list[int]:
         return []
@@ -392,6 +345,10 @@ def make_ensemble(spec: ProblemSpec, config: SchemeConfig, bundle) -> Ensemble:
     if not isinstance(bundle, (PathBundle, LatticeChain)):
         raise TypeError(f"cannot build an ensemble from {type(bundle).__name__}")
     kind = "bundle" if isinstance(bundle, PathBundle) else "chain"
+    if bundle.m != spec.m or bundle.d != spec.d:
+        raise ValueError(f"{kind} was built from a different problem shape")
+    if abs(bundle.T - spec.horizon) > 1e-9:
+        raise ValueError(f"{kind} horizon does not match the problem")
     if abs(bundle.h - config.h) > 1e-9 * max(1.0, config.h):
         raise ValueError(f"{kind} step does not match the configured step ({bundle.h!r} against {config.h!r})")
     if isinstance(bundle, LatticeChain):
@@ -421,8 +378,8 @@ def estimate_z(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[list[F
     level.
     """
     _check_step(ens, k, y_next)
-    dw = ens.edge_arrays(k)[3]
-    y_head = ens.at_heads(k, y_next)
+    step = ens.step(k)
+    dw, y_head = step.dw, _along(step.head, y_next)
     targets = np.empty(y_head.shape + dw.shape[1:])
     # column by column: a broadcast product loops over the d columns innermost
     for col in range(dw.shape[1]):
@@ -443,8 +400,8 @@ def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list
     _check_step(ens, k, y_next)
     ens.spec.intensity.require_positive()
     lam_h = ens.spec.intensity.weights * ens.h
-    counts = ens.edge_arrays(k)[4]
-    y_head = ens.at_heads(k, y_next)
+    step = ens.step(k)
+    counts, y_head = step.counts, _along(step.head, y_next)
     targets = np.empty(y_head.shape + counts.shape[1:])
     # column by column, as for z
     for j in range(counts.shape[1]):
@@ -454,9 +411,8 @@ def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list
     u_raw, records = ens.condexp(k, targets, "u")
     del targets
     levels, units, m = u_raw.shape
-    regimes, _ = ens.states(k)
     # each unit's own-regime column, by a flat gather
-    own = np.take(u_raw.reshape(levels, units * m), np.arange(0, units * m, m) + (regimes - 1), axis=1)
+    own = np.take(u_raw.reshape(levels, units * m), np.arange(0, units * m, m) + (step.regimes - 1), axis=1)
     u = np.empty_like(u_raw)
     for j in range(m):
         np.subtract(u_raw[:, :, j], own, out=u[:, :, j])
@@ -489,9 +445,11 @@ def _driver_terms(
     per level.
     """
     levels = np.asarray(levels)
-    _, xs = ens.states(k)
+    step = ens.step(k)
     lam = spec.intensity.weights
-    seg_edge, seg_tail, seg_head, seg_dt, seg_regime = ens.segments(k)
+    seg_edge, seg_dt, seg_regime = ens.segments(k)
+    # each segment's tail and head unit: on a bundle its edge, the path, is both
+    seg_tail, seg_head = (seg_edge, seg_edge) if step.tail is None else (step.tail[seg_edge], step.head[seg_edge])
     # every edge has a sub-interval, and the first n_edges segments are the
     # edges' first sub-intervals in edge order
     n_edges = int(seg_edge.max()) + 1
@@ -509,7 +467,7 @@ def _driver_terms(
         tails = seg_tail[segments]
         # take() keeps each level's rows contiguous, as a one-level pass has them
         y_r = np.take(y_next, seg_head[segments], axis=1)
-        x_r, z_r = xs[tails], np.take(z, tails, axis=1)
+        x_r, z_r = step.xs[tails], np.take(z, tails, axis=1)
         # the value vector Y_{k+1} + U_k(j), built column by column in the
         # gathered offsets, with Y_{k+1} itself in the own-regime column
         yvec = np.take(u, tails, axis=1)
@@ -582,22 +540,22 @@ def step_y(
     _check_step(ens, k, y_next)
     if np.ndim(levels) != 1 or len(levels) != y_next.shape[0]:
         raise ValueError(f"need one level per row of y_next ({y_next.shape[0]}), got levels {levels!r}")
-    prob = ens.edge_arrays(k)[2]
+    step = ens.step(k)
     targets, penalty_edge, violation_edge, min_h = _driver_terms(spec, levels, ens, k, y_next, z_k, u_k)
-    targets += ens.at_heads(k, y_next)  # the driver integral plus Y_{k+1}
+    targets += _along(step.head, y_next)  # the driver integral plus Y_{k+1}
     y, records = ens.condexp(k, targets[:, :, None], "y")
     del targets
-    penalty_mass = ens.edge_to_unit(k, penalty_edge)
+    penalty_mass = _reduce(step, penalty_edge)
     skorohod = np.zeros(len(penalty_mass))
     weight = None
     for level, mass in enumerate(penalty_mass):
         if np.any(mass):
             if weight is None:
-                weight = ens.at_tails(k, ens.unit_weights(k))
-                if prob is not None:
-                    weight = weight * prob
-            skorohod[level] = np.sum(weight * min_h[level] * ens.at_tails(k, mass))
-    return y[:, :, 0], penalty_mass, ens.edge_to_unit(k, violation_edge), skorohod, records
+                weight = _along(step.tail, step.weights)
+                if step.prob is not None:
+                    weight = weight * step.prob
+            skorohod[level] = np.sum(weight * min_h[level] * _along(step.tail, mass))
+    return y[:, :, 0], penalty_mass, _reduce(step, violation_edge), skorohod, records
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +602,11 @@ class SolveResult:
 
 def _terminal_values(spec: ProblemSpec, ens: Ensemble) -> Array:
     """``g_i(X_T)`` of every unit at the horizon, under its terminal regime."""
-    regimes_T, x_T = ens.states(ens.n_steps)
-    y_T = np.empty(regimes_T.size)
-    for i in np.unique(regimes_T):
-        rows = np.flatnonzero(regimes_T == i)
-        y_T[rows] = spec.terminal(int(i), x_T[rows])
+    step = ens.step(ens.n_steps)
+    y_T = np.empty(step.regimes.size)
+    for i in np.unique(step.regimes):
+        rows = np.flatnonzero(step.regimes == i)
+        y_T[rows] = spec.terminal(int(i), step.xs[rows])
     return y_T
 
 
@@ -682,17 +640,16 @@ def _solve_levels(
         u, rec_u = estimate_u(ens, k, y)[::2]  # u_raw is not kept alive beside the step
         y, pm, vl, skorohod[:, k], rec_y = step_y(ens, k, y, z, u, spec, levels)
 
+        step = ens.step(k)
         if spec.growth_bound is not None:
-            _, xs = ens.states(k)
-            radius = spec.growth_radius(xs)
+            radius = spec.growth_radius(step.xs)
             if config.clip_to_growth_bound:
                 clipped += np.count_nonzero(np.abs(y) > radius, axis=1)
                 y = np.clip(y, -radius, radius)
             if np.any(np.abs(y) > 10.0 * radius):
                 raise DivergenceError(f"value estimate exceeded 10x the growth bound at step {k}")
 
-        w = ens.unit_weights(k)
-        viol_mean[:, k] = [w @ row for row in vl]
+        viol_mean[:, k] = [step.weights @ row for row in vl]
         viol_max[:, k] = vl.max(axis=1) if vl.size else 0.0
         for level_records, z_records, u_records, y_records in zip(records, rec_z, rec_u, rec_y):
             level_records += z_records + u_records + y_records
@@ -702,11 +659,11 @@ def _solve_levels(
         total_units += y.shape[1]
         for arrays, values in zip(kept.values(), (y, z, u, pm)):
             arrays[k] = values
-        del pm, vl  # not alive beside the next step's arrays
+        del step, pm, vl  # not alive beside the next step's arrays
 
     return [
         SolveResult(
-            y0=float(ens.unit_weights(0) @ y[level]),
+            y0=float(ens.step(0).weights @ y[level]),
             scheme=scheme,
             mode="exact" if ens.exact else "mc",
             violation_mean=viol_mean[level],

@@ -62,20 +62,18 @@ def sample_jump_marks(intensity: IntensityMeasure, T: float, stream: np.random.G
 
     Atom count is Poisson(total * T); times are sorted uniforms; marks are
     i.i.d. with probabilities ``lambda_j / total``. A zero total intensity
-    yields an empty path. :func:`simulate_paths` draws the same law for a
-    block of paths from one stream (all counts first, then the uniforms), so
-    its paths follow this law without being this function's draws.
+    yields an empty path. :func:`simulate_paths` maps uniforms to atoms by the
+    same rule for a block of paths drawn from one stream (all counts first,
+    then the uniforms), so its paths follow this law without being this
+    function's draws.
     """
     if not T > 0:
         raise ValueError("horizon must be positive")
-    total = intensity.total
-    if total == 0.0:
+    if intensity.total == 0.0:
         return np.empty(0), np.empty(0, dtype=int)
-    count = int(stream.poisson(total * T))
-    times = np.sort(stream.random(count)) * T
-    marks = stream.choice(intensity.m, size=count, p=intensity.mark_probabilities()) + 1
-    keep = times > 0.0  # measure-zero guard: atoms live on (0, T]
-    return times[keep], marks[keep]
+    count = int(stream.poisson(intensity.total * T))
+    _, times, marks = _atoms_from_draws(intensity, T, np.array([count]), stream.random(2 * count))
+    return times, marks.astype(int)
 
 
 def _step_count(T: float, h: float) -> int:
@@ -276,10 +274,10 @@ def _draw_blocks(spec: ProblemSpec, K: int, seed: int, N: int) -> tuple[Array, A
 def _atoms_from_draws(intensity: IntensityMeasure, T: float, counts: Array, uniforms: Array):
     """Flat atoms ``(atom_offsets, atom_times, atom_marks)`` from block draws.
 
-    Path by path this is :func:`sample_jump_marks`: times are the sorted
-    first ``c`` uniforms times ``T``; marks take the last ``c`` uniforms
-    through the inverse CDF exactly as ``Generator.choice(m, p=...)`` does
-    and stay in draw order; atoms at time 0 are dropped.
+    A path with ``c`` atoms owns ``2c`` consecutive uniforms: its times are
+    the sorted first ``c`` times ``T``; its marks take the last ``c`` through
+    the inverse CDF exactly as ``Generator.choice(m, p=...)`` does and stay
+    in draw order; atoms at time 0 are dropped.
     """
     N = counts.size
     if not counts.any():  # also the zero-intensity case, which has no mark law

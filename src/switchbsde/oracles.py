@@ -117,24 +117,24 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
     for k in range(K - 1, -1, -1):
         nodes = chain.nodes[k]
         es = chain.edges[k]
-        n_units = nodes.regime.size
+        n_nodes = nodes.regime.size
         v_head = v[es.head]
 
         def reduce(weights: Array) -> Array:
-            out = np.zeros(n_units)
+            out = np.zeros(n_nodes)
             np.add.at(out, es.tail, weights)
             return out
 
         z = np.stack([reduce(es.prob * v_head * es.dw[:, c]) / h for c in range(chain.d)], axis=1)
 
-        u_raw = np.empty((n_units, chain.m))
-        proxy = np.empty((n_units, chain.m))
+        u_raw = np.empty((n_nodes, chain.m))
+        proxy = np.empty((n_nodes, chain.m))
         for j in range(1, chain.m + 1):
             comp = es.counts[:, j - 1] - lam[j - 1] * h
             u_raw[:, j - 1] = reduce(es.prob * v_head * comp) / (lam[j - 1] * h)
             mark_edges = es.counts[:, j - 1] > 0
             proxy[:, j - 1] = reduce(np.where(mark_edges, es.prob * v_head / (lam[j - 1] * h), 0.0))
-        own = u_raw[np.arange(n_units), nodes.regime - 1]
+        own = u_raw[np.arange(n_nodes), nodes.regime - 1]
         u = u_raw - own[:, None]
 
         # one sub-interval per step (atoms sit at step ends): the integrand is

@@ -22,7 +22,15 @@ from switchbsde import (
     skorohod_residual,
     solve_backward,
 )
-from switchbsde.backward import FitRecord, SolveResult, _driver_terms, _solve_levels, make_ensemble, step_y
+from switchbsde.backward import (
+    FitRecord,
+    SolveResult,
+    _driver_terms,
+    _reduce,
+    _solve_levels,
+    make_ensemble,
+    step_y,
+)
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
 from switchbsde.problem import constraint_values, penalty_batch
 from switchbsde.regression import build_design, ols_fit
@@ -35,7 +43,8 @@ def chain_ensemble(spec, h, n=0, seed=0):
 
 
 def terminal_values(spec, ens):
-    regimes, xs = ens.states(ens.n_steps)
+    step = ens.step(ens.n_steps)
+    regimes, xs = step.regimes, step.xs
     y = np.empty(regimes.size)
     for i in np.unique(regimes):
         rows = np.flatnonzero(regimes == i)
@@ -106,7 +115,7 @@ class TestEstimateU:
     def test_zero_next_value_gives_zero(self):
         spec = build_problem("switch2-linear")
         chain, ens = chain_ensemble(spec, 0.125)
-        u, u_raw, _ = estimate_u(ens, 0, np.zeros((1, ens.n_units(1))))
+        u, u_raw, _ = estimate_u(ens, 0, np.zeros((1, ens.step(1).regimes.size)))
         assert np.max(np.abs(u_raw)) == 0.0
 
     def test_own_component_exactly_zero(self):
@@ -116,7 +125,7 @@ class TestEstimateU:
         ens = make_ensemble(spec, cfg, bundle)
         y = terminal_values(spec, ens)
         (u,), _, _ = estimate_u(ens, bundle.K - 1, y[None])
-        regimes, _ = ens.states(bundle.K - 1)
+        regimes = ens.step(bundle.K - 1).regimes
         own = u[np.arange(u.shape[0]), regimes - 1]
         assert np.all(own == 0.0)
 
@@ -307,6 +316,21 @@ class TestStepAndSolve:
             solve_backward(spec, cfg, chain)
         with pytest.raises(ValueError, match="chain step does not match"):
             penalization_ladder(spec, cfg, [1, 2], chain)
+
+    @pytest.mark.parametrize("mismatch", ["regime count", "horizon"])
+    @pytest.mark.parametrize("kind", ["bundle", "chain"])
+    def test_ensemble_of_another_problem_rejected(self, kind, mismatch):
+        spec = build_problem("switch2-linear")  # m = 2, T = 0.5
+        if kind == "bundle":
+            source = simulate_paths(spec, 20, 0.125, seed=0)
+        else:
+            source = build_lattice_chain(spec, LatticeSpec(h=0.125))
+        if mismatch == "regime count":
+            other, message = build_problem("switch3", {"T": 0.5}), "was built from a different problem shape"
+        else:
+            other, message = build_problem("switch2-linear", {"T": 1.0}), "horizon does not match the problem"
+        with pytest.raises(ValueError, match=f"^{kind} {message}$"):
+            make_ensemble(other, SchemeConfig(h=0.125, paths=20), source)
 
     @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -0.25])
     def test_bad_step_rejected_at_config(self, h):
@@ -539,9 +563,9 @@ class TestStepView:
         chain, ens = chain_ensemble(spec, 1 / 8)
         rng = np.random.default_rng(1)
         for k in (0, 3, chain.K - 1):
-            es, n_next = chain.edges[k], ens.n_units(k + 1)
+            es, n, n_next = chain.edges[k], chain.nodes[k].regime.size, chain.nodes[k + 1].regime.size
             y_next = rng.normal(size=n_next)
-            z, u = rng.normal(size=(ens.n_units(k), 1)), rng.normal(scale=0.5, size=(ens.n_units(k), 3))
+            z, u = rng.normal(size=(n, 1)), rng.normal(scale=0.5, size=(n, 3))
             got = _driver_terms(spec, [8], ens, k, y_next[None], z[None], u[None])
             n_edges = es.tail.size
             regimes = chain.nodes[k].regime[es.tail]
@@ -636,9 +660,17 @@ class TestStepView:
         assert len(result.fit_records) == strata * (1 + 3 + 1)
 
 
+def edge_ends(step):
+    """(tail, head, prob) of a step's edges, written out on a bundle: edge p is path p, with probability 1."""
+    if step.tail is not None:
+        return step.tail, step.head, step.prob
+    paths = np.arange(step.regimes.size)
+    return paths, paths, np.ones(paths.size)
+
+
 def parent_condexp(ens, k, targets, family):
     """Monte Carlo projection fitted stratum by stratum on an advanced-index copy, scattered back."""
-    regimes, xs = ens.states(k)
+    regimes, xs = ens.step(k).regimes, ens.step(k).xs
     levels, _, c = targets.shape
     out, fits = np.empty_like(targets), []
     for stratum, block in sorted(build_design(ens.basis, regimes, xs).items()):
@@ -658,31 +690,33 @@ def parent_condexp(ens, k, targets, family):
 
 
 def parent_z_targets(ens, k, y_next):
-    _, head, _, dw, _ = ens.edge_arrays(k)
-    targets = np.take(y_next, head, axis=1)[:, :, None] * dw
+    step = ens.step(k)
+    targets = np.take(y_next, edge_ends(step)[1], axis=1)[:, :, None] * step.dw
     targets /= ens.h
     return targets
 
 
 def parent_u_targets(ens, k, y_next):
     lam = ens.spec.intensity.weights
-    _, head, _, _, counts = ens.edge_arrays(k)
-    targets = np.take(y_next, head, axis=1)[:, :, None] * (counts - lam[None, :] * ens.h)
+    step = ens.step(k)
+    targets = np.take(y_next, edge_ends(step)[1], axis=1)[:, :, None] * (step.counts - lam[None, :] * ens.h)
     targets /= lam[None, :] * ens.h
     return targets
 
 
 def parent_rebase(ens, k, u_raw):
-    regimes, _ = ens.states(k)
+    regimes = ens.step(k).regimes
     return u_raw - u_raw[:, np.arange(u_raw.shape[1]), regimes - 1][:, :, None]
 
 
 def parent_driver_terms(spec, levels, ens, k, y_next, z, u):
     """The driver terms with each regime's values scattered into segment order by an advanced index."""
     levels = np.asarray(levels)
-    _, xs = ens.states(k)
+    step = ens.step(k)
     lam = spec.intensity.weights
-    seg_edge, seg_tail, seg_head, seg_dt, seg_regime = ens.segments(k)
+    seg_edge, seg_dt, seg_regime = ens.segments(k)
+    tail, head, _ = edge_ends(step)
+    seg_tail, seg_head = tail[seg_edge], head[seg_edge]
     f_val = np.empty((levels.size, seg_edge.size))
     pen_val, min_h = np.zeros((levels.size, seg_edge.size)), np.zeros((levels.size, seg_edge.size))
     for r in range(1, spec.m + 1):
@@ -691,7 +725,7 @@ def parent_driver_terms(spec, levels, ens, k, y_next, z, u):
             continue
         tails = seg_tail[rows]
         y_r = np.take(y_next, seg_head[rows], axis=1)
-        x_r, z_r = xs[tails], np.take(z, tails, axis=1)
+        x_r, z_r = step.xs[tails], np.take(z, tails, axis=1)
         yvec = y_r[:, :, None] + np.take(u, tails, axis=1)
         yvec[:, :, r - 1] = y_r
         for level, n in enumerate(levels):
@@ -714,7 +748,7 @@ def parent_driver_terms(spec, levels, ens, k, y_next, z, u):
 def parent_reduce(ens, k, per_edge):
     es = ens.chain.edges[k]
     columns = per_edge.reshape(per_edge.shape[:2] + (-1,))
-    out = np.empty((columns.shape[0], ens.n_units(k), columns.shape[2]))
+    out = np.empty((columns.shape[0], ens.chain.nodes[k].regime.size, columns.shape[2]))
     for level, level_columns in enumerate(columns):
         weighted = es.prob[:, None] * level_columns
         for col, weights in enumerate(weighted.T):
@@ -752,7 +786,7 @@ class TestBitForBitReference:
     def test_strata_interleave(self, mc):
         _, ens, *_ = mc
         for k in (1, 3, ens.n_steps - 1):
-            regimes, _ = ens.states(k)
+            regimes = ens.step(k).regimes
             assert np.unique(regimes).size == 3
             assert np.count_nonzero(np.diff(regimes)) > 100  # regimes alternate along the path index
 
@@ -779,7 +813,7 @@ class TestBitForBitReference:
         spec, ens = chain
         rng = np.random.default_rng(4)
         for k in (0, 3, ens.n_steps - 1):
-            y = rng.normal(size=(len(self.LEVELS), ens.n_units(k + 1)))
+            y = rng.normal(size=(len(self.LEVELS), ens.chain.nodes[k + 1].regime.size))
             z, _ = estimate_z(ens, k, y)
             assert np.array_equal(z, parent_reduce(ens, k, parent_z_targets(ens, k, y)))
             u, u_raw, _ = estimate_u(ens, k, y)
@@ -796,8 +830,8 @@ class TestBitForBitReference:
         spec, ens = chain
         rng = np.random.default_rng(5)
         for k in (0, 3, ens.n_steps - 1):
-            L, n = len(self.LEVELS), ens.n_units(k)
-            y = rng.normal(size=(L, ens.n_units(k + 1)))
+            L, n = len(self.LEVELS), ens.chain.nodes[k].regime.size
+            y = rng.normal(size=(L, ens.chain.nodes[k + 1].regime.size))
             z, u = rng.normal(size=(L, n, 1)), rng.normal(scale=0.5, size=(L, n, 3))
             got = _driver_terms(spec, self.LEVELS, ens, k, y, z, u)
             for a, b in zip(got, parent_driver_terms(spec, self.LEVELS, ens, k, y, z, u)):
@@ -810,7 +844,7 @@ class TestBitForBitReference:
             edges = ens.chain.edges[k].tail.size
             for shape in [(3, edges), (3, edges, 1), (3, edges, 3)]:
                 values = rng.normal(size=shape)
-                assert np.array_equal(ens._reduce(k, values), parent_reduce(ens, k, values))
+                assert np.array_equal(_reduce(ens.step(k), values), parent_reduce(ens, k, values))
 
 
 class TestLadderAndSkorohod:
@@ -897,9 +931,10 @@ def two_pass_skorohod(result, spec, bundle):
         pm = result.penalty_mass[k]
         if not np.any(pm):
             continue
-        tail, head, prob, _, _ = ens.edge_arrays(k)
-        regimes, xs = ens.states(k)
-        r_tail = regimes[tail]
+        step = ens.step(k)
+        tail, head, edge_prob = edge_ends(step)
+        xs = step.xs
+        r_tail = step.regimes[tail]
         # u is re-based, so column r of the value vector is Y_{k+1} itself
         values = result.ys[k + 1][head][:, None] + result.us[k][tail]
         minh = np.empty(tail.size)
@@ -907,6 +942,5 @@ def two_pass_skorohod(result, spec, bundle):
             rows = np.flatnonzero(r_tail == r)
             h = constraint_values(spec, int(r), xs[tail][rows], values[rows], result.zs[k][tail][rows])
             minh[rows] = h.min(axis=1)
-        edge_prob = prob if prob is not None else np.ones(tail.size)
-        total += float(np.sum(ens.unit_weights(k)[tail] * edge_prob * minh * pm[tail]))
+        total += float(np.sum(step.weights[tail] * edge_prob * minh * pm[tail]))
     return total
