@@ -649,7 +649,8 @@ def _solve_levels(
             if np.any(np.abs(y) > 10.0 * radius):
                 raise DivergenceError(f"value estimate exceeded 10x the growth bound at step {k}")
 
-        viol_mean[:, k] = [step.weights @ row for row in vl]
+        # np.sum, unlike a BLAS dot product, rounds the same under any thread count
+        viol_mean[:, k] = [np.sum(step.weights * row) for row in vl]
         viol_max[:, k] = vl.max(axis=1) if vl.size else 0.0
         for level_records, z_records, u_records, y_records in zip(records, rec_z, rec_u, rec_y):
             level_records += z_records + u_records + y_records
@@ -663,7 +664,7 @@ def _solve_levels(
 
     return [
         SolveResult(
-            y0=float(ens.step(0).weights @ y[level]),
+            y0=float(np.sum(ens.step(0).weights * y[level])),
             scheme=scheme,
             mode="exact" if ens.exact else "mc",
             violation_mean=viol_mean[level],

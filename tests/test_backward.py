@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import fields, replace
@@ -300,6 +303,29 @@ class TestStepAndSolve:
         bundle = simulate_paths(spec, 100, 0.25, seed=3)
         with pytest.raises(DivergenceError, match="step 3"):
             solve_backward(spec, SchemeConfig(h=0.25, paths=100, seed=3), bundle)
+
+    def test_solve_bits_independent_of_blas_threads(self):
+        # OpenBLAS splits a dot product over more than 10 000 entries across
+        # its threads, and the split changes the rounding of the sum
+        script = (
+            "import switchbsde as sb\n"
+            "spec = sb.build_problem('switch2-linear')\n"
+            "bundle = sb.simulate_paths(spec, 20_000, 0.02, seed=11)\n"
+            "cfg = sb.SchemeConfig(h=0.02, n=16, paths=20_000, seed=11, clip_to_growth_bound=True)\n"
+            "result = sb.solve_backward(spec, cfg, bundle)\n"
+            "print(result.y0.hex(), *(float(v).hex() for v in result.violation_mean))\n"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        runs = [
+            subprocess.run(
+                [sys.executable, "-c", script],
+                env=dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for threads in ("1", "2")
+        ]
+        assert runs[0] == runs[1]
 
     def test_mismatched_bundle_step_rejected(self):
         spec = build_problem("bm1")
