@@ -315,6 +315,7 @@ class LatticeEnsemble:
 
     def step(self, k: int) -> _Step:
         if self._step is None or self._step.k != k:
+            self._step = None  # release the previous step before building this one
             nodes, edges = self.chain.nodes[k], ()
             if k < self.n_steps:
                 es = self.chain.edges[k]
@@ -448,8 +449,9 @@ def _driver_terms(
     step = ens.step(k)
     lam = spec.intensity.weights
     seg_edge, seg_dt, seg_regime = ens.segments(k)
-    # each segment's tail and head unit: on a bundle its edge, the path, is both
-    seg_tail, seg_head = (seg_edge, seg_edge) if step.tail is None else (step.tail[seg_edge], step.head[seg_edge])
+    # each segment's tail and head unit: on a bundle its edge, the path, is
+    # both; a chain's segments are its edges, in edge order
+    seg_tail, seg_head = (seg_edge, seg_edge) if step.tail is None else (step.tail, step.head)
     # every edge has a sub-interval, and the first n_edges segments are the
     # edges' first sub-intervals in edge order
     n_edges = int(seg_edge.max()) + 1
