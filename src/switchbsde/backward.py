@@ -98,6 +98,8 @@ class SchemeConfig:
             raise ValueError(f"path count must be an integer >= 1, got {self.paths!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name in ("n", "paths", "seed"):  # numpy integers echo as JSON numbers
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not (np.isfinite(self.h) and self.h > 0):
             raise ValueError(f"time step must be finite and positive, got {self.h!r}")
         if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):

@@ -137,11 +137,13 @@ def _json_dump(obj: dict, path: Path) -> None:
 def _grid_csv(sol: GridSolution, path: Path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,regime,value\n")
+        xs = list(map(repr, sol.xs.tolist()))
         for i in range(sol.values.shape[0]):
-            for kt, t in enumerate(sol.times):
-                row = sol.values[i, kt]
-                for x, v in zip(sol.xs, row):
-                    fh.write(f"{float(t)!r},{float(x)!r},{i + 1},{float(v)!r}\n")
+            middles = [f",{x},{i + 1}," for x in xs]
+            # one tolist() per (regime, time) row: repr of a Python float is the text repr(float(v)) gives
+            for t, row in zip(sol.times.tolist(), sol.values[i]):
+                head = repr(t)
+                fh.writelines(f"{head}{mid}{v}\n" for mid, v in zip(middles, map(repr, row.tolist())))
 
 
 def _steps_csv(result, path: Path) -> None:

@@ -6,9 +6,11 @@ implementation of the recursion in :mod:`switchbsde.backward` (exact mode):
 the two share only the chain object, so agreement validates both.
 
 ``fd_solve`` solves the coupled obstacle system for switching-form problems
-on a one-dimensional grid with a Crank-Nicolson step per regime. Its banded
-matrix is factored once per distinct stencil, and the regimes sharing a
-stencil are solved together, one banded solve per step. Projection mode
+on a one-dimensional grid with a Crank-Nicolson step per regime. Its matrix
+is made tridiagonal by folding the one-sided end rows into their
+neighbours, and factored once per group of consecutive regimes with equal
+stencils; each group is solved together, one tridiagonal solve per step.
+Projection mode
 applies the switching obstacle ``v_i >= max_j (v_j - c_ij)`` after each
 linear step as one :func:`facelift_terminal` sweep; penalized mode adds the
 penalty implicitly through a per-node scalar solve, vectorized over regimes,
@@ -19,7 +21,8 @@ converges to the projection update as the level grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.linalg import lapack
@@ -195,17 +198,13 @@ def facelift_terminal(g: Array, costs: Array) -> Array:
 
     ``g`` has shape (m, n_x); one sweep of ``max(g_i, max_j g_j - c_ij)``
     suffices (and is idempotent) under the strict triangle condition that
-    :class:`SwitchingCosts` enforces. ``fd_solve`` applies it to the terminal
-    data and, in projection mode, after every time step.
+    :class:`SwitchingCosts` enforces. Its zero diagonal makes the ``j = i``
+    term ``g_i`` itself, so the sweep is one maximum over ``g_j - c_ij``.
+    ``fd_solve`` applies it to the terminal data and, in projection mode,
+    after every time step.
     """
     g = np.asarray(g, dtype=float)
-    m = g.shape[0]
-    lifted = g.copy()
-    for i in range(m):
-        for j in range(m):
-            if j != i:
-                lifted[i] = np.maximum(lifted[i], g[j] - costs[i, j])
-    return lifted
+    return (g[None] - costs[:, :, None]).max(axis=1)
 
 
 def default_grid(spec: ProblemSpec, M: int = 400) -> tuple[int, float, float]:
@@ -222,8 +221,8 @@ def default_grid(spec: ProblemSpec, M: int = 400) -> tuple[int, float, float]:
     return M, x0 - radius, x0 + radius
 
 
-def _implicit_penalty_update(vhat: Array, costs: Array, lam: Array, n: int, dt: float) -> Array:
-    """Solve ``v_i = vhat_i + dt n sum_j lam_j max((vhat_j - c_ij) - v_i, 0)``.
+def _implicit_penalty_update(costs: Array, lam: Array, n: int, dt: float) -> Callable[[Array], Array]:
+    """The map ``vhat -> v`` solving ``v_i = vhat_i + dt n sum_j lam_j max((vhat_j - c_ij) - v_i, 0)``.
 
     The left side is increasing and the right side non-increasing in
     ``v_i``, so the root is unique. Keeping only the q largest obstacles
@@ -234,25 +233,63 @@ def _implicit_penalty_update(vhat: Array, costs: Array, lam: Array, n: int, dt: 
     ``vhat_i``). With two regimes that is
     ``max(vhat_i, (vhat_i + a lam_j o_j) / (1 + a lam_j))``, with no sort.
     Monotone in ``vhat``, the obstacles and ``n``, and tends to
-    ``max(vhat_i, max_j vhat_j - c_ij)`` as n grows.
+    ``max(vhat_i, max_j vhat_j - c_ij)`` as n grows. The index and cost
+    gathers depend on the regimes only and are built here once; the
+    returned map does the per-node work of one time step.
     """
-    m = vhat.shape[0]
+    m = costs.shape[0]
     a = dt * float(n)
     # row i lists the regimes j != i, in increasing order
     others = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
-    obstacles = vhat[others] - costs[np.arange(m)[:, None], others][..., None]  # (m, m - 1, nx)
-    weights = lam[others][..., None]
-    if m > 2:  # order each regime's obstacles, largest first; one needs no sort
-        order = np.argsort(-obstacles, axis=1)
-        obstacles = np.take_along_axis(obstacles, order, axis=1)
-        weights = lam[np.take_along_axis(others[..., None], order, axis=1)]
-    v = vhat.copy()
-    lam_cum = weighted_cum = 0.0
-    for q in range(m - 1):
-        lam_cum = lam_cum + weights[:, q]
-        weighted_cum = weighted_cum + weights[:, q] * obstacles[:, q]
-        np.maximum(v, (vhat + a * weighted_cum) / (1.0 + a * lam_cum), out=v)
-    return v
+    other_costs = costs[np.arange(m)[:, None], others][..., None]
+    other_lam = lam[others][..., None]
+
+    def update(vhat: Array) -> Array:
+        obstacles = vhat[others] - other_costs  # (m, m - 1, nx)
+        weights = other_lam
+        if m > 2:  # order each regime's obstacles, largest first; one needs no sort
+            order = np.argsort(-obstacles, axis=1)
+            obstacles = np.take_along_axis(obstacles, order, axis=1)
+            weights = np.take_along_axis(other_lam, order, axis=1)
+        v = vhat.copy()
+        lam_cum = weighted_cum = 0.0
+        for q in range(m - 1):
+            lam_cum = lam_cum + weights[:, q]
+            weighted_cum = weighted_cum + weights[:, q] * obstacles[:, q]
+            np.maximum(v, (vhat + a * weighted_cum) / (1.0 + a * lam_cum), out=v)
+        return v
+
+    return update
+
+
+def _fold_end_rows(implicit: Array, *rhs: Array) -> tuple[Array, Array, Array]:
+    """Make the stencil of ``I - dt/2 G`` tridiagonal by row operations.
+
+    ``implicit`` (M + 1, 3) holds the matrix's rows: row r weighs the nodes
+    ``cols[r]`` of :func:`fd_solve`. Rows 0 and M reach one node past the
+    tridiagonal band (nodes 2 and M - 2); rows 1 and M - 1 weigh the same
+    three nodes as their end row. Each end row subtracts the multiple of its
+    neighbour that cancels that entry. Where the neighbour has no entry there,
+    the two rows trade places instead, and an end row with no such entry is
+    left alone. The same operations are applied in place to ``implicit`` and
+    to each array of ``rhs`` (node axis 1), which therefore hold the
+    right-hand side's rows of the equivalent tridiagonal system. Returns its
+    sub-, main and super-diagonal.
+    """
+    M = implicit.shape[0] - 1
+    for end, nbr, far in ((0, 1, 2), (M, M - 1, 0)):
+        p, q = implicit[end, far], implicit[nbr, far]
+        if p == 0.0:
+            continue
+        for arr in (implicit[None], *rhs):
+            if q == 0.0:
+                arr[:, [end, nbr]] = arr[:, [nbr, end]]
+            else:
+                arr[:, end] -= (p / q) * arr[:, nbr]
+    dl = np.concatenate((implicit[1:M, 0], implicit[M:, 1]))
+    d = np.concatenate((implicit[:1, 0], implicit[1:M, 1], implicit[M:, 2]))
+    du = np.concatenate((implicit[:1, 1], implicit[1:M, 2]))
+    return dl, d, du
 
 
 def check_fd_inputs(
@@ -298,9 +335,11 @@ def fd_solve(
     one-sided stencils (no artificial Dirichlet data). ``mode`` is
     ``"projection"`` or ``"penalized"`` (the latter needs ``penalization``).
     The time grid steps backward from the face-lifted terminal data.
-    ``I - dt/2 G`` is factored once per distinct stencil: regimes whose
-    generator rows are equal share one factor and are solved together as
-    its right-hand-side columns, which is bit-identical to one solve each.
+    ``I - dt/2 G`` is made tridiagonal by row operations on its end rows
+    (:func:`_fold_end_rows`) and factored with LAPACK ``dgttrf`` once per
+    group of consecutive regimes with equal stencils. A group shares one
+    factor and is solved together as its right-hand-side columns, which is
+    bit-identical to one solve each.
     """
     n_t = check_fd_inputs(spec, grid, dt, mode, penalization)
     M, x_min, x_max = grid
@@ -325,7 +364,7 @@ def fd_solve(
     # Generator row r of regime i weighs v[cols[r]] by w[i, r]. Interior rows
     # are central; the two end rows use the shifted 3-point first and second
     # differences, both exact on quadratics, so no artificial boundary layer
-    # forms. They reach one node past the tridiagonal band (bandwidth 2).
+    # forms. They reach one node past the tridiagonal band.
     rows = np.arange(M + 1)
     cols = np.clip(rows - 1, 0, M - 2)[:, None] + np.arange(3)
     first = np.tile([-1.0, 0.0, 1.0], (M + 1, 1))
@@ -333,49 +372,40 @@ def fd_solve(
     second = np.array([1.0, -2.0, 1.0])
     w = (diff2 / (2 * dx**2))[..., None] * second + (drift / (2 * dx))[..., None] * first
 
-    # I - dt/2 G in LAPACK band storage (A[r, c] at ab[4 + r - c, c]), factored
-    # once per distinct stencil; the regimes sharing it solve as its columns
-    groups: list[list[int]] = []
-    for i in range(m):
-        for group in groups:
-            if np.array_equal(w[group[0]], w[i]):
-                group.append(i)
-                break
-        else:
-            groups.append([i])
-    factors = []
-    for group in groups:
-        ab = np.zeros((7, M + 1), order="F")
-        ab[4 + rows[:, None] - cols, cols] = -half * w[group[0]]
-        ab[4] += 1.0
-        lu, piv, info = lapack.dgbtrf(ab, 2, 2, overwrite_ab=True)
-        if info != 0:
-            raise ValueError(f"Crank-Nicolson matrix of regime {group[0] + 1} is singular")
-        factors.append((np.array(group), lu, piv))
+    # A step solves (I - dt/2 G) v_k = (I + dt/2 G) v_{k+1} + dt f. Both
+    # matrices are stencils like w, row r's own node at position r - cols[r, 0].
+    own = rows - cols[:, 0]
+    explicit = half * w
+    explicit[:, rows, own] += 1.0
     dt_source = dt * source
+    # Consecutive regimes with equal stencils form a group: one tridiagonal
+    # factor, and its rows of the right-hand side solve as the columns of one
+    # dgttrs call. Folding the end rows into the band also folds the group's
+    # explicit stencils and sources, so each step's right-hand side comes out
+    # folded.
+    starts = [0] + [i for i in range(1, m) if not np.array_equal(w[i], w[i - 1])]
+    factors = []
+    for lo, hi in zip(starts, starts[1:] + [m]):
+        implicit = -half * w[lo]
+        implicit[rows, own] += 1.0
+        band = _fold_end_rows(implicit, explicit[lo:hi], dt_source[lo:hi])
+        *lu, info = lapack.dgttrf(*band, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
+        if info != 0:
+            raise ValueError(f"Crank-Nicolson matrix of regime {lo + 1} is singular")
+        factors.append((lo, hi, lu))
     # interior rows weigh v[r - 1], v[r], v[r + 1]; rows 0 and M (the slice
     # ::M) weigh the three columns in cols[[0, M]]
-    w_inner = [np.ascontiguousarray(w[:, 1:M, k]) for k in range(3)]
-    w_ends, cols_ends = w[:, [0, M]], cols[[0, M]]
+    e_inner = [np.ascontiguousarray(explicit[:, 1:M, k]) for k in range(3)]
+    e_ends, cols_ends = explicit[:, [0, M]], cols[[0, M]]
+    # one right-hand side buffer for the whole solve: rhs[lo:hi].T is the
+    # Fortran-ordered array dgttrs overwrites with the group's solution
+    rhs = np.empty((m, M + 1))
+    inner = rhs[:, 1:M]
 
-    def cn_step(v: Array) -> Array:
-        rhs = np.empty_like(v)
-        inner = rhs[:, 1:M]
-        np.multiply(w_inner[0], v[:, :-2], out=inner)
-        inner += w_inner[1] * v[:, 1:-1]
-        inner += w_inner[2] * v[:, 2:]
-        v_ends = v[:, cols_ends]
-        edge = w_ends[..., 0] * v_ends[..., 0]
-        for k in (1, 2):
-            edge += w_ends[..., k] * v_ends[..., k]
-        rhs[:, ::M] = edge
-        rhs *= half
-        rhs += v
-        rhs += dt_source
-        for group, lu, piv in factors:
-            rhs[group] = lapack.dgbtrs(lu, 2, 2, rhs[group].T, piv, overwrite_b=True)[0].T
-        return rhs
-
+    if mode == "projection":
+        constrain = partial(facelift_terminal, costs=costs)
+    else:
+        constrain = _implicit_penalty_update(costs, lam, penalization, dt)
     g = np.stack([np.asarray(spec.terminal(i, x2d), dtype=float) for i in range(1, m + 1)])
     v = facelift_terminal(g, costs)
     values = np.empty((m, n_t + 1, M + 1))
@@ -386,11 +416,18 @@ def fd_solve(
         bound = 10.0 * (c0 + c1 * np.abs(xs))
 
     for step in range(n_t - 1, -1, -1):
-        vhat = cn_step(v)
-        if mode == "projection":
-            v = facelift_terminal(vhat, costs)
-        else:
-            v = _implicit_penalty_update(vhat, costs, lam, penalization, dt)
+        np.multiply(e_inner[0], v[:, :-2], out=inner)
+        inner += e_inner[1] * v[:, 1:-1]
+        inner += e_inner[2] * v[:, 2:]
+        v_ends = v[:, cols_ends]
+        edge = e_ends[..., 0] * v_ends[..., 0]
+        for k in (1, 2):
+            edge += e_ends[..., k] * v_ends[..., k]
+        rhs[:, ::M] = edge
+        rhs += dt_source
+        for lo, hi, lu in factors:
+            lapack.dgttrs(*lu, rhs[lo:hi].T, overwrite_b=True)
+        v = constrain(rhs)
         # one reduction per step (NaN fails it too); the message is chosen on failure
         if not (np.isfinite(v).all() if bound is None else (np.abs(v) <= bound).all()):
             if bound is not None and np.any(np.abs(v) > bound):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -379,6 +380,12 @@ class TestStepAndSolve:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SchemeConfig(h=0.25, seed=seed)
         assert SchemeConfig(h=0.25, seed=np.int64(5)).seed == 5
+
+    def test_numpy_integers_echo_as_json(self):
+        cfg = SchemeConfig(h=0.25, n=np.int32(4), paths=np.int64(50), seed=np.uint8(3))
+        assert all(type(getattr(cfg, name)) is int for name in ("n", "paths", "seed"))
+        echoed = json.loads(json.dumps(cfg.echo()))
+        assert (echoed["n"], echoed["paths"], echoed["seed"]) == (4, 50, 3)
 
     def test_warns_when_strata_thinner_than_basis(self):
         spec = build_problem("switch2-linear")

@@ -7,7 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchbsde import BasisSpec, SchemeConfig, build_problem, simulate_paths, solve_backward
+from switchbsde import (
+    BasisSpec,
+    SchemeConfig,
+    build_problem,
+    default_grid,
+    fd_solve,
+    simulate_paths,
+    solve_backward,
+)
 from switchbsde.cli import COMMANDS, main, run
 
 
@@ -333,7 +341,17 @@ class TestOtherCommands:
         payload["oracle"] = {"fd": {"M": 80, "dt": 0.005}}
         cfg = write_config(tmp_path, payload)
         assert run("oracle", cfg, out=str(tmp_path / "g")) == 0
-        assert (tmp_path / "g" / "grid.csv").exists()
+        lines = (tmp_path / "g" / "grid.csv").read_text().splitlines()
+        assert lines[0] == "t,x,regime,value"
+        table = np.array([[float(field) for field in line.split(",")] for line in lines[1:]])
+        spec = build_problem("switch2-linear")
+        sol = fd_solve(spec, default_grid(spec, 80), 0.005)
+        m, n_times, n_x = sol.values.shape
+        # rows in (regime, time, x) order, every value the solver's bit for bit
+        np.testing.assert_array_equal(table[:, 2], np.repeat(np.arange(1, m + 1), n_times * n_x))
+        np.testing.assert_array_equal(table[:, 0], np.tile(np.repeat(sol.times, n_x), m))
+        np.testing.assert_array_equal(table[:, 1], np.tile(sol.xs, m * n_times))
+        np.testing.assert_array_equal(table[:, 3], sol.values.ravel())
         meta = json.loads((tmp_path / "g" / "grid.json").read_text())
         assert meta["schema_version"] == 1
         assert meta["mode"] == "projection"

@@ -18,6 +18,7 @@ from switchbsde import (
     solve_backward,
 )
 from switchbsde.lattice import _ROUND_DECIMALS
+from switchbsde.oracles import _implicit_penalty_update
 
 
 class TestLatticeChain:
@@ -357,6 +358,70 @@ class TestFdSolve:
             fd_solve(spec, (50, -1.0, 1.0), 1e-1)
 
 
+def dense_cn_system(spec, xs: np.ndarray, dt: float):
+    """``I - dt/2 G``, ``I + dt/2 G`` and ``dt f`` of a one-regime problem, unfolded and dense."""
+    M = xs.size - 1
+    dx = xs[1] - xs[0]
+    x2d = xs[:, None]
+    drift = np.asarray(spec.drift(1, x2d), dtype=float)[:, 0]
+    diff2 = np.asarray(spec.vol(1, x2d), dtype=float)[:, 0, 0] ** 2
+    source = np.asarray(spec.driver(1, x2d, np.zeros((M + 1, 1)), np.zeros((M + 1, 1))), dtype=float)
+    G = np.zeros((M + 1, M + 1))
+    for r in range(M + 1):
+        c = min(max(r - 1, 0), M - 2)
+        first = [-3.0, 4.0, -1.0] if r == 0 else [1.0, -4.0, 3.0] if r == M else [-1.0, 0.0, 1.0]
+        G[r, c : c + 3] = diff2[r] / 2 * np.array([1.0, -2.0, 1.0]) / dx**2 + drift[r] * np.array(first) / (2 * dx)
+    eye = np.eye(M + 1)
+    return eye - dt / 2 * G, eye + dt / 2 * G, dt * source
+
+
+class TestCrankNicolsonStep:
+    # overrides, grid, and entries (row, column) of I - dt/2 G that the case
+    # needs zero and non-zero
+    CASES = {
+        "drifted": ({"sigma": [0.6], "drift": [0.8]}, (60, -1.0, 1.0), [], [(0, 2), (1, 2), (60, 58), (59, 58)]),
+        # the oracles workload's grid and step: row 0's diagonal is 1 - 1.25
+        "negative-diagonal": ({"sigma": [0.25]}, (800, -1.0, 1.0), [], [(0, 2), (1, 2), (800, 798), (799, 798)]),
+        # drift -sigma^2/dx: row 1 has no entry at node 2, so row 0 trades
+        # places with it; row M has none at node M - 2 and is left alone
+        "row-1-divisor-zero": ({"sigma": [0.5], "drift": [-1.0]}, (8, -1.0, 1.0), [(1, 2), (8, 6)], [(0, 2)]),
+        "row-M-1-divisor-zero": ({"sigma": [0.5], "drift": [1.0]}, (8, -1.0, 1.0), [(7, 6), (0, 2)], [(8, 6)]),
+        # zero vol and drift: the matrix is I and neither end row is folded
+        "identity": ({"sigma": [0.0], "drift": [0.0]}, (50, -1.0, 1.0), [(0, 2), (1, 2), (50, 48), (49, 48)], []),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_one_step_matches_dense_solve(self, case):
+        import switchbsde.problem as pb
+
+        over, grid, zero, nonzero = self.CASES[case]
+        dt = 5e-4
+        spec = build_problem("bm1", {**over, "rewards": [0.3], "T": dt})
+        base = spec.coefficients
+        coeffs = pb.CoefficientSet(
+            drift=base.drift,
+            vol=base.vol,
+            driver=base.driver,
+            constraint=base.constraint,
+            terminal=lambda i, x: np.sin(3.0 * x[:, 0]) + x[:, 0] ** 2,
+        )
+        object.__setattr__(spec, "coefficients", coeffs)
+        sol = fd_solve(spec, grid, dt)
+        lhs, rhs, dt_source = dense_cn_system(spec, sol.xs, dt)
+        assert all(lhs[rc] == 0.0 for rc in zero) and all(lhs[rc] != 0.0 for rc in nonzero)
+        if case == "negative-diagonal":
+            assert lhs[0, 0] == pytest.approx(-0.25)
+        expected = np.linalg.solve(lhs, rhs @ sol.values[0, 1] + dt_source)
+        np.testing.assert_allclose(sol.values[0, 0], expected, rtol=0.0, atol=1e-13)
+
+    def test_zero_vol_zero_drift_keeps_terminal_data(self):
+        # the matrix is the identity, so no end row can be folded: the values
+        # stay the (linear) terminal data at every step
+        spec = build_problem("bm1", {"sigma": [0.0], "drift": [0.0]})
+        sol = fd_solve(spec, (50, -1.0, 1.0), 1e-2)
+        np.testing.assert_array_equal(sol.values[0], np.broadcast_to(sol.xs, sol.values[0].shape))
+
+
 # Crank-Nicolson values recorded (repr) before the stencil was factored once
 # per regime; they guard the banded solve and the one-sided boundary rows.
 FD_PINS = {
@@ -458,6 +523,54 @@ class TestFacelift:
         once = facelift_terminal(gvals, costs)
         twice = facelift_terminal(once, costs)
         np.testing.assert_allclose(twice, once, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_matches_pairwise_sweep_bit_for_bit(self, m):
+        rng = np.random.default_rng(m)
+        costs = rng.uniform(0.05, 0.5, (m, m))
+        np.fill_diagonal(costs, 0.0)
+        g = rng.normal(scale=0.3, size=(m, 500))
+        lifted = g.copy()
+        for i in range(m):
+            for j in range(m):
+                if j != i:
+                    lifted[i] = np.maximum(lifted[i], g[j] - costs[i, j])
+        assert facelift_terminal(g, costs).tobytes() == lifted.tobytes()
+
+
+def penalty_update_per_call(vhat, costs, lam, n, dt):
+    """The implicit penalty update with its index and cost gathers built per call."""
+    m = vhat.shape[0]
+    a = dt * float(n)
+    others = np.nonzero(~np.eye(m, dtype=bool))[1].reshape(m, m - 1)
+    obstacles = vhat[others] - costs[np.arange(m)[:, None], others][..., None]
+    weights = lam[others][..., None]
+    if m > 2:
+        order = np.argsort(-obstacles, axis=1)
+        obstacles = np.take_along_axis(obstacles, order, axis=1)
+        weights = lam[np.take_along_axis(others[..., None], order, axis=1)]
+    v = vhat.copy()
+    lam_cum = weighted_cum = 0.0
+    for q in range(m - 1):
+        lam_cum = lam_cum + weights[:, q]
+        weighted_cum = weighted_cum + weights[:, q] * obstacles[:, q]
+        np.maximum(v, (vhat + a * weighted_cum) / (1.0 + a * lam_cum), out=v)
+    return v
+
+
+class TestImplicitPenaltyUpdate:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n", [0, 4, 256])
+    def test_matches_per_call_formula_bit_for_bit(self, m, n):
+        rng = np.random.default_rng(10 * m + n)
+        costs = rng.uniform(0.05, 0.5, (m, m))
+        np.fill_diagonal(costs, 0.0)
+        lam = rng.uniform(0.5, 2.0, m)
+        update = _implicit_penalty_update(costs, lam, n, 5e-3)
+        for _ in range(3):  # the gathers built once serve every step
+            vhat = rng.normal(scale=0.3, size=(m, 500))
+            expected = penalty_update_per_call(vhat, costs, lam, n, 5e-3)
+            assert update(vhat).tobytes() == expected.tobytes()
 
 
 class TestOracleCompare:
