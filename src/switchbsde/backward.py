@@ -79,6 +79,12 @@ class DivergenceError(RuntimeError):
     """Numerical abort: estimates left the plausible range."""
 
 
+def _check_level(n) -> None:
+    """Refuse a penalization level that is not a nonnegative integer."""
+    if not _is_int(n) or n < 0:
+        raise ValueError(f"penalization level must be a nonnegative integer, got {n!r}")
+
+
 @dataclass(frozen=True)
 class SchemeConfig:
     """Resolution knobs of one backward solve."""
@@ -92,8 +98,7 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not _is_int(self.n) or self.n < 0:
-            raise ValueError(f"penalization level must be a nonnegative integer, got {self.n!r}")
+        _check_level(self.n)
         if not _is_int(self.paths) or self.paths < 1:
             raise ValueError(f"path count must be an integer >= 1, got {self.paths!r}")
         if not _is_int(self.seed) or self.seed < 0:
@@ -320,8 +325,10 @@ class LatticeEnsemble:
             self._step = None  # release the previous step before building this one
             nodes, edges = self.chain.nodes[k], ()
             if k < self.n_steps:
+                # the chain's outcome table expanded to the step's edges once per step, and
+                # the head as intp, which np.take reads without converting it on each call
                 es = self.chain.edges[k]
-                edges = (es.dw, es.counts.astype(float), es.tail, es.head, es.prob)
+                edges = (es.dw, es.counts.astype(float), es.tail, es.head.astype(np.intp), es.prob)
             self._step = _Step(k, nodes.regime.astype(int), nodes.x, nodes.mass, *edges)
         return self._step
 
@@ -344,14 +351,19 @@ class LatticeEnsemble:
 Ensemble = Union[MonteCarloEnsemble, LatticeEnsemble]
 
 
-def make_ensemble(spec: ProblemSpec, config: SchemeConfig, bundle) -> Ensemble:
-    if not isinstance(bundle, (PathBundle, LatticeChain)):
-        raise TypeError(f"cannot build an ensemble from {type(bundle).__name__}")
-    kind = "bundle" if isinstance(bundle, PathBundle) else "chain"
+def _check_built_for(spec: ProblemSpec, bundle: Union[PathBundle, LatticeChain], kind: str) -> None:
+    """Refuse a bundle or chain built from a problem of another shape or horizon."""
     if bundle.m != spec.m or bundle.d != spec.d:
         raise ValueError(f"{kind} was built from a different problem shape")
     if abs(bundle.T - spec.horizon) > 1e-9:
         raise ValueError(f"{kind} horizon does not match the problem")
+
+
+def make_ensemble(spec: ProblemSpec, config: SchemeConfig, bundle) -> Ensemble:
+    if not isinstance(bundle, (PathBundle, LatticeChain)):
+        raise TypeError(f"cannot build an ensemble from {type(bundle).__name__}")
+    kind = "bundle" if isinstance(bundle, PathBundle) else "chain"
+    _check_built_for(spec, bundle, kind)
     if abs(bundle.h - config.h) > 1e-9 * max(1.0, config.h):
         raise ValueError(f"{kind} step does not match the configured step ({bundle.h!r} against {config.h!r})")
     if isinstance(bundle, LatticeChain):

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg import lapack
 
-from .backward import DivergenceError
+from .backward import DivergenceError, _check_built_for, _check_level
 from .lattice import LatticeChain, LatticeSpec, build_lattice_chain
 from .problem import ProblemSpec, _is_int
 
@@ -96,9 +96,13 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
     Raises :class:`DivergenceError` under the backward pass's guard: when a
     problem with a growth bound ``(c0, c1)`` gets a step's value
     ``|v| > 10 (c0 + c1 |x|)`` at one of the step's nodes, as the explicit
-    penalty step does past ``n * Lambda * h ~ 1``.
+    penalty step does past ``n * Lambda * h ~ 1``. Refuses the levels
+    :class:`SchemeConfig` refuses, and a chain built from a problem of
+    another shape or horizon, as the backward pass does.
     """
+    _check_level(n)
     chain = lattice if isinstance(lattice, LatticeChain) else build_lattice_chain(spec, lattice)
+    _check_built_for(spec, chain, "chain")
     lam = spec.intensity.weights
     spec.intensity.require_positive()
     h = chain.h
@@ -120,37 +124,38 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
     for k in range(K - 1, -1, -1):
         nodes = chain.nodes[k]
         es = chain.edges[k]
+        tail, prob, dw, counts = es.tail, es.prob, es.dw, es.counts  # each expanded once per step
         n_nodes = nodes.regime.size
-        v_head = v[es.head]
+        v_head = np.take(v, es.head)  # take() reads int32 indices without the slow path of v[...]
 
         def reduce(weights: Array) -> Array:
             out = np.zeros(n_nodes)
-            np.add.at(out, es.tail, weights)
+            np.add.at(out, tail, weights)
             return out
 
-        z = np.stack([reduce(es.prob * v_head * es.dw[:, c]) / h for c in range(chain.d)], axis=1)
+        z = np.stack([reduce(prob * v_head * dw[:, c]) / h for c in range(chain.d)], axis=1)
 
         u_raw = np.empty((n_nodes, chain.m))
         proxy = np.empty((n_nodes, chain.m))
         for j in range(1, chain.m + 1):
-            comp = es.counts[:, j - 1] - lam[j - 1] * h
-            u_raw[:, j - 1] = reduce(es.prob * v_head * comp) / (lam[j - 1] * h)
-            mark_edges = es.counts[:, j - 1] > 0
-            proxy[:, j - 1] = reduce(np.where(mark_edges, es.prob * v_head / (lam[j - 1] * h), 0.0))
+            comp = counts[:, j - 1] - lam[j - 1] * h
+            u_raw[:, j - 1] = reduce(prob * v_head * comp) / (lam[j - 1] * h)
+            mark_edges = counts[:, j - 1] > 0
+            proxy[:, j - 1] = reduce(np.where(mark_edges, prob * v_head / (lam[j - 1] * h), 0.0))
         own = u_raw[np.arange(n_nodes), nodes.regime - 1]
         u = u_raw - own[:, None]
 
         # one sub-interval per step (atoms sit at step ends): the integrand is
         # evaluated at the tail regime with the edge's next-step value, and
         # the jump compensator sum_j lambda_j (yvec_j - yvec_r) is removed
-        f_edge = np.empty(es.tail.size)
-        tail_regime = nodes.regime[es.tail]
+        f_edge = np.empty(tail.size)
+        tail_regime = nodes.regime[tail]
         for r in np.unique(tail_regime):
             rows = np.flatnonzero(tail_regime == r)
-            yvec = v_head[rows][:, None] + u[es.tail[rows]]
+            yvec = v_head[rows][:, None] + u[tail[rows]]
             yvec[:, r - 1] = v_head[rows]
-            x_rows = nodes.x[es.tail[rows]]
-            z_rows = z[es.tail[rows]]
+            x_rows = nodes.x[tail[rows]]
+            z_rows = z[tail[rows]]
             compensator = yvec @ lam - lam.sum() * yvec[:, r - 1]
             fv = np.asarray(spec.driver(int(r), x_rows, yvec, z_rows), dtype=float) - compensator
             if n > 0:
@@ -161,7 +166,7 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
                 fv = fv + n * pen
             f_edge[rows] = fv
 
-        v = reduce(es.prob * (v_head + h * f_edge))
+        v = reduce(prob * (v_head + h * f_edge))
         if spec.growth_bound is not None and np.any(np.abs(v) > 10.0 * spec.growth_radius(nodes.x)):
             raise DivergenceError(f"DP value exceeded 10x the growth bound at step {k}")
         values[k], zs[k], us[k], us_raw[k], proxies[k] = v, z, u, u_raw, proxy

@@ -69,3 +69,19 @@ def test_tracer_installs_and_uninstalls_cleanly():
     # one fit per (step, family, stratum): z, u and y each fit all their columns of all levels at once
     strata = sum(len(np.unique(bundle.nodes(k)[0])) for k in range(1, bundle.K))
     assert ladder_metrics["regression.fit_calls"] == 3 * strata
+
+
+def test_tracer_counts_chain_edges():
+    """``lattice.edges`` reads every node's 2 (m + 1) out-edges, summed over the steps."""
+    tracing = load_tracing()
+    api = SimpleNamespace(**{m: importlib.import_module(f"switchbsde.{m}") for m in MODULES})
+    tracer = tracing.Tracer(api)
+    tracer.install()
+    try:
+        spec = api.catalog.build_problem("switch2-linear")
+        chain = api.lattice.build_lattice_chain(spec, api.lattice.LatticeSpec(h=0.125))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["lattice.nodes"] == chain.size()
+    assert metrics["lattice.edges"] == sum(ns.regime.size for ns in chain.nodes[:-1]) * 2 * (spec.m + 1)

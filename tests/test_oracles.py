@@ -105,6 +105,44 @@ class TestLatticeChain:
             np.testing.assert_array_equal(nxt.x[es.head, 0], np.round(child_x, _ROUND_DECIMALS))
 
 
+    @pytest.mark.parametrize("name", ["switch2-linear", "switch3", "bm1"])
+    def test_footprint_matches_layout(self, name):
+        """A step keeps 4 bytes per edge, a node 8 + 8 d + 8; the outcome table is kept once."""
+        spec = build_problem(name)
+        chain = build_lattice_chain(spec, LatticeSpec(h=1 / 32))
+        table = chain.edges[0].outcomes
+        assert all(es.outcomes is table for es in chain.edges)
+        assert not any(a.flags.writeable for a in vars(table).values())
+        P, d, m = 2 * (chain.m + 1), chain.d, chain.m
+        for es, ns in zip(chain.edges, chain.nodes):
+            assert es.head.size == P * ns.regime.size  # node-major, P out-edges per node
+        E, N = sum(es.head.size for es in chain.edges), chain.size()
+        held = sum(a.nbytes for es in chain.edges for a in vars(es).values() if isinstance(a, np.ndarray))
+        held += sum(a.nbytes for a in vars(table).values())
+        held += sum(a.nbytes for ns in chain.nodes for a in vars(ns).values())
+        assert held == 4 * E + P * (8 + 8 * d + 2 * m) + (8 + 8 * d + 8) * N
+
+    @pytest.mark.parametrize("name", ["switch2-linear", "switch3", "bm1"])
+    def test_edge_arrays_expand_the_outcome_table(self, name):
+        """``tail``, ``prob``, ``dw`` and ``counts`` equal per-edge arrays built outcome by outcome."""
+        spec = build_problem(name)
+        chain = build_lattice_chain(spec, LatticeSpec(h=1 / 32))
+        m, h, lam = chain.m, chain.h, spec.intensity.weights
+        for es, ns in zip(chain.edges, chain.nodes):
+            n = ns.regime.size
+            tail = np.repeat(np.arange(n), 2 * (m + 1))
+            sign = np.tile(np.repeat([0, 1], m + 1), n)
+            outcome = np.tile(np.arange(m + 1), 2 * n)  # 0 = no atom, j = mark j
+            prob = np.where(outcome == 0, 1.0 - float(lam.sum()) * h, lam[np.maximum(outcome - 1, 0)] * h) * 0.5
+            dw = np.where(sign == 0, np.sqrt(h), -np.sqrt(h))[:, None]
+            counts = np.zeros((tail.size, m), dtype=np.int16)
+            counts[np.flatnonzero(outcome), outcome[outcome > 0] - 1] = 1
+            for got, want in [(es.tail, tail), (es.prob, prob), (es.dw, dw), (es.counts, counts)]:
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+            assert es.head.dtype == np.int32
+
+
 class TestLatticeDp:
     def test_single_successor_chain(self):
         # zero vol, unit drift: one deterministic successor per step
@@ -181,6 +219,26 @@ class TestLatticeDp:
             lattice_dp_solve(spec, chain, n=1024)
         with pytest.raises(DivergenceError, match="growth bound at step 17"):
             solve_backward(spec, SchemeConfig(h=0.02, n=1024, paths=1, seed=0), chain)
+
+    @pytest.mark.parametrize("n", [-1, 1.5, True])
+    def test_bad_level_refused(self, n):
+        # each of these used to run: n = -1 gave y0 = -0.5, n = 1.5 gave 0.0086, True ran as level 1
+        spec = build_problem("switch2-linear")
+        with pytest.raises(ValueError, match="penalization level must be a nonnegative integer"):
+            lattice_dp_solve(spec, LatticeSpec(h=0.125), n=n)
+        with pytest.raises(ValueError, match="penalization level must be a nonnegative integer"):
+            SchemeConfig(h=0.125, n=n)
+
+    def test_chain_of_another_horizon_refused(self):
+        chain = build_lattice_chain(build_problem("switch2-linear", {"T": 1.0}), LatticeSpec(h=0.125))
+        spec = build_problem("switch2-linear", {"T": 0.5})
+        with pytest.raises(ValueError, match="chain horizon does not match the problem"):
+            lattice_dp_solve(spec, chain, n=4)
+
+    def test_chain_of_another_shape_refused(self):
+        chain = build_lattice_chain(build_problem("switch2-linear"), LatticeSpec(h=0.125))
+        with pytest.raises(ValueError, match="chain was built from a different problem shape"):
+            lattice_dp_solve(build_problem("switch3"), chain, n=4)
 
     def test_oracle_sized_dp_stays_inside_growth_bound(self):
         spec = build_problem("switch2-linear", {"sigma": [0.25, 0.25], "T": 1.0})
