@@ -153,7 +153,7 @@ def build_lattice_chain(spec: ProblemSpec, lattice: LatticeSpec) -> LatticeChain
     sqrt_h = np.sqrt(h)
 
     # one node's out-edges, in edge order: 2 signs x (no atom | mark 1..m)
-    sign = np.repeat([0, 1], m + 1)       # column into x_next
+    sign = np.repeat([0, 1], m + 1)         # column into x_next
     outcome = np.tile(np.arange(m + 1), 2)  # 0 = no atom, j = mark j
     counts = np.zeros((outcome.size, m), dtype=np.int16)
     counts[np.flatnonzero(outcome), outcome[outcome > 0] - 1] = 1

@@ -129,9 +129,8 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
         v_head = np.take(v, es.head)  # take() reads int32 indices without the slow path of v[...]
 
         def reduce(weights: Array) -> Array:
-            out = np.zeros(n_nodes)
-            np.add.at(out, tail, weights)
-            return out
+            # bincount adds in edge order from zero, as np.add.at into zeros does
+            return np.bincount(tail, weights, n_nodes)
 
         z = np.stack([reduce(prob * v_head * dw[:, c]) / h for c in range(chain.d)], axis=1)
 
