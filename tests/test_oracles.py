@@ -104,7 +104,6 @@ class TestLatticeChain:
             np.testing.assert_array_equal(nxt.regime[es.head], child_r)
             np.testing.assert_array_equal(nxt.x[es.head, 0], np.round(child_x, _ROUND_DECIMALS))
 
-
     @pytest.mark.parametrize("name", ["switch2-linear", "switch3", "bm1"])
     def test_footprint_matches_layout(self, name):
         """A step keeps 4 bytes per edge, a node 8 + 8 d + 8; the outcome table is kept once."""
@@ -222,7 +221,6 @@ class TestLatticeDp:
 
     @pytest.mark.parametrize("n", [-1, 1.5, True])
     def test_bad_level_refused(self, n):
-        # each of these used to run: n = -1 gave y0 = -0.5, n = 1.5 gave 0.0086, True ran as level 1
         spec = build_problem("switch2-linear")
         with pytest.raises(ValueError, match="penalization level must be a nonnegative integer"):
             lattice_dp_solve(spec, LatticeSpec(h=0.125), n=n)
