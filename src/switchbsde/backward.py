@@ -146,7 +146,7 @@ class _Step:
     xs: Array                # (units, d) state at t_k
     weights: Array           # (units,) probability of each unit
     dw: Optional[Array] = None      # (edges, d) Brownian increment over the step
-    counts: Optional[Array] = None  # (edges, m) float mark counts over the step
+    counts: Optional[Array] = None  # (edges, m) integer mark counts over the step
     tail: Optional[Array] = None    # (edges,) unit at t_k
     head: Optional[Array] = None    # (edges,) unit at t_{k+1}
     prob: Optional[Array] = None    # (edges,) probability given the tail
@@ -226,7 +226,7 @@ class MonteCarloEnsemble:
             self._step = _Step(k, regimes, xs, self._weights)
             if k < self.n_steps:
                 dw, counts = self.bundle.step_increments(k)
-                self._step.dw, self._step.counts = dw, counts.astype(float)
+                self._step.dw, self._step.counts = dw, counts
         return self._step
 
     def segments(self, k: int) -> tuple[Array, Array, Array]:
@@ -328,8 +328,8 @@ class LatticeEnsemble:
                 # the chain's outcome table expanded to the step's edges once per step, and
                 # the head as intp, which np.take reads without converting it on each call
                 es = self.chain.edges[k]
-                edges = (es.dw, es.counts.astype(float), es.tail, es.head.astype(np.intp), es.prob)
-            self._step = _Step(k, nodes.regime.astype(int), nodes.x, nodes.mass, *edges)
+                edges = (es.dw, es.counts, es.tail, es.head.astype(np.intp), es.prob)
+            self._step = _Step(k, nodes.regime, nodes.x, nodes.mass, *edges)
         return self._step
 
     def segments(self, k: int) -> tuple[Array, Array, Array]:

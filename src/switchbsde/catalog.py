@@ -1,30 +1,26 @@
 """Built-in benchmark problems.
 
-Every catalog entry is a named builder plus a flat parameter dict, so a run
-is fully reproducible from a config file: the CLI selects a problem by name
-and overrides scalar parameters, never shipping code. Regime-dependent
+Every catalog entry is a name and a flat parameter dict, so a run is fully
+reproducible from a config file: the CLI selects a problem by name and
+overrides scalar parameters, never shipping code. Regime-dependent
 parameters are lists indexed by regime (1-based regime ``i`` reads entry
-``i-1``).
+``i-1``). One builder serves every entry through
+:func:`~switchbsde.problem.make_switching_problem`: a single regime is a
+switching problem with nothing to switch to (cost matrix ``[[0]]``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+import copy
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .problem import (
-    CoefficientSet,
-    IntensityMeasure,
-    ProblemSpec,
-    SwitchingCosts,
-    make_switching_problem,
-)
+from .problem import ProblemSpec, make_switching_problem
 
 Array = np.ndarray
 
-__all__ = ["CatalogEntry", "list_catalog", "catalog_defaults", "build_problem"]
+__all__ = ["list_catalog", "catalog_defaults", "build_problem"]
 
 
 def _const_drift(levels: Sequence[float]):
@@ -67,82 +63,29 @@ def _square_terminal(i: int, x: Array) -> Array:
     return np.asarray(x, dtype=float)[:, 0] ** 2
 
 
-def _build_single_regime(params: Mapping) -> ProblemSpec:
-    terminal = _linear_terminal if params["terminal"] == "linear" else _square_terminal
-    zero_values_driver = _const_reward(params.get("rewards", [0.0]))
-
-    def driver(i: int, x: Array, values: Array, zproxy: Array) -> Array:
-        return zero_values_driver(i, x)
-
-    def constraint(i: int, j: int, x: Array, y_cur: Array, y_tgt: Array, z: Array) -> Array:
-        # single regime: only the vacuous self constraint, identically zero
-        return np.asarray(y_cur) - np.asarray(y_tgt)
-
-    coeffs = CoefficientSet(
-        drift=_const_drift(params["drift"]),
-        vol=_const_vol(params["sigma"]),
-        driver=driver,
-        constraint=constraint,
-        terminal=terminal,
-    )
-    gb = params.get("growth_bound")
-    return ProblemSpec(
-        m=1,
-        d=1,
-        horizon=float(params["T"]),
-        intensity=IntensityMeasure(params["intensity"]),
-        coefficients=coeffs,
-        initial_regime=int(params["i0"]),
-        initial_state=np.asarray(params["x0"], dtype=float),
-        growth_bound=tuple(gb) if gb is not None else None,
-        switching_costs=SwitchingCosts(np.zeros((1, 1))),
-        name=params["name"],
-    )
-
-
-def _build_switching(params: Mapping) -> ProblemSpec:
-    m = len(params["sigma"])
-    gb = params.get("growth_bound")
+def _build(name: str, params: Mapping) -> ProblemSpec:
     return make_switching_problem(
-        m=m,
+        m=len(params["sigma"]),
         d=1,
-        costs=np.asarray(params["costs"], dtype=float),
+        costs=params.get("costs", [[0.0]]),
         drift=_const_drift(params["drift"]),
         vol=_const_vol(params["sigma"]),
         running_reward=_const_reward(params["rewards"]),
-        terminal=_linear_terminal,
-        intensity=IntensityMeasure(params["intensity"]),
-        horizon=float(params["T"]),
+        terminal=_linear_terminal if params.get("terminal", "linear") == "linear" else _square_terminal,
+        intensity=params["intensity"],
+        horizon=params["T"],
         initial_regime=int(params["i0"]),
-        initial_state=np.asarray(params["x0"], dtype=float),
-        growth_bound=tuple(gb) if gb is not None else None,
-        name=params["name"],
+        initial_state=params["x0"],
+        growth_bound=params["growth_bound"],
+        name=name,
     )
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    description: str
-    defaults: dict
-    builder: Callable[[Mapping], ProblemSpec]
-
-
-_CATALOG: dict[str, CatalogEntry] = {}
-
-
-def _register(entry: CatalogEntry) -> None:
-    if entry.name in _CATALOG:
-        raise ValueError(f"duplicate catalog name {entry.name!r}")
-    _CATALOG[entry.name] = entry
-
-
-_register(
-    CatalogEntry(
-        name="bm1",
-        description="single regime, zero drift, unit vol, identity payoff (martingale benchmark)",
-        defaults={
-            "name": "bm1",
+# name -> (description, default parameters)
+_CATALOG: dict[str, tuple[str, dict]] = {
+    "bm1": (
+        "single regime, zero drift, unit vol, identity payoff (martingale benchmark)",
+        {
             "T": 1.0,
             "x0": [0.7],
             "i0": 1,
@@ -153,16 +96,10 @@ _register(
             "terminal": "linear",
             "growth_bound": [1.0, 1.0],
         },
-        builder=_build_single_regime,
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="bm1-quad",
-        description="single regime, zero drift, unit vol, squared payoff (variance benchmark)",
-        defaults={
-            "name": "bm1-quad",
+    ),
+    "bm1-quad": (
+        "single regime, zero drift, unit vol, squared payoff (variance benchmark)",
+        {
             "T": 1.0,
             "x0": [0.0],
             "i0": 1,
@@ -173,16 +110,10 @@ _register(
             "terminal": "square",
             "growth_bound": None,
         },
-        builder=_build_single_regime,
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="switch2-linear",
-        description="two-regime switching, constant regime rewards, linear payoff, distinct vols",
-        defaults={
-            "name": "switch2-linear",
+    ),
+    "switch2-linear": (
+        "two-regime switching, constant regime rewards, linear payoff, distinct vols",
+        {
             "T": 0.5,
             "x0": [0.0],
             "i0": 2,
@@ -193,16 +124,10 @@ _register(
             "intensity": [1.5, 1.5],
             "growth_bound": [0.3, 1.0],
         },
-        builder=_build_switching,
-    )
-)
-
-_register(
-    CatalogEntry(
-        name="switch3",
-        description="three-regime switching, constant regime rewards, linear payoff",
-        defaults={
-            "name": "switch3",
+    ),
+    "switch3": (
+        "three-regime switching, constant regime rewards, linear payoff",
+        {
             "T": 1.0,
             "x0": [0.0],
             "i0": 1,
@@ -217,23 +142,20 @@ _register(
             "intensity": [1.0, 0.8, 0.6],
             "growth_bound": [1.1, 1.0],
         },
-        builder=_build_switching,
-    )
-)
+    ),
+}
 
 
 def list_catalog() -> list[tuple[str, str]]:
     """Names and one-line descriptions of the shipped benchmark problems."""
-    return [(e.name, e.description) for e in _CATALOG.values()]
+    return [(name, description) for name, (description, _) in _CATALOG.items()]
 
 
 def catalog_defaults(name: str) -> dict:
     """A copy of the default parameter dict for one catalog entry."""
     if name not in _CATALOG:
         raise ValueError(f"unknown catalog problem {name!r}")
-    import copy
-
-    return copy.deepcopy(_CATALOG[name].defaults)
+    return copy.deepcopy(_CATALOG[name][1])
 
 
 def build_problem(name: str, overrides: Mapping | None = None) -> ProblemSpec:
@@ -244,7 +166,7 @@ def build_problem(name: str, overrides: Mapping | None = None) -> ProblemSpec:
     params = catalog_defaults(name)
     if overrides:
         for key, value in overrides.items():
-            if key not in params or key == "name":
+            if key not in params:
                 raise ValueError(f"unknown parameter override {key!r} for problem {name!r}")
             params[key] = value
-    return _CATALOG[name].builder(params)
+    return _build(name, params)

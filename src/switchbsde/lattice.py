@@ -18,7 +18,7 @@ Every node has the same ``P = 2 (m + 1)`` outcomes, in one fixed order
 counts. So the chain stores those once, in one :class:`OutcomeTable`, and
 per edge only its head: node ``t``'s out-edges are rows ``t P .. t P + P - 1``
 of its step. A step of ``E`` edges keeps ``4 E`` bytes (an int32 head) and a
-node 24 (regime, x and mass) in d = 1.
+node 18 (an int16 regime, x and mass) in d = 1.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ class LatticeSpec:
 
 @dataclass
 class NodeSet:
-    regime: Array  # (n,) int
+    regime: Array  # (n,) int16
     x: Array       # (n, d)
     mass: Array    # (n,) occupation probability
 
@@ -163,7 +163,7 @@ def build_lattice_chain(spec: ProblemSpec, lattice: LatticeSpec) -> LatticeChain
         counts=counts,
     )
 
-    nodes = [NodeSet(regime=np.array([spec.initial_regime]), x=spec.initial_state[None, :], mass=np.array([1.0]))]
+    nodes = [NodeSet(regime=np.array([spec.initial_regime], dtype=np.int16), x=spec.initial_state[None, :], mass=np.array([1.0]))]
     edges: list[EdgeSet] = []
     size = 1
 
@@ -207,7 +207,7 @@ def build_lattice_chain(spec: ProblemSpec, lattice: LatticeSpec) -> LatticeChain
                 f"step {k + 1} of {K} (cap {lattice.node_cap})"
             )
 
-        nodes.append(NodeSet(regime=sorted_regime[starts], x=sorted_x[starts][:, None], mass=mass))
+        nodes.append(NodeSet(regime=sorted_regime[starts].astype(np.int16), x=sorted_x[starts][:, None], mass=mass))
         edges.append(EdgeSet(head=head, outcomes=table))
 
     return LatticeChain(h=h, K=K, d=1, m=m, T=T, nodes=nodes, edges=edges)

@@ -78,7 +78,7 @@ class LatticeSolution:
         for k, ns in enumerate(self.chain.nodes):
             entry = {
                 "step": k,
-                "regime": ns.regime.astype(int).tolist(),
+                "regime": ns.regime.tolist(),
                 "x": ns.x[:, 0].tolist(),
                 "mass": ns.mass.tolist(),
                 "value": self.values[k].tolist(),

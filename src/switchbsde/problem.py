@@ -242,10 +242,10 @@ def make_switching_problem(
     The constraint evaluator is ``h_{i,j}(x, y, y', z) = y - y' + c[i,j]``,
     i.e. regime i's value may never fall below ``v_j - c[i,j]``, and the
     driver is the running reward of the current regime, independent of the
-    value vector and of the gradient proxy.
+    value vector and of the gradient proxy. ``m = 1`` is allowed: a single
+    regime with cost matrix ``[[0]]``, whose only constraint is the vacuous
+    self term.
     """
-    if m < 2:
-        raise ValueError("a switching problem needs at least two regimes")
     sw = costs if isinstance(costs, SwitchingCosts) else SwitchingCosts(np.asarray(costs, float))
     if sw.m != m:
         raise ValueError("switching cost matrix size must match the regime count")

@@ -1,12 +1,15 @@
-"""The public surface: exported names resolve, and the benchmark tracer can hook them.
+"""The public surface: exported names resolve, and the benchmark harness can drive them.
 
 ``perfbench/tracing.py`` wraps package functions at the names their callers
-look up. Deleting or renaming one of those names fails here, not only in a
-traced benchmark run.
+look up, and ``perfbench/workloads.py`` calls the package's public API.
+Deleting or renaming one of those names, or changing a call's signature,
+fails here, not only in a benchmark run.
 """
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,7 +19,8 @@ import pytest
 import switchbsde
 
 MODULES = ("backward", "catalog", "cli", "forward", "lattice", "oracles", "problem", "regression")
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.mark.parametrize("name", ["switchbsde", *(f"switchbsde.{m}" for m in MODULES if m != "cli")])
@@ -85,3 +89,13 @@ def test_tracer_counts_chain_edges():
     metrics = tracer.metrics()
     assert metrics["lattice.nodes"] == chain.size()
     assert metrics["lattice.edges"] == sum(ns.regime.size for ns in chain.nodes[:-1]) * 2 * (spec.m + 1)
+
+
+def test_benchmark_harness_selftest_passes():
+    """Every workload runs at toy size, traced, through the harness's own calls."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"), "--selftest"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.splitlines()[-1] == "selftest passed"

@@ -359,6 +359,32 @@ class TestStepAndSolve:
         with pytest.raises(ValueError, match=f"^{kind} {message}$"):
             make_ensemble(other, SchemeConfig(h=0.125, paths=20), source)
 
+    def test_ensemble_of_something_else_rejected(self):
+        spec = build_problem("switch2-linear")
+        with pytest.raises(TypeError, match="^cannot build an ensemble from dict$"):
+            make_ensemble(spec, SchemeConfig(h=0.125, paths=20), {"x": np.zeros((20, 5, 1))})
+
+    def test_chain_non_finite_target_rejected(self):
+        spec = build_problem("switch2-linear")
+        ens = make_ensemble(spec, SchemeConfig(h=0.125, paths=1), build_lattice_chain(spec, LatticeSpec(h=0.125)))
+        targets = np.zeros((1, ens.step(2).tail.size, 1))
+        targets[0, 3, 0] = np.nan
+        with pytest.raises(DivergenceError, match="^non-finite target for z at step 2$"):
+            ens.condexp(2, targets, "z")
+
+    @pytest.mark.parametrize("stratify", [True, False])
+    def test_thinnest_stratum(self, stratify):
+        spec = build_problem("switch2-linear")  # T = 0.5
+        basis = BasisSpec(degree=1, stratify_by_regime=stratify)
+        bundle = simulate_paths(spec, 40, 0.125, seed=3)
+        ens = make_ensemble(spec, SchemeConfig(h=0.125, paths=40, basis=basis), bundle)
+        per_step = [np.bincount(bundle.nodes(k)[0]) for k in range(1, bundle.K)]
+        want = min(int(c[c > 0].min()) for c in per_step) if stratify else 40
+        assert ens.thinnest_stratum() == want
+        assert (want < 40) == stratify  # both regimes are occupied at some fitted step
+        one_step = simulate_paths(spec, 40, 0.5, seed=3)  # K = 1: step 0 is a plain mean, nothing is fitted
+        assert make_ensemble(spec, SchemeConfig(h=0.5, paths=40, basis=basis), one_step).thinnest_stratum() is None
+
     @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0, -0.25])
     def test_bad_step_rejected_at_config(self, h):
         with pytest.raises(ValueError, match="time step must be finite and positive"):

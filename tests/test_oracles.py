@@ -81,6 +81,12 @@ class TestLatticeChain:
         with pytest.raises(ValueError, match="finite and positive"):
             build_lattice_chain(spec, LatticeSpec(h=h))
 
+    @pytest.mark.parametrize("h", [0.3, 0.8, 2.0])
+    def test_step_not_dividing_horizon_refused(self, h):
+        spec = build_problem("switch2-linear")  # T = 0.5
+        with pytest.raises(ValueError, match=f"^lattice step {h} does not divide horizon 0.5$"):
+            build_lattice_chain(spec, LatticeSpec(h=h))
+
     @pytest.mark.parametrize("name", ["switch2-linear", "switch3"])
     def test_nodes_sorted_unique_and_heads_match(self, name):
         spec = build_problem(name)
@@ -106,7 +112,7 @@ class TestLatticeChain:
 
     @pytest.mark.parametrize("name", ["switch2-linear", "switch3", "bm1"])
     def test_footprint_matches_layout(self, name):
-        """A step keeps 4 bytes per edge, a node 8 + 8 d + 8; the outcome table is kept once."""
+        """A step keeps 4 bytes per edge, a node 2 + 8 d + 8; the outcome table is kept once."""
         spec = build_problem(name)
         chain = build_lattice_chain(spec, LatticeSpec(h=1 / 32))
         table = chain.edges[0].outcomes
@@ -119,7 +125,7 @@ class TestLatticeChain:
         held = sum(a.nbytes for es in chain.edges for a in vars(es).values() if isinstance(a, np.ndarray))
         held += sum(a.nbytes for a in vars(table).values())
         held += sum(a.nbytes for ns in chain.nodes for a in vars(ns).values())
-        assert held == 4 * E + P * (8 + 8 * d + 2 * m) + (8 + 8 * d + 8) * N
+        assert held == 4 * E + P * (8 + 8 * d + 2 * m) + (2 + 8 * d + 8) * N
 
     @pytest.mark.parametrize("name", ["switch2-linear", "switch3", "bm1"])
     def test_edge_arrays_expand_the_outcome_table(self, name):

@@ -104,18 +104,46 @@ class TestSwitchingConstraint:
         total = spec.constraint(1, 2, x, y, yp, z) + spec.constraint(2, 1, x, yp, y, z)
         assert float(total[0]) == pytest.approx(0.7)
 
-    def test_requires_two_regimes(self):
-        with pytest.raises(ValueError, match="two regimes"):
-            make_switching_problem(
-                m=1,
-                d=1,
-                costs=np.zeros((1, 1)),
-                drift=_const_drift([0.0]),
-                vol=_const_vol([1.0]),
-                running_reward=_const_reward([0.0]),
-                terminal=_linear_terminal,
-                intensity=IntensityMeasure([1.0]),
-            )
+    def test_single_regime_gives_bm1(self):
+        """``m = 1`` with bm1's parameters builds bm1: cost matrix [[0]], constraint ``y - y'``."""
+        spec = make_switching_problem(
+            m=1,
+            d=1,
+            costs=np.zeros((1, 1)),
+            drift=_const_drift([0.0]),
+            vol=_const_vol([1.0]),
+            running_reward=_const_reward([0.0]),
+            terminal=_linear_terminal,
+            intensity=IntensityMeasure([0.5]),
+            horizon=1.0,
+            initial_regime=1,
+            initial_state=[0.7],
+            growth_bound=(1.0, 1.0),
+            name="bm1",
+        )
+        bm1 = build_problem("bm1")
+        assert (spec.m, spec.d, spec.horizon, spec.initial_regime, spec.growth_bound, spec.name) == (
+            bm1.m, bm1.d, bm1.horizon, bm1.initial_regime, bm1.growth_bound, bm1.name
+        )
+        np.testing.assert_array_equal(spec.initial_state, bm1.initial_state)
+        np.testing.assert_array_equal(spec.intensity.weights, bm1.intensity.weights)
+        assert spec.switching_costs.costs.tolist() == [[0.0]]
+        assert bm1.switching_costs.costs.tolist() == [[0.0]]
+        rng = np.random.default_rng(11)
+        x, z = rng.normal(size=(64, 1)), rng.normal(size=(64, 1))
+        values, y_tgt = rng.normal(size=(64, 1)), rng.normal(size=64)
+        y_cur = values[:, 0]
+        for a, b in [
+            (spec.drift(1, x), bm1.drift(1, x)),
+            (spec.vol(1, x), bm1.vol(1, x)),
+            (spec.driver(1, x, values, z), bm1.driver(1, x, values, z)),
+            (spec.constraint(1, 1, x, y_cur, y_tgt, z), bm1.constraint(1, 1, x, y_cur, y_tgt, z)),
+            (spec.terminal(1, x), bm1.terminal(1, x)),
+        ]:
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(bm1.constraint(1, 1, x, y_cur, y_tgt, z), y_cur - y_tgt)
+        np.testing.assert_array_equal(bm1.driver(1, x, values, z), np.zeros(64))
+        np.testing.assert_array_equal(bm1.terminal(1, x), x[:, 0])
 
 
 class TestPenalizedDriver:
