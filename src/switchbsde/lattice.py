@@ -163,7 +163,7 @@ def build_lattice_chain(spec: ProblemSpec, lattice: LatticeSpec) -> LatticeChain
         counts=counts,
     )
 
-    nodes = [NodeSet(regime=np.array([spec.initial_regime], dtype=np.int16), x=spec.initial_state[None, :], mass=np.array([1.0]))]
+    nodes = [NodeSet(np.array([spec.initial_regime], dtype=np.int16), spec.initial_state[None, :], np.array([1.0]))]
     edges: list[EdgeSet] = []
     size = 1
 
