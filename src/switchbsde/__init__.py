@@ -23,7 +23,6 @@ from .catalog import build_problem, catalog_defaults, list_catalog
 from .forward import (
     PathBundle,
     bundle_from_paths,
-    sample_jump_marks,
     simulate_paths,
 )
 from .lattice import LatticeChain, LatticeSpec, build_lattice_chain
@@ -84,7 +83,6 @@ __all__ = [
     "ols_fit",
     "oracle_compare",
     "penalization_ladder",
-    "sample_jump_marks",
     "simulate_paths",
     "skorohod_residual",
     "solve_backward",

@@ -64,14 +64,32 @@ def _square_terminal(i: int, x: Array) -> Array:
 
 
 def _build(name: str, params: Mapping) -> ProblemSpec:
+    """One switching problem from an entry's parameters; ``sigma`` sets the regime count."""
+    m = len(params["sigma"])
+    costs = params.get("costs", [[0.0]])
+    for key, value, shape in (
+        ("drift", params["drift"], (m,)),
+        ("rewards", params["rewards"], (m,)),
+        ("intensity", params["intensity"], (m,)),
+        ("costs", costs, (m, m)),
+    ):
+        try:
+            fits = np.shape(value) == shape
+        except ValueError:  # a ragged nested list has no shape
+            fits = False
+        if not fits:
+            raise ValueError(f"{key!r} of problem {name!r} must have shape {shape}, one entry per regime of 'sigma'")
+    terminal = params.get("terminal", "linear")
+    if terminal not in ("linear", "square"):
+        raise ValueError(f"unknown terminal {terminal!r} for problem {name!r}: accepted values are 'linear' and 'square'")
     return make_switching_problem(
-        m=len(params["sigma"]),
+        m=m,
         d=1,
-        costs=params.get("costs", [[0.0]]),
+        costs=costs,
         drift=_const_drift(params["drift"]),
         vol=_const_vol(params["sigma"]),
         running_reward=_const_reward(params["rewards"]),
-        terminal=_linear_terminal if params.get("terminal", "linear") == "linear" else _square_terminal,
+        terminal=_linear_terminal if terminal == "linear" else _square_terminal,
         intensity=params["intensity"],
         horizon=params["T"],
         initial_regime=int(params["i0"]),

@@ -5,7 +5,9 @@ arrive at total rate ``Lambda = sum_j lambda_j``, each carrying an i.i.d.
 mark ``j`` with probability ``lambda_j / Lambda``, and the regime jumps to
 the mark at every atom. Atoms whose mark equals the current regime are
 retained: they do not move the regime but they are counted by the
-compensated jump measure.
+compensated jump measure. :func:`simulate_paths` is the only sampler of
+this stream, and the bundle keeps every path's atoms (``atom_offsets``,
+``atom_times``, ``atom_marks``), where the tests check the count and mark laws.
 
 The state follows an Euler recursion on each path's regular time grid
 refined by the path's atom times, so drift and volatility always use the
@@ -51,29 +53,9 @@ Array = np.ndarray
 
 __all__ = [
     "PathBundle",
-    "sample_jump_marks",
     "simulate_paths",
     "bundle_from_paths",
 ]
-
-
-def sample_jump_marks(intensity: IntensityMeasure, T: float, stream: np.random.Generator) -> tuple[Array, Array]:
-    """Draw one marked Poisson path on (0, T] as ``(times, marks)``.
-
-    Atom count is Poisson(total * T); times are sorted uniforms; marks are
-    i.i.d. with probabilities ``lambda_j / total``. A zero total intensity
-    yields an empty path. :func:`simulate_paths` maps uniforms to atoms by the
-    same rule for a block of paths drawn from one stream (all counts first,
-    then the uniforms), so its paths follow this law without being this
-    function's draws.
-    """
-    if not T > 0:
-        raise ValueError("horizon must be positive")
-    if intensity.total == 0.0:
-        return np.empty(0), np.empty(0, dtype=int)
-    count = int(stream.poisson(intensity.total * T))
-    _, times, marks = _atoms_from_draws(intensity, T, np.array([count]), stream.random(2 * count))
-    return times, marks.astype(int)
 
 
 def _step_count(T: float, h: float) -> int:
@@ -239,7 +221,7 @@ def _draw_blocks(spec: ProblemSpec, K: int, seed: int, N: int) -> tuple[Array, A
     ``default_rng(SeedSequence(seed, spawn_key=(b,)))``, in order: the Poisson
     atom counts of all its paths, even those at or past ``N``; ``2c`` uniforms
     per path in path order (the atom times, then the marks, as
-    :func:`sample_jump_marks` consumes them); then ``(K + c) * d`` standard
+    :func:`_atoms_from_draws` reads them); then ``(K + c) * d`` standard
     normals per path below ``N``, in path order, one row per sub-interval the
     path's grid can have. The normals come last because only paths below ``N``
     take them, so path ``p``'s draws depend on ``seed`` and ``p`` alone. The

@@ -72,23 +72,6 @@ class LatticeSolution:
     u_raw: list[Array]
     proxies: list[Array]
 
-    def to_dict(self) -> dict:
-        """JSON-ready dump: per step, the node states and their values."""
-        steps = []
-        for k, ns in enumerate(self.chain.nodes):
-            entry = {
-                "step": k,
-                "regime": ns.regime.tolist(),
-                "x": ns.x[:, 0].tolist(),
-                "mass": ns.mass.tolist(),
-                "value": self.values[k].tolist(),
-            }
-            if k < self.chain.K:
-                entry["z"] = self.z[k][:, 0].tolist()
-                entry["u"] = self.u[k].tolist()
-            steps.append(entry)
-        return {"y0": self.y0, "h": self.chain.h, "steps": steps}
-
 
 def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: int = 0) -> LatticeSolution:
     """Evaluate the penalized backward recursion exactly on the chain.

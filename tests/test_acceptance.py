@@ -23,7 +23,6 @@ from switchbsde import (
     lattice_dp_solve,
     oracle_compare,
     penalization_ladder,
-    sample_jump_marks,
     simulate_paths,
     solve_backward,
 )
@@ -190,17 +189,13 @@ def test_criterion_08_skorohod_residual(ladder_report):
 
 
 def test_criterion_09_forward_laws():
-    lam = IntensityMeasure([2.0, 3.0])
-    rng = np.random.default_rng(2024)
+    # the atoms simulate_paths stores: 100 000 paths span 98 blocks of substream draws
+    spec = build_problem("switch2-linear", {"intensity": [2.0, 3.0], "T": 1.0})
     draws = 100_000
-    counts = np.empty(draws)
-    mark2 = 0
-    atoms = 0
-    for i in range(draws):
-        times, marks = sample_jump_marks(lam, 1.0, rng)
-        counts[i] = times.size
-        atoms += times.size
-        mark2 += int(np.count_nonzero(marks == 2))
+    bundle = simulate_paths(spec, draws, 1.0, seed=2024)
+    counts = np.diff(bundle.atom_offsets)
+    atoms = bundle.atom_marks.size
+    mark2 = int(np.count_nonzero(bundle.atom_marks == 2))
     mean_band = 3.0 * np.sqrt(5.0 / draws)
     mean_gap = abs(counts.mean() - 5.0)
     freq_band = 3.0 * np.sqrt(0.6 * 0.4 / atoms)

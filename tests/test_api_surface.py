@@ -1,13 +1,15 @@
-"""The public surface: exported names resolve, and the benchmark harness can drive them.
+"""The public surface: exported names resolve, README's example runs, and the benchmark harness can drive them.
 
 ``perfbench/tracing.py`` wraps package functions at the names their callers
-look up, and ``perfbench/workloads.py`` calls the package's public API.
-Deleting or renaming one of those names, or changing a call's signature,
-fails here, not only in a benchmark run.
+look up, ``perfbench/workloads.py`` calls the package's public API, and
+README.md documents it by example. Deleting or renaming one of those names,
+or changing a call's signature, fails here, not only in a benchmark run or
+in a reader's hands.
 """
 
 import importlib
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -28,6 +30,20 @@ def test_exported_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert not missing
+
+
+def test_readme_library_example_runs():
+    """README's "Library use" block, read from README.md, runs as written on one BLAS thread."""
+    section = (ROOT / "README.md").read_text().split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    script = section.split("```python\n", 1)[1].split("```", 1)[0]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONPATH=path),
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.startswith("CompareReport(")
 
 
 def load_tracing():

@@ -104,6 +104,11 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"zeta": 1}}))
         assert run("solve", cfg, out=str(tmp_path)) == 3
 
+    def test_bad_override_value(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"terminal": "lineer"}}))
+        assert run("solve", cfg, out=str(tmp_path)) == 3
+        assert "unknown terminal 'lineer'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, section, value",
         [

@@ -8,7 +8,6 @@ from switchbsde import (
     IntensityMeasure,
     bundle_from_paths,
     build_problem,
-    sample_jump_marks,
     simulate_paths,
 )
 from switchbsde import forward
@@ -59,28 +58,29 @@ def compensated(b, lam):
 
 
 class TestSampleJumpMarks:
+    """The marked Poisson atoms ``simulate_paths`` draws, read from the bundle's flat atom arrays."""
+
     def test_zero_intensity_gives_empty_path(self):
-        times, marks = sample_jump_marks(IntensityMeasure([0.0, 0.0]), 1.0, np.random.default_rng(0))
-        assert times.size == 0 and marks.size == 0
+        b = simulate_paths(build_problem("switch2-linear", {"intensity": [0.0, 0.0]}), 100, 0.5, seed=0)
+        assert b.atom_times.size == 0 and b.atom_marks.size == 0
+        assert not b.atom_offsets.any()
 
     def test_poisson_count_mean(self):
-        lam = IntensityMeasure([2.0, 3.0])
-        rng = np.random.default_rng(123)
-        counts = np.array([sample_jump_marks(lam, 1.0, rng)[0].size for _ in range(100_000)])
+        spec = build_problem("switch2-linear", {"intensity": [2.0, 3.0], "T": 1.0})
+        counts = np.diff(simulate_paths(spec, 100_000, 1.0, seed=123).atom_offsets)
         band = 3.0 * np.sqrt(5.0 / 100_000)
         assert abs(counts.mean() - 5.0) <= band
 
     def test_mark_frequencies(self):
-        lam = IntensityMeasure([2.0, 3.0])
-        rng = np.random.default_rng(7)
-        marks = np.concatenate([sample_jump_marks(lam, 1.0, rng)[1] for _ in range(20_000)])
+        spec = build_problem("switch2-linear", {"intensity": [2.0, 3.0], "T": 1.0})
+        marks = simulate_paths(spec, 20_000, 1.0, seed=7).atom_marks
         freq2 = np.mean(marks == 2)
         band = 3.0 * np.sqrt(0.6 * 0.4 / marks.size)
         assert abs(freq2 - 0.6) <= band
 
     def test_times_sorted_in_horizon(self):
-        lam = IntensityMeasure([5.0])
-        times, _ = sample_jump_marks(lam, 2.0, np.random.default_rng(5))
+        spec = build_problem("bm1", {"intensity": [5.0], "T": 2.0})
+        times = simulate_paths(spec, 1, 2.0, seed=5).atom_times
         assert np.all(np.diff(times) > 0)
         assert times[0] > 0 and times[-1] <= 2.0
 

@@ -171,16 +171,6 @@ class TestLatticeDp:
             assert np.max(np.abs(dp.u[k] - res.us[k])) <= 1e-12
             assert np.max(np.abs(dp.values[k] - res.ys[k])) <= 1e-12
 
-    def test_json_export_round_trips(self):
-        import json
-
-        spec = build_problem("bm1", {"T": 0.5})
-        sol = lattice_dp_solve(spec, LatticeSpec(h=0.25), n=0)
-        blob = json.dumps(sol.to_dict())
-        parsed = json.loads(blob)
-        assert parsed["y0"] == pytest.approx(sol.y0)
-        assert len(parsed["steps"]) == sol.chain.K + 1
-
     def test_jump_offset_identity(self):
         spec = build_problem("switch2-linear")
         dp = lattice_dp_solve(spec, LatticeSpec(h=0.05), n=4)

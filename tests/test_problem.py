@@ -236,6 +236,26 @@ class TestCatalog:
         with pytest.raises(ValueError, match="unknown catalog problem"):
             build_problem("nope")
 
+    def test_unknown_terminal_rejected(self):
+        # any value but "linear" used to build the squared payoff
+        with pytest.raises(ValueError, match="unknown terminal 'lineer'.*'linear' and 'square'"):
+            build_problem("bm1", {"terminal": "lineer"})
+
+    @pytest.mark.parametrize(
+        "name, overrides, key",
+        [
+            ("bm1", {"rewards": [0.0, 5.0], "drift": [0.0, 1.0]}, "drift"),
+            ("switch2-linear", {"sigma": [0.2, 0.3, 0.4]}, "drift"),
+            ("switch2-linear", {"rewards": [0.5]}, "rewards"),
+            ("switch2-linear", {"intensity": [1.5, 1.5, 1.5]}, "intensity"),
+            ("switch2-linear", {"costs": [[0.0, 0.1], [0.1]]}, "costs"),
+        ],
+    )
+    def test_per_regime_lengths_follow_sigma(self, name, overrides, key):
+        # a longer list used to be cut to sigma's regime count without a word
+        with pytest.raises(ValueError, match=f"'{key}' of problem '{name}' must have shape"):
+            build_problem(name, overrides)
+
     def test_defaults_are_copies(self):
         d1 = catalog_defaults("switch2-linear")
         d1["costs"][0][1] = 99.0
