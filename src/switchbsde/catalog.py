@@ -65,7 +65,12 @@ def _square_terminal(i: int, x: Array) -> Array:
 
 def _build(name: str, params: Mapping) -> ProblemSpec:
     """One switching problem from an entry's parameters; ``sigma`` sets the regime count."""
-    m = len(params["sigma"])
+    try:
+        m = len(params["sigma"]) if np.ndim(params["sigma"]) == 1 else 0
+    except ValueError:  # a ragged nested list has no shape
+        m = 0
+    if m == 0:
+        raise ValueError(f"'sigma' of problem {name!r} must have shape (m,), one volatility per regime")
     costs = params.get("costs", [[0.0]])
     for key, value, shape in (
         ("drift", params["drift"], (m,)),

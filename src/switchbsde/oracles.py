@@ -6,11 +6,10 @@ implementation of the recursion in :mod:`switchbsde.backward` (exact mode):
 the two share only the chain object, so agreement validates both.
 
 ``fd_solve`` solves the coupled obstacle system for switching-form problems
-on a one-dimensional grid with a Crank-Nicolson step per regime. Its matrix
-is made tridiagonal by folding the one-sided end rows into their
-neighbours, and factored once per group of consecutive regimes with equal
-stencils; each group is solved together, one tridiagonal solve per step.
-Projection mode
+on a one-dimensional grid with a Crank-Nicolson step per regime. Its
+banded matrix is solved in numpy alone, by a one-level SPIKE partition: the
+diagonal blocks and the small reduced system are inverted once, for all
+regimes together, so a step is two batched matrix products. Projection mode
 applies the switching obstacle ``v_i >= max_j (v_j - c_ij)`` after each
 linear step as one :func:`facelift_terminal` sweep; penalized mode adds the
 penalty implicitly through a per-node scalar solve, vectorized over regimes,
@@ -20,12 +19,12 @@ converges to the projection update as the level grows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .backward import DivergenceError, _check_built_for, _check_level
 from .lattice import LatticeChain, LatticeSpec, build_lattice_chain
@@ -249,34 +248,76 @@ def _implicit_penalty_update(costs: Array, lam: Array, n: int, dt: float) -> Cal
     return update
 
 
-def _fold_end_rows(implicit: Array, *rhs: Array) -> tuple[Array, Array, Array]:
-    """Make the stencil of ``I - dt/2 G`` tridiagonal by row operations.
+def _spike_solver(stencil: Array, cols: Array) -> Callable[[Array], Array]:
+    """The map ``v -> A^{-1} v`` for one banded matrix ``A`` per regime, by one-level SPIKE.
 
-    ``implicit`` (M + 1, 3) holds the matrix's rows: row r weighs the nodes
-    ``cols[r]`` of :func:`fd_solve`. Rows 0 and M reach one node past the
-    tridiagonal band (nodes 2 and M - 2); rows 1 and M - 1 weigh the same
-    three nodes as their end row. Each end row subtracts the multiple of its
-    neighbour that cancels that entry. Where the neighbour has no entry there,
-    the two rows trade places instead, and an end row with no such entry is
-    left alone. The same operations are applied in place to ``implicit`` and
-    to each array of ``rhs`` (node axis 1), which therefore hold the
-    right-hand side's rows of the equivalent tridiagonal system. Returns its
-    sub-, main and super-diagonal.
+    ``stencil`` (m, N, 3) holds the matrices' rows: row r of regime i weighs
+    the nodes ``cols[r]`` of :func:`fd_solve`. The N nodes are split into p
+    blocks of s, about sqrt(N), nodes; the last block is padded with
+    identity rows and holds at least three nodes, so the two end rows, which
+    reach two nodes away, lie inside their blocks. A block's only links to
+    its neighbours are then its last row's entry at the next block's first
+    node and its first row's entry at the previous block's last node. With
+    ``D`` the block diagonal, ``D^{-1} A`` is the identity plus one spike per
+    link (a column of the block's inverse times the link's entry), so each
+    block's first and last unknowns solve a 2p x 2p reduced system whose
+    right-hand side is the first and last entries of ``D^{-1} v``
+    (Polizzi and Sameh, Parallel Computing 32, 2006). Moving the links, with
+    those unknowns, to the right-hand side leaves one solve per block.
+
+    The blocks and the reduced systems are inverted here once, all regimes
+    stacked; the returned map costs three batched matrix products over the
+    blocks. Raises ValueError when a regime's diagonal block or reduced
+    system is singular.
     """
-    M = implicit.shape[0] - 1
-    for end, nbr, far in ((0, 1, 2), (M, M - 1, 0)):
-        p, q = implicit[end, far], implicit[nbr, far]
-        if p == 0.0:
-            continue
-        for arr in (implicit[None], *rhs):
-            if q == 0.0:
-                arr[:, [end, nbr]] = arr[:, [nbr, end]]
-            else:
-                arr[:, end] -= (p / q) * arr[:, nbr]
-    dl = np.concatenate((implicit[1:M, 0], implicit[M:, 1]))
-    d = np.concatenate((implicit[:1, 0], implicit[1:M, 1], implicit[M:, 2]))
-    du = np.concatenate((implicit[:1, 1], implicit[1:M, 2]))
-    return dl, d, du
+    m, n_nodes = stencil.shape[:2]
+    s = max(3, math.isqrt(n_nodes - 1) + 1)
+    while n_nodes % s in (1, 2):  # the last block would hold fewer than three nodes
+        s += 1
+    p = -(-n_nodes // s)
+    rows = np.repeat(np.arange(n_nodes), 3)
+    cols = cols.ravel()
+    entries = stencil.reshape(m, -1)
+    row_block, col_block = rows // s, cols // s
+    inside, up, down = (col_block == row_block), (col_block > row_block), (col_block < row_block)
+    blocks = np.zeros((m, p, s, s))
+    blocks[:, row_block[inside], rows[inside] % s, cols[inside] % s] = entries[:, inside]
+    pad = np.arange(n_nodes - (p - 1) * s, s)
+    blocks[:, p - 1, pad, pad] = 1.0
+    to_next, to_prev = np.zeros((m, p)), np.zeros((m, p))
+    to_next[:, row_block[up]] = entries[:, up]
+    to_prev[:, row_block[down]] = entries[:, down]
+
+    # unknowns 2j and 2j + 1 of the reduced system are block j's first and
+    # last node; row 2j of `links` gives block j's first right-hand-side
+    # entry its link to node 2j - 1, row 2j + 1 its last entry the link to
+    # node 2j + 2
+    inverse = np.empty_like(blocks)
+    links = np.zeros((m, 2 * p, 2 * p))
+    j = np.arange(p - 1)
+    for i in range(m):
+        try:
+            inverse[i] = np.linalg.inv(blocks[i])
+            system = np.eye(2 * p)
+            system[2 * j, 2 * j + 2] = inverse[i, :-1, 0, -1] * to_next[i, :-1]
+            system[2 * j + 1, 2 * j + 2] = inverse[i, :-1, -1, -1] * to_next[i, :-1]
+            system[2 * j + 2, 2 * j + 1] = inverse[i, 1:, 0, 0] * to_prev[i, 1:]
+            system[2 * j + 3, 2 * j + 1] = inverse[i, 1:, -1, 0] * to_prev[i, 1:]
+            reduced = np.linalg.inv(system)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"Crank-Nicolson matrix of regime {i + 1} is singular") from None
+        links[i, 2 * j + 2] = -to_prev[i, 1:, None] * reduced[2 * j + 1]
+        links[i, 2 * j + 1] = -to_next[i, :-1, None] * reduced[2 * j + 2]
+    end_rows = np.ascontiguousarray(inverse[:, :, :: s - 1])  # each block's first and last row
+    rhs = np.zeros((m, p, s, 1))  # the pad rows stay zero
+    flat, ends = rhs.reshape(m, p * s), rhs[:, :, :: s - 1, 0]
+
+    def solve(v: Array) -> Array:
+        flat[:, :n_nodes] = v
+        ends[...] += np.matmul(links, np.matmul(end_rows, rhs).reshape(m, 2 * p, 1)).reshape(m, p, 2)
+        return np.matmul(inverse, rhs).reshape(m, p * s)[:, :n_nodes]
+
+    return solve
 
 
 def check_fd_inputs(
@@ -322,11 +363,10 @@ def fd_solve(
     one-sided stencils (no artificial Dirichlet data). ``mode`` is
     ``"projection"`` or ``"penalized"`` (the latter needs ``penalization``).
     The time grid steps backward from the face-lifted terminal data.
-    ``I - dt/2 G`` is made tridiagonal by row operations on its end rows
-    (:func:`_fold_end_rows`) and factored with LAPACK ``dgttrf`` once per
-    group of consecutive regimes with equal stencils. A group shares one
-    factor and is solved together as its right-hand-side columns, which is
-    bit-identical to one solve each.
+    Each step applies ``2 A^{-1} - I`` to the next step's values, with
+    ``A = I - dt/2 G``, and adds the precomputed ``A^{-1} dt f``. ``A^{-1}``
+    is a one-level SPIKE solve (:func:`_spike_solver`), all regimes in one
+    batch; a regime's values do not depend on the other regimes' stencils.
     """
     n_t = check_fd_inputs(spec, grid, dt, mode, penalization)
     M, x_min, x_max = grid
@@ -359,35 +399,14 @@ def fd_solve(
     second = np.array([1.0, -2.0, 1.0])
     w = (diff2 / (2 * dx**2))[..., None] * second + (drift / (2 * dx))[..., None] * first
 
-    # A step solves (I - dt/2 G) v_k = (I + dt/2 G) v_{k+1} + dt f. Both
-    # matrices are stencils like w, row r's own node at position r - cols[r, 0].
-    own = rows - cols[:, 0]
-    explicit = half * w
-    explicit[:, rows, own] += 1.0
-    dt_source = dt * source
-    # Consecutive regimes with equal stencils form a group: one tridiagonal
-    # factor, and its rows of the right-hand side solve as the columns of one
-    # dgttrs call. Folding the end rows into the band also folds the group's
-    # explicit stencils and sources, so each step's right-hand side comes out
-    # folded.
-    starts = [0] + [i for i in range(1, m) if not np.array_equal(w[i], w[i - 1])]
-    factors = []
-    for lo, hi in zip(starts, starts[1:] + [m]):
-        implicit = -half * w[lo]
-        implicit[rows, own] += 1.0
-        band = _fold_end_rows(implicit, explicit[lo:hi], dt_source[lo:hi])
-        *lu, info = lapack.dgttrf(*band, overwrite_dl=True, overwrite_d=True, overwrite_du=True)
-        if info != 0:
-            raise ValueError(f"Crank-Nicolson matrix of regime {lo + 1} is singular")
-        factors.append((lo, hi, lu))
-    # interior rows weigh v[r - 1], v[r], v[r + 1]; rows 0 and M (the slice
-    # ::M) weigh the three columns in cols[[0, M]]
-    e_inner = [np.ascontiguousarray(explicit[:, 1:M, k]) for k in range(3)]
-    e_ends, cols_ends = explicit[:, [0, M]], cols[[0, M]]
-    # one right-hand side buffer for the whole solve: rhs[lo:hi].T is the
-    # Fortran-ordered array dgttrs overwrites with the group's solution
-    rhs = np.empty((m, M + 1))
-    inner = rhs[:, 1:M]
+    # A step solves A v_k = B v_{k+1} + dt f with A = I - dt/2 G and
+    # B = I + dt/2 G = 2 I - A, so v_k = 2 A^{-1} v_{k+1} - v_{k+1} + A^{-1} dt f;
+    # the last term is the same at every step. A is a stencil like w, row r's
+    # own node at position r - cols[r, 0].
+    implicit = -half * w
+    implicit[:, rows, rows - cols[:, 0]] += 1.0
+    solve = _spike_solver(implicit, cols)
+    solved_source = solve(dt * source)
 
     if mode == "projection":
         constrain = partial(facelift_terminal, costs=costs)
@@ -403,18 +422,11 @@ def fd_solve(
         bound = 10.0 * (c0 + c1 * np.abs(xs))
 
     for step in range(n_t - 1, -1, -1):
-        np.multiply(e_inner[0], v[:, :-2], out=inner)
-        inner += e_inner[1] * v[:, 1:-1]
-        inner += e_inner[2] * v[:, 2:]
-        v_ends = v[:, cols_ends]
-        edge = e_ends[..., 0] * v_ends[..., 0]
-        for k in (1, 2):
-            edge += e_ends[..., k] * v_ends[..., k]
-        rhs[:, ::M] = edge
-        rhs += dt_source
-        for lo, hi, lu in factors:
-            lapack.dgttrs(*lu, rhs[lo:hi].T, overwrite_b=True)
-        v = constrain(rhs)
+        vhat = solve(v)
+        vhat *= 2.0
+        vhat -= v
+        vhat += solved_source
+        v = constrain(vhat)
         # one reduction per step (NaN fails it too); the message is chosen on failure
         if not (np.isfinite(v).all() if bound is None else (np.abs(v) <= bound).all()):
             if bound is not None and np.any(np.abs(v) > bound):

@@ -46,6 +46,18 @@ def test_readme_library_example_runs():
     assert run.stdout.startswith("CompareReport(")
 
 
+def test_package_and_cli_import_without_scipy():
+    """The package needs numpy alone: importing it and its CLI loads no scipy module."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, switchbsde, switchbsde.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    run = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=ROOT, capture_output=True, text=True, timeout=60, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert run.returncode == 0, run.stdout + run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def load_tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)

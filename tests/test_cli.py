@@ -104,6 +104,12 @@ class TestConfigErrors:
         cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"zeta": 1}}))
         assert run("solve", cfg, out=str(tmp_path)) == 3
 
+    def test_scalar_sigma_override_refused(self, tmp_path, capsys):
+        # len() of the scalar used to escape as a TypeError, exit 1
+        cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"sigma": 1.0}}))
+        assert run("solve", cfg, out=str(tmp_path)) == 3
+        assert "'sigma' of problem 'bm1' must have shape" in capsys.readouterr().err
+
     def test_bad_override_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"terminal": "lineer"}}))
         assert run("solve", cfg, out=str(tmp_path)) == 3

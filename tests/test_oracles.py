@@ -336,9 +336,9 @@ class TestFdSolve:
             assert np.max(np.abs(coupled.values[i - 1] - alone.values[0])) <= 1e-8
 
     def test_shared_stencil_solves_as_separate_regimes(self):
-        # equal drifts and vols: both regimes are columns of one banded
-        # solve; prohibitive costs decouple them, so each column must equal
-        # its own single-regime solve bit for bit
+        # equal drifts and vols: both regimes are solved in one batch;
+        # prohibitive costs decouple them, so each regime must equal its own
+        # single-regime solve bit for bit
         over = {"sigma": [0.25, 0.25], "drift": [0.3, 0.3], "costs": [[0.0, 1e6], [1e6, 0.0]]}
         spec = build_problem("switch2-linear", over)
         grid = (200, -1.0, 1.0)
@@ -410,14 +410,14 @@ class TestFdSolve:
             fd_solve(spec, (50, -1.0, 1.0), 1e-1)
 
 
-def dense_cn_system(spec, xs: np.ndarray, dt: float):
-    """``I - dt/2 G``, ``I + dt/2 G`` and ``dt f`` of a one-regime problem, unfolded and dense."""
+def dense_cn_system(spec, xs: np.ndarray, dt: float, i: int = 1):
+    """``I - dt/2 G``, ``I + dt/2 G`` and ``dt f`` of regime i, dense."""
     M = xs.size - 1
     dx = xs[1] - xs[0]
     x2d = xs[:, None]
-    drift = np.asarray(spec.drift(1, x2d), dtype=float)[:, 0]
-    diff2 = np.asarray(spec.vol(1, x2d), dtype=float)[:, 0, 0] ** 2
-    source = np.asarray(spec.driver(1, x2d, np.zeros((M + 1, 1)), np.zeros((M + 1, 1))), dtype=float)
+    drift = np.asarray(spec.drift(i, x2d), dtype=float)[:, 0]
+    diff2 = np.asarray(spec.vol(i, x2d), dtype=float)[:, 0, 0] ** 2
+    source = np.asarray(spec.driver(i, x2d, np.zeros((M + 1, spec.m)), np.zeros((M + 1, 1))), dtype=float)
     G = np.zeros((M + 1, M + 1))
     for r in range(M + 1):
         c = min(max(r - 1, 0), M - 2)
@@ -427,48 +427,71 @@ def dense_cn_system(spec, xs: np.ndarray, dt: float):
     return eye - dt / 2 * G, eye + dt / 2 * G, dt * source
 
 
+DECOUPLED_3 = [[0.0, 1e6, 1e6], [1e6, 0.0, 1e6], [1e6, 1e6, 0.0]]
+
+
 class TestCrankNicolsonStep:
-    # overrides, grid, and entries (row, column) of I - dt/2 G that the case
-    # needs zero and non-zero
+    # problem, overrides, grid, and entries (row, column) of I - dt/2 G that
+    # the case needs zero and non-zero; the end rows reach two nodes away
     CASES = {
-        "drifted": ({"sigma": [0.6], "drift": [0.8]}, (60, -1.0, 1.0), [], [(0, 2), (1, 2), (60, 58), (59, 58)]),
+        "drifted": ("bm1", {"sigma": [0.6], "drift": [0.8]}, (60, -1.0, 1.0), [], [(0, 2), (1, 2), (60, 58), (59, 58)]),
         # the oracles workload's grid and step: row 0's diagonal is 1 - 1.25
-        "negative-diagonal": ({"sigma": [0.25]}, (800, -1.0, 1.0), [], [(0, 2), (1, 2), (800, 798), (799, 798)]),
-        # drift -sigma^2/dx: row 1 has no entry at node 2, so row 0 trades
-        # places with it; row M has none at node M - 2 and is left alone
-        "row-1-divisor-zero": ({"sigma": [0.5], "drift": [-1.0]}, (8, -1.0, 1.0), [(1, 2), (8, 6)], [(0, 2)]),
-        "row-M-1-divisor-zero": ({"sigma": [0.5], "drift": [1.0]}, (8, -1.0, 1.0), [(7, 6), (0, 2)], [(8, 6)]),
-        # zero vol and drift: the matrix is I and neither end row is folded
-        "identity": ({"sigma": [0.0], "drift": [0.0]}, (50, -1.0, 1.0), [(0, 2), (1, 2), (50, 48), (49, 48)], []),
+        "negative-diagonal": ("bm1", {"sigma": [0.25]}, (800, -1.0, 1.0), [], [(0, 2), (1, 2), (800, 798), (799, 798)]),
+        # drift -sigma^2/dx: row 1 has no entry at node 2, row M none at node M - 2
+        "row-1-entry-zero": ("bm1", {"sigma": [0.5], "drift": [-1.0]}, (8, -1.0, 1.0), [(1, 2), (8, 6)], [(0, 2)]),
+        "row-M-1-entry-zero": ("bm1", {"sigma": [0.5], "drift": [1.0]}, (8, -1.0, 1.0), [(7, 6), (0, 2)], [(8, 6)]),
+        # zero vol and drift: the matrix is I
+        "identity": ("bm1", {"sigma": [0.0], "drift": [0.0]}, (50, -1.0, 1.0), [(0, 2), (1, 2), (50, 48), (49, 48)], []),
+        # three regimes, three stencils, one batch; prohibitive costs keep the
+        # projection from moving the values
+        "three-stencils": (
+            "switch3",
+            {"sigma": [0.2, 0.5, 0.9], "drift": [0.0, 0.6, -1.5], "costs": DECOUPLED_3},
+            (60, -1.0, 1.0),
+            [],
+            [(0, 2), (60, 58)],
+        ),
+        # cell Peclet number |b| dx / sigma^2 = 2000: the interior rows are
+        # not diagonally dominant
+        "peclet-above-one": ("bm1", {"sigma": [0.1], "drift": [400.0]}, (40, -1.0, 1.0), [], [(0, 2), (40, 38)]),
+        # node counts whose last block of ceil(sqrt(M + 1)) nodes would be
+        # shorter than the end row's three nodes
+        "five-nodes": ("bm1", {"sigma": [0.6], "drift": [0.8]}, (4, -1.0, 1.0), [], [(0, 2), (4, 2)]),
+        "prime-node-count": ("bm1", {"sigma": [0.6], "drift": [0.8]}, (100, -1.0, 1.0), [], [(0, 2), (100, 98)]),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_one_step_matches_dense_solve(self, case):
         import switchbsde.problem as pb
 
-        over, grid, zero, nonzero = self.CASES[case]
+        name, over, grid, zero, nonzero = self.CASES[case]
         dt = 5e-4
-        spec = build_problem("bm1", {**over, "rewards": [0.3], "T": dt})
+        m = len(over["sigma"])
+        spec = build_problem(name, {**over, "rewards": [0.3, -0.2, 0.1][:m], "T": dt})
         base = spec.coefficients
         coeffs = pb.CoefficientSet(
             drift=base.drift,
             vol=base.vol,
             driver=base.driver,
             constraint=base.constraint,
-            terminal=lambda i, x: np.sin(3.0 * x[:, 0]) + x[:, 0] ** 2,
+            terminal=lambda i, x: np.sin(3.0 * x[:, 0]) + x[:, 0] ** 2 + 0.1 * i,
         )
         object.__setattr__(spec, "coefficients", coeffs)
         sol = fd_solve(spec, grid, dt)
-        lhs, rhs, dt_source = dense_cn_system(spec, sol.xs, dt)
-        assert all(lhs[rc] == 0.0 for rc in zero) and all(lhs[rc] != 0.0 for rc in nonzero)
-        if case == "negative-diagonal":
-            assert lhs[0, 0] == pytest.approx(-0.25)
-        expected = np.linalg.solve(lhs, rhs @ sol.values[0, 1] + dt_source)
-        np.testing.assert_allclose(sol.values[0, 0], expected, rtol=0.0, atol=1e-13)
+        for i in range(1, m + 1):
+            lhs, rhs, dt_source = dense_cn_system(spec, sol.xs, dt, i)
+            assert all(lhs[rc] == 0.0 for rc in zero) and all(lhs[rc] != 0.0 for rc in nonzero)
+            if case == "negative-diagonal":
+                assert lhs[0, 0] == pytest.approx(-0.25)
+            if case == "peclet-above-one":
+                diag = np.abs(np.diag(lhs))[1:-1]
+                assert np.all(diag < np.abs(lhs).sum(axis=1)[1:-1] - diag)
+            expected = np.linalg.solve(lhs, rhs @ sol.values[i - 1, 1] + dt_source)
+            np.testing.assert_allclose(sol.values[i - 1, 0], expected, rtol=0.0, atol=1e-13)
 
     def test_zero_vol_zero_drift_keeps_terminal_data(self):
-        # the matrix is the identity, so no end row can be folded: the values
-        # stay the (linear) terminal data at every step
+        # the matrix is the identity: the values stay the (linear) terminal
+        # data at every step
         spec = build_problem("bm1", {"sigma": [0.0], "drift": [0.0]})
         sol = fd_solve(spec, (50, -1.0, 1.0), 1e-2)
         np.testing.assert_array_equal(sol.values[0], np.broadcast_to(sol.xs, sol.values[0].shape))
@@ -496,7 +519,7 @@ FD_PINS = {
 }
 
 
-# Both regimes of this problem share one stencil and one banded factor;
+# Both regimes of this problem share one stencil;
 # values at nodes 0, 25, 50, 75, 100 (both one-sided end rows included) at
 # t-steps 0 and 50, recorded (repr) before shared stencils were solved together.
 SHARED_STENCIL_PINS = {

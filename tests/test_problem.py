@@ -249,6 +249,8 @@ class TestCatalog:
             ("switch2-linear", {"rewards": [0.5]}, "rewards"),
             ("switch2-linear", {"intensity": [1.5, 1.5, 1.5]}, "intensity"),
             ("switch2-linear", {"costs": [[0.0, 0.1], [0.1]]}, "costs"),
+            ("bm1", {"sigma": 1.0}, "sigma"),
+            ("switch2-linear", {"sigma": [[0.2], [0.3, 0.4]]}, "sigma"),
         ],
     )
     def test_per_regime_lengths_follow_sigma(self, name, overrides, key):
