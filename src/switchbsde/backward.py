@@ -441,8 +441,9 @@ def _driver_terms(
 
     The integral runs over the step's sub-intervals: on a sub-interval in
     regime ``r`` the integrand is the penalized driver at state ``X_k``
-    (frozen), value vector rebuilt from ``(Y_{k+1}, U_k)`` with ``r`` as the
-    base regime, and the step's ``Z_k``, minus the jump compensator
+    (frozen), value vector rebuilt from ``(Y_{k+1}, U_k)`` with ``Y_{k+1}`` as
+    regime ``r``'s value, so that ``yvec_j - yvec_r = U_k(j) - U_k(r)`` (the
+    paper's ``v_j - v_r``), and the step's ``Z_k``, minus the jump compensator
     ``sum_j lambda_j (yvec_j - yvec_r)``. The compensator belongs to the
     scheme, not to the problem's driver: the backward equation removes the
     jump integral of the value process, whose conditional mean per unit
@@ -484,14 +485,18 @@ def _driver_terms(
         # take() keeps each level's rows contiguous, as a one-level pass has them
         y_r = np.take(y_next, seg_head[segments], axis=1)
         x_r, z_r = step.xs[tails], np.take(z, tails, axis=1)
-        # the value vector Y_{k+1} + U_k(j), built column by column in the
-        # gathered offsets, with Y_{k+1} itself in the own-regime column
+        # the value vector with Y_{k+1} as the segment regime's value: U_k is
+        # re-based at the tail regime, so column j holds
+        # U_k(j) + Y_{k+1} - U_k(r), built in the gathered offsets, and column
+        # r holds Y_{k+1} itself
         yvec = np.take(u, tails, axis=1)
+        y_base = y_r - yvec[:, :, r - 1]
         for j in range(spec.m):
             if j == r - 1:
                 yvec[:, :, j] = y_r
             else:
-                yvec[:, :, j] += y_r
+                yvec[:, :, j] += y_base
+        del y_r, y_base
         for level, n in enumerate(levels):
             values, z_level = yvec[level], z_r[level]
             # a product over all levels' rows at once need not round the same
@@ -506,7 +511,7 @@ def _driver_terms(
                 # copy it to row-major
                 np.min(h, axis=1, out=min_h[level, rows])
                 del h  # not alive beside the next group's arrays
-        del y_r, z_r, yvec  # free this regime's arrays before the next regime's
+        del z_r, yvec  # free this regime's arrays before the next regime's
     inverse = _inverse(groups)
     del groups
     f_val = np.take(f_val, inverse, axis=1)

@@ -199,12 +199,34 @@ class TestDriverIntegral:
             for t_atom, mark in atoms:
                 if t_atom <= 0.5 * (lo + hi):
                     r = mark
-            yvec = y_next + u_k
+            # y_next is regime r's value; the offsets keep their differences
+            yvec = y_next - u_k[r - 1] + u_k
             yvec[r - 1] = y_next
             penalty = float(lam @ np.maximum(-(yvec[r - 1] - yvec + costs[r - 1]), 0.0))
             compensator = float(yvec @ lam - lam.sum() * yvec[r - 1])
             total += (hi - lo) * (rewards[r - 1] + n_pen * penalty - compensator)
         assert val == pytest.approx(total, abs=1e-12)
+
+
+    def test_value_vector_after_midstep_jump(self):
+        # U_k is re-based at the tail regime I_k = 1; after the jump to regime
+        # 2 the driver must see Y_{k+1} as regime 2's value, and the vector's
+        # differences U_k(j) - U_k(2), the paper's v_j - v_2
+        spec = reward_switch_spec([1.0, -0.4, 0.2], costs_value=0.15, lam=(0.8, 1.1, 0.6), T=0.2)
+        base = spec.coefficients
+        seen = {}
+
+        def driver(i, x, values, z):
+            seen[i] = np.array(values)
+            return base.driver(i, x, values, z)
+
+        object.__setattr__(spec, "coefficients", replace(base, driver=driver))
+        u_k = np.array([0.0, 0.45, 0.3])
+        one_path_integral(spec, 0.2, [(0.07, 2)], 0, 0.8, np.array([0.1]), u_k)
+        assert sorted(seen) == [1, 2]
+        for r, (values,) in seen.items():
+            assert values[r - 1] == 0.8
+            np.testing.assert_allclose(values - values[r - 1], u_k - u_k[r - 1], rtol=0.0, atol=1e-15)
 
 
 class TestStepAndSolve:
@@ -549,7 +571,7 @@ def reference_driver_terms(spec, n_pen, segments, xs, y_next, z, u, h, n_edges):
         group = [s for s in range(len(edges)) if regimes[s] == r]
         if not group:
             continue
-        yvec = np.array([y_next[heads[s]] + u[tails[s]] for s in group])
+        yvec = np.array([u[tails[s]] + (y_next[heads[s]] - u[tails[s], r - 1]) for s in group])
         for row, s in enumerate(group):
             yvec[row, r - 1] = y_next[heads[s]]
         x = np.array([xs[tails[s]] for s in group])
@@ -625,6 +647,7 @@ class TestStepView:
             es, n, n_next = chain.edges[k], chain.nodes[k].regime.size, chain.nodes[k + 1].regime.size
             y_next = rng.normal(size=n_next)
             z, u = rng.normal(size=(n, 1)), rng.normal(scale=0.5, size=(n, 3))
+            u -= u[np.arange(n), chain.nodes[k].regime - 1][:, None]  # re-based, as estimate_u returns it
             got = _driver_terms(spec, [8], ens, k, y_next[None], z[None], u[None])
             n_edges = es.tail.size
             regimes = chain.nodes[k].regime[es.tail]
@@ -785,7 +808,8 @@ def parent_driver_terms(spec, levels, ens, k, y_next, z, u):
         tails = seg_tail[rows]
         y_r = np.take(y_next, seg_head[rows], axis=1)
         x_r, z_r = step.xs[tails], np.take(z, tails, axis=1)
-        yvec = y_r[:, :, None] + np.take(u, tails, axis=1)
+        offsets = np.take(u, tails, axis=1)
+        yvec = offsets + (y_r - offsets[:, :, r - 1])[:, :, None]
         yvec[:, :, r - 1] = y_r
         for level, n in enumerate(levels):
             values, z_level = yvec[level], z_r[level]
