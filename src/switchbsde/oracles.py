@@ -9,7 +9,7 @@ the two share only the chain object, so agreement validates both.
 on a one-dimensional grid with a Crank-Nicolson step per regime. Its
 banded matrix is solved in numpy alone, by a one-level SPIKE partition: the
 diagonal blocks and the small reduced system are inverted once, for all
-regimes together, so a step is two batched matrix products. Projection mode
+regimes together, so a step is three small batched matrix products. Projection mode
 applies the switching obstacle ``v_i >= max_j (v_j - c_ij)`` after each
 linear step as one :func:`facelift_terminal` sweep; penalized mode adds the
 penalty implicitly through a per-node scalar solve, vectorized over regimes,
@@ -289,9 +289,9 @@ def _spike_solver(stencil: Array, cols: Array) -> Callable[[Array], Array]:
     to_prev[:, row_block[down]] = entries[:, down]
 
     # unknowns 2j and 2j + 1 of the reduced system are block j's first and
-    # last node; row 2j of `links` gives block j's first right-hand-side
-    # entry its link to node 2j - 1, row 2j + 1 its last entry the link to
-    # node 2j + 2
+    # last node. Row 2j of `links` maps the reduced right-hand side to what
+    # block j's first row moves to its right-hand side (its link times
+    # unknown 2j - 1), row 2j + 1 the same for its last row and unknown 2j + 2
     inverse = np.empty_like(blocks)
     links = np.zeros((m, 2 * p, 2 * p))
     j = np.arange(p - 1)
