@@ -207,7 +207,6 @@ class TestDriverIntegral:
             total += (hi - lo) * (rewards[r - 1] + n_pen * penalty - compensator)
         assert val == pytest.approx(total, abs=1e-12)
 
-
     def test_value_vector_after_midstep_jump(self):
         # U_k is re-based at the tail regime I_k = 1; after the jump to regime
         # 2 the driver must see Y_{k+1} as regime 2's value, and the vector's

@@ -438,8 +438,8 @@ class TestCrankNicolsonStep:
         # the oracles workload's grid and step: row 0's diagonal is 1 - 1.25
         "negative-diagonal": ("bm1", {"sigma": [0.25]}, (800, -1.0, 1.0), [], [(0, 2), (1, 2), (800, 798), (799, 798)]),
         # drift -sigma^2/dx: row 1 has no entry at node 2, row M none at node M - 2
-        "row-1-entry-zero": ("bm1", {"sigma": [0.5], "drift": [-1.0]}, (8, -1.0, 1.0), [(1, 2), (8, 6)], [(0, 2)]),
-        "row-M-1-entry-zero": ("bm1", {"sigma": [0.5], "drift": [1.0]}, (8, -1.0, 1.0), [(7, 6), (0, 2)], [(8, 6)]),
+        "row-1-divisor-zero": ("bm1", {"sigma": [0.5], "drift": [-1.0]}, (8, -1.0, 1.0), [(1, 2), (8, 6)], [(0, 2)]),
+        "row-M-1-divisor-zero": ("bm1", {"sigma": [0.5], "drift": [1.0]}, (8, -1.0, 1.0), [(7, 6), (0, 2)], [(8, 6)]),
         # zero vol and drift: the matrix is I
         "identity": ("bm1", {"sigma": [0.0], "drift": [0.0]}, (50, -1.0, 1.0), [(0, 2), (1, 2), (50, 48), (49, 48)], []),
         # three regimes, three stencils, one batch; prohibitive costs keep the
