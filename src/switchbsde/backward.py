@@ -87,13 +87,16 @@ def _check_level(n) -> None:
 
 @dataclass(frozen=True)
 class SchemeConfig:
-    """Resolution knobs of one backward solve."""
+    """Resolution knobs of one backward solve.
+
+    The Monte Carlo regressions fit one stratum per present regime, each
+    under the automatic ridge ``1e-10 trace(G) / L`` of :func:`ols_fit`.
+    """
 
     h: float
     n: int = 0
     paths: int = 10_000
     basis: BasisSpec = field(default_factory=BasisSpec)
-    ridge: Optional[float] = None
     clip_to_growth_bound: bool = False
     seed: int = 0
 
@@ -107,8 +110,6 @@ class SchemeConfig:
             object.__setattr__(self, name, int(getattr(self, name)))
         if not (np.isfinite(self.h) and self.h > 0):
             raise ValueError(f"time step must be finite and positive, got {self.h!r}")
-        if self.ridge is not None and not (np.isfinite(self.ridge) and self.ridge >= 0):
-            raise ValueError("ridge must be None or a finite nonnegative number")
 
     def echo(self) -> dict:
         return asdict(self)
@@ -208,11 +209,10 @@ class MonteCarloEnsemble:
 
     exact = False
 
-    def __init__(self, spec: ProblemSpec, bundle: PathBundle, basis: BasisSpec, ridge: Optional[float]):
+    def __init__(self, spec: ProblemSpec, bundle: PathBundle, basis: BasisSpec):
         self.spec = spec
         self.bundle = bundle
         self.basis = basis
-        self.ridge = ridge
         self.h = bundle.h
         self.n_steps = bundle.K
         self._step: Optional[_Step] = None
@@ -242,7 +242,7 @@ class MonteCarloEnsemble:
         """The step's record with its design blocks and their path order."""
         step = self.step(k)
         if step.blocks is None:
-            step.blocks = dict(sorted(build_design(self.basis, step.regimes, step.xs).items()))
+            step.blocks = build_design(self.basis, step.regimes, step.xs)
             groups = [block.rows for block in step.blocks.values()]
             step.order, step.slices, step.inverse = np.concatenate(groups), _slices(groups), _inverse(groups)
             for block, rows in zip(step.blocks.values(), step.slices):
@@ -272,7 +272,7 @@ class MonteCarloEnsemble:
         ordered = np.take(targets, step.order, axis=1)
         records: list[list[FitRecord]] = [[] for _ in range(levels)]
         for (stratum, block), rows in zip(step.blocks.items(), step.slices):
-            fit = ols_fit(block.matrix, ordered[:, rows], self.ridge, block.factor)
+            fit = ols_fit(block.matrix, ordered[:, rows], ridge=None, factor=block.factor)
             block.factor = fit.factor
             ordered[:, rows] = fit.fitted
             for level, level_records in enumerate(records):
@@ -298,8 +298,6 @@ class MonteCarloEnsemble:
         """
         if self.n_steps < 2:
             return None
-        if not self.basis.stratify_by_regime:
-            return self.bundle.N
         counts = (np.bincount(self.bundle.nodes(k)[0]) for k in range(1, self.n_steps))
         return min(int(c[c > 0].min()) for c in counts)
 
@@ -370,7 +368,7 @@ def make_ensemble(spec: ProblemSpec, config: SchemeConfig, bundle) -> Ensemble:
         return LatticeEnsemble(spec, bundle)
     if bundle.N != config.paths:
         raise ValueError(f"bundle path count {bundle.N} does not match the configured {config.paths}")
-    return MonteCarloEnsemble(spec, bundle, config.basis, config.ridge)
+    return MonteCarloEnsemble(spec, bundle, config.basis)
 
 
 # ---------------------------------------------------------------------------

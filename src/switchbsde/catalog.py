@@ -12,11 +12,12 @@ switching problem with nothing to switch to (cost matrix ``[[0]]``).
 from __future__ import annotations
 
 import copy
+import numbers
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .problem import ProblemSpec, make_switching_problem
+from .problem import ProblemSpec, _is_int, make_switching_problem
 
 Array = np.ndarray
 
@@ -63,27 +64,37 @@ def _square_terminal(i: int, x: Array) -> Array:
     return np.asarray(x, dtype=float)[:, 0] ** 2
 
 
+def _numbers(value, shape=None) -> bool:
+    """Real numbers only (no bool, no str), in an array of ``shape`` unless it is ``None``."""
+    array = np.asarray(value, dtype=object)  # a ragged nested list gives an array of lists
+    return (shape is None or array.shape == shape) and all(
+        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in array.flat
+    )
+
+
 def _build(name: str, params: Mapping) -> ProblemSpec:
     """One switching problem from an entry's parameters; ``sigma`` sets the regime count."""
-    try:
-        m = len(params["sigma"]) if np.ndim(params["sigma"]) == 1 else 0
-    except ValueError:  # a ragged nested list has no shape
-        m = 0
+    if not _is_int(params["i0"]):
+        raise ValueError(f"'i0' of problem {name!r} must be an integer, got {params['i0']!r}")
+    checks = (("T", (), "a number"), ("x0", None, "numbers"), ("growth_bound", (2,), "null or [c0, c1]"))
+    for key, shape, what in checks:
+        value = params[key]
+        if not ((key == "growth_bound" and value is None) or _numbers(value, shape)):
+            raise ValueError(f"{key!r} of problem {name!r} must be {what}, got {value!r}")
+    sigma_shape = np.asarray(params["sigma"], dtype=object).shape
+    m = sigma_shape[0] if len(sigma_shape) == 1 else 0
     if m == 0:
         raise ValueError(f"'sigma' of problem {name!r} must have shape (m,), one volatility per regime")
     costs = params.get("costs", [[0.0]])
     for key, value, shape in (
+        ("sigma", params["sigma"], (m,)),
         ("drift", params["drift"], (m,)),
         ("rewards", params["rewards"], (m,)),
         ("intensity", params["intensity"], (m,)),
         ("costs", costs, (m, m)),
     ):
-        try:
-            fits = np.shape(value) == shape
-        except ValueError:  # a ragged nested list has no shape
-            fits = False
-        if not fits:
-            raise ValueError(f"{key!r} of problem {name!r} must have shape {shape}, one entry per regime of 'sigma'")
+        if not _numbers(value, shape):
+            raise ValueError(f"{key!r} of problem {name!r} must have shape {shape}, one number per regime of 'sigma'")
     terminal = params.get("terminal", "linear")
     if terminal not in ("linear", "square"):
         raise ValueError(f"unknown terminal {terminal!r} for problem {name!r}: accepted values are 'linear' and 'square'")

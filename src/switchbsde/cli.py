@@ -40,8 +40,8 @@ ORACLE_KEYS = ("fd",)
 LADDER_KEYS = ("n_schedule",)
 OUTPUTS_KEYS = ("dir",)
 VALIDATE_KEYS = ("samples",)
-SCHEME_KEYS = ("h", "n", "paths", "basis", "ridge", "clip_to_growth_bound")
-BASIS_KEYS = ("kind", "degree", "stratify_by_regime")
+SCHEME_KEYS = ("h", "n", "paths", "basis", "clip_to_growth_bound")
+BASIS_KEYS = ("kind", "degree")
 
 
 class ConfigError(ValueError):
@@ -103,9 +103,7 @@ def _scheme_from(cfg: dict, seed: int) -> SchemeConfig:
             basis=BasisSpec(
                 kind=_optional(basis, "kind", str, "scheme.basis", "global-polynomial"),
                 degree=_optional(basis, "degree", int, "scheme.basis", 2),
-                stratify_by_regime=_optional(basis, "stratify_by_regime", bool, "scheme.basis", True),
             ),
-            ridge=None if scheme.get("ridge") is None else _require(scheme, "ridge", float, "scheme"),
             clip_to_growth_bound=_optional(scheme, "clip_to_growth_bound", bool, "scheme", False),
             seed=seed,
         )
@@ -248,7 +246,7 @@ def run(
                     "problem": problem_echo,
                     "grid": {"M": grid[0], "x_min": grid[1], "x_max": grid[2], "dt": dt},
                     "mode": mode,
-                    "penalization": n_pen,
+                    "penalization": sol.penalization,
                     "value_at_start": sol.value_at(0.0, spec.initial_regime, float(spec.initial_state[0])),
                 },
                 out_dir / "grid.json",
@@ -315,7 +313,7 @@ def run(
                 "schema_version": SCHEMA_VERSION,
                 "problem": problem_echo,
                 "scheme": scheme.echo(),
-                "fd": {"M": grid[0], "x_min": grid[1], "x_max": grid[2], "dt": dt, "mode": mode},
+                "fd": {"M": grid[0], "x_min": grid[1], "x_max": grid[2], "dt": dt, "mode": mode, "n": sol.penalization},
                 **report.to_dict(),
             },
             out_dir / "compare.json",

@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .problem import IntensityMeasure, ProblemSpec, _is_int
+from .problem import IntensityMeasure, ProblemSpec, _is_int, _step_count
 
 Array = np.ndarray
 
@@ -56,15 +56,6 @@ __all__ = [
     "simulate_paths",
     "bundle_from_paths",
 ]
-
-
-def _step_count(T: float, h: float) -> int:
-    if not (h > 0 and T > 0):
-        raise ValueError("T and h must be positive")
-    K = int(round(T / h))
-    if K < 1 or abs(K * h - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"step {h} does not divide horizon {T}")
-    return K
 
 
 @dataclass
@@ -104,7 +95,6 @@ class PathBundle:
     d: int
     m: int
     T: float
-    seed: int
     # sub-intervals, step by step: the N node rows, then the inner rows by (path, time)
     step_offsets: Array  # (K+1,) start of each step's rows
     regime: Array     # (S,) int16
@@ -288,7 +278,7 @@ def simulate_paths(spec: ProblemSpec, N: int, h: float, seed: int) -> PathBundle
     if not _is_int(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     T = spec.horizon
-    K = _step_count(T, h)
+    K = _step_count(T, h, "step")
     counts, uniforms, draw_normals = _draw_blocks(spec, K, seed, N)
 
     atom_offsets, atom_times, atom_marks = _atoms_from_draws(spec.intensity, T, counts, uniforms)
@@ -299,13 +289,12 @@ def simulate_paths(spec: ProblemSpec, N: int, h: float, seed: int) -> PathBundle
         normals = draw_normals()  # held by the returned function alone: the build's del frees them
         return lambda path, pos, dt: normals[first_row[path] + pos] * np.sqrt(dt)[:, None]
 
-    return _build_bundle(spec, K, seed, atom_offsets, atom_times, atom_marks, increments)
+    return _build_bundle(spec, K, atom_offsets, atom_times, atom_marks, increments)
 
 
 def _build_bundle(
     spec: ProblemSpec,
     K: int,
-    seed: int,
     atom_offsets: Array,
     atom_times: Array,
     atom_marks: Array,
@@ -409,7 +398,6 @@ def _build_bundle(
         d=d,
         m=m,
         T=T,
-        seed=int(seed),
         step_offsets=step_offsets,
         regime=regime,
         x=x,
@@ -443,7 +431,7 @@ def bundle_from_paths(
     if dw_per_path is not None and len(dw_per_path) != len(atoms_per_path):
         raise ValueError(f"{len(dw_per_path)} increment arrays for {len(atoms_per_path)} paths")
     T = spec.horizon
-    K = _step_count(T, h)
+    K = _step_count(T, h, "step")
     offsets, times, marks = [0], [], []
     for p, atom_list in enumerate(atoms_per_path):
         atom_list = sorted(atom_list)
@@ -469,7 +457,6 @@ def bundle_from_paths(
     return _build_bundle(
         spec,
         K,
-        -1,
         np.asarray(offsets, dtype=np.int64),
         np.asarray(times, dtype=float),
         np.asarray(marks, dtype=np.int16),

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec
+from .problem import ProblemSpec, _step_count
 
 Array = np.ndarray
 
@@ -136,11 +136,7 @@ def build_lattice_chain(spec: ProblemSpec, lattice: LatticeSpec) -> LatticeChain
     if spec.d != 1:
         raise ValueError("lattice chain supports d = 1 only")
     T, h = spec.horizon, lattice.h
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"lattice step must be finite and positive, got {h!r}")
-    K = int(round(T / h))
-    if K < 1 or abs(K * h - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"lattice step {h} does not divide horizon {T}")
+    K = _step_count(T, h, "lattice step")
     h = T / K
     lam = spec.intensity.weights
     total = float(lam.sum())

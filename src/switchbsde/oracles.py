@@ -28,7 +28,7 @@ import numpy as np
 
 from .backward import DivergenceError, _check_built_for, _check_level
 from .lattice import LatticeChain, LatticeSpec, build_lattice_chain
-from .problem import ProblemSpec, _is_int
+from .problem import ProblemSpec, _is_int, _step_count
 
 Array = np.ndarray
 
@@ -341,13 +341,7 @@ def check_fd_inputs(
         raise ValueError(f"grid node count M must be an integer, got {M!r}")
     if M < 4 or not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
         raise ValueError("grid must have at least 5 nodes and finite x_min < x_max")
-    if not dt > 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    T = spec.horizon
-    n_t = int(round(T / dt))
-    if n_t < 1 or abs(n_t * dt - T) > 1e-9 * max(1.0, T):
-        raise ValueError(f"time step {dt} does not divide horizon {T}")
-    return n_t
+    return _step_count(spec.horizon, dt, "time step")
 
 
 def fd_solve(

@@ -47,6 +47,16 @@ def _is_int(value) -> bool:
     return not isinstance(value, bool) and isinstance(value, (int, np.integer))
 
 
+def _step_count(T: float, h: float, what: str) -> int:
+    """Number of steps ``h`` takes over the horizon ``T``: the rule every time grid of the package applies."""
+    if not (np.isfinite(h) and h > 0):
+        raise ValueError(f"{what} must be finite and positive, got {h!r}")
+    K = int(round(T / h))
+    if K < 1 or abs(K * h - T) > 1e-9 * max(1.0, T):
+        raise ValueError(f"{what} {h} does not divide horizon {T}")
+    return K
+
+
 def check_regime(i: int, m: int) -> int:
     """Validate a 1-based regime index against the regime count."""
     i = int(i)

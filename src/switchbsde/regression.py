@@ -1,17 +1,19 @@
 """Least-squares estimation of conditional expectations given (regime, state).
 
 The estimators regress per-sample targets on a finite basis evaluated at the
-state, separately per regime value by default (stratification computes the
-conditional expectation given the discrete coordinate exactly). Features are
-standardized per stratum before expansion. One :func:`ols_fit` per stratum
-solves every target column from one eigendecomposition of the Gram matrix,
-which also gives the fit's condition number and numerical rank. A backward
-step builds one design per step and factors each stratum's Gram matrix once:
-the z, u and y fits of that step pass the :class:`GramFactor` of the first
-fit back in, so the three families share one factorization per
-(step, stratum). Targets may carry a leading axis of blocks (the levels of
-a penalization ladder): one fit covers every block, with each block's
-products run in the one-block shape.
+state, separately per regime value: the regime is part of the Markov state,
+and one fit per regime computes the conditional expectation given that
+discrete coordinate exactly. Features are standardized per stratum before
+expansion. One :func:`ols_fit` per stratum solves every target column from
+one eigendecomposition of the Gram matrix, which also gives the fit's
+condition number and numerical rank; the solver always fits under the
+automatic ridge ``1e-10 trace(G) / L``. A backward step builds one design
+per step and factors each stratum's Gram matrix once: the z, u and y fits
+of that step pass the :class:`GramFactor` of the first fit back in, so the
+three families share one factorization per (step, stratum). Targets may
+carry a leading axis of blocks (the levels of a penalization ladder): one
+fit covers every block, with each block's products run in the one-block
+shape.
 """
 
 from __future__ import annotations
@@ -35,8 +37,6 @@ __all__ = [
     "ols_fit",
 ]
 
-POOLED = 0  # key of the single block of an unstratified design
-
 
 @dataclass(frozen=True)
 class BasisSpec:
@@ -44,13 +44,12 @@ class BasisSpec:
 
     ``kind`` is ``"global-polynomial"`` (all monomials of total degree
     <= ``degree``) or ``"piecewise-linear"`` (d = 1 only: affine part plus
-    ``degree`` hinge functions at training quantiles). With
-    ``stratify_by_regime`` a separate fit is run per regime value.
+    ``degree`` hinge functions at training quantiles). A separate fit is run
+    per regime value.
     """
 
     kind: str = "global-polynomial"
     degree: int = 2
-    stratify_by_regime: bool = True
 
     def __post_init__(self) -> None:
         if self.kind not in ("global-polynomial", "piecewise-linear"):
@@ -191,10 +190,10 @@ class _Block:
 def build_design(basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array) -> dict[int, _Block]:
     """Design matrices partitioned by regime stratum.
 
-    Returns a dict ``regime -> block`` where each block holds the row
-    indices of that stratum and its feature matrix. States are standardized
-    per stratum before expansion. Without stratification everything lands
-    in one block under the ``POOLED`` key.
+    Returns a dict ``regime -> block``, one block per present regime in
+    increasing regime order, where each block holds the row indices of that
+    stratum and its feature matrix. States are standardized per stratum
+    before expansion.
     """
     regimes = np.asarray(regimes, dtype=int)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -202,8 +201,6 @@ def build_design(basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array) ->
         raise ValueError("regimes and states must have the same length")
     if xs.shape[0] == 0:
         raise ValueError("samples must be nonempty")
-    if not basis.stratify_by_regime:
-        return {POOLED: _Block(rows=np.arange(xs.shape[0]), matrix=_features(basis, xs))}
     blocks: dict[int, _Block] = {}
     for r in np.flatnonzero(np.bincount(regimes)):
         rows = np.flatnonzero(regimes == r)

@@ -393,16 +393,15 @@ class TestStepAndSolve:
         with pytest.raises(DivergenceError, match="^non-finite target for z at step 2$"):
             ens.condexp(2, targets, "z")
 
-    @pytest.mark.parametrize("stratify", [True, False])
-    def test_thinnest_stratum(self, stratify):
+    def test_thinnest_stratum(self):
         spec = build_problem("switch2-linear")  # T = 0.5
-        basis = BasisSpec(degree=1, stratify_by_regime=stratify)
+        basis = BasisSpec(degree=1)
         bundle = simulate_paths(spec, 40, 0.125, seed=3)
         ens = make_ensemble(spec, SchemeConfig(h=0.125, paths=40, basis=basis), bundle)
         per_step = [np.bincount(bundle.nodes(k)[0]) for k in range(1, bundle.K)]
-        want = min(int(c[c > 0].min()) for c in per_step) if stratify else 40
+        want = min(int(c[c > 0].min()) for c in per_step)
         assert ens.thinnest_stratum() == want
-        assert (want < 40) == stratify  # both regimes are occupied at some fitted step
+        assert want < 40  # both regimes are occupied at some fitted step
         one_step = simulate_paths(spec, 40, 0.5, seed=3)  # K = 1: step 0 is a plain mean, nothing is fitted
         assert make_ensemble(spec, SchemeConfig(h=0.5, paths=40, basis=basis), one_step).thinnest_stratum() is None
 
@@ -410,11 +409,6 @@ class TestStepAndSolve:
     def test_bad_step_rejected_at_config(self, h):
         with pytest.raises(ValueError, match="time step must be finite and positive"):
             SchemeConfig(h=h)
-
-    @pytest.mark.parametrize("ridge", [-1e-3, float("inf"), float("nan")])
-    def test_bad_ridge_rejected_at_config(self, ridge):
-        with pytest.raises(ValueError, match="ridge"):
-            SchemeConfig(h=0.25, ridge=ridge)
 
     @pytest.mark.parametrize("paths", [0, -3, 2.5, 3.0, True, "10"])
     def test_bad_path_count_rejected_at_config(self, paths):
@@ -677,7 +671,7 @@ class TestStepView:
             spec = build_problem("switch3")
             bundle = simulate_paths(spec, 3_000, 0.05, seed=17)
             cfg = SchemeConfig(h=0.05, paths=3_000, seed=17)
-            assert cfg.basis.stratify_by_regime and not cfg.clip_to_growth_bound
+            assert not cfg.clip_to_growth_bound
         else:
             name, h = ("switch2-linear", 1 / 96) if case == "switch2-chain-96" else ("switch3", 1 / 24)
             spec = build_problem(name)
@@ -755,7 +749,7 @@ def parent_condexp(ens, k, targets, family):
     levels, _, c = targets.shape
     out, fits = np.empty_like(targets), []
     for stratum, block in sorted(build_design(ens.basis, regimes, xs).items()):
-        fit = ols_fit(block.matrix, np.take(targets, block.rows, axis=1), ens.ridge)
+        fit = ols_fit(block.matrix, np.take(targets, block.rows, axis=1), None)
         out[:, block.rows] = fit.fitted
         fits.append((stratum, fit))
     records = [

@@ -110,6 +110,13 @@ class TestConfigErrors:
         assert run("solve", cfg, out=str(tmp_path)) == 3
         assert "'sigma' of problem 'bm1' must have shape" in capsys.readouterr().err
 
+    def test_non_numeric_growth_bound_refused(self, tmp_path, capsys):
+        # a scalar growth bound used to escape as a TypeError, exit 1
+        cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"growth_bound": 5.0}}))
+        assert run("solve", cfg, out=str(tmp_path)) == 3
+        assert "'growth_bound' of problem 'bm1' must be null or [c0, c1], got 5.0" in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
     def test_bad_override_value(self, tmp_path, capsys):
         cfg = write_config(tmp_path, solve_config(problem={"name": "bm1", "overrides": {"terminal": "lineer"}}))
         assert run("solve", cfg, out=str(tmp_path)) == 3
@@ -168,7 +175,7 @@ class TestConfigErrors:
             ({"mode": "penalized"}, "n is required in penalized mode"),
             ({"mode": "implicit"}, "unknown fd mode"),
             ({"dt": 0.3}, "does not divide horizon"),
-            ({"dt": 0.0}, "time step must be positive"),
+            ({"dt": 0.0}, "time step must be finite and positive"),
             ({"M": 3}, "at least 5 nodes"),
             ({"x_min": 1.0, "x_max": -1.0}, "x_min < x_max"),
         ],
@@ -185,23 +192,28 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "scheme",
+        "scheme, message",
         [
-            {"ridge": "abc"},
-            {"ridge": float("inf")},
-            {"basis": {"stratify_by_regime": "false"}},
-            {"clip_to_growth_bound": "false"},
-            {"n": 2.7},
-            {"basis": {"degree": 1.5}},
-            {"basis": [2]},
-            {"basis": {"degre": 5}},
-            {"clip": True},
+            ({"ridge": "abc"}, "unknown scheme keys ['ridge']"),
+            ({"ridge": float("inf")}, "unknown scheme keys ['ridge']"),
+            ({"basis": {"stratify_by_regime": "false"}}, "unknown scheme.basis keys ['stratify_by_regime']"),
+            ({"clip_to_growth_bound": "false"}, "scheme.clip_to_growth_bound has the wrong type"),
+            ({"n": 2.7}, "scheme.n must be an integer"),
+            ({"basis": {"degree": 1.5}}, "scheme.basis.degree must be an integer"),
+            ({"basis": [2]}, "scheme.basis must be an object"),
+            ({"basis": {"degre": 5}}, "unknown scheme.basis keys ['degre']"),
+            ({"clip": True}, "unknown scheme keys ['clip']"),
+            # the regression always fits per regime under the automatic ridge: neither is a setting
+            ({"ridge": None}, "unknown scheme keys ['ridge']"),
+            ({"basis": {"stratify_by_regime": True}}, "unknown scheme.basis keys ['stratify_by_regime']"),
         ],
+        ids=[f"scheme{i}" for i in range(11)],  # the case names the one-argument form gave
     )
-    def test_scheme_keys_checked(self, tmp_path, scheme):
+    def test_scheme_keys_checked(self, tmp_path, capsys, scheme, message):
         payload = solve_config()
         payload["scheme"].update(scheme)
         assert run("solve", write_config(tmp_path, payload), out=str(tmp_path)) == 3
+        assert message in capsys.readouterr().err
         assert not (tmp_path / "result.json").exists()
 
     @pytest.mark.parametrize("samples", ["many", 2.7, 0])
@@ -367,6 +379,20 @@ class TestOtherCommands:
         assert meta["schema_version"] == 1
         assert meta["mode"] == "projection"
         assert meta["value_at_start"] == pytest.approx(0.15, abs=2e-3)
+
+    @pytest.mark.parametrize("mode, level", [("projection", None), ("penalized", 7)])
+    def test_fd_artifacts_echo_the_level_solved(self, tmp_path, mode, level):
+        # a projection solve used to echo the configured n, and compare.json echoed none
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}})
+        payload["scheme"] = {"h": 0.05, "n": 4, "paths": 200}
+        payload["oracle"] = {"fd": {"M": 40, "dt": 0.01, "mode": mode, "n": 7}}
+        cfg = write_config(tmp_path, payload)
+        assert run("oracle", cfg, out=str(tmp_path / "g")) == 0
+        assert run("compare", cfg, out=str(tmp_path / "c")) == 0
+        grid = json.loads((tmp_path / "g" / "grid.json").read_text())
+        fd = json.loads((tmp_path / "c" / "compare.json").read_text())["fd"]
+        assert grid["mode"] == fd["mode"] == mode
+        assert grid["penalization"] == fd["n"] == level
 
     def test_ladder_artifact(self, tmp_path):
         payload = solve_config(problem={"name": "switch2-linear", "overrides": {}})

@@ -258,7 +258,7 @@ class TestSimulatePaths:
         with pytest.raises(ValueError, match="does not divide"):
             simulate_paths(spec, 10, 0.3, seed=0)
         for h in (0.0, float("nan"), -0.25):
-            with pytest.raises(ValueError, match="T and h must be positive"):
+            with pytest.raises(ValueError, match="step must be finite and positive"):
                 simulate_paths(spec, 10, h, seed=0)
         for N in (0, True, 3.0, 2.5):  # a bool would build one path, a float fail inside numpy
             with pytest.raises(ValueError, match="path count must be an integer >= 1"):

@@ -227,6 +227,9 @@ class TestCatalog:
         spec = build_problem("bm1", {"x0": [1.5], "T": 2.0})
         assert spec.initial_state[0] == 1.5
         assert spec.horizon == 2.0
+        # numpy numbers and arrays pass the type checks as the Python ones do
+        spec = build_problem("bm1", {"T": 2, "i0": np.int64(1), "x0": np.array([0.5]), "growth_bound": (2, 1.0)})
+        assert (spec.horizon, spec.initial_regime, spec.growth_bound) == (2.0, 1, (2.0, 1.0))
 
     def test_unknown_override_rejected(self):
         with pytest.raises(ValueError, match="unknown parameter override"):
@@ -256,6 +259,28 @@ class TestCatalog:
     def test_per_regime_lengths_follow_sigma(self, name, overrides, key):
         # a longer list used to be cut to sigma's regime count without a word
         with pytest.raises(ValueError, match=f"'{key}' of problem '{name}' must have shape"):
+            build_problem(name, overrides)
+
+    @pytest.mark.parametrize(
+        "name, overrides, key",
+        [
+            ("bm1", {"growth_bound": 5.0}, "growth_bound"),  # used to escape as a TypeError
+            ("bm1", {"growth_bound": [1.0, "a"]}, "growth_bound"),
+            ("bm1", {"growth_bound": [1.0]}, "growth_bound"),
+            ("switch2-linear", {"i0": 1.5}, "i0"),  # used to run from regime 1
+            ("switch2-linear", {"i0": True}, "i0"),
+            ("bm1", {"T": "1"}, "T"),  # used to be coerced by float()
+            ("bm1", {"T": True}, "T"),
+            ("bm1", {"x0": ["0.7"]}, "x0"),
+            ("bm1", {"drift": [True]}, "drift"),
+            ("switch2-linear", {"sigma": ["0.2", "0.3"]}, "sigma"),
+            ("switch2-linear", {"rewards": [0.5, "-0.5"]}, "rewards"),
+            ("bm1", {"intensity": [None]}, "intensity"),
+            ("switch2-linear", {"costs": [[0.0, "0.1"], [0.1, 0.0]]}, "costs"),
+        ],
+    )
+    def test_non_numeric_overrides_refused(self, name, overrides, key):
+        with pytest.raises(ValueError, match=f"'{key}' of problem '{name}' must"):
             build_problem(name, overrides)
 
     def test_defaults_are_copies(self):

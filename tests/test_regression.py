@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchbsde import BasisSpec, build_design, ols_fit
-from switchbsde.regression import POOLED, GramFactor
+from switchbsde.regression import GramFactor
 
 
 def in_sample(basis, regimes, xs, targets):
@@ -29,14 +29,11 @@ class TestBuildDesign:
         np.testing.assert_allclose(blocks[1].matrix, [[1.0], [1.0]])
 
     def test_stratified_row_counts_partition(self):
-        regimes = np.array([1, 2, 1, 2, 2])
+        regimes = np.array([2, 1, 1, 2, 2])
         xs = np.arange(5.0)[:, None]
         blocks = build_design(BasisSpec(degree=2), regimes, xs)
+        assert list(blocks) == [1, 2]  # increasing regime order, whatever regime comes first
         assert blocks[1].matrix.shape[0] + blocks[2].matrix.shape[0] == 5
-
-    def test_unstratified_single_block(self):
-        blocks = build_design(BasisSpec(degree=1, stratify_by_regime=False), [1, 2], np.zeros((2, 1)))
-        assert list(blocks) == [POOLED]
 
     def test_basis_size_reported(self):
         assert BasisSpec(degree=2).size(1) == 3
