@@ -56,7 +56,7 @@ import numpy as np
 
 from .forward import PathBundle
 from .lattice import LatticeChain
-from .problem import ProblemSpec, _is_int, constraint_values, penalty_batch
+from .problem import ProblemSpec, _integer, _positive, constraint_values, penalty_batch
 from .regression import BasisSpec, build_design, ols_fit
 
 Array = np.ndarray
@@ -79,12 +79,6 @@ class DivergenceError(RuntimeError):
     """Numerical abort: estimates left the plausible range."""
 
 
-def _check_level(n) -> None:
-    """Refuse a penalization level that is not a nonnegative integer."""
-    if not _is_int(n) or n < 0:
-        raise ValueError(f"penalization level must be a nonnegative integer, got {n!r}")
-
-
 @dataclass(frozen=True)
 class SchemeConfig:
     """Resolution knobs of one backward solve.
@@ -101,15 +95,11 @@ class SchemeConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_level(self.n)
-        if not _is_int(self.paths) or self.paths < 1:
-            raise ValueError(f"path count must be an integer >= 1, got {self.paths!r}")
-        if not _is_int(self.seed) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name in ("n", "paths", "seed"):  # numpy integers echo as JSON numbers
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"time step must be finite and positive, got {self.h!r}")
+        # stored as the checked ints, so numpy integers echo as JSON numbers
+        object.__setattr__(self, "n", _integer(self.n, "penalization level"))
+        object.__setattr__(self, "paths", _integer(self.paths, "path count", 1))
+        object.__setattr__(self, "seed", _integer(self.seed, "seed"))
+        _positive(self.h, "time step")
 
     def echo(self) -> dict:
         return asdict(self)
@@ -638,7 +628,7 @@ def _solve_levels(
     the current step's arrays and the values they were built from are alive,
     unless ``keep_steps`` keeps every step's per-unit arrays.
     """
-    schemes = [replace(config, n=n) for n in levels]  # refuses a bad level before the pass
+    schemes = [replace(config, n=n) for n in levels]
     spec.intensity.require_positive()
     ens = make_ensemble(spec, config, bundle)
     if isinstance(ens, MonteCarloEnsemble):
@@ -751,6 +741,16 @@ class ConvergenceReport:
         }
 
 
+def _check_schedule(n_schedule) -> list[int]:
+    """A ladder's levels as ints, refused unless a nonempty, strictly increasing sequence of levels."""
+    levels = [_integer(n, "penalization level") for n in n_schedule]  # any sequence, a numpy array included
+    if not levels:
+        raise ValueError("n_schedule must have at least one entry")
+    if any(b <= a for a, b in zip(levels, levels[1:])):
+        raise ValueError("n_schedule must be strictly increasing")
+    return levels
+
+
 def penalization_ladder(
     spec: ProblemSpec,
     config: SchemeConfig,
@@ -765,15 +765,12 @@ def penalization_ladder(
     :func:`solve_backward`. A level that trips the growth-bound guard aborts
     the whole ladder.
     """
-    if len(n_schedule) == 0:  # any sequence, a numpy array included
-        raise ValueError("n_schedule must have at least one entry")
-    if any(b <= a for a, b in zip(n_schedule, n_schedule[1:])):
-        raise ValueError("n_schedule must be strictly increasing")
-    results = _solve_levels(spec, config, n_schedule, bundle)
+    levels = _check_schedule(n_schedule)
+    results = _solve_levels(spec, config, levels, bundle)
     y0s = [r.y0 for r in results]
     viols = [r.mean_violation for r in results]
     return ConvergenceReport(
-        n_schedule=[int(n) for n in n_schedule],
+        n_schedule=levels,
         y0=y0s,
         mean_violation=viols,
         y0_nondecreasing=[b >= a for a, b in zip(y0s, y0s[1:])],

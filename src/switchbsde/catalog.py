@@ -12,12 +12,13 @@ switching problem with nothing to switch to (cost matrix ``[[0]]``).
 from __future__ import annotations
 
 import copy
+import math
 import numbers
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .problem import ProblemSpec, _is_int, make_switching_problem
+from .problem import ProblemSpec, _integer, _positive, make_switching_problem
 
 Array = np.ndarray
 
@@ -65,19 +66,18 @@ def _square_terminal(i: int, x: Array) -> Array:
 
 
 def _numbers(value, shape=None) -> bool:
-    """Real numbers only (no bool, no str), in an array of ``shape`` unless it is ``None``."""
+    """Finite real numbers only (no bool, no str), in an array of ``shape`` unless it is ``None``."""
     array = np.asarray(value, dtype=object)  # a ragged nested list gives an array of lists
     return (shape is None or array.shape == shape) and all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) for v in array.flat
+        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in array.flat
     )
 
 
 def _build(name: str, params: Mapping) -> ProblemSpec:
     """One switching problem from an entry's parameters; ``sigma`` sets the regime count."""
-    if not _is_int(params["i0"]):
-        raise ValueError(f"'i0' of problem {name!r} must be an integer, got {params['i0']!r}")
-    checks = (("T", (), "a number"), ("x0", None, "numbers"), ("growth_bound", (2,), "null or [c0, c1]"))
-    for key, shape, what in checks:
+    i0 = _integer(params["i0"], f"'i0' of problem {name!r}", 1)
+    _positive(params["T"], f"'T' of problem {name!r}")
+    for key, shape, what in (("x0", None, "finite numbers"), ("growth_bound", (2,), "null or [c0, c1]")):
         value = params[key]
         if not ((key == "growth_bound" and value is None) or _numbers(value, shape)):
             raise ValueError(f"{key!r} of problem {name!r} must be {what}, got {value!r}")
@@ -94,7 +94,9 @@ def _build(name: str, params: Mapping) -> ProblemSpec:
         ("costs", costs, (m, m)),
     ):
         if not _numbers(value, shape):
-            raise ValueError(f"{key!r} of problem {name!r} must have shape {shape}, one number per regime of 'sigma'")
+            raise ValueError(
+                f"{key!r} of problem {name!r} must have shape {shape}, one finite number per regime of 'sigma'"
+            )
     terminal = params.get("terminal", "linear")
     if terminal not in ("linear", "square"):
         raise ValueError(f"unknown terminal {terminal!r} for problem {name!r}: accepted values are 'linear' and 'square'")
@@ -108,7 +110,7 @@ def _build(name: str, params: Mapping) -> ProblemSpec:
         terminal=_linear_terminal if terminal == "linear" else _square_terminal,
         intensity=params["intensity"],
         horizon=params["T"],
-        initial_regime=int(params["i0"]),
+        initial_regime=i0,
         initial_state=params["x0"],
         growth_bound=params["growth_bound"],
         name=name,

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import numbers
 import sys
 from pathlib import Path
 
@@ -23,6 +22,7 @@ import numpy as np
 from .backward import (
     DivergenceError,
     SchemeConfig,
+    _check_schedule,
     penalization_ladder,
     skorohod_residual,
     solve_backward,
@@ -30,7 +30,7 @@ from .backward import (
 from .catalog import build_problem, list_catalog
 from .forward import dump_paths_csv, simulate_paths
 from .oracles import GridSolution, check_fd_inputs, default_grid, fd_solve, oracle_compare
-from .problem import validate_problem
+from .problem import _integer, validate_problem
 from .regression import BasisSpec
 
 SCHEMA_VERSION = 1
@@ -112,17 +112,9 @@ def _scheme_from(cfg: dict, seed: int) -> SchemeConfig:
 
 
 def _resolve_seed(cfg: dict, override) -> int:
-    if override is not None:
-        seed = override
-    elif "seed" not in cfg:
+    if override is None and "seed" not in cfg:
         raise ConfigError("seed is mandatory: set it in the config or pass --seed")
-    else:
-        seed = cfg["seed"]
-    if not isinstance(seed, numbers.Integral) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-    return int(seed)
+    return _integer(cfg["seed"] if override is None else override, "seed")
 
 
 def _json_dump(obj: dict, path: Path) -> None:
@@ -184,7 +176,7 @@ def _problem_from(cfg: dict):
 
 
 def _fd_settings(cfg: dict, spec):
-    """The ``oracle.fd`` grid, time step, mode and level, refused before any work if ``fd_solve`` cannot run them."""
+    """The ``oracle.fd`` grid, time step, mode and level, refused (by ``check_fd_inputs``) before any work."""
     fd_cfg = _section(_section(cfg, "oracle", accepted=ORACLE_KEYS), "fd", "oracle", accepted=FD_KEYS)
 
     def get(key, kind, default):
@@ -194,10 +186,6 @@ def _fd_settings(cfg: dict, spec):
     _, x_lo, x_hi = default_grid(spec, M)
     grid = (M, float(get("x_min", float, x_lo)), float(get("x_max", float, x_hi)))
     dt, mode, penalization = get("dt", float, 1e-3), get("mode", str, "projection"), get("n", int, None)
-    if penalization is not None and penalization < 0:
-        raise ConfigError("oracle.fd.n must be a nonnegative integer")
-    if mode == "penalized" and penalization is None:
-        raise ConfigError("oracle.fd.n is required in penalized mode")
     try:
         check_fd_inputs(spec, grid, dt, mode, penalization)
     except ValueError as exc:
@@ -222,10 +210,7 @@ def run(
         if command not in COMMANDS:
             raise ConfigError(f"unknown command {command!r}; valid: {COMMANDS}")
         seed_val = _resolve_seed(cfg, seed)
-        if not isinstance(workers, numbers.Integral) or isinstance(workers, bool):
-            raise ConfigError(f"--workers must be an integer, got {workers!r}")
-        if workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
+        _integer(workers, "--workers", 1)
         outputs = _section(cfg, "outputs", accepted=OUTPUTS_KEYS)
         out_dir = Path(out if out is not None else _optional(outputs, "dir", str, "outputs", "."))
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -263,9 +248,7 @@ def run(
 
         if command == "ladder":
             ladder = _section(cfg, "ladder", accepted=LADDER_KEYS)
-            schedule = _optional(ladder, "n_schedule", list, "ladder", [1, 2, 4, 8, 16, 32, 64])
-            if not all(isinstance(n, int) and not isinstance(n, bool) for n in schedule):
-                raise ConfigError("ladder.n_schedule must be a list of integers")
+            schedule = _check_schedule(_optional(ladder, "n_schedule", list, "ladder", [1, 2, 4, 8, 16, 32, 64]))
             bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
             report = penalization_ladder(spec, scheme, schedule, bundle)
             _json_dump(
@@ -329,9 +312,8 @@ def run(
 
 
 def _cmd_validate(cfg: dict, out_dir: Path) -> int:
-    samples = _optional(_section(cfg, "validate", accepted=VALIDATE_KEYS), "samples", int, "validate", 200)
-    if samples < 1:
-        raise ConfigError("validate.samples must be a positive integer")
+    # refused here, outside the try below: a bad setting exits 3, not as a failed validation
+    samples = _integer(_section(cfg, "validate", accepted=VALIDATE_KEYS).get("samples", 200), "validate.samples", 1)
     try:
         spec, name, _ = _problem_from(cfg)
         report = validate_problem(spec, sample_count=samples, rng_seed=0)

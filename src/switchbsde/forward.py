@@ -47,7 +47,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .problem import IntensityMeasure, ProblemSpec, _is_int, _step_count
+from .problem import IntensityMeasure, ProblemSpec, _integer, _step_count
 
 Array = np.ndarray
 
@@ -271,12 +271,10 @@ def _atoms_from_draws(intensity: IntensityMeasure, T: float, counts: Array, unif
 def simulate_paths(spec: ProblemSpec, N: int, h: float, seed: int) -> PathBundle:
     """Simulate ``N`` paths of the regime process and the Euler state.
 
-    ``h`` must divide the horizon and ``seed`` be a non-negative integer.
+    ``N`` must be an integer >= 1, ``h`` divide the horizon and ``seed`` be
+    a nonnegative integer.
     """
-    if not _is_int(N) or N < 1:
-        raise ValueError(f"path count must be an integer >= 1, got {N!r}")
-    if not _is_int(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    N, seed = _integer(N, "path count", 1), _integer(seed, "seed")
     T = spec.horizon
     K = _step_count(T, h, "step")
     counts, uniforms, draw_normals = _draw_blocks(spec, K, seed, N)

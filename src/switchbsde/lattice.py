@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ProblemSpec, _step_count
+from .problem import ProblemSpec, _integer, _step_count
 
 Array = np.ndarray
 
@@ -38,7 +38,7 @@ _ROUND_DECIMALS = 10
 
 @dataclass(frozen=True)
 class LatticeSpec:
-    """Chain resolution: time step plus an enumeration-size cap."""
+    """Chain resolution: time step plus an enumeration-size cap, an integer >= 1."""
 
     h: float
     node_cap: int = 2_000_000
@@ -130,11 +130,12 @@ class LatticeChain:
 def build_lattice_chain(spec: ProblemSpec, lattice: LatticeSpec) -> LatticeChain:
     """Enumerate the chain started at the problem's initial condition.
 
-    Refuses with a size report when the accumulated state count would
-    exceed ``lattice.node_cap``.
+    Refuses a ``lattice.node_cap`` that is not an integer >= 1, and refuses
+    with a size report when the accumulated state count would exceed it.
     """
     if spec.d != 1:
         raise ValueError("lattice chain supports d = 1 only")
+    cap = _integer(lattice.node_cap, "lattice node_cap", 1)
     T, h = spec.horizon, lattice.h
     K = _step_count(T, h, "lattice step")
     h = T / K
@@ -197,10 +198,10 @@ def build_lattice_chain(spec: ProblemSpec, lattice: LatticeSpec) -> LatticeChain
         mass = np.bincount(head, (cur.mass[:, None] * table.prob).ravel(), n_new)
 
         size += n_new
-        if size > lattice.node_cap:
+        if size > cap:
             raise ValueError(
                 f"lattice enumeration exceeds the cap: {size} states after "
-                f"step {k + 1} of {K} (cap {lattice.node_cap})"
+                f"step {k + 1} of {K} (cap {cap})"
             )
 
         nodes.append(NodeSet(regime=sorted_regime[starts].astype(np.int16), x=sorted_x[starts][:, None], mass=mass))

@@ -26,9 +26,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .backward import DivergenceError, _check_built_for, _check_level
+from .backward import DivergenceError, _check_built_for
 from .lattice import LatticeChain, LatticeSpec, build_lattice_chain
-from .problem import ProblemSpec, _is_int, _step_count
+from .problem import ProblemSpec, _integer, _step_count
 
 Array = np.ndarray
 
@@ -57,10 +57,9 @@ class LatticeSolution:
     """Per-node values of the scheme computed by direct enumeration.
 
     ``values[k]`` are the node values at step k; ``u[k]`` the re-based jump
-    offsets, ``u_raw[k]`` the direct compensated-count expectations,
-    ``proxies[k][:, j-1]`` the Brownian-only continuation of regime j's
-    next-step values (the step-(k+1) value of regime j seen from the node),
-    and ``z[k]`` the gradient proxies.
+    offsets, ``proxies[k][:, j-1]`` the Brownian-only continuation of regime
+    j's next-step values (the step-(k+1) value of regime j seen from the
+    node), and ``z[k]`` the gradient proxies.
     """
 
     chain: LatticeChain
@@ -68,7 +67,6 @@ class LatticeSolution:
     values: list[Array]
     z: list[Array]
     u: list[Array]
-    u_raw: list[Array]
     proxies: list[Array]
 
 
@@ -82,7 +80,7 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
     :class:`SchemeConfig` refuses, and a chain built from a problem of
     another shape or horizon, as the backward pass does.
     """
-    _check_level(n)
+    n = _integer(n, "penalization level")
     chain = lattice if isinstance(lattice, LatticeChain) else build_lattice_chain(spec, lattice)
     _check_built_for(spec, chain, "chain")
     lam = spec.intensity.weights
@@ -99,7 +97,6 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
     values: list[Array] = [None] * (K + 1)
     zs: list[Array] = [None] * K
     us: list[Array] = [None] * K
-    us_raw: list[Array] = [None] * K
     proxies: list[Array] = [None] * K
     values[K] = v
 
@@ -150,9 +147,9 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
         v = reduce(prob * (v_head + h * f_edge))
         if spec.growth_bound is not None and np.any(np.abs(v) > 10.0 * spec.growth_radius(nodes.x)):
             raise DivergenceError(f"DP value exceeded 10x the growth bound at step {k}")
-        values[k], zs[k], us[k], us_raw[k], proxies[k] = v, z, u, u_raw, proxy
+        values[k], zs[k], us[k], proxies[k] = v, z, u, proxy
 
-    return LatticeSolution(chain=chain, y0=float(values[0][0]), values=values, z=zs, u=us, u_raw=us_raw, proxies=proxies)
+    return LatticeSolution(chain=chain, y0=float(values[0][0]), values=values, z=zs, u=us, proxies=proxies)
 
 
 # ---------------------------------------------------------------------------
@@ -334,12 +331,12 @@ def check_fd_inputs(
         raise ValueError("finite-difference oracle needs a switching-form problem")
     if mode not in ("projection", "penalized"):
         raise ValueError(f"unknown fd mode {mode!r}")
-    if mode == "penalized" and not (_is_int(penalization) and penalization >= 0):
-        raise ValueError(f"penalized mode needs a nonnegative integer penalization level, got {penalization!r}")
+    if mode == "penalized":
+        _integer(penalization, "penalization level")
+    elif penalization is not None:
+        raise ValueError("projection mode takes no penalization level")
     M, x_min, x_max = grid
-    if not _is_int(M):
-        raise ValueError(f"grid node count M must be an integer, got {M!r}")
-    if M < 4 or not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
+    if _integer(M, "grid node count M") < 4 or not (np.isfinite(x_min) and np.isfinite(x_max) and x_min < x_max):
         raise ValueError("grid must have at least 5 nodes and finite x_min < x_max")
     return _step_count(spec.horizon, dt, "time step")
 
@@ -355,7 +352,8 @@ def fd_solve(
 
     ``grid = (M, x_min, x_max)``. Boundary rows evaluate the generator with
     one-sided stencils (no artificial Dirichlet data). ``mode`` is
-    ``"projection"`` or ``"penalized"`` (the latter needs ``penalization``).
+    ``"projection"`` or ``"penalized"``: the latter needs a ``penalization``
+    level, the former takes none.
     The time grid steps backward from the face-lifted terminal data.
     Each step applies ``2 A^{-1} - I`` to the next step's values, with
     ``A = I - dt/2 G``, and adds the precomputed ``A^{-1} dt f``. ``A^{-1}``
@@ -434,7 +432,7 @@ def fd_solve(
         xs=xs,
         values=values,
         mode=mode,
-        penalization=penalization if mode == "penalized" else None,
+        penalization=penalization,
     )
 
 

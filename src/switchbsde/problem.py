@@ -21,6 +21,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -42,15 +44,24 @@ __all__ = [
 ]
 
 
-def _is_int(value) -> bool:
-    """An integer that is not a bool: the rule every integer setting of the package applies."""
-    return not isinstance(value, bool) and isinstance(value, (int, np.integer))
+def _integer(value, what: str, minimum: int = 0) -> int:
+    """``value`` as an int, refused unless an integer (not a bool) >= ``minimum``: every integer setting's rule."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        bound = "a nonnegative integer" if minimum == 0 else f"an integer >= {minimum}"
+        raise ValueError(f"{what} must be {bound}, got {value!r}")
+    return int(value)
+
+
+def _positive(value, what: str) -> float:
+    """``value`` as a float, refused unless a finite positive number (not a bool): every step's and horizon's rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+    return float(value)
 
 
 def _step_count(T: float, h: float, what: str) -> int:
     """Number of steps ``h`` takes over the horizon ``T``: the rule every time grid of the package applies."""
-    if not (np.isfinite(h) and h > 0):
-        raise ValueError(f"{what} must be finite and positive, got {h!r}")
+    _positive(h, what)
     K = int(round(T / h))
     if K < 1 or abs(K * h - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"{what} {h} does not divide horizon {T}")
@@ -110,7 +121,7 @@ class IntensityMeasure:
 class SwitchingCosts:
     """Cost matrix ``c[i, j]`` paid for an instantaneous switch i -> j.
 
-    Zero diagonal, strictly positive off-diagonal entries and the strict
+    Zero diagonal, finite strictly positive off-diagonal entries and the strict
     triangle condition ``c[i,j] < c[i,k] + c[k,j]`` are enforced; the
     triangle condition rules out free multi-switch loops that a penalized
     solver would chase.
@@ -126,8 +137,8 @@ class SwitchingCosts:
         if np.any(np.diagonal(c) != 0.0):
             raise ValueError("switching cost matrix must have zero diagonal")
         off = c[~np.eye(m, dtype=bool)]
-        if off.size and np.any(off <= 0.0):
-            raise ValueError("off-diagonal switching costs must be positive")
+        if not np.all((off > 0.0) & (off < np.inf)):  # NaN fails both
+            raise ValueError("off-diagonal switching costs must be finite and positive")
         for i, j, k in itertools.permutations(range(m), 3):
             if not c[i, j] < c[i, k] + c[k, j]:
                 raise ValueError(
@@ -170,8 +181,9 @@ class CoefficientSet:
 class ProblemSpec:
     """Complete description of one coupled system.
 
-    ``growth_bound = (c0, c1)`` optionally asserts ``|v_i(t,x)| <= c0 + c1|x|``
-    and is used by the solver for clipping and divergence detection.
+    ``growth_bound = (c0, c1)``, two finite nonnegative constants, optionally
+    asserts ``|v_i(t,x)| <= c0 + c1|x|`` and is used by the solver for
+    clipping and divergence detection.
     ``switching_costs`` is set for problems built by
     :func:`make_switching_problem`; the finite-difference oracle requires it.
     """
@@ -188,10 +200,9 @@ class ProblemSpec:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.m < 1 or self.d < 1:
-            raise ValueError("need m >= 1 regimes and d >= 1 state dimensions")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
+        object.__setattr__(self, "m", _integer(self.m, "regime count m", 1))
+        object.__setattr__(self, "d", _integer(self.d, "state dimension d", 1))
+        object.__setattr__(self, "horizon", _positive(self.horizon, "horizon"))
         if self.intensity.m != self.m:
             raise ValueError("intensity weight count must match the regime count")
         check_regime(self.initial_regime, self.m)
@@ -201,8 +212,8 @@ class ProblemSpec:
         object.__setattr__(self, "initial_state", x0)
         if self.growth_bound is not None:
             c0, c1 = self.growth_bound
-            if c0 < 0 or c1 < 0:
-                raise ValueError("growth bound constants must be nonnegative")
+            if not (0 <= c0 < np.inf and 0 <= c1 < np.inf):  # NaN fails both
+                raise ValueError("growth bound constants must be finite and nonnegative")
             object.__setattr__(self, "growth_bound", (float(c0), float(c1)))
         if self.switching_costs is not None and self.switching_costs.m != self.m:
             raise ValueError("switching cost matrix size must match the regime count")
@@ -279,7 +290,7 @@ def make_switching_problem(
     return ProblemSpec(
         m=m,
         d=d,
-        horizon=float(horizon),
+        horizon=horizon,
         intensity=lam,
         coefficients=coeffs,
         initial_regime=initial_regime,
@@ -350,15 +361,14 @@ class ValidationReport:
 def validate_problem(spec: ProblemSpec, sample_count: int = 200, rng_seed: int = 0) -> ValidationReport:
     """Spot-check the structural assumptions behind the solver.
 
-    Hard failures (raise ``ValueError``): nonpositive intensity weights and
-    malformed dimensions. Everything sampling-based is reported, never
-    enforced: monotonicity of the constraint in its target-value argument,
-    and empirical Lipschitz ratios for drift, vol, driver, constraint and
-    terminal data over random point pairs. Two calls with the same seed
-    produce identical reports.
+    Hard failures (raise ``ValueError``): a sample count that is not an
+    integer >= 1, nonpositive intensity weights and malformed dimensions.
+    Everything sampling-based is reported, never enforced: monotonicity of
+    the constraint in its target-value argument, and empirical Lipschitz
+    ratios for drift, vol, driver, constraint and terminal data over random
+    point pairs. Two calls with the same seed produce identical reports.
     """
-    if sample_count < 1:
-        raise ValueError("sample_count must be >= 1")
+    sample_count = _integer(sample_count, "sample_count", 1)
     spec.intensity.require_positive()
 
     report = ValidationReport(sample_count=sample_count, rng_seed=int(rng_seed))

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .problem import _is_int
+from .problem import _integer
 
 Array = np.ndarray
 
@@ -54,8 +54,7 @@ class BasisSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("global-polynomial", "piecewise-linear"):
             raise ValueError(f"unknown basis kind {self.kind!r}")
-        if not _is_int(self.degree) or self.degree < 0:
-            raise ValueError(f"basis degree must be a nonnegative integer, got {self.degree!r}")
+        object.__setattr__(self, "degree", _integer(self.degree, "basis degree"))  # echoes as a JSON number
 
     def size(self, d: int) -> int:
         """Number of basis functions per stratum."""

@@ -418,7 +418,7 @@ class TestStepAndSolve:
 
     @pytest.mark.parametrize("seed", [-1, 2.5, 3.0, True, False, "7"])
     def test_bad_seed_rejected_at_config(self, seed):
-        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
             SchemeConfig(h=0.25, seed=seed)
         assert SchemeConfig(h=0.25, seed=np.int64(5)).seed == 5
 

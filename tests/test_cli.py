@@ -69,18 +69,18 @@ class TestConfigErrors:
         # refused as the config's own non-integer seed is, not truncated to an integer
         out = tmp_path / "out"
         assert run("solve", write_config(tmp_path, solve_config()), seed=seed, out=str(out)) == 3
-        assert "seed must be an integer" in capsys.readouterr().err
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_negative_seed_refused(self, tmp_path, capsys, command):
         out = tmp_path / "out"
         assert run(command, write_config(tmp_path, solve_config(seed=-1)), out=str(out)) == 3
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
             main([command, "--config", write_config(tmp_path, solve_config()), "--seed", "-1", "--out", str(out)])
         assert exc.value.code == 3
-        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert "seed must be a nonnegative integer" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["0", "-5"])
@@ -89,7 +89,7 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as exc:
             main(["solve", "--config", write_config(tmp_path, solve_config()), "--workers", workers, "--out", str(out)])
         assert exc.value.code == 3
-        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert "--workers must be an integer >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("workers", ["2", 2.5, 2.0, True])
@@ -172,12 +172,18 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "fd, message",
         [
-            ({"mode": "penalized"}, "n is required in penalized mode"),
+            # the case keeps the name its former message gave it
+            pytest.param(
+                {"mode": "penalized"}, "penalization level must be a nonnegative integer",
+                id="fd0-n is required in penalized mode",
+            ),
             ({"mode": "implicit"}, "unknown fd mode"),
             ({"dt": 0.3}, "does not divide horizon"),
             ({"dt": 0.0}, "time step must be finite and positive"),
             ({"M": 3}, "at least 5 nodes"),
             ({"x_min": 1.0, "x_max": -1.0}, "x_min < x_max"),
+            # a level in projection mode used to be accepted and dropped
+            ({"mode": "projection", "n": 7}, "projection mode takes no penalization level"),
         ],
     )
     @pytest.mark.parametrize("command", ["oracle", "compare"])
@@ -227,6 +233,61 @@ class TestConfigErrors:
         payload = solve_config(problem={"name": "switch2-linear", "overrides": {}}, ladder={"n_schedule": schedule})
         assert run("ladder", write_config(tmp_path, payload), out=str(tmp_path)) == 3
         assert not (tmp_path / "ladder.json").exists()
+
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ([4, 2], "n_schedule must be strictly increasing"),
+            ([2, 2], "n_schedule must be strictly increasing"),
+            ([], "n_schedule must have at least one entry"),
+            ([-1, 2], "penalization level must be a nonnegative integer"),
+        ],
+    )
+    def test_bad_schedule_refused_before_simulation(self, tmp_path, monkeypatch, capsys, schedule, message):
+        # these used to be refused only after the paths were simulated
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("simulated paths before checking ladder.n_schedule")
+
+        monkeypatch.setattr("switchbsde.cli.simulate_paths", no_simulation)
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}}, ladder={"n_schedule": schedule})
+        assert run("ladder", write_config(tmp_path, payload), out=str(tmp_path)) == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            # an infinite horizon used to escape as an OverflowError, exit 1
+            ({"T": float("inf")}, "'T' of problem 'switch2-linear' must be finite and positive, got inf"),
+            ({"T": float("nan")}, "'T' of problem 'switch2-linear' must be finite and positive, got nan"),
+            # a NaN bound used to switch the divergence guard off and run to exit 0
+            (
+                {"growth_bound": [float("nan"), 1.0]},
+                "'growth_bound' of problem 'switch2-linear' must be null or [c0, c1], got [nan, 1.0]",
+            ),
+        ],
+        ids=["T-inf", "T-nan", "growth_bound-nan"],
+    )
+    def test_non_finite_overrides_refused(self, tmp_path, capsys, overrides, message):
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": overrides})
+        assert run("solve", write_config(tmp_path, payload), out=str(tmp_path)) == 3
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[1, 2]", "config root must be a JSON object"),
+            (json.dumps(solve_config(problem="bm1")), "config needs a 'problem' object"),
+            (json.dumps(solve_config(problem={"overrides": {}})), "missing required key 'name' in problem"),
+            (json.dumps(solve_config(scheme={"h": "0.25", "paths": 400})), "scheme.h must be a number"),
+        ],
+        ids=["root", "problem", "missing-key", "number"],
+    )
+    def test_malformed_config_refused(self, tmp_path, capsys, text, message):
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert run("solve", str(path), out=str(tmp_path)) == 3
+        assert message in capsys.readouterr().err
 
 
 class TestValidateCommand:
@@ -382,10 +443,11 @@ class TestOtherCommands:
 
     @pytest.mark.parametrize("mode, level", [("projection", None), ("penalized", 7)])
     def test_fd_artifacts_echo_the_level_solved(self, tmp_path, mode, level):
-        # a projection solve used to echo the configured n, and compare.json echoed none
+        # a projection solve used to echo the configured n, and compare.json echoed none;
+        # projection mode now takes no n (test_bad_fd_refused_before_simulation)
         payload = solve_config(problem={"name": "switch2-linear", "overrides": {}})
         payload["scheme"] = {"h": 0.05, "n": 4, "paths": 200}
-        payload["oracle"] = {"fd": {"M": 40, "dt": 0.01, "mode": mode, "n": 7}}
+        payload["oracle"] = {"fd": {"M": 40, "dt": 0.01, "mode": mode, **({} if level is None else {"n": level})}}
         cfg = write_config(tmp_path, payload)
         assert run("oracle", cfg, out=str(tmp_path / "g")) == 0
         assert run("compare", cfg, out=str(tmp_path / "c")) == 0

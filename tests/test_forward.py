@@ -265,7 +265,7 @@ class TestSimulatePaths:
                 simulate_paths(spec, N, 0.25, seed=0)
         assert simulate_paths(spec, np.int64(3), 0.25, seed=0).N == 3
         for seed in (-1, 2.7, 3.0, True, False, "7"):  # a bool used to run as seed 0 or 1
-            with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
                 simulate_paths(spec, 10, 0.25, seed=seed)
     def test_grid_contains_regular_times(self):
         spec = build_problem("switch3", {"T": 1.0})

@@ -58,6 +58,12 @@ class TestLatticeChain:
         with pytest.raises(ValueError, match="exceeds the cap"):
             build_lattice_chain(spec, LatticeSpec(h=1 / 64, node_cap=100))
 
+    @pytest.mark.parametrize("cap", [True, 2.5, "100", 0])
+    def test_bad_cap_refused(self, cap):
+        # True and 2.5 used to be reported as an exceeded cap after step 1, and "100" to raise a TypeError
+        with pytest.raises(ValueError, match="lattice node_cap must be an integer >= 1"):
+            build_lattice_chain(build_problem("switch2-linear"), LatticeSpec(h=0.125, node_cap=cap))
+
     def test_d1_only(self):
         import switchbsde.problem as pb
 
@@ -168,6 +174,7 @@ class TestLatticeDp:
         res = solve_backward(spec, SchemeConfig(h=0.05, n=8, paths=1, seed=0), chain, keep_steps=True)
         assert abs(dp.y0 - res.y0) <= 1e-12
         for k in range(chain.K):
+            assert np.max(np.abs(dp.z[k] - res.zs[k])) <= 1e-12
             assert np.max(np.abs(dp.u[k] - res.us[k])) <= 1e-12
             assert np.max(np.abs(dp.values[k] - res.ys[k])) <= 1e-12
 
@@ -204,6 +211,7 @@ class TestLatticeDp:
         res = solve_backward(spec, SchemeConfig(h=1 / 16, n=6, paths=1, seed=0), chain, keep_steps=True)
         assert abs(dp.y0 - res.y0) <= 1e-12
         for k in range(chain.K):
+            assert np.max(np.abs(dp.z[k] - res.zs[k])) <= 1e-12
             assert np.max(np.abs(dp.u[k] - res.us[k])) <= 1e-12
 
     def test_growth_bound_divergence_matches_backward_solver(self):
@@ -361,10 +369,15 @@ class TestFdSolve:
         with pytest.raises(ValueError, match="penalization level"):
             fd_solve(spec, (50, -1, 1), 1e-3, mode="penalized")
 
+    def test_projection_takes_no_level(self):
+        # the level used to be accepted and dropped
+        with pytest.raises(ValueError, match="projection mode takes no penalization level"):
+            fd_solve(build_problem("switch2-linear"), (50, -1.0, 1.0), 1e-2, mode="projection", penalization=7)
+
     @pytest.mark.parametrize("level", [2.5, 4.0, True, -1, "4"])
     def test_bad_level_refused(self, level):
         spec = build_problem("switch2-linear")
-        with pytest.raises(ValueError, match="nonnegative integer penalization level"):
+        with pytest.raises(ValueError, match="penalization level must be a nonnegative integer"):
             fd_solve(spec, (50, -1.0, 1.0), 1e-2, mode="penalized", penalization=level)
 
     @pytest.mark.parametrize("level", [0, 4, np.int64(4)])
@@ -376,7 +389,7 @@ class TestFdSolve:
     @pytest.mark.parametrize("M", [50.5, 50.0, True])
     def test_bad_node_count_refused(self, M):
         spec = build_problem("switch2-linear")
-        with pytest.raises(ValueError, match="node count M must be an integer"):
+        with pytest.raises(ValueError, match="grid node count M must be a nonnegative integer"):
             fd_solve(spec, (M, -1.0, 1.0), 1e-2)
 
     @pytest.mark.parametrize("x_min, x_max", [(-np.inf, 1.0), (-1.0, np.inf), (np.nan, 1.0), (1.0, -1.0)])

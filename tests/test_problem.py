@@ -16,7 +16,7 @@ from switchbsde import (
 )
 from switchbsde.backward import _driver_terms, make_ensemble
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
-from switchbsde.problem import constraint_values, penalty_batch
+from switchbsde.problem import CoefficientSet, ProblemSpec, check_regime, constraint_values, penalty_batch
 
 
 def two_regime_problem(c12=0.5, c21=0.5, rewards=(0.0, 0.0), lam=(1.0, 1.0)):
@@ -277,6 +277,15 @@ class TestCatalog:
             ("switch2-linear", {"rewards": [0.5, "-0.5"]}, "rewards"),
             ("bm1", {"intensity": [None]}, "intensity"),
             ("switch2-linear", {"costs": [[0.0, "0.1"], [0.1, 0.0]]}, "costs"),
+            # non-finite numbers used to pass: a NaN bound switched the divergence guard off,
+            # and the others ended as a numerical abort (exit 2)
+            ("switch2-linear", {"growth_bound": [float("nan"), 1.0]}, "growth_bound"),
+            ("switch2-linear", {"x0": [float("nan")]}, "x0"),
+            ("switch2-linear", {"sigma": [float("inf"), 0.3]}, "sigma"),
+            ("switch2-linear", {"drift": [float("nan"), 0.0]}, "drift"),
+            ("switch2-linear", {"rewards": [0.5, float("nan")]}, "rewards"),
+            ("switch2-linear", {"costs": [[0.0, float("nan")], [0.1, 0.0]]}, "costs"),
+            ("bm1", {"T": float("inf")}, "T"),
         ],
     )
     def test_non_numeric_overrides_refused(self, name, overrides, key):
@@ -333,3 +342,136 @@ class TestValidateProblem:
         report = validate_problem(build_problem("bm1"), sample_count=100, rng_seed=2)
         assert report.lipschitz["terminal[1]"] == pytest.approx(1.0)
         assert report.lipschitz["drift[1]"] == 0.0
+
+
+def spec_with(**changes):
+    """``switch2-linear`` rebuilt through the ``ProblemSpec`` constructor with ``changes`` applied."""
+    spec = build_problem("switch2-linear")
+    fields = dict(
+        m=spec.m,
+        d=spec.d,
+        horizon=spec.horizon,
+        intensity=spec.intensity,
+        coefficients=spec.coefficients,
+        initial_regime=spec.initial_regime,
+        initial_state=spec.initial_state,
+        growth_bound=spec.growth_bound,
+        switching_costs=spec.switching_costs,
+    )
+    return ProblemSpec(**{**fields, **changes})
+
+
+def with_evaluator(**changes):
+    """``switch2-linear`` with some coefficient evaluators replaced."""
+    base = build_problem("switch2-linear").coefficients
+    names = ("drift", "vol", "driver", "constraint", "terminal")
+    return spec_with(coefficients=CoefficientSet(**{**{k: getattr(base, k) for k in names}, **changes}))
+
+
+def switching(**changes):
+    """A two-regime ``make_switching_problem`` call with ``changes`` applied to its arguments."""
+    args = dict(
+        m=2,
+        d=1,
+        costs=np.array([[0.0, 0.5], [0.5, 0.0]]),
+        drift=_const_drift([0.0, 0.0]),
+        vol=_const_vol([1.0, 1.0]),
+        running_reward=_const_reward([0.0, 0.0]),
+        terminal=_linear_terminal,
+        intensity=[1.0, 1.0],
+    )
+    return make_switching_problem(**{**args, **changes})
+
+
+# case name -> (call that must be refused, the refusal message it must raise)
+REFUSALS = {
+    "regime-above-m": (lambda: check_regime(3, 2), "regime index 3 outside 1..2"),
+    "regime-zero": (lambda: check_regime(0, 2), "regime index 0 outside 1..2"),
+    "intensity-2d": (lambda: IntensityMeasure(np.ones((2, 2))), "intensity weights must be a nonempty 1-d array"),
+    "intensity-empty": (lambda: IntensityMeasure([]), "intensity weights must be a nonempty 1-d array"),
+    "intensity-nan": (lambda: IntensityMeasure([1.0, float("nan")]), "intensity weights must be finite"),
+    "intensity-zero-total": (
+        lambda: IntensityMeasure([0.0, 0.0]).mark_probabilities(),
+        "undefined for zero total intensity",
+    ),
+    "costs-not-square": (lambda: SwitchingCosts(np.zeros((2, 3))), "switching cost matrix must be square"),
+    "costs-1d": (lambda: SwitchingCosts(np.zeros(2)), "switching cost matrix must be square"),
+    # a NaN cost used to pass when m = 2, where no triangle condition reads it
+    "costs-nan": (
+        lambda: SwitchingCosts(np.array([[0.0, np.nan], [0.1, 0.0]])),
+        "off-diagonal switching costs must be finite and positive",
+    ),
+    "costs-inf": (
+        lambda: SwitchingCosts(np.array([[0.0, np.inf], [0.1, 0.0]])),
+        "off-diagonal switching costs must be finite and positive",
+    ),
+    "spec-costs-size": (
+        lambda: spec_with(switching_costs=SwitchingCosts(np.zeros((1, 1)))),
+        "switching cost matrix size must match the regime count",
+    ),
+    "switching-problem-costs-size": (
+        lambda: switching(m=3, intensity=[1.0, 1.0, 1.0]),
+        "switching cost matrix size must match the regime count",
+    ),
+    "m-zero": (lambda: spec_with(m=0), "regime count m must be an integer >= 1, got 0"),
+    "m-float": (lambda: spec_with(m=2.0), "regime count m must be an integer >= 1, got 2.0"),
+    "d-zero": (lambda: spec_with(d=0), "state dimension d must be an integer >= 1, got 0"),
+    "horizon-zero": (lambda: spec_with(horizon=0.0), "horizon must be finite and positive, got 0.0"),
+    "horizon-inf": (lambda: spec_with(horizon=float("inf")), "horizon must be finite and positive, got inf"),
+    "horizon-nan": (lambda: spec_with(horizon=float("nan")), "horizon must be finite and positive, got nan"),
+    "intensity-count": (
+        lambda: spec_with(intensity=IntensityMeasure([1.0])),
+        "intensity weight count must match the regime count",
+    ),
+    "initial-state-shape": (lambda: spec_with(initial_state=[0.0, 0.0]), r"initial state must have shape \(1,\)"),
+    "growth-c0-negative": (
+        lambda: spec_with(growth_bound=(-0.1, 1.0)),
+        "growth bound constants must be finite and nonnegative",
+    ),
+    "growth-c1-negative": (
+        lambda: spec_with(growth_bound=(0.3, -1.0)),
+        "growth bound constants must be finite and nonnegative",
+    ),
+    # a NaN bound used to pass, and so switch the divergence guard off
+    "growth-nan": (
+        lambda: spec_with(growth_bound=(float("nan"), 1.0)),
+        "growth bound constants must be finite and nonnegative",
+    ),
+    "growth-inf": (
+        lambda: spec_with(growth_bound=(0.3, float("inf"))),
+        "growth bound constants must be finite and nonnegative",
+    ),
+    "growth-radius-unbounded": (
+        lambda: spec_with(growth_bound=None).growth_radius(np.zeros((2, 1))),
+        "problem has no growth bound",
+    ),
+    "samples-zero": (
+        lambda: validate_problem(build_problem("bm1"), sample_count=0),
+        "sample_count must be an integer >= 1, got 0",
+    ),
+    "samples-float": (
+        lambda: validate_problem(build_problem("bm1"), sample_count=2.5),
+        "sample_count must be an integer >= 1",
+    ),
+    "drift-shape": (
+        lambda: validate_problem(with_evaluator(drift=lambda i, x: np.zeros(x.shape[0]))),
+        r"drift evaluator returned shape \(2,\), expected \(2, 1\)",
+    ),
+    "vol-shape": (
+        lambda: validate_problem(with_evaluator(vol=lambda i, x: np.ones((x.shape[0], 1)))),
+        r"vol evaluator returned shape \(2, 1\), expected \(2, 1, 1\)",
+    ),
+    "terminal-shape": (
+        lambda: validate_problem(with_evaluator(terminal=lambda i, x: np.asarray(x))),
+        r"terminal evaluator returned shape \(2, 1\), expected \(2,\)",
+    ),
+}
+
+
+class TestRefusals:
+    """Each refusal of the problem data raises ``ValueError`` with its message."""
+
+    @pytest.mark.parametrize("make, message", REFUSALS.values(), ids=REFUSALS.keys())
+    def test_refused(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
