@@ -38,12 +38,13 @@ trailing axes (the ``d`` Brownian components, the ``m`` marks) run one
 column at a time as ufuncs writing through ``out=``, so each loop runs over
 the units or edges instead of over two or three entries. No result is
 placed by an advanced-index scatter: each regression stratum is fitted on a
-contiguous slice of one stratum-ordered copy of its targets, and the driver
-terms fill contiguous slices of regime-ordered buffers; each result is
-gathered back once through the inverse permutation. The orders are stable
-and every value comes from the same floating-point operations in the same
-order as an element-by-element evaluation, so the outputs do not depend on
-this layout.
+contiguous slice of one stratum-ordered copy of its targets, laid out by
+:func:`~switchbsde.regression.build_design`, and the driver terms fill
+contiguous slices of buffers ordered by the same regime grouping; each
+result is gathered back once through the inverse permutation. The orders
+are stable and every value comes from the same floating-point operations in
+the same order as an element-by-element evaluation, so the outputs do not
+depend on this layout.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ import numpy as np
 from .forward import PathBundle
 from .lattice import LatticeChain
 from .problem import ProblemSpec, _integer, _positive, constraint_values, penalty_batch
-from .regression import BasisSpec, build_design, ols_fit
+from .regression import BasisSpec, _Design, _inverse, _strata, build_design, ols_fit
 
 Array = np.ndarray
 
@@ -100,6 +101,10 @@ class SchemeConfig:
         object.__setattr__(self, "paths", _integer(self.paths, "path count", 1))
         object.__setattr__(self, "seed", _integer(self.seed, "seed"))
         _positive(self.h, "time step")
+        if not isinstance(self.basis, BasisSpec):
+            raise ValueError(f"basis must be a BasisSpec, got {self.basis!r}")
+        if not isinstance(self.clip_to_growth_bound, bool):
+            raise ValueError(f"clip_to_growth_bound must be true or false, got {self.clip_to_growth_bound!r}")
 
     def echo(self) -> dict:
         return asdict(self)
@@ -141,13 +146,8 @@ class _Step:
     tail: Optional[Array] = None    # (edges,) unit at t_k
     head: Optional[Array] = None    # (edges,) unit at t_{k+1}
     prob: Optional[Array] = None    # (edges,) probability given the tail
-    # Monte Carlo only, set by the step's first fit: the design blocks, their
-    # path indices laid end to end by increasing stratum, each block's slice
-    # of them, and their inverse
-    blocks: Optional[dict] = None
-    order: Optional[Array] = None
-    slices: Optional[list[slice]] = None
-    inverse: Optional[Array] = None
+    # Monte Carlo only, set by the step's first fit: the strata of build_design
+    design: Optional[_Design] = None
 
 
 def _along(index: Optional[Array], values: Array) -> Array:
@@ -174,27 +174,13 @@ def _reduce(step: _Step, per_edge: Array) -> Array:
     return out.reshape(out.shape[:2] + per_edge.shape[2:])
 
 
-def _slices(groups: Sequence[Array]) -> list[slice]:
-    """Each index group's range when the groups are laid end to end."""
-    bounds = np.cumsum([0] + [group.size for group in groups]).tolist()
-    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
-
-def _inverse(groups: Sequence[Array]) -> Array:
-    """``inverse`` with ``np.take(a, inverse)`` putting rows laid out group by group back in index order."""
-    inverse = np.empty(sum(group.size for group in groups), dtype=np.intp)
-    for group, rows in zip(groups, _slices(groups)):
-        inverse[group] = np.arange(rows.start, rows.stop)
-    return inverse
-
-
 class MonteCarloEnsemble:
     """A :class:`PathBundle` with OLS conditional expectations.
 
     :meth:`step` builds a step's record from the bundle's per-step reads on
-    the step's first access, and the step's first fit adds its design blocks
-    and their Gram factors. Asking for another step replaces the record: one
-    step is alive at a time.
+    the step's first access, and the step's first fit adds its design: the
+    strata with their Gram factors. Asking for another step replaces the
+    record: one step is alive at a time.
     """
 
     exact = False
@@ -228,17 +214,6 @@ class MonteCarloEnsemble:
         """
         return self.bundle.step_segments(k)
 
-    def _design(self, k: int) -> _Step:
-        """The step's record with its design blocks and their path order."""
-        step = self.step(k)
-        if step.blocks is None:
-            step.blocks = build_design(self.basis, step.regimes, step.xs)
-            groups = [block.rows for block in step.blocks.values()]
-            step.order, step.slices, step.inverse = np.concatenate(groups), _slices(groups), _inverse(groups)
-            for block, rows in zip(step.blocks.values(), step.slices):
-                block.rows = step.order[rows]  # a view: the paths are held once
-        return step
-
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[list[FitRecord]]]:
         """Projection of ``targets``, shape (L, N, c): c columns at each of L levels.
 
@@ -254,23 +229,25 @@ class MonteCarloEnsemble:
             for level in range(levels):
                 out[level] = targets[level].mean(axis=0)
             return out, [[] for _ in range(levels)]
-        step = self._design(k)
+        step = self.step(k)
+        if step.design is None:
+            step.design = build_design(self.basis, step.regimes, step.xs)
+        design = step.design
         # each stratum fits a contiguous slice of one stratum-ordered copy of
         # the targets, its rows in the order an advanced index gives them; the
         # fitted values overwrite the slice and are gathered back once, and
         # each fit's records are taken before the next fit replaces it
-        ordered = np.take(targets, step.order, axis=1)
+        ordered = np.take(targets, design.order, axis=1)
         records: list[list[FitRecord]] = [[] for _ in range(levels)]
-        for (stratum, block), rows in zip(step.blocks.items(), step.slices):
-            fit = ols_fit(block.matrix, ordered[:, rows], ridge=None, factor=block.factor)
-            block.factor = fit.factor
-            ordered[:, rows] = fit.fitted
+        for block in design.blocks:
+            fit = ols_fit(block.matrix, ordered[:, block.rows], block.factor)
+            ordered[:, block.rows] = fit.fitted
             for level, level_records in enumerate(records):
                 level_records += [
                     FitRecord(
                         step=k,
                         family=family if c == 1 else f"{family}{col + 1}",
-                        stratum=stratum,
+                        stratum=block.regime,
                         sample_count=fit.sample_count,
                         gram_condition=fit.gram_condition,
                         residual_mse=float(fit.residual_mse[level, col]),
@@ -278,7 +255,7 @@ class MonteCarloEnsemble:
                     )
                     for col in range(c)
                 ]
-        return np.take(ordered, step.inverse, axis=1), records
+        return np.take(ordered, design.inverse, axis=1), records
 
     def thinnest_stratum(self) -> Optional[int]:
         """Fewest paths in any regression stratum over the fitted steps.
@@ -391,14 +368,13 @@ def estimate_z(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[list[F
     return ens.condexp(k, targets, "z")
 
 
-def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list[list[FitRecord]]]:
+def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[list[FitRecord]]]:
     """Jump-offset estimates at step k, re-based at the current regime.
 
-    Returns ``(u, u_raw, fit records)`` where ``u_raw`` is the direct
-    compensated-count regression and ``u`` subtracts each unit's own-regime
-    component (making it exactly zero there). ``y_next`` has shape (L, n),
-    one row per level; both estimates are (L, N, m), and the fit records
-    come one list per level.
+    Returns ``(u, fit records)``: ``u`` is the compensated-count regression
+    minus each unit's own-regime component, which makes it exactly zero
+    there. ``y_next`` has shape (L, n), one row per level; ``u`` is
+    (L, N, m), and the fit records come one list per level.
     """
     _check_step(ens, k, y_next)
     ens.spec.intensity.require_positive()
@@ -419,7 +395,7 @@ def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, Array, list
     u = np.empty_like(u_raw)
     for j in range(m):
         np.subtract(u_raw[:, :, j], own, out=u[:, :, j])
-    return u, u_raw, records
+    return u, records
 
 
 def _driver_terms(
@@ -462,13 +438,14 @@ def _driver_terms(
     # each regime's values fill its contiguous slice of regime-ordered
     # buffers, one level at a time; each buffer is gathered back to segment
     # order once, after the regimes' arrays are freed
-    groups = [np.flatnonzero(seg_regime == r) for r in range(1, spec.m + 1)]
+    groups = _strata(seg_regime)
     f_val = np.empty((levels.size, seg_edge.size))
     pen_val = np.zeros((levels.size, seg_edge.size))
     min_h = np.zeros((levels.size, seg_edge.size))
-    for r, (segments, rows) in enumerate(zip(groups, _slices(groups)), start=1):
-        if segments.size == 0:
-            continue
+    start = 0
+    for r, segments in groups.items():
+        rows = slice(start, start + segments.size)
+        start = rows.stop
         tails = seg_tail[segments]
         # take() keeps each level's rows contiguous, as a one-level pass has them
         y_r = np.take(y_next, seg_head[segments], axis=1)
@@ -500,7 +477,7 @@ def _driver_terms(
                 np.min(h, axis=1, out=min_h[level, rows])
                 del h  # not alive beside the next group's arrays
         del z_r, yvec  # free this regime's arrays before the next regime's
-    inverse = _inverse(groups)
+    inverse = _inverse(groups.values())
     del groups
     f_val = np.take(f_val, inverse, axis=1)
     pen_val = np.take(pen_val, inverse, axis=1)
@@ -646,7 +623,7 @@ def _solve_levels(
     total_units = 0
     for k in range(K - 1, -1, -1):
         z, rec_z = estimate_z(ens, k, y)
-        u, rec_u = estimate_u(ens, k, y)[::2]  # u_raw is not kept alive beside the step
+        u, rec_u = estimate_u(ens, k, y)
         y, pm, vl, skorohod[:, k], rec_y = step_y(ens, k, y, z, u, spec, levels)
 
         step = ens.step(k)

@@ -12,13 +12,11 @@ switching problem with nothing to switch to (cost matrix ``[[0]]``).
 from __future__ import annotations
 
 import copy
-import math
-import numbers
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .problem import ProblemSpec, _integer, _positive, make_switching_problem
+from .problem import ProblemSpec, _finite, _integer, _positive, make_switching_problem
 
 Array = np.ndarray
 
@@ -68,9 +66,7 @@ def _square_terminal(i: int, x: Array) -> Array:
 def _numbers(value, shape=None) -> bool:
     """Finite real numbers only (no bool, no str), in an array of ``shape`` unless it is ``None``."""
     array = np.asarray(value, dtype=object)  # a ragged nested list gives an array of lists
-    return (shape is None or array.shape == shape) and all(
-        isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v) for v in array.flat
-    )
+    return (shape is None or array.shape == shape) and all(_finite(v) for v in array.flat)
 
 
 def _build(name: str, params: Mapping) -> ProblemSpec:

@@ -30,13 +30,15 @@ run holds take normals, which is why they are the last draws of a block.
 A vectorized build then stores each sub-interval once, step-major and
 node-first (:class:`PathBundle`): a step's first ``N`` rows are the paths'
 sub-intervals from ``t_k`` in path order, so only the few rows that start at
-an atom inside the step store a path index, a start time and a duration.
+an atom inside the step store a path index and a start time, and no row
+stores its duration: one rule derives it from the next row's start.
 The build takes two passes over the regular steps: the first writes the
 regimes and Brownian increments, after which the normals are freed; the
 second runs the Euler updates. At 50 000 switch2-linear paths and h = 0.02,
-94 % of the rows are node rows, the bundle holds 25.8 MiB (35.3 MiB when
-every row stored its duration), and ``tracemalloc`` peaks at 31.9 MiB while
-simulating (58.3 MiB when the normals lived through the Euler updates).
+94 % of the rows are node rows, the bundle holds 25.2 MiB (25.8 MiB when
+the inner rows stored their durations, 35.3 MiB when every row did), and
+``tracemalloc`` peaks at 32.1 MiB while simulating (32.6 MiB with stored
+inner durations, 58.3 MiB when the normals lived through the Euler updates).
 """
 
 from __future__ import annotations
@@ -71,19 +73,20 @@ class PathBundle:
     grid node inside ``(t_k, t_{k+1})`` (an atom, or atoms at one time),
     ordered by path and then time. A row's
     position gives a node row's path and start time, so only inner rows store
-    them: step ``k``'s inner rows are ``inner_path``, ``inner_times`` and
-    ``inner_dt`` at ``step_offsets[k] - k N : step_offsets[k+1] - (k+1) N``.
+    them: step ``k``'s inner rows are ``inner_path`` and ``inner_times`` at
+    ``step_offsets[k] - k N : step_offsets[k+1] - (k+1) N``.
     ``regime[s]`` holds on its row's sub-interval ``[start, start + dt[s])``
     (right-continuous); ``x[s]`` is the state at its start and ``dw[s]`` its
-    Brownian increment. The terminal node is ``(T, i_T, x_T)``. A node row's
-    duration is not stored either: it runs to the path's first inner node of
-    the step, or to ``t_{k+1}``. :meth:`step_segments` derives it for one
-    step, and the ``dt`` property rebuilds every row's duration.
+    Brownian increment. The terminal node is ``(T, i_T, x_T)``. No row stores
+    its duration: a row runs to the start of its path's next row in the
+    step, or to ``t_{k+1}`` (:func:`_durations`). :meth:`step_segments`
+    derives the durations for one step, and the ``dt`` property rebuilds
+    every row's.
 
     With ``S`` rows and ``I`` inner rows the row arrays take
-    ``S (2 + 16 d) + 20 I`` bytes; the atom, terminal and offset arrays
+    ``S (2 + 16 d) + 12 I`` bytes; the atom, terminal and offset arrays
     come on top. At 50 000 switch2-linear paths and h = 0.02 (``S`` = 1 325 524,
-    ``I`` = 75 524) that is 25.8 MiB in all.
+    ``I`` = 75 524) that is 25.2 MiB in all.
 
     Only this module knows the layout: other code reads one regular step at a
     time, through :meth:`step_segments`, :meth:`nodes` and :meth:`step_increments`.
@@ -102,7 +105,6 @@ class PathBundle:
     dw: Array         # (S, d)
     inner_path: Array   # (I,) int32 path of each inner row
     inner_times: Array  # (I,) start time of each inner row
-    inner_dt: Array     # (I,) duration of each inner row
     x_T: Array        # (N, d) terminal state
     i_T: Array        # (N,) int16 terminal regime
     # flat atom storage
@@ -124,11 +126,10 @@ class PathBundle:
         return np.concatenate((np.arange(self.N, dtype=np.int32), self.inner_path[self._inner(k)]))
 
     def _step_dt(self, k: int, out: Array) -> Array:
-        """Step ``k``'s row durations into ``out``: the node rows' derived as the build does, then the inner rows'."""
+        """Step ``k``'s row durations into ``out``, the node rows' and then the inner rows', as the build derives them."""
         inner = self._inner(k)
         t_k, t_next = self.regular[k : k + 2]
-        _node_dt(out[: self.N], t_k, t_next, self.inner_path[inner], self.inner_times[inner])
-        out[self.N :] = self.inner_dt[inner]
+        _durations(out[: self.N], out[self.N :], t_k, t_next, self.inner_path[inner], self.inner_times[inner])
         return out
 
     def step_segments(self, k: int) -> tuple[Array, Array, Array]:
@@ -143,7 +144,7 @@ class PathBundle:
 
     @property
     def dt(self) -> Array:
-        """Every row's duration, in row order, rebuilt: only the inner rows store theirs."""
+        """Every row's duration, in row order, rebuilt: no row stores its own."""
         dt = np.empty(self.regime.size)
         for k in range(self.K):
             self._step_dt(k, dt[self.step_offsets[k] : self.step_offsets[k + 1]])
@@ -179,19 +180,25 @@ class PathBundle:
         return np.concatenate(paths), np.concatenate(times)
 
 
-def _node_dt(out: Array, t_k: float, t_next: float, inner_path: Array, inner_times: Array) -> Array:
-    """One step's node-row durations into ``out`` (one entry per path).
+def _durations(
+    node_dt: Array, inner_dt: Array, t_k: float, t_next: float, inner_path: Array, inner_times: Array
+) -> None:
+    """One step's row durations: the node rows' into ``node_dt`` (one per path), the inner rows' into ``inner_dt``.
 
-    A path's node row ends at its first inner node of the step, or at
-    ``t_{k+1}`` when it has none, and lasts that end minus ``t_k``;
-    ``inner_path`` and ``inner_times`` are the step's inner rows, by path and
-    then time.
+    A row ends where its path's next row of the step starts, at the path's
+    next inner node, or at ``t_{k+1}`` when there is none, and lasts that
+    end minus its start; ``inner_path`` and ``inner_times`` are the step's
+    inner rows, by path and then time.
     """
-    out[:] = t_next - t_k
-    first = np.ones(inner_path.size, dtype=bool)
+    first = np.ones(inner_path.size, dtype=bool)  # each path's first inner row
     first[1:] = inner_path[1:] != inner_path[:-1]
-    out[inner_path[first]] = inner_times[first] - t_k
-    return out
+    node_dt[:] = t_next - t_k
+    node_dt[inner_path[first]] = inner_times[first] - t_k
+    last = np.ones(inner_path.size, dtype=bool)  # each path's last inner row
+    last[:-1] = first[1:]
+    inner_dt[:-1] = inner_times[1:]
+    inner_dt[last] = t_next
+    inner_dt -= inner_times
 
 
 def _euler_step(spec: ProblemSpec, i: int, x: Array, dt: Array, dw: Array) -> Array:
@@ -310,12 +317,12 @@ def _build_bundle(
     step's node rows and then for its inner rows.
 
     The build runs in two passes over the steps. The first fills what does
-    not depend on the state: ``regime``, ``dw`` and the inner rows'
-    durations. The increment function, with the normals it holds, and the
-    regimes at the regular times are then dropped, so the second pass, which
-    allocates ``x`` and runs the Euler updates, holds only the bundle's
-    arrays. A node row's duration is not stored: :func:`_node_dt` derives it
-    in each pass, as :meth:`PathBundle.step_segments` does.
+    not depend on the state: ``regime`` and ``dw``. The increment function,
+    with the normals it holds, and the regimes at the regular times are then
+    dropped, so the second pass, which allocates ``x`` and runs the Euler
+    updates, holds only the bundle's arrays. No duration is stored:
+    :func:`_durations` derives a step's in each pass, as
+    :meth:`PathBundle.step_segments` does.
     """
     d, m, T, N = spec.d, spec.m, spec.horizon, atom_offsets.size - 1
     regular = np.linspace(0.0, T, K + 1)
@@ -344,25 +351,22 @@ def _build_bundle(
     del atom_path, node, repeat, starts, run_last, off_grid, new, new_regime, new_step, order
 
     S, I = int(step_offsets[-1]), inner_path.size
-    regime, dw, inner_dt = np.empty(S, dtype=np.int16), np.empty((S, d)), np.empty(I)
+    regime, dw = np.empty(S, dtype=np.int16), np.empty((S, d))
     rank = np.empty(I, dtype=np.int32)  # of an inner row among its path's in its step, 0 for the first
     paths = np.arange(N, dtype=np.int32)
     dt_n = np.empty(N)  # the node rows' durations of one step
     earlier = np.zeros(N, dtype=int)  # inner rows of each path in the steps before
-    for k in range(K):  # pass 1: regimes, increments and inner durations
+    for k in range(K):  # pass 1: regimes and increments
         lo, hi = step_offsets[k], step_offsets[k + 1]
         a = slice(by_step[k], by_step[k + 1])
-        a_path, a_time, dt_a = inner_path[a], inner_times[a], inner_dt[a]
+        a_path, a_time = inner_path[a], inner_times[a]
         count = np.bincount(a_path, minlength=N)  # inner rows of each path in this step
         first = np.cumsum(count) - count  # each path's first inner row
         regime[lo : lo + N] = node_regime[:, k]
-        _node_dt(dt_n, regular[k], regular[k + 1], a_path, a_time)
+        dt_a = np.empty_like(a_time)
+        _durations(dt_n, dt_a, regular[k], regular[k + 1], a_path, a_time)
         dw[lo : lo + N] = increment(paths, k + earlier, dt_n)
-        # an inner sub-interval ends where the next of its path starts: at the path's next atom, or at t_{k+1}
         regime[lo + N : hi] = inner_regime[a]
-        dt_a[:-1] = a_time[1:]
-        dt_a[(first + count - 1)[count > 0]] = regular[k + 1]
-        dt_a -= a_time
         rank[a] = np.arange(a_path.size) - first[a_path]
         dw[lo + N : hi] = increment(a_path, k + 1 + earlier[a_path] + rank[a], dt_a)
         earlier += count
@@ -374,14 +378,15 @@ def _build_bundle(
     for k in range(K):  # pass 2: the Euler updates, the node rows' and then the inner rows' by rank
         lo, hi = step_offsets[k], step_offsets[k + 1]
         a = slice(by_step[k], by_step[k + 1])
-        a_path, a_rank = inner_path[a], rank[a]
+        a_path, a_rank, a_time = inner_path[a], rank[a], inner_times[a]
         i_n, x_n, dw_n = regime[lo : lo + N], x[lo : lo + N], dw[lo : lo + N]
-        _node_dt(dt_n, regular[k], regular[k + 1], a_path, inner_times[a])
+        dt_a = np.empty_like(a_time)
+        _durations(dt_n, dt_a, regular[k], regular[k + 1], a_path, a_time)
         x_n[:] = state
         for i in np.unique(i_n):
             rows = np.flatnonzero(i_n == i)
             state[rows] = _euler_step(spec, int(i), x_n[rows], dt_n[rows], dw_n[rows])
-        i_a, dt_a, x_a, dw_a = regime[lo + N : hi], inner_dt[a], x[lo + N : hi], dw[lo + N : hi]
+        i_a, x_a, dw_a = regime[lo + N : hi], x[lo + N : hi], dw[lo + N : hi]
         for r in range(int(a_rank.max(initial=-1)) + 1):  # the r-th atoms of all paths that have one, in path order
             at = np.flatnonzero(a_rank == r)
             x_a[at] = state[a_path[at]]
@@ -402,7 +407,6 @@ def _build_bundle(
         dw=dw,
         inner_path=inner_path,
         inner_times=inner_times,
-        inner_dt=inner_dt,
         x_T=state,
         i_T=i_T,
         atom_offsets=atom_offsets,

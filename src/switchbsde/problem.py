@@ -52,9 +52,17 @@ def _integer(value, what: str, minimum: int = 0) -> int:
     return int(value)
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number (not a bool) finite as a float: an integer too large for one is not."""
+    try:
+        return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _positive(value, what: str) -> float:
     """``value`` as a float, refused unless a finite positive number (not a bool): every step's and horizon's rule."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (math.isfinite(value) and value > 0):
+    if not (_finite(value) and value > 0):
         raise ValueError(f"{what} must be finite and positive, got {value!r}")
     return float(value)
 
@@ -69,9 +77,9 @@ def _step_count(T: float, h: float, what: str) -> int:
 
 
 def check_regime(i: int, m: int) -> int:
-    """Validate a 1-based regime index against the regime count."""
-    i = int(i)
-    if not 1 <= i <= m:
+    """A 1-based regime index as an int, refused unless an integer (not a bool) in ``1..m``."""
+    i = _integer(i, "regime index", 1)
+    if i > m:
         raise ValueError(f"regime index {i} outside 1..{m}")
     return i
 
@@ -205,14 +213,14 @@ class ProblemSpec:
         object.__setattr__(self, "horizon", _positive(self.horizon, "horizon"))
         if self.intensity.m != self.m:
             raise ValueError("intensity weight count must match the regime count")
-        check_regime(self.initial_regime, self.m)
+        object.__setattr__(self, "initial_regime", check_regime(self.initial_regime, self.m))
         x0 = np.atleast_1d(np.asarray(self.initial_state, dtype=float))
         if x0.shape != (self.d,):
             raise ValueError(f"initial state must have shape ({self.d},)")
         object.__setattr__(self, "initial_state", x0)
         if self.growth_bound is not None:
             c0, c1 = self.growth_bound
-            if not (0 <= c0 < np.inf and 0 <= c1 < np.inf):  # NaN fails both
+            if not (_finite(c0) and _finite(c1) and c0 >= 0 and c1 >= 0):
                 raise ValueError("growth bound constants must be finite and nonnegative")
             object.__setattr__(self, "growth_bound", (float(c0), float(c1)))
         if self.switching_costs is not None and self.switching_costs.m != self.m:

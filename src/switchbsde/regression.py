@@ -4,16 +4,19 @@ The estimators regress per-sample targets on a finite basis evaluated at the
 state, separately per regime value: the regime is part of the Markov state,
 and one fit per regime computes the conditional expectation given that
 discrete coordinate exactly. Features are standardized per stratum before
-expansion. One :func:`ols_fit` per stratum solves every target column from
-one eigendecomposition of the Gram matrix, which also gives the fit's
-condition number and numerical rank; the solver always fits under the
-automatic ridge ``1e-10 trace(G) / L``. A backward step builds one design
-per step and factors each stratum's Gram matrix once: the z, u and y fits
-of that step pass the :class:`GramFactor` of the first fit back in, so the
-three families share one factorization per (step, stratum). Targets may
-carry a leading axis of blocks (the levels of a penalization ladder): one
-fit covers every block, with each block's products run in the one-block
-shape.
+expansion.
+
+:func:`build_design` owns a step's strata: it lays the rows out end to end,
+stratum by stratum, with the permutation that undoes the layout, and gives
+each stratum its feature matrix and the :class:`GramFactor` of that matrix,
+built once. The z, u and y fits of a backward step all pass that factor to
+:func:`ols_fit`, so the three families share one factorization per (step,
+stratum). One :func:`ols_fit` solves every target column from the
+eigendecomposition of the Gram matrix ``G``, which also gives the fit's
+condition number and numerical rank, under the one ridge
+``1e-10 trace(G) / L``. Targets may carry a leading axis of blocks (the
+levels of a penalization ladder): one fit covers every block, with each
+block's products run in the one-block shape.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -116,83 +119,107 @@ class OlsFit:
     residual_mse: Array
     sample_count: int
     rank_deficient: bool
-    factor: GramFactor
 
 
-def ols_fit(design: Array, targets: Array, ridge: float | None = 0.0, factor: GramFactor | None = None) -> OlsFit:
+def ols_fit(design: Array, targets: Array, factor: GramFactor | None = None) -> OlsFit:
     """Minimize ``(1/n)||targets - design @ coef||^2 + ridge ||coef||^2`` per target column.
 
+    The ridge is ``1e-10 trace(G) / L``, with ``G = design^T design / n``.
     ``targets`` is ``(n,)``, ``(n, c)`` or ``(B, n, c)``; ``coefficients``,
-    ``fitted`` and ``residual_mse`` follow its shape. A leading axis of ``B``
-    blocks runs every product block by block in the ``(n, c)`` shape, so block
-    ``b`` gets bit for bit what a fit on ``targets[b]`` alone gets: a product
-    over all ``B * c`` columns at once need not round the same. One
-    eigendecomposition of ``G = design^T design / n`` gives the solve,
-    ``gram_condition = max|e| / min|e|`` and the rank, the count of
-    eigenvalues above ``L * eps * max|e|``; ``rank_deficient`` is ``rank < L``
-    under any ridge. ``ridge=None`` selects ``1e-10 trace(G) / L``;
-    ``ridge = 0`` drops the eigenvalues at or below the floor, which gives the
-    minimum-norm solution. ``factor``, the ``factor`` of an earlier fit on the
-    same design, skips the eigendecomposition.
+    ``fitted`` and ``residual_mse`` follow its shape. Every product runs
+    block by block in the ``(n, c)`` shape, the first two shapes being one
+    block, so block ``b`` of ``B`` gets bit for bit what a fit on
+    ``targets[b]`` alone gets: a product over all ``B * c`` columns at once
+    need not round the same. One eigendecomposition of ``G`` gives the
+    solve, ``gram_condition = max|e| / min|e|`` and the rank, the count of
+    eigenvalues above ``L * eps * max|e|``; ``rank_deficient`` is
+    ``rank < L``. ``factor``, the design's :class:`GramFactor`, skips the
+    eigendecomposition.
     """
     design = np.atleast_2d(np.asarray(design, dtype=float))
     targets = np.asarray(targets, dtype=float)
     n, L = design.shape
-    blocked = targets.ndim == 3
-    if n < 1 or L < 1 or targets.shape[int(blocked)] != n:
-        raise ValueError("design needs >= 1 row and column, and as many rows as the targets")
-    if targets.ndim > 3:
+    if not 1 <= targets.ndim <= 3:
         raise ValueError("targets must be (n,), (n, c) or (blocks, n, c)")
+    if n < 1 or L < 1 or targets.shape[targets.ndim == 3] != n:
+        raise ValueError("design needs >= 1 row and column, and as many rows as the targets")
     if factor is None:
         factor = GramFactor.of(design)
     elif factor.evals.shape != (L,):
         raise ValueError("factor was computed for a design with a different column count")
-    ridge = 1e-10 * factor.trace / L if ridge is None else ridge
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
     evals, evecs = factor.evals, factor.evecs
     magnitude = np.abs(evals)
     floor = L * np.finfo(float).eps * magnitude.max()
-    inverse = np.divide(1.0, evals + ridge, out=np.zeros(L), where=evals + ridge > floor)
-    solve = evecs * inverse
-    if blocked:
-        coef = np.stack([solve @ (evecs.T @ (design.T @ np.ascontiguousarray(block) / n)) for block in targets])
-        fitted = np.empty(targets.shape)
-        for block_coef, block_fitted in zip(coef, fitted):
-            np.matmul(design, block_coef, out=block_fitted)
-    else:
-        coef = solve @ (evecs.T @ (design.T @ targets / n))
-        fitted = design @ coef
+    shifted = evals + 1e-10 * factor.trace / L
+    solve = evecs * np.divide(1.0, shifted, out=np.zeros(L), where=shifted > floor)
+    blocks = targets if targets.ndim == 3 else targets.reshape(1, n, -1)
+    coef = np.stack([solve @ (evecs.T @ (design.T @ np.ascontiguousarray(block) / n)) for block in blocks])
+    fitted = np.empty(blocks.shape)
+    for block_coef, block_fitted in zip(coef, fitted):
+        np.matmul(design, block_coef, out=block_fitted)
     # one contiguous row per target column: a mean down the columns of (n, c) is strided
-    by_column = [np.swapaxes(a if blocked else a.reshape(n, -1), -1, -2) for a in (targets, fitted)]
+    by_column = [np.swapaxes(a, -1, -2) for a in (blocks, fitted)]
     resid = np.subtract(*by_column, out=np.empty(by_column[0].shape))
     resid *= resid
     mse = np.mean(resid, axis=-1)
+    if targets.ndim < 3:  # the one block's axis goes
+        coef, fitted, mse = coef[0], fitted[0], mse[0]
+        if targets.ndim == 1:  # and the column axis of (n,) targets
+            coef, fitted, mse = coef[:, 0], fitted[:, 0], mse[0]
     return OlsFit(
         coefficients=coef,
         fitted=fitted,
         gram_condition=float(magnitude.max() / magnitude.min()) if magnitude.min() > 0 else float("inf"),
-        residual_mse=mse if targets.ndim > 1 else mse[0],
+        residual_mse=mse,
         sample_count=n,
         rank_deficient=bool(np.count_nonzero(evals > floor) < L),
-        factor=factor,
     )
 
 
-@dataclass
+def _strata(labels: Array) -> dict[int, Array]:
+    """Row indices of each value present in nonempty ``labels``, by increasing value, in index order within each."""
+    # one comparison per value in range: a bincount would first copy int16 labels to intp
+    values = range(int(labels.min()), int(labels.max()) + 1)
+    return {r: rows for r in values if (rows := np.flatnonzero(labels == r)).size}
+
+
+def _inverse(groups: Collection[Array]) -> Array:
+    """``inverse`` with ``np.take(a, inverse)`` putting rows laid out group by group back in index order."""
+    inverse = np.empty(sum(group.size for group in groups), dtype=np.intp)
+    start = 0
+    for group in groups:
+        inverse[group] = np.arange(start, start + group.size)
+        start += group.size
+    return inverse
+
+
+@dataclass(frozen=True)
 class _Block:
-    rows: Array
+    """One regime stratum: rows ``order[rows]`` of its design, their feature matrix and its Gram factor."""
+
+    regime: int
+    rows: slice
     matrix: Array
-    factor: GramFactor | None = None  # set by the first fit on this block
+    factor: GramFactor
 
 
-def build_design(basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array) -> dict[int, _Block]:
-    """Design matrices partitioned by regime stratum.
+@dataclass(frozen=True)
+class _Design:
+    """A step's strata laid out end to end: ``order`` lists the rows stratum by stratum."""
 
-    Returns a dict ``regime -> block``, one block per present regime in
-    increasing regime order, where each block holds the row indices of that
-    stratum and its feature matrix. States are standardized per stratum
-    before expansion.
+    order: Array
+    inverse: Array  # np.take(a, inverse) undoes the layout: the rows in index order again
+    blocks: tuple[_Block, ...]
+
+
+def build_design(basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array) -> _Design:
+    """Design matrices partitioned by regime stratum, laid out end to end.
+
+    ``order`` holds the row indices stratum by stratum, in increasing regime
+    order and in index order within a stratum, and ``inverse`` undoes it.
+    Each present regime has one block: its slice of ``order``, the feature
+    matrix of its rows, their states standardized per stratum before
+    expansion, and that matrix's :class:`GramFactor`.
     """
     regimes = np.asarray(regimes, dtype=int)
     xs = np.atleast_2d(np.asarray(xs, dtype=float))
@@ -200,9 +227,11 @@ def build_design(basis: BasisSpec, regimes: Sequence[int] | Array, xs: Array) ->
         raise ValueError("regimes and states must have the same length")
     if xs.shape[0] == 0:
         raise ValueError("samples must be nonempty")
-    blocks: dict[int, _Block] = {}
-    for r in np.flatnonzero(np.bincount(regimes)):
-        rows = np.flatnonzero(regimes == r)
-        blocks[int(r)] = _Block(rows=rows, matrix=_features(basis, xs[rows]))
-    return blocks
-
+    groups = _strata(regimes)
+    order = np.concatenate(list(groups.values()))
+    blocks, start = [], 0
+    for r, group in groups.items():
+        matrix = _features(basis, xs[group])
+        blocks.append(_Block(r, slice(start, start + group.size), matrix, GramFactor.of(matrix)))
+        start += group.size
+    return _Design(order, _inverse(groups.values()), tuple(blocks))

@@ -37,7 +37,7 @@ from switchbsde.backward import (
 )
 from switchbsde.catalog import _const_drift, _const_reward, _const_vol, _linear_terminal
 from switchbsde.problem import constraint_values, penalty_batch
-from switchbsde.regression import build_design, ols_fit
+from switchbsde.regression import _features, ols_fit
 
 
 def chain_ensemble(spec, h, n=0, seed=0):
@@ -112,15 +112,14 @@ class TestEstimateU:
         spec = build_problem("switch2-linear", {"sigma": [0.25, 0.25]})
         chain, ens = chain_ensemble(spec, 0.125)
         y = terminal_values(spec, ens)  # g = x in both regimes
-        u, u_raw, _ = estimate_u(ens, ens.n_steps - 1, y[None])
-        assert np.max(np.abs(u_raw)) <= 1e-13
+        u, _ = estimate_u(ens, ens.n_steps - 1, y[None])
         assert np.max(np.abs(u)) <= 1e-13
 
     def test_zero_next_value_gives_zero(self):
         spec = build_problem("switch2-linear")
         chain, ens = chain_ensemble(spec, 0.125)
-        u, u_raw, _ = estimate_u(ens, 0, np.zeros((1, ens.step(1).regimes.size)))
-        assert np.max(np.abs(u_raw)) == 0.0
+        u, _ = estimate_u(ens, 0, np.zeros((1, ens.step(1).regimes.size)))
+        assert np.max(np.abs(u)) == 0.0
 
     def test_own_component_exactly_zero(self):
         spec = build_problem("switch2-linear")
@@ -128,7 +127,7 @@ class TestEstimateU:
         cfg = SchemeConfig(h=0.125, paths=500, seed=9)
         ens = make_ensemble(spec, cfg, bundle)
         y = terminal_values(spec, ens)
-        (u,), _, _ = estimate_u(ens, bundle.K - 1, y[None])
+        (u,), _ = estimate_u(ens, bundle.K - 1, y[None])
         regimes = ens.step(bundle.K - 1).regimes
         own = u[np.arange(u.shape[0]), regimes - 1]
         assert np.all(own == 0.0)
@@ -409,6 +408,18 @@ class TestStepAndSolve:
     def test_bad_step_rejected_at_config(self, h):
         with pytest.raises(ValueError, match="time step must be finite and positive"):
             SchemeConfig(h=h)
+
+    @pytest.mark.parametrize("clip", ["no", 0, 1, None])
+    def test_bad_clip_rejected_at_config(self, clip):
+        """Only a bool is a choice: a truthy string would clip and a falsy value would not."""
+        with pytest.raises(ValueError, match="clip_to_growth_bound must be true or false"):
+            SchemeConfig(h=0.25, clip_to_growth_bound=clip)
+
+    @pytest.mark.parametrize("basis", [{"kind": "global-polynomial", "degree": 2}, "global-polynomial", None])
+    def test_bad_basis_rejected_at_config(self, basis):
+        """A basis given as a dict is refused here, not by an AttributeError inside the solve."""
+        with pytest.raises(ValueError, match="basis must be a BasisSpec"):
+            SchemeConfig(h=0.25, basis=basis)
 
     @pytest.mark.parametrize("paths", [0, -3, 2.5, 3.0, True, "10"])
     def test_bad_path_count_rejected_at_config(self, paths):
@@ -706,10 +717,10 @@ class TestStepView:
         y = np.random.default_rng(3).normal(size=(1, bundle.N))
         for k in (4, 1, 4, 0, 7, 1):
             z, (rec_z,) = estimate_z(shared, k, y)
-            u, _, (rec_u,) = estimate_u(shared, k, y)
+            u, (rec_u,) = estimate_u(shared, k, y)
             fresh = make_ensemble(spec, cfg, bundle)
             z_ref, (rec_z_ref,) = estimate_z(fresh, k, y)
-            u_ref, _, (rec_u_ref,) = estimate_u(fresh, k, y)
+            u_ref, (rec_u_ref,) = estimate_u(fresh, k, y)
             np.testing.assert_array_equal(z, z_ref)
             np.testing.assert_array_equal(u, u_ref)
             assert [r.gram_condition for r in rec_z + rec_u] == [r.gram_condition for r in rec_z_ref + rec_u_ref]
@@ -748,10 +759,11 @@ def parent_condexp(ens, k, targets, family):
     regimes, xs = ens.step(k).regimes, ens.step(k).xs
     levels, _, c = targets.shape
     out, fits = np.empty_like(targets), []
-    for stratum, block in sorted(build_design(ens.basis, regimes, xs).items()):
-        fit = ols_fit(block.matrix, np.take(targets, block.rows, axis=1), None)
-        out[:, block.rows] = fit.fitted
-        fits.append((stratum, fit))
+    for stratum in np.unique(regimes):
+        rows = np.flatnonzero(regimes == stratum)
+        fit = ols_fit(_features(ens.basis, xs[rows]), np.take(targets, rows, axis=1))
+        out[:, rows] = fit.fitted
+        fits.append((int(stratum), fit))
     records = [
         [
             FitRecord(k, f"{family}{col + 1}", stratum, fit.sample_count, fit.gram_condition,
@@ -880,9 +892,8 @@ class TestBitForBitReference:
         for k in range(ens.n_steps):
             z, _ = estimate_z(ens, k, y)
             assert np.array_equal(z, ens.condexp(k, parent_z_targets(ens, k, y), "z")[0])
-            u, u_raw, _ = estimate_u(ens, k, y)
+            u, _ = estimate_u(ens, k, y)
             want_raw = ens.condexp(k, parent_u_targets(ens, k, y), "u")[0]
-            assert np.array_equal(u_raw, want_raw)
             assert np.array_equal(u, parent_rebase(ens, k, want_raw))
 
     def test_estimate_z_and_u_on_chain(self, chain):
@@ -892,9 +903,8 @@ class TestBitForBitReference:
             y = rng.normal(size=(len(self.LEVELS), ens.chain.nodes[k + 1].regime.size))
             z, _ = estimate_z(ens, k, y)
             assert np.array_equal(z, parent_reduce(ens, k, parent_z_targets(ens, k, y)))
-            u, u_raw, _ = estimate_u(ens, k, y)
+            u, _ = estimate_u(ens, k, y)
             want_raw = parent_reduce(ens, k, parent_u_targets(ens, k, y))
-            assert np.array_equal(u_raw, want_raw)
             assert np.array_equal(u, parent_rebase(ens, k, want_raw))
 
     def test_driver_terms(self, mc, chain):

@@ -274,6 +274,16 @@ class TestConfigErrors:
         assert not (tmp_path / "result.json").exists()
 
     @pytest.mark.parametrize(
+        "key, value", [("T", 10**400), ("x0", [10**400]), ("growth_bound", [10**400, 1])], ids=["T", "x0", "growth_bound"]
+    )
+    def test_integer_too_large_for_a_float_refused(self, tmp_path, capsys, key, value):
+        """A 401-digit integer is not a finite float: exit 3 naming the key, not an OverflowError traceback."""
+        payload = solve_config(problem={"name": "bm1", "overrides": {key: value}})
+        assert run("solve", write_config(tmp_path, payload), out=str(tmp_path)) == 3
+        assert f"{key!r} of problem 'bm1' must be" in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("[1, 2]", "config root must be a JSON object"),

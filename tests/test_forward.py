@@ -201,7 +201,7 @@ def first_paths(b, n):
     return {
         "step_offsets": np.searchsorted(np.flatnonzero(keep), b.step_offsets),
         **{name: getattr(b, name)[keep] for name in ("regime", "x", "dw")},
-        **{name: getattr(b, name)[inner] for name in ("inner_path", "inner_times", "inner_dt")},
+        **{name: getattr(b, name)[inner] for name in ("inner_path", "inner_times")},
         "x_T": b.x_T[:n],
         "i_T": b.i_T[:n],
         "atom_offsets": b.atom_offsets[: n + 1],
@@ -317,12 +317,12 @@ class TestSimulatePaths:
                 xs[0] = 1.0
 
     def test_footprint_matches_layout(self):
-        """Rows take S (2 + 16 d) bytes and each inner row 20 more; atom, terminal and offset arrays on top."""
+        """Rows take S (2 + 16 d) bytes and each inner row 12 more; atom, terminal and offset arrays on top."""
         spec = build_problem("switch3", {"intensity": [6.0, 4.0, 2.0]})
         b = simulate_paths(spec, 200, 0.125, seed=3)
         S, I, A, N, K, d = b.regime.size, b.inner_path.size, b.atom_times.size, b.N, b.K, b.d
         assert all(np.diff(b.step_offsets) >= N + 2 * N // 5)  # several atoms per step
-        rows = S * (2 + 16 * d) + 20 * I
+        rows = S * (2 + 16 * d) + 12 * I
         atoms = 8 * (N + 1) + (8 + 2) * A
         terminal = 8 * N * d + 2 * N
         held = sum(a.nbytes for a in vars(b).values() if isinstance(a, np.ndarray))
@@ -426,7 +426,7 @@ class TestSimulatePaths:
             "step_offsets": (K + 1,),
             "regime": (S,),
             **dict.fromkeys(("x", "dw"), (S, d)),
-            **dict.fromkeys(("inner_path", "inner_times", "inner_dt"), (I,)),
+            **dict.fromkeys(("inner_path", "inner_times"), (I,)),
             "x_T": (N, d),
             "i_T": (N,),
             "atom_offsets": (N + 1,),

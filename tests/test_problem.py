@@ -286,6 +286,10 @@ class TestCatalog:
             ("switch2-linear", {"rewards": [0.5, float("nan")]}, "rewards"),
             ("switch2-linear", {"costs": [[0.0, float("nan")], [0.1, 0.0]]}, "costs"),
             ("bm1", {"T": float("inf")}, "T"),
+            # an integer too large for a float is not finite
+            ("bm1", {"T": 10**400}, "T"),
+            ("bm1", {"x0": [10**400]}, "x0"),
+            ("bm1", {"growth_bound": [10**400, 1]}, "growth_bound"),
         ],
     )
     def test_non_numeric_overrides_refused(self, name, overrides, key):
@@ -386,7 +390,12 @@ def switching(**changes):
 # case name -> (call that must be refused, the refusal message it must raise)
 REFUSALS = {
     "regime-above-m": (lambda: check_regime(3, 2), "regime index 3 outside 1..2"),
-    "regime-zero": (lambda: check_regime(0, 2), "regime index 0 outside 1..2"),
+    "regime-zero": (lambda: check_regime(0, 2), "regime index must be an integer >= 1, got 0"),
+    # a fractional regime is not truncated to 1, nor a bool taken as 1
+    "regime-fraction": (lambda: check_regime(1.5, 2), "regime index must be an integer >= 1, got 1.5"),
+    "regime-bool": (lambda: check_regime(True, 2), "regime index must be an integer >= 1, got True"),
+    "spec-regime-fraction": (lambda: spec_with(initial_regime=1.5), "regime index must be an integer >= 1, got 1.5"),
+    "spec-regime-bool": (lambda: spec_with(initial_regime=True), "regime index must be an integer >= 1, got True"),
     "intensity-2d": (lambda: IntensityMeasure(np.ones((2, 2))), "intensity weights must be a nonempty 1-d array"),
     "intensity-empty": (lambda: IntensityMeasure([]), "intensity weights must be a nonempty 1-d array"),
     "intensity-nan": (lambda: IntensityMeasure([1.0, float("nan")]), "intensity weights must be finite"),
@@ -419,6 +428,8 @@ REFUSALS = {
     "horizon-zero": (lambda: spec_with(horizon=0.0), "horizon must be finite and positive, got 0.0"),
     "horizon-inf": (lambda: spec_with(horizon=float("inf")), "horizon must be finite and positive, got inf"),
     "horizon-nan": (lambda: spec_with(horizon=float("nan")), "horizon must be finite and positive, got nan"),
+    # an integer too large for a float is not finite
+    "horizon-huge-int": (lambda: spec_with(horizon=10**400), "horizon must be finite and positive"),
     "intensity-count": (
         lambda: spec_with(intensity=IntensityMeasure([1.0])),
         "intensity weight count must match the regime count",
@@ -439,6 +450,10 @@ REFUSALS = {
     ),
     "growth-inf": (
         lambda: spec_with(growth_bound=(0.3, float("inf"))),
+        "growth bound constants must be finite and nonnegative",
+    ),
+    "growth-huge-int": (
+        lambda: spec_with(growth_bound=(10**400, 1.0)),
         "growth bound constants must be finite and nonnegative",
     ),
     "growth-radius-unbounded": (
@@ -475,3 +490,8 @@ class TestRefusals:
     def test_refused(self, make, message):
         with pytest.raises(ValueError, match=message):
             make()
+
+    def test_initial_regime_stored_as_checked_int(self):
+        """The spec keeps the checked int, so a numpy integer echoes and indexes as a plain one."""
+        spec = spec_with(initial_regime=np.int64(2))
+        assert type(spec.initial_regime) is int and spec.initial_regime == 2
