@@ -36,29 +36,29 @@ round the same; so every level of a ladder is bit for bit its own solve.
 The step's arithmetic keeps its inner loops long. Products over the short
 trailing axes (the ``d`` Brownian components, the ``m`` marks) run one
 column at a time as ufuncs writing through ``out=``, so each loop runs over
-the units or edges instead of over two or three entries. No result is
-placed by an advanced-index scatter: each regression stratum is fitted on a
-contiguous slice of one stratum-ordered copy of its targets, laid out by
-:func:`~switchbsde.regression.build_design`, and the driver terms fill
-contiguous slices of buffers ordered by the same regime grouping; each
-result is gathered back once through the inverse permutation. The orders
-are stable and every value comes from the same floating-point operations in
-the same order as an element-by-element evaluation, so the outputs do not
-depend on this layout.
+the units or edges instead of over two or three entries. Every step's units
+come grouped by regime: a chain stores its nodes so, and a bundle lays each
+step's paths out once, in the order of its ``build_design``. So each stratum
+is fitted in place on its slice, each regime's first sub-intervals are one
+slice of the edges, only a bundle's sub-intervals from atoms inside a step
+are gathered, and ``Y_{k+1}`` crosses a step by one gather, at the edge
+heads. Sums over the paths and the arrays ``keep_steps`` keeps run in path
+order, and every value comes from the same floating-point operations in the
+same order as an element-by-element evaluation: no output depends on layout.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import asdict, dataclass, field, replace
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .forward import PathBundle
 from .lattice import LatticeChain
 from .problem import ProblemSpec, _integer, _positive, constraint_values, penalty_batch
-from .regression import BasisSpec, _Design, _inverse, _strata, build_design, ols_fit
+from .regression import BasisSpec, _Design, build_design, ols_fit
 
 Array = np.ndarray
 
@@ -131,10 +131,12 @@ class FitRecord:
 class _Step:
     """One step of an ensemble: its units at ``t_k`` and their edges to ``t_{k+1}``.
 
-    The fields mean the same in both modes. A chain's units are its nodes at
-    ``t_k``; a bundle's are its paths, and edge ``p`` is path ``p`` at both
-    ends with probability 1, so ``tail``, ``head`` and ``prob`` are ``None``.
-    The per-edge fields are ``None`` at ``k = K``.
+    The fields mean the same in both modes, and the units come grouped by
+    regime. A chain's units are its nodes, each one's out-edges together. A
+    bundle's are its paths, laid out by ``design.order`` (by path without a
+    design, at ``k = 0`` and ``K``); its edge ``p`` is unit ``p``, so ``tail``
+    and ``prob`` are ``None``, and ``head`` is the path's place in step
+    ``k+1``'s layout (``None`` by path). Per-edge fields are ``None`` at ``K``.
     """
 
     k: int
@@ -146,22 +148,35 @@ class _Step:
     tail: Optional[Array] = None    # (edges,) unit at t_k
     head: Optional[Array] = None    # (edges,) unit at t_{k+1}
     prob: Optional[Array] = None    # (edges,) probability given the tail
-    # Monte Carlo only, set by the step's first fit: the strata of build_design
+    # Monte Carlo steps 1..K-1 only: the strata of build_design, whose order lays out the paths
     design: Optional[_Design] = None
 
 
 def _along(index: Optional[Array], values: Array) -> Array:
-    """``values`` (..., units) at each edge's unit in ``index``; ``None``, on a bundle, where edges are units."""
+    """``values`` (..., units) at each entry of ``index``; ``values`` itself where ``index`` is ``None``."""
     return values if index is None else np.take(values, index, axis=-1)
 
 
+def _by_path(step: _Step, values: Array, axis: int = 1) -> Array:
+    """``values`` with its unit axis in path order: a bundle step's layout undone, a chain's units as they are."""
+    return values if step.design is None else np.take(values, step.design.inverse, axis=axis)
+
+
+def _regime_slices(regimes: Array, m: int) -> dict[int, slice]:
+    """Each regime's slice of ``regimes``, which come grouped by regime in increasing order; empty ones included."""
+    bounds = np.searchsorted(regimes, np.arange(1, m + 2))
+    return {r: slice(bounds[r - 1], bounds[r]) for r in range(1, m + 1)}
+
+
 def _reduce(step: _Step, per_edge: Array) -> Array:
-    """Probability-weighted sum of ``per_edge`` (L, edges, ...) over each unit's out-edges.
+    """Probability-weighted sum of ``per_edge`` (edges,) or (L, edges, ...) over each unit's out-edges.
 
     On a bundle each unit has one edge, of probability 1: ``per_edge`` itself.
     """
     if step.prob is None:
         return per_edge
+    if per_edge.ndim == 1:
+        return np.bincount(step.tail, weights=step.prob * per_edge, minlength=step.regimes.size)
     columns = per_edge.reshape(per_edge.shape[:2] + (-1,))
     out = np.empty((columns.shape[0], step.regimes.size, columns.shape[2]))
     weights = np.empty(step.prob.size)
@@ -177,10 +192,9 @@ def _reduce(step: _Step, per_edge: Array) -> Array:
 class MonteCarloEnsemble:
     """A :class:`PathBundle` with OLS conditional expectations.
 
-    :meth:`step` builds a step's record from the bundle's per-step reads on
-    the step's first access, and the step's first fit adds its design: the
-    strata with their Gram factors. Asking for another step replaces the
-    record: one step is alive at a time.
+    :meth:`step` builds a step's record on its first access, with its design
+    (the strata with their Gram factors) at ``1 <= k < K``, whose order lays
+    out the paths. Another step replaces the record: one is alive at a time.
     """
 
     exact = False
@@ -195,67 +209,62 @@ class MonteCarloEnsemble:
         self._weights = np.full(bundle.N, 1.0 / bundle.N)
         self._weights.flags.writeable = False
 
+    def _design(self, k: int) -> Optional[_Design]:
+        """Step ``k``'s strata, whose order lays out its paths; ``None`` at ``k = 0`` and ``k >= K``, with no fit."""
+        return build_design(self.basis, *self.bundle.nodes(k)) if 0 < k < self.n_steps else None
+
     def step(self, k: int) -> _Step:
         if self._step is None or self._step.k != k:
+            # the layout the heads point into: on a backward pass, the released record's
+            after = self._step.design if self._step is not None and self._step.k == k + 1 else self._design(k + 1)
             self._step = None  # release the previous step before building this one
-            regimes, xs = self.bundle.nodes(k)
-            self._step = _Step(k, regimes, xs, self._weights)
+            design = self._design(k)
+            order, rows = (None, slice(None)) if design is None else (design.order, design.order)
+            self._step = _Step(k, *(a[rows] for a in self.bundle.nodes(k)), self._weights, design=design)
             if k < self.n_steps:
                 dw, counts = self.bundle.step_increments(k)
-                self._step.dw, self._step.counts = dw, counts
+                head = order if after is None else _along(order, after.inverse)
+                self._step.dw, self._step.counts, self._step.head = dw[rows], counts[rows], head
         return self._step
 
     def segments(self, k: int) -> tuple[Array, Array, Array]:
-        """(edge, duration, regime) of the step's sub-intervals.
-
-        The first ``N`` segments are the paths' first sub-intervals, from
-        ``t_k``; the sub-intervals from atoms inside the step follow, by path
-        and then time.
-        """
-        return self.bundle.step_segments(k)
+        """(edge, duration, regime) of the sub-intervals: the edges' first ones, in the layout, then the rest by path."""
+        step = self.step(k)
+        edge, dt, regime = self.bundle.step_segments(k)
+        if step.design is not None:
+            N = self.bundle.N
+            edge[N:] = step.design.inverse[edge[N:]]  # the first N are 0..N-1 in either order
+            dt[:N] = np.take(dt[:N], step.design.order)
+            regime = np.concatenate((step.regimes, regime[N:]))
+        return edge, dt, regime
 
     def condexp(self, k: int, targets: Array, family: str) -> tuple[Array, list[list[FitRecord]]]:
-        """Projection of ``targets``, shape (L, N, c): c columns at each of L levels.
+        """Projection of ``targets``, shape (L, N, c): c columns at each of L levels, written over ``targets``.
 
-        One fit per stratum covers every column of every level. The records
-        come as one list per level, each as a one-level call gives it.
+        One fit per stratum covers every column of every level, in place on
+        the stratum's slice of the units. The records come as one list per
+        level, each as a one-level call gives it.
         """
         if not np.all(np.isfinite(targets)):
             raise DivergenceError(f"non-finite regression target for {family} at step {k}")
         levels, _, c = targets.shape
+        records: list[list[FitRecord]] = [[] for _ in range(levels)]
         if k == 0:
             # all paths share the initial state: E_0 is the plain mean
-            out = np.empty_like(targets)
             for level in range(levels):
-                out[level] = targets[level].mean(axis=0)
-            return out, [[] for _ in range(levels)]
-        step = self.step(k)
-        if step.design is None:
-            step.design = build_design(self.basis, step.regimes, step.xs)
-        design = step.design
-        # each stratum fits a contiguous slice of one stratum-ordered copy of
-        # the targets, its rows in the order an advanced index gives them; the
-        # fitted values overwrite the slice and are gathered back once, and
+                targets[level] = targets[level].mean(axis=0)
+            return targets, records
         # each fit's records are taken before the next fit replaces it
-        ordered = np.take(targets, design.order, axis=1)
-        records: list[list[FitRecord]] = [[] for _ in range(levels)]
-        for block in design.blocks:
-            fit = ols_fit(block.matrix, ordered[:, block.rows], block.factor)
-            ordered[:, block.rows] = fit.fitted
+        for block in self.step(k).design.blocks:
+            fit = ols_fit(block.matrix, targets[:, block.rows], block.factor)
+            targets[:, block.rows] = fit.fitted
             for level, level_records in enumerate(records):
                 level_records += [
-                    FitRecord(
-                        step=k,
-                        family=family if c == 1 else f"{family}{col + 1}",
-                        stratum=block.regime,
-                        sample_count=fit.sample_count,
-                        gram_condition=fit.gram_condition,
-                        residual_mse=float(fit.residual_mse[level, col]),
-                        rank_deficient=fit.rank_deficient,
-                    )
+                    FitRecord(k, family if c == 1 else f"{family}{col + 1}", block.regime, fit.sample_count,
+                              fit.gram_condition, float(fit.residual_mse[level, col]), fit.rank_deficient)
                     for col in range(c)
                 ]
-        return np.take(ordered, design.inverse, axis=1), records
+        return targets, records
 
     def thinnest_stratum(self) -> Optional[int]:
         """Fewest paths in any regression stratum over the fitted steps.
@@ -342,24 +351,23 @@ def make_ensemble(spec: ProblemSpec, config: SchemeConfig, bundle) -> Ensemble:
 # per-step operations
 
 
-def _check_step(ens: Ensemble, k: int, y_next: Array) -> None:
+def _check_step(ens: Ensemble, k: int, y_head: Array) -> None:
     if not 0 <= k < ens.n_steps:
         raise ValueError(f"step index {k} out of range [0, {ens.n_steps})")
-    if np.ndim(y_next) != 2:
-        raise ValueError(f"y_next must have shape (L, n), one row per level, got shape {np.shape(y_next)}")
+    if np.ndim(y_head) != 2 or np.shape(y_head)[1] != ens.step(k).dw.shape[0]:
+        raise ValueError(f"y_head must have shape (L, n), a row per level and a column per edge, got {np.shape(y_head)}")
 
 
-def estimate_z(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[list[FitRecord]]]:
+def estimate_z(ens: Ensemble, k: int, y_head: Array) -> tuple[Array, list[list[FitRecord]]]:
     """Gradient-proxy estimate at step k from next-step values.
 
     Regresses ``Y_{k+1} * dW / h`` componentwise; ``dW`` is the aggregate
-    increment over the whole step. ``y_next`` of shape (L, n), one row per
-    level, gives ``z`` of shape (L, N, d) and one list of fit records per
-    level.
+    increment over the whole step. ``y_head`` (L, edges), one row per level,
+    holds ``Y_{k+1}`` at each edge's head; ``z`` is (L, units, d), in the
+    step's layout, and the fit records come one list per level.
     """
-    _check_step(ens, k, y_next)
-    step = ens.step(k)
-    dw, y_head = step.dw, _along(step.head, y_next)
+    _check_step(ens, k, y_head)
+    dw = ens.step(k).dw
     targets = np.empty(y_head.shape + dw.shape[1:])
     # column by column: a broadcast product loops over the d columns innermost
     for col in range(dw.shape[1]):
@@ -368,40 +376,43 @@ def estimate_z(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[list[F
     return ens.condexp(k, targets, "z")
 
 
-def estimate_u(ens: Ensemble, k: int, y_next: Array) -> tuple[Array, list[list[FitRecord]]]:
+def estimate_u(ens: Ensemble, k: int, y_head: Array) -> tuple[Array, list[list[FitRecord]]]:
     """Jump-offset estimates at step k, re-based at the current regime.
 
-    Returns ``(u, fit records)``: ``u`` is the compensated-count regression
-    minus each unit's own-regime component, which makes it exactly zero
-    there. ``y_next`` has shape (L, n), one row per level; ``u`` is
-    (L, N, m), and the fit records come one list per level.
+    Returns ``(u, fit records)``: ``u`` (L, units, m) is the compensated-count
+    regression minus each unit's own-regime component, exactly zero there;
+    arguments and layout are those of :func:`estimate_z`.
     """
-    _check_step(ens, k, y_next)
+    _check_step(ens, k, y_head)
     ens.spec.intensity.require_positive()
     lam_h = ens.spec.intensity.weights * ens.h
     step = ens.step(k)
-    counts, y_head = step.counts, _along(step.head, y_next)
-    targets = np.empty(y_head.shape + counts.shape[1:])
+    targets = np.empty(y_head.shape + step.counts.shape[1:])
     # column by column, as for z
-    for j in range(counts.shape[1]):
+    for j in range(step.counts.shape[1]):
         column = targets[:, :, j]
-        np.multiply(y_head, counts[:, j] - lam_h[j], out=column)
+        np.multiply(y_head, step.counts[:, j] - lam_h[j], out=column)
         column /= lam_h[j]
-    u_raw, records = ens.condexp(k, targets, "u")
-    del targets
-    levels, units, m = u_raw.shape
-    # each unit's own-regime column, by a flat gather
-    own = np.take(u_raw.reshape(levels, units * m), np.arange(0, units * m, m) + (step.regimes - 1), axis=1)
-    u = np.empty_like(u_raw)
-    for j in range(m):
-        np.subtract(u_raw[:, :, j], own, out=u[:, :, j])
+    u, records = ens.condexp(k, targets, "u")
+    # re-based in place, one regime's slice of the units at a time: its own
+    # column is subtracted from the others, and last from itself
+    for r, units in _regime_slices(step.regimes, ens.spec.m).items():
+        own = u[:, units, r - 1]
+        for j in [*range(r - 1), *range(r, u.shape[2]), r - 1]:
+            u[:, units, j] -= own
     return u, records
 
 
+def _stacked(values: Array, first, inner: Array) -> Array:
+    """Rows ``first`` (a slice or indices) of ``values`` followed by rows ``inner``: a view of a slice alone."""
+    rows = values[first] if isinstance(first, slice) else values.take(first, axis=0)  # take() beats an index
+    return rows if inner.size == 0 else np.concatenate((rows, values.take(inner, axis=0)))
+
+
 def _driver_terms(
-    spec: ProblemSpec, levels: Sequence[int], ens: Ensemble, k: int, y_next: Array, z: Array, u: Array
-) -> tuple[Array, Array, Array, Array]:
-    """Per-edge driver integral, penalty mass, time-averaged violation and ``min_j h_ij``.
+    spec: ProblemSpec, levels: Sequence[int], ens: Ensemble, k: int, y_head: Array, z: Array, u: Array
+) -> Iterator[tuple[Array, Array, Array, Array]]:
+    """Each level's per-edge driver integral, penalty mass, time-averaged violation and ``min_j h_ij``.
 
     The integral runs over the step's sub-intervals: on a sub-interval in
     regime ``r`` the integrand is the penalized driver at state ``X_k``
@@ -418,130 +429,116 @@ def _driver_terms(
     zero where the constraint is not evaluated (one regime at level 0, where
     no penalty mass accrues).
 
-    ``levels`` holds L levels; ``y_next`` (L, n), ``z`` (L, N, d), ``u``
-    (L, N, m) and the four (L, edges) outputs carry one row per level. The
-    gathers and sums that do not depend on the level run once; the driver,
-    the constraint, the compensator product and the per-edge sums run once
-    per level.
+    ``y_head`` (L, edges) holds ``Y_{k+1}`` at each edge's head; ``z`` (L,
+    units, d) and ``u`` (L, units, m) are in the step's layout. Each level
+    yields its four (edges,) arrays before the next level runs.
     """
-    levels = np.asarray(levels)
     step = ens.step(k)
     lam = spec.intensity.weights
     seg_edge, seg_dt, seg_regime = ens.segments(k)
-    # each segment's tail and head unit: on a bundle its edge, the path, is
-    # both; a chain's segments are its edges, in edge order
-    seg_tail, seg_head = (seg_edge, seg_edge) if step.tail is None else (step.tail, step.head)
-    # every edge has a sub-interval, and the first n_edges segments are the
-    # edges' first sub-intervals in edge order
-    n_edges = int(seg_edge.max()) + 1
-
-    # each regime's values fill its contiguous slice of regime-ordered
-    # buffers, one level at a time; each buffer is gathered back to segment
-    # order once, after the regimes' arrays are freed
-    groups = _strata(seg_regime)
-    f_val = np.empty((levels.size, seg_edge.size))
-    pen_val = np.zeros((levels.size, seg_edge.size))
-    min_h = np.zeros((levels.size, seg_edge.size))
-    start = 0
-    for r, segments in groups.items():
-        rows = slice(start, start + segments.size)
-        start = rows.stop
-        tails = seg_tail[segments]
-        # take() keeps each level's rows contiguous, as a one-level pass has them
-        y_r = np.take(y_next, seg_head[segments], axis=1)
-        x_r, z_r = step.xs[tails], np.take(z, tails, axis=1)
-        # the value vector with Y_{k+1} as the segment regime's value: U_k is
-        # re-based at the tail regime, so column j holds
-        # U_k(j) + Y_{k+1} - U_k(r), built in the gathered offsets, and column
-        # r holds Y_{k+1} itself
-        yvec = np.take(u, tails, axis=1)
-        y_base = y_r - yvec[:, :, r - 1]
-        for j in range(spec.m):
-            if j == r - 1:
-                yvec[:, :, j] = y_r
-            else:
-                yvec[:, :, j] += y_base
-        del y_r, y_base
-        for level, n in enumerate(levels):
-            values, z_level = yvec[level], z_r[level]
+    n_edges = y_head.shape[1]
+    inner_edge = seg_edge[n_edges:].copy()
+    # each regime's first sub-intervals are one slice of the edges; a bundle's inner ones, gathered, follow in
+    # (path, time) order: one batch, as an element-by-element evaluation has it (a split one need not round the same)
+    groups = []  # with the units at the tails: a bundle's edges are its units
+    for r, first in _regime_slices(seg_regime[:n_edges], spec.m).items():
+        rows = np.flatnonzero(seg_regime[n_edges:] == r)
+        edges = inner_edge[rows]
+        tails = (first, edges) if step.tail is None else (step.tail[first], step.tail[edges])
+        if first.stop > first.start or rows.size:
+            x, dt = _stacked(step.xs, *tails), _stacked(seg_dt, first, n_edges + rows)
+            groups.append((r, first, rows, edges, tails, x, dt))
+    del seg_edge, seg_dt, seg_regime
+    inner_terms, lam_total = np.empty((3, inner_edge.size)), lam.sum()  # one level's terms per inner row
+    for level, n in enumerate(levels):
+        sums, min_h = np.empty((3, n_edges)), np.empty(n_edges)  # the integral, penalty mass and violation
+        for r, first, rows, edges, tails, x, dt in groups:
+            n_first = first.stop - first.start
+            y_r, z_r = _stacked(y_head[level], first, edges), _stacked(z[level], *tails)
+            # the value vector with Y_{k+1} as the sub-interval regime's value:
+            # U_k is re-based at the tail regime, so column j holds
+            # U_k(j) + Y_{k+1} - U_k(r), and column r holds Y_{k+1} itself
+            values = _stacked(u[level], *tails)
+            values = values.copy() if np.may_share_memory(values, u) else values
+            y_base = y_r - values[:, r - 1]
+            for j in [*range(r - 1), *range(r, spec.m)]:
+                values[:, j] += y_base
+            values[:, r - 1] = y_r
+            del y_r, y_base
             # a product over all levels' rows at once need not round the same
             compensator = values @ lam
-            compensator -= lam.sum() * values[:, r - 1]
-            np.subtract(spec.driver(r, x_r, values, z_level), compensator, out=f_val[level, rows])
+            compensator -= lam_total * values[:, r - 1]
+            f = np.subtract(spec.driver(r, x, values, z_r), compensator)
             del compensator
-            if spec.m > 1 or n > 0:
-                h = constraint_values(spec, r, x_r, values, z_level)
-                pen_val[level, rows] = penalty_batch(spec, h)
-                # reduce the whole column-major array: selecting rows first would
-                # copy it to row-major
-                np.min(h, axis=1, out=min_h[level, rows])
-                del h  # not alive beside the next group's arrays
-        del z_r, yvec  # free this regime's arrays before the next regime's
-    inverse = _inverse(groups.values())
-    del groups
-    f_val = np.take(f_val, inverse, axis=1)
-    pen_val = np.take(pen_val, inverse, axis=1)
-    min_h = np.take(min_h, inverse[:n_edges], axis=1)
-    del inverse
-
-    # per level, as a one-level pass has it; bincount adds in segment order, as
-    # np.add.at does, and is handed the edges as intp so it does not convert
-    # them on each call. The weights seg_dt (f + n pen), seg_dt n pen and
-    # seg_dt pen / h are built, operation by operation, in one reused buffer.
-    seg_edge = seg_edge.astype(np.intp, copy=False)
-    weights = np.empty(seg_edge.size)
-    integral, penalty_mass, violation = [np.empty((levels.size, n_edges)) for _ in range(3)]
-    for level, (n, f, pen) in enumerate(zip(levels, f_val, pen_val)):
-        np.multiply(n, pen, out=weights)
-        weights += f
-        weights *= seg_dt
-        integral[level] = np.bincount(seg_edge, weights, n_edges)
-        np.multiply(seg_dt, n, out=weights)
-        weights *= pen
-        penalty_mass[level] = np.bincount(seg_edge, weights, n_edges)
-        np.multiply(seg_dt, pen, out=weights)
-        weights /= ens.h
-        violation[level] = np.bincount(seg_edge, weights, n_edges)
-    return integral, penalty_mass, violation, min_h
+            h = constraint_values(spec, r, x, values, z_r) if spec.m > 1 or n > 0 else None
+            del values, z_r
+            pen = np.zeros(f.size) if h is None else penalty_batch(spec, h)
+            # a slice of the column-major h, which an index would copy to row-major
+            min_h[first] = 0.0 if h is None else h[:n_first].min(axis=1)
+            del h
+            # the terms dt (f + n pen), dt n pen and dt pen / h. An edge's sum
+            # starts from 0.0 (which turns -0.0 into 0.0) with its first
+            # sub-interval and adds its inner ones in time order, as bincount
+            # over the sub-intervals in order adds them
+            terms = np.empty((3, f.size))
+            np.multiply(np.add(n * pen, f, out=terms[0]), dt, out=terms[0])
+            np.multiply(dt * n, pen, out=terms[1])
+            np.divide(np.multiply(dt, pen, out=terms[2]), ens.h, out=terms[2])
+            np.add(0.0, terms[:, :n_first], out=sums[:, first])
+            inner_terms[:, rows] = terms[:, n_first:]
+            del f, pen, terms
+        for row in range(3 if inner_edge.size else 0):  # no loop variable holds a view of the sums
+            np.add.at(sums[row], inner_edge, inner_terms[row])
+        yield (*sums, min_h)
+        del sums, min_h  # not alive beside the next level's
 
 
 def step_y(
     ens: Ensemble,
     k: int,
-    y_next: Array,
+    y_head: Array,
     z_k: Array,
     u_k: Array,
     spec: ProblemSpec,
     levels: Sequence[int],
-) -> tuple[Array, Array, Array, Array, list[list[FitRecord]]]:
+    *,
+    keep_mass: bool = False,
+) -> tuple[Array, Optional[Array], Array, Array, Array, list[list[FitRecord]]]:
     """Value estimate at step k: project ``Y_{k+1} + int f^n`` on the basis.
 
-    Returns ``(y, penalty_mass, violation, skorohod, fit records)`` with the
-    penalty mass and the time-averaged constraint violation reduced per
-    unit, and the step's Skorohod term ``E[min_j h_ij * penalty_mass]``.
-    ``levels`` holds L levels, one per row of ``y_next`` (L, n), ``z_k``
-    (L, N, d) and ``u_k`` (L, N, m); the per-unit outputs are (L, N), the
-    Skorohod terms (L,), and the fit records come one list per level.
+    Returns ``(y, penalty_mass, violation_mean, violation_max, skorohod, fit
+    records)``: ``y`` and the penalty mass per unit (``None`` unless
+    ``keep_mass``) as (L, units) in the step's layout, and per level the mean
+    and max over the units of the time-averaged constraint violation and
+    the step's Skorohod term ``E[min_j h_ij * penalty_mass]``. The arguments
+    are those of :func:`_driver_terms`, which yields one level at a time.
     """
-    _check_step(ens, k, y_next)
-    if np.ndim(levels) != 1 or len(levels) != y_next.shape[0]:
-        raise ValueError(f"need one level per row of y_next ({y_next.shape[0]}), got levels {levels!r}")
+    _check_step(ens, k, y_head)
+    if np.ndim(levels) != 1 or len(levels) != y_head.shape[0]:
+        raise ValueError(f"need one level per row of y_head ({y_head.shape[0]}), got levels {levels!r}")
     step = ens.step(k)
-    targets, penalty_edge, violation_edge, min_h = _driver_terms(spec, levels, ens, k, y_next, z_k, u_k)
-    targets += _along(step.head, y_next)  # the driver integral plus Y_{k+1}
-    y, records = ens.condexp(k, targets[:, :, None], "y")
-    del targets
-    penalty_mass = _reduce(step, penalty_edge)
-    skorohod = np.zeros(len(penalty_mass))
-    weight = None
-    for level, mass in enumerate(penalty_mass):
+    targets = np.empty(y_head.shape)
+    penalty_mass = np.empty((len(levels), step.regimes.size)) if keep_mass else None
+    violation_mean, violation_max, skorohod = (np.zeros(len(levels)) for _ in range(3))
+    weight = step.weights if step.prob is None else _along(step.tail, step.weights) * step.prob
+    per_level = _driver_terms(spec, levels, ens, k, y_head, z_k, u_k)
+    for level in range(len(levels)):
+        # next(), not enumerate(): its reused result tuple would hold this level's arrays beside the next's
+        integral, mass, violation, min_h = next(per_level)
+        np.add(integral, y_head[level], out=targets[level])  # the driver integral plus Y_{k+1}
+        mass, violation = _reduce(step, mass), _reduce(step, violation)
+        if keep_mass:
+            penalty_mass[level] = mass
+        # np.sum, unlike a BLAS dot product, rounds the same under any thread
+        # count; sums over the units add in path order, as the paths' arrays have them
+        violation_mean[level] = np.sum(step.weights * _by_path(step, violation, axis=0))
+        violation_max[level] = violation.max() if violation.size else 0.0
         if np.any(mass):
-            if weight is None:
-                weight = _along(step.tail, step.weights)
-                if step.prob is not None:
-                    weight = weight * step.prob
-            skorohod[level] = np.sum(weight * min_h[level] * _along(step.tail, mass))
-    return y[:, :, 0], penalty_mass, _reduce(step, violation_edge), skorohod, records
+            skorohod[level] = np.sum(_by_path(step, weight * min_h * _along(step.tail, mass), axis=0))
+        del integral, mass, violation, min_h  # not alive beside the next level's
+    per_level.close()  # its last level's buffers are not alive beside the fit
+    y, records = ens.condexp(k, targets[:, :, None], "y")
+    return y[:, :, 0], penalty_mass, violation_mean, violation_max, skorohod, records
 
 
 # ---------------------------------------------------------------------------
@@ -613,8 +610,8 @@ def _solve_levels(
         if thinnest is not None and thinnest < size:
             warnings.warn(f"fewer paths per stratum than basis functions ({thinnest} < {size})", stacklevel=3)
     K, L = ens.n_steps, len(levels)
-    y = np.repeat(_terminal_values(spec, ens)[None], L, axis=0)
-    # each step's (L, units) arrays; a level's result holds their rows
+    y = np.repeat(_terminal_values(spec, ens)[None], L, axis=0)  # step K keeps path order
+    # each step's (L, units) arrays in path order; a level's result holds their rows
     kept = {"ys": [None] * K + [y], "zs": [None] * K, "us": [None] * K, "penalty_mass": [None] * K} if keep_steps else {}
     viol_mean, viol_max, skorohod = (np.zeros((L, K)) for _ in range(3))
     records: list[list[FitRecord]] = [[] for _ in range(L)]
@@ -622,22 +619,23 @@ def _solve_levels(
     clipped = np.zeros(L, dtype=int)
     total_units = 0
     for k in range(K - 1, -1, -1):
-        z, rec_z = estimate_z(ens, k, y)
-        u, rec_u = estimate_u(ens, k, y)
-        y, pm, vl, skorohod[:, k], rec_y = step_y(ens, k, y, z, u, spec, levels)
-
         step = ens.step(k)
+        y = y_head = _along(step.head, y)  # the step's one gather of Y_{k+1}, which it replaces
+        z, rec_z = estimate_z(ens, k, y_head)
+        u, rec_u = estimate_u(ens, k, y_head)
+        terms = step_y(ens, k, y_head, z, u, spec, levels, keep_mass=keep_steps)
+        y, pm, viol_mean[:, k], viol_max[:, k], skorohod[:, k], rec_y = terms
+
         if spec.growth_bound is not None:
             radius = spec.growth_radius(step.xs)
-            if config.clip_to_growth_bound:
-                clipped += np.count_nonzero(np.abs(y) > radius, axis=1)
-                y = np.clip(y, -radius, radius)
-            if np.any(np.abs(y) > 10.0 * radius):
-                raise DivergenceError(f"value estimate exceeded 10x the growth bound at step {k}")
+            for level, row in enumerate(y):  # in place: no (L, units) temporary beside the step's arrays
+                if config.clip_to_growth_bound:
+                    clipped[level] += np.count_nonzero(np.abs(row) > radius)
+                    np.clip(row, -radius, radius, out=row)
+                if np.any(np.abs(row) > 10.0 * radius):
+                    raise DivergenceError(f"value estimate exceeded 10x the growth bound at step {k}")
+            del radius, row  # a row view would keep this step's y alive beside the next
 
-        # np.sum, unlike a BLAS dot product, rounds the same under any thread count
-        viol_mean[:, k] = [np.sum(step.weights * row) for row in vl]
-        viol_max[:, k] = vl.max(axis=1) if vl.size else 0.0
         for level_records, z_records, u_records, y_records in zip(records, rec_z, rec_u, rec_y):
             level_records += z_records + u_records + y_records
         missing = ens.absent_strata(k)
@@ -645,8 +643,8 @@ def _solve_levels(
             absent[k] = missing
         total_units += y.shape[1]
         for arrays, values in zip(kept.values(), (y, z, u, pm)):
-            arrays[k] = values
-        del step, pm, vl  # not alive beside the next step's arrays
+            arrays[k] = _by_path(step, values)
+        del step, y_head, z, u, pm, terms  # not alive beside the next step's arrays
 
     return [
         SolveResult(

@@ -30,7 +30,7 @@ from .backward import (
 from .catalog import build_problem, list_catalog
 from .forward import dump_paths_csv, simulate_paths
 from .oracles import GridSolution, check_fd_inputs, default_grid, fd_solve, oracle_compare
-from .problem import _integer, validate_problem
+from .problem import _finite, _integer, validate_problem
 from .regression import BasisSpec
 
 SCHEMA_VERSION = 1
@@ -68,6 +68,8 @@ def _require(cfg: dict, key: str, kind, where: str):
     if kind is float:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ConfigError(f"{where}.{key} must be a number")
+        if isinstance(value, int) and not _finite(value):
+            raise ConfigError(f"{where}.{key} must be a finite number, got an integer too large for a float")
         return float(value)
     if kind is int:
         if not isinstance(value, int) or isinstance(value, bool):

@@ -157,11 +157,11 @@ def ols_fit(design: Array, targets: Array, factor: GramFactor | None = None) -> 
     fitted = np.empty(blocks.shape)
     for block_coef, block_fitted in zip(coef, fitted):
         np.matmul(design, block_coef, out=block_fitted)
-    # one contiguous row per target column: a mean down the columns of (n, c) is strided
-    by_column = [np.swapaxes(a, -1, -2) for a in (blocks, fitted)]
-    resid = np.subtract(*by_column, out=np.empty(by_column[0].shape))
-    resid *= resid
-    mse = np.mean(resid, axis=-1)
+    # one contiguous row per target column, block by block: a mean down the columns of (n, c) is strided
+    mse, resid = np.empty(blocks.shape[::2]), np.empty(blocks.shape[:0:-1])
+    for block, block_fitted, block_mse in zip(blocks, fitted, mse):
+        np.square(np.subtract(block.T, block_fitted.T, out=resid), out=resid)
+        np.mean(resid, axis=-1, out=block_mse)
     if targets.ndim < 3:  # the one block's axis goes
         coef, fitted, mse = coef[0], fitted[0], mse[0]
         if targets.ndim == 1:  # and the column axis of (n,) targets

@@ -62,7 +62,7 @@ class TestEstimateZ:
         spec = build_problem("bm1", {"x0": [0.0], "T": 0.25})
         chain, ens = chain_ensemble(spec, 0.25)
         y = terminal_values(spec, ens)
-        z, _ = estimate_z(ens, 0, y[None])
+        z, _ = estimate_z(ens, 0, y[ens.step(0).head][None])
         assert abs(float(z[0, 0, 0]) - 1.0) <= 1e-12
 
     def test_constant_next_value_gives_zero_mean_noise(self):
@@ -80,7 +80,7 @@ class TestEstimateZ:
         # default quadratic basis: noise stays small away from the tails
         ens2 = make_ensemble(spec, SchemeConfig(h=0.25, paths=20_000, seed=3), bundle)
         (z2,), _ = estimate_z(ens2, 2, np.full((1, bundle.N), 5.0))
-        xs = bundle.nodes(2)[1][:, 0]
+        xs = ens2.step(2).xs[:, 0]
         interior = np.abs(xs - xs.mean()) <= xs.std()
         assert np.max(np.abs(z2[interior])) <= 0.25
 
@@ -112,13 +112,13 @@ class TestEstimateU:
         spec = build_problem("switch2-linear", {"sigma": [0.25, 0.25]})
         chain, ens = chain_ensemble(spec, 0.125)
         y = terminal_values(spec, ens)  # g = x in both regimes
-        u, _ = estimate_u(ens, ens.n_steps - 1, y[None])
+        u, _ = estimate_u(ens, ens.n_steps - 1, y[ens.step(ens.n_steps - 1).head][None])
         assert np.max(np.abs(u)) <= 1e-13
 
     def test_zero_next_value_gives_zero(self):
         spec = build_problem("switch2-linear")
         chain, ens = chain_ensemble(spec, 0.125)
-        u, _ = estimate_u(ens, 0, np.zeros((1, ens.step(1).regimes.size)))
+        u, _ = estimate_u(ens, 0, np.zeros((1, ens.step(0).head.size)))
         assert np.max(np.abs(u)) == 0.0
 
     def test_own_component_exactly_zero(self):
@@ -162,8 +162,8 @@ def one_path_integral(spec, h, atoms, n_pen, y_next, z_k, u_k):
     """Step-0 integral of the scheme's integrand on one hand-built path, as the solver runs it."""
     bundle = bundle_from_paths(spec, h, [atoms])
     ens = make_ensemble(spec, SchemeConfig(h=h, paths=1), bundle)
-    integral = _driver_terms(spec, [n_pen], ens, 0, np.array([[y_next]]), np.array([[z_k]]), np.array([[u_k]]))[0]
-    return float(integral[0, 0])
+    ((integral, *_),) = _driver_terms(spec, [n_pen], ens, 0, np.array([[y_next]]), np.array([[z_k]]), np.array([[u_k]]))
+    return float(integral[0])
 
 
 class TestDriverIntegral:
@@ -559,6 +559,56 @@ class TestKeepSteps:
         assert held[True] >= 4_000 * 8 * (11 + 10 * 4)
         assert held[False] < held[True] / 10
 
+    def test_kept_arrays_index_paths(self):
+        """Kept arrays are by path, not by the step's regime layout: reversing the paths reverses every one."""
+        spec = build_problem("switch2-linear")  # T = 0.5
+        h, n_paths = 0.125, 40
+        rng = np.random.default_rng(11)
+        atoms, dws = [], []
+        for _ in range(n_paths):
+            times = np.sort(rng.choice(np.arange(1, 50) / 100 + 0.003, size=rng.integers(0, 3), replace=False))
+            atoms.append([(float(t), int(rng.integers(1, 3))) for t in times])
+            dws.append(rng.normal(scale=np.sqrt(h / 2), size=4 + len(times)))
+        bundle = bundle_from_paths(spec, h, atoms, dws)
+        reversed_bundle = bundle_from_paths(spec, h, atoms[::-1], dws[::-1])
+        # the paths cross regimes, so a step's layout is not path order
+        assert any(np.any(np.diff(bundle.nodes(k)[0]) < 0) for k in range(1, bundle.K))
+        cfg = SchemeConfig(h=h, n=4, paths=n_paths, basis=BasisSpec(degree=1))
+        result = solve_backward(spec, cfg, bundle, keep_steps=True)
+        reversed_result = solve_backward(spec, cfg, reversed_bundle, keep_steps=True)
+        assert reversed_result.y0 == pytest.approx(result.y0, rel=0, abs=1e-12)
+        for name in ("ys", "zs", "us", "penalty_mass"):
+            for k, (forward, backward) in enumerate(zip(getattr(result, name), getattr(reversed_result, name))):
+                np.testing.assert_allclose(backward, forward[::-1], rtol=0, atol=1e-12, err_msg=f"{name}[{k}]")
+
+    def test_ladder_transient_memory(self):
+        """The ladder's ``tracemalloc`` peak above entry, counted in (L, N) float arrays.
+
+        switch2-linear, 4 000 paths, h = 0.05, levels 1 to 64 (L = 7). Each
+        step's units come grouped by regime, so its fits run in place and
+        each level's penalty mass, violation and ``min_h`` are reduced before
+        the next level's are built: of the step's (L, N) arrays only
+        ``Y_{k+1}`` at the edge heads, Z, U (two) and the y targets are
+        alive at once, and the growth-bound clip runs in place. The peak
+        reads 9.27 arrays. It read 16.3 when every fit and every regime
+        group of the driver terms copied its data into regime order and
+        back, beside (L, S) buffers of the driver terms, S the step's
+        sub-interval count, and the clip made two (L, N) temporaries.
+        """
+        spec = build_problem("switch2-linear")
+        bundle = simulate_paths(spec, 4_000, 0.05, seed=3)
+        cfg = SchemeConfig(h=0.05, paths=4_000, seed=3, clip_to_growth_bound=True)
+        levels = [1, 2, 4, 8, 16, 32, 64]
+        penalization_ladder(spec, cfg, levels, bundle)  # one-time set-up is not the ladder's
+        tracemalloc.start()
+        try:
+            entry = tracemalloc.get_traced_memory()[0]
+            penalization_ladder(spec, cfg, levels, bundle)
+            peak = tracemalloc.get_traced_memory()[1] - entry
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * len(levels) * bundle.N * 8, f"peak {peak / (len(levels) * bundle.N * 8):.2f} (L, N) arrays"
+
 
 def reference_driver_terms(spec, n_pen, segments, xs, y_next, z, u, h, n_edges):
     """The driver terms gathered and summed one sub-interval at a time.
@@ -635,12 +685,12 @@ class TestStepView:
         y_next = rng.normal(size=bundle.N)
         z, u = rng.normal(size=(bundle.N, 1)), rng.normal(scale=0.5, size=(bundle.N, 3))
         for k in range(bundle.K):
-            paths, durations, regimes = bundle.step_segments(k)
+            paths, durations, regimes = ens.segments(k)
             assert np.bincount(paths).max() >= 3
-            got = _driver_terms(spec, [16], ens, k, y_next[None], z[None], u[None])
+            (got,) = _driver_terms(spec, [16], ens, k, y_next[None], z[None], u[None])
             segments = (paths, paths, paths, durations, regimes)
-            want = reference_driver_terms(spec, 16, segments, bundle.nodes(k)[1], y_next, z, u, bundle.h, bundle.N)
-            for (a,), b in zip(got, want):
+            want = reference_driver_terms(spec, 16, segments, ens.step(k).xs, y_next, z, u, bundle.h, bundle.N)
+            for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
     def test_driver_terms_match_per_segment_loop_on_chain(self):
@@ -652,12 +702,12 @@ class TestStepView:
             y_next = rng.normal(size=n_next)
             z, u = rng.normal(size=(n, 1)), rng.normal(scale=0.5, size=(n, 3))
             u -= u[np.arange(n), chain.nodes[k].regime - 1][:, None]  # re-based, as estimate_u returns it
-            got = _driver_terms(spec, [8], ens, k, y_next[None], z[None], u[None])
+            (got,) = _driver_terms(spec, [8], ens, k, y_next[es.head][None], z[None], u[None])
             n_edges = es.tail.size
             regimes = chain.nodes[k].regime[es.tail]
             segments = (np.arange(n_edges), es.tail, es.head, np.full(n_edges, chain.h), regimes)
             want = reference_driver_terms(spec, 8, segments, chain.nodes[k].x, y_next, z, u, chain.h, n_edges)
-            for (a,), b in zip(got, want):
+            for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b)
 
     def test_ladder_equals_separate_solves(self):
@@ -747,11 +797,11 @@ class TestStepView:
 
 
 def edge_ends(step):
-    """(tail, head, prob) of a step's edges, written out on a bundle: edge p is path p, with probability 1."""
+    """(tail, head, prob) of a step's edges, written out on a bundle: edge p is unit p, with probability 1."""
     if step.tail is not None:
         return step.tail, step.head, step.prob
-    paths = np.arange(step.regimes.size)
-    return paths, paths, np.ones(paths.size)
+    units = np.arange(step.regimes.size)
+    return units, units if step.head is None else step.head, np.ones(units.size)
 
 
 def parent_condexp(ens, k, targets, family):
@@ -794,6 +844,11 @@ def parent_u_targets(ens, k, y_next):
 def parent_rebase(ens, k, u_raw):
     regimes = ens.step(k).regimes
     return u_raw - u_raw[:, np.arange(u_raw.shape[1]), regimes - 1][:, :, None]
+
+
+def stacked_driver_terms(spec, levels, ens, k, y_head, z, u):
+    """The four per-edge outputs of every level, stacked as (L, edges) arrays."""
+    return [np.stack(rows) for rows in zip(*_driver_terms(spec, levels, ens, k, y_head, z, u))]
 
 
 def parent_driver_terms(spec, levels, ens, k, y_next, z, u):
@@ -874,7 +929,7 @@ class TestBitForBitReference:
     def test_strata_interleave(self, mc):
         _, ens, *_ = mc
         for k in (1, 3, ens.n_steps - 1):
-            regimes = ens.step(k).regimes
+            regimes = ens.bundle.nodes(k)[0]
             assert np.unique(regimes).size == 3
             assert np.count_nonzero(np.diff(regimes)) > 100  # regimes alternate along the path index
 
@@ -882,7 +937,7 @@ class TestBitForBitReference:
         _, ens, y, *_ = mc
         targets = np.random.default_rng(9).normal(size=y.shape + (3,))
         for k in range(1, ens.n_steps):
-            got, records = ens.condexp(k, targets, "t")
+            got, records = ens.condexp(k, targets.copy(), "t")
             want, want_records = parent_condexp(ens, k, targets, "t")
             assert np.array_equal(got, want)
             assert records == want_records
@@ -890,9 +945,10 @@ class TestBitForBitReference:
     def test_estimate_z_and_u(self, mc):
         _, ens, y, *_ = mc
         for k in range(ens.n_steps):
-            z, _ = estimate_z(ens, k, y)
+            y_head = np.take(y, edge_ends(ens.step(k))[1], axis=1)
+            z, _ = estimate_z(ens, k, y_head)
             assert np.array_equal(z, ens.condexp(k, parent_z_targets(ens, k, y), "z")[0])
-            u, _ = estimate_u(ens, k, y)
+            u, _ = estimate_u(ens, k, y_head)
             want_raw = ens.condexp(k, parent_u_targets(ens, k, y), "u")[0]
             assert np.array_equal(u, parent_rebase(ens, k, want_raw))
 
@@ -901,16 +957,17 @@ class TestBitForBitReference:
         rng = np.random.default_rng(4)
         for k in (0, 3, ens.n_steps - 1):
             y = rng.normal(size=(len(self.LEVELS), ens.chain.nodes[k + 1].regime.size))
-            z, _ = estimate_z(ens, k, y)
+            y_head = np.take(y, edge_ends(ens.step(k))[1], axis=1)
+            z, _ = estimate_z(ens, k, y_head)
             assert np.array_equal(z, parent_reduce(ens, k, parent_z_targets(ens, k, y)))
-            u, _ = estimate_u(ens, k, y)
+            u, _ = estimate_u(ens, k, y_head)
             want_raw = parent_reduce(ens, k, parent_u_targets(ens, k, y))
             assert np.array_equal(u, parent_rebase(ens, k, want_raw))
 
     def test_driver_terms(self, mc, chain):
         spec, ens, y, z, u = mc
         for k in range(ens.n_steps):
-            got = _driver_terms(spec, self.LEVELS, ens, k, y, z, u)
+            got = stacked_driver_terms(spec, self.LEVELS, ens, k, np.take(y, edge_ends(ens.step(k))[1], axis=1), z, u)
             for a, b in zip(got, parent_driver_terms(spec, self.LEVELS, ens, k, y, z, u)):
                 assert np.array_equal(a, b)
         spec, ens = chain
@@ -919,7 +976,7 @@ class TestBitForBitReference:
             L, n = len(self.LEVELS), ens.chain.nodes[k].regime.size
             y = rng.normal(size=(L, ens.chain.nodes[k + 1].regime.size))
             z, u = rng.normal(size=(L, n, 1)), rng.normal(scale=0.5, size=(L, n, 3))
-            got = _driver_terms(spec, self.LEVELS, ens, k, y, z, u)
+            got = stacked_driver_terms(spec, self.LEVELS, ens, k, np.take(y, edge_ends(ens.step(k))[1], axis=1), z, u)
             for a, b in zip(got, parent_driver_terms(spec, self.LEVELS, ens, k, y, z, u)):
                 assert np.array_equal(a, b)
 
@@ -1019,8 +1076,11 @@ def two_pass_skorohod(result, spec, bundle):
             continue
         step = ens.step(k)
         tail, head, edge_prob = edge_ends(step)
-        xs = step.xs
-        r_tail = step.regimes[tail]
+        regimes, xs = step.regimes, step.xs
+        if step.tail is None:  # kept arrays index paths: edge p is path p at both ends
+            regimes, xs = bundle.nodes(k)
+            tail = head = np.arange(regimes.size)
+        r_tail = regimes[tail]
         # u is re-based, so column r of the value vector is Y_{k+1} itself
         values = result.ys[k + 1][head][:, None] + result.us[k][tail]
         minh = np.empty(tail.size)

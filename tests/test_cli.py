@@ -284,6 +284,22 @@ class TestConfigErrors:
         assert not (tmp_path / "result.json").exists()
 
     @pytest.mark.parametrize(
+        "command, section, key",
+        [("solve", "scheme", "h"), ("compare", "oracle.fd", "dt"), ("compare", "oracle.fd", "x_min")],
+        ids=["scheme.h", "oracle.fd.dt", "oracle.fd.x_min"],
+    )
+    def test_float_setting_too_large_for_a_float_refused(self, tmp_path, capsys, command, section, key):
+        """A 401-digit integer for a float setting: exit 3 naming the key, not an OverflowError traceback."""
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}})
+        if section == "scheme":
+            payload["scheme"][key] = 10**400
+        else:
+            payload["oracle"] = {"fd": {key: 10**400}}
+        assert run(command, write_config(tmp_path, payload), out=str(tmp_path)) == 3
+        assert f"{section}.{key} must be a finite number" in capsys.readouterr().err
+        assert not (tmp_path / "result.json").exists()
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             ("[1, 2]", "config root must be a JSON object"),
