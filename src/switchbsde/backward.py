@@ -249,13 +249,14 @@ class MonteCarloEnsemble:
             raise DivergenceError(f"non-finite regression target for {family} at step {k}")
         levels, _, c = targets.shape
         records: list[list[FitRecord]] = [[] for _ in range(levels)]
-        if k == 0:
+        design = self.step(k).design
+        if design is None:
             # all paths share the initial state: E_0 is the plain mean
             for level in range(levels):
                 targets[level] = targets[level].mean(axis=0)
             return targets, records
         # each fit's records are taken before the next fit replaces it
-        for block in self.step(k).design.blocks:
+        for block in design.blocks:
             fit = ols_fit(block.matrix, targets[:, block.rows], block.factor)
             targets[:, block.rows] = fit.fitted
             for level, level_records in enumerate(records):
@@ -276,10 +277,6 @@ class MonteCarloEnsemble:
             return None
         counts = (np.bincount(self.bundle.nodes(k)[0]) for k in range(1, self.n_steps))
         return min(int(c[c > 0].min()) for c in counts)
-
-    def absent_strata(self, k: int) -> list[int]:
-        present = set(np.flatnonzero(np.bincount(self.step(k).regimes)).tolist())
-        return [i for i in range(1, self.spec.m + 1) if i not in present]
 
 
 class LatticeEnsemble:
@@ -317,9 +314,6 @@ class LatticeEnsemble:
         if not np.all(np.isfinite(targets)):
             raise DivergenceError(f"non-finite target for {family} at step {k}")
         return _reduce(self.step(k), targets), [[] for _ in targets]
-
-    def absent_strata(self, k: int) -> list[int]:
-        return []
 
 
 Ensemble = Union[MonteCarloEnsemble, LatticeEnsemble]
@@ -638,9 +632,10 @@ def _solve_levels(
 
         for level_records, z_records, u_records, y_records in zip(records, rec_z, rec_u, rec_y):
             level_records += z_records + u_records + y_records
-        missing = ens.absent_strata(k)
-        if missing:
-            absent[k] = missing
+        if step.design is not None:  # a fitted step: the regimes without a stratum
+            fitted = {block.regime for block in step.design.blocks}
+            if missing := [i for i in range(1, spec.m + 1) if i not in fitted]:
+                absent[k] = missing
         total_units += y.shape[1]
         for arrays, values in zip(kept.values(), (y, z, u, pm)):
             arrays[k] = _by_path(step, values)

@@ -195,6 +195,18 @@ def _fd_settings(cfg: dict, spec):
     return grid, dt, mode, penalization
 
 
+def _fd_solve(spec, fd) -> tuple[GridSolution, dict]:
+    """The solve of the ``oracle.fd`` settings, and their grid and time step as the artifacts echo them."""
+    grid, dt, mode, penalization = fd
+    sol = fd_solve(spec, grid, dt, mode=mode, penalization=penalization)
+    return sol, {"M": grid[0], "x_min": grid[1], "x_max": grid[2], "dt": dt}
+
+
+def _start(spec) -> tuple[float, int, float]:
+    """The point ``(0, i0, x0)`` where the artifacts read the value."""
+    return 0.0, spec.initial_regime, float(spec.initial_state[0])
+
+
 def run(
     command: str,
     config_path: str,
@@ -206,7 +218,12 @@ def run(
     dump_steps: bool = False,
     dump_regression: bool = False,
 ) -> int:
-    """Execute one command; returns the process exit status."""
+    """Execute one command; returns the process exit status.
+
+    Every setting the command reads is refused before any work; ``ladder``
+    ignores the dump flags, and ``solve`` and ``compare`` write nothing of a
+    solve that does not finish.
+    """
     try:
         cfg = _load_config(config_path)
         if command not in COMMANDS:
@@ -221,88 +238,45 @@ def run(
             return _cmd_validate(cfg, out_dir)
 
         spec, name, overrides = _problem_from(cfg)
-        problem_echo = {"name": name, "overrides": overrides}
-
+        header = {"schema_version": SCHEMA_VERSION, "problem": {"name": name, "overrides": overrides}}
         if command == "oracle":
-            grid, dt, mode, n_pen = _fd_settings(cfg, spec)
-            sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen)
-            _grid_csv(sol, out_dir / "grid.csv")
-            _json_dump(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "problem": problem_echo,
-                    "grid": {"M": grid[0], "x_min": grid[1], "x_max": grid[2], "dt": dt},
-                    "mode": mode,
-                    "penalization": sol.penalization,
-                    "value_at_start": sol.value_at(0.0, spec.initial_regime, float(spec.initial_state[0])),
-                },
-                out_dir / "grid.json",
-            )
-            return 0
+            return _cmd_oracle(spec, header, _fd_settings(cfg, spec), out_dir)
 
         scheme = _scheme_from(cfg, seed_val)
-        fd_settings = _fd_settings(cfg, spec) if command == "compare" else None
-
-        if command == "simulate":
-            bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
-            dump_paths_csv(bundle, out_dir / "paths.csv")
-            return 0
-
+        fd = _fd_settings(cfg, spec) if command == "compare" else None
         if command == "ladder":
             ladder = _section(cfg, "ladder", accepted=LADDER_KEYS)
             schedule = _check_schedule(_optional(ladder, "n_schedule", list, "ladder", [1, 2, 4, 8, 16, 32, 64]))
-            bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
+        bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
+
+        if command == "simulate":
+            dump_paths_csv(bundle, out_dir / "paths.csv")
+            return 0
+        if command == "ladder":
             report = penalization_ladder(spec, scheme, schedule, bundle)
-            _json_dump(
-                {
-                    "schema_version": SCHEMA_VERSION,
-                    "problem": problem_echo,
-                    "scheme": scheme.echo(),
-                    **report.to_dict(),
-                },
-                out_dir / "ladder.json",
-            )
+            _json_dump({**header, "scheme": scheme.echo(), **report.to_dict()}, out_dir / "ladder.json")
             return 0
 
-        # solve / compare share the solve stage
-        bundle = simulate_paths(spec, scheme.paths, scheme.h, seed_val)
+        # solve / compare
         result = solve_backward(spec, scheme, bundle, keep_steps=dump_steps)
-        residual = skorohod_residual(result)
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "problem": problem_echo,
-            "scheme": scheme.echo(),
-            "mode": result.mode,
-            "y0": result.y0,
-            "diagnostics": {**result.diagnostics_dict(), "skorohod_residual": residual},
-        }
+        header["scheme"] = scheme.echo()
+        diagnostics = {**result.diagnostics_dict(), "skorohod_residual": skorohod_residual(result)}
+        payload = {**header, "mode": result.mode, "y0": result.y0, "diagnostics": diagnostics}
         if dump_paths:
             dump_paths_csv(bundle, out_dir / "paths.csv")
         if dump_steps:
             _steps_csv(result, out_dir / "steps.csv")
         if dump_regression:
             _regression_csv(result, out_dir / "regression.csv")
+        del bundle  # the grid oracle does not need the paths: freed before its solve
 
-        if command == "solve":
-            _json_dump(payload, out_dir / "result.json")
-            return 0
-
-        # compare: the grid oracle does not need the paths; free them before its solve
-        del bundle
-        grid, dt, mode, n_pen = fd_settings
-        sol = fd_solve(spec, grid, dt, mode=mode, penalization=n_pen)
-        report = oracle_compare(result, sol, (0.0, spec.initial_regime, float(spec.initial_state[0])))
+        if fd is not None:
+            sol, grid = _fd_solve(spec, fd)
+            report = oracle_compare(result, sol, _start(spec))
         _json_dump(payload, out_dir / "result.json")
-        _json_dump(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "problem": problem_echo,
-                "scheme": scheme.echo(),
-                "fd": {"M": grid[0], "x_min": grid[1], "x_max": grid[2], "dt": dt, "mode": mode, "n": sol.penalization},
-                **report.to_dict(),
-            },
-            out_dir / "compare.json",
-        )
+        if fd is not None:
+            fd_echo = {**grid, "mode": sol.mode, "n": sol.penalization}
+            _json_dump({**header, "fd": fd_echo, **report.to_dict()}, out_dir / "compare.json")
         return 0
 
     except DivergenceError as exc:
@@ -311,6 +285,14 @@ def run(
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
+
+
+def _cmd_oracle(spec, header: dict, fd, out_dir: Path) -> int:
+    sol, grid = _fd_solve(spec, fd)
+    _grid_csv(sol, out_dir / "grid.csv")
+    echo = {"grid": grid, "mode": sol.mode, "penalization": sol.penalization}
+    _json_dump({**header, **echo, "value_at_start": sol.value_at(*_start(spec))}, out_dir / "grid.json")
+    return 0
 
 
 def _cmd_validate(cfg: dict, out_dir: Path) -> int:

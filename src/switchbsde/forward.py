@@ -49,7 +49,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .problem import IntensityMeasure, ProblemSpec, _integer, _step_count
+from .problem import IntensityMeasure, ProblemSpec, _finite, _integer, _step_count, check_regime
 
 Array = np.ndarray
 
@@ -425,7 +425,8 @@ def bundle_from_paths(
 
     Intended for tests: ``atoms_per_path[p]`` lists ``(time, mark)`` atoms
     and ``dw_per_path[p]`` gives one increment row per sub-interval of the
-    path's grid, in time order (zeros when omitted). Atoms at equal times, or
+    path's grid, in time order (zeros when omitted). A time must be finite and
+    in ``(0, T]`` and a mark a regime in ``1..m``. Atoms at equal times, or
     on a regular time, share one grid node, whose regime is the mark of the
     last of them in ``(time, mark)`` order. The merge, the Euler recursion and
     the layout are those of :func:`simulate_paths`.
@@ -436,13 +437,18 @@ def bundle_from_paths(
     K = _step_count(T, h, "step")
     offsets, times, marks = [0], [], []
     for p, atom_list in enumerate(atoms_per_path):
+        for t, j in atom_list:
+            if not _finite(t):
+                raise ValueError(f"path {p} has an atom at a time that is not a finite number: {t!r}")
+            if t <= 0:
+                raise ValueError(f"path {p} has an atom at a nonpositive time")
+            if t > T:
+                raise ValueError(f"path {p} has an atom beyond the horizon")
+            try:
+                check_regime(j, spec.m)
+            except ValueError as exc:
+                raise ValueError(f"path {p} has a mark outside 1..{spec.m}: {exc}") from exc
         atom_list = sorted(atom_list)
-        if atom_list and atom_list[0][0] <= 0:
-            raise ValueError(f"path {p} has an atom at a nonpositive time")
-        if atom_list and atom_list[-1][0] > T:
-            raise ValueError(f"path {p} has an atom beyond the horizon")
-        if any(not 1 <= j <= spec.m for _, j in atom_list):
-            raise ValueError(f"path {p} has a mark outside 1..{spec.m}")
         times.extend(float(t) for t, _ in atom_list)
         marks.extend(int(j) for _, j in atom_list)
         offsets.append(len(times))

@@ -28,7 +28,7 @@ import numpy as np
 
 from .backward import DivergenceError, _check_built_for
 from .lattice import LatticeChain, LatticeSpec, build_lattice_chain
-from .problem import ProblemSpec, _integer, _step_count
+from .problem import ProblemSpec, _integer, _step_count, check_regime
 
 Array = np.ndarray
 
@@ -73,10 +73,11 @@ class LatticeSolution:
 def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: int = 0) -> LatticeSolution:
     """Evaluate the penalized backward recursion exactly on the chain.
 
-    Raises :class:`DivergenceError` under the backward pass's guard: when a
+    Raises :class:`DivergenceError` under the backward pass's guards: when a
     problem with a growth bound ``(c0, c1)`` gets a step's value
     ``|v| > 10 (c0 + c1 |x|)`` at one of the step's nodes, as the explicit
-    penalty step does past ``n * Lambda * h ~ 1``. Refuses the levels
+    penalty step does past ``n * Lambda * h ~ 1``, and when a step's values
+    are not finite, with or without a growth bound. Refuses the levels
     :class:`SchemeConfig` refuses, and a chain built from a problem of
     another shape or horizon, as the backward pass does.
     """
@@ -147,6 +148,8 @@ def lattice_dp_solve(spec: ProblemSpec, lattice: LatticeSpec | LatticeChain, n: 
         v = reduce(prob * (v_head + h * f_edge))
         if spec.growth_bound is not None and np.any(np.abs(v) > 10.0 * spec.growth_radius(nodes.x)):
             raise DivergenceError(f"DP value exceeded 10x the growth bound at step {k}")
+        if not np.all(np.isfinite(v)):
+            raise DivergenceError(f"non-finite DP value at step {k}")
         values[k], zs[k], us[k], proxies[k] = v, z, u, proxy
 
     return LatticeSolution(chain=chain, y0=float(values[0][0]), values=values, z=zs, u=us, proxies=proxies)
@@ -167,7 +170,8 @@ class GridSolution:
     penalization: Optional[int] = None
 
     def value_at(self, t: float, i: int, x: float) -> float:
-        """Linear interpolation in x at a grid time; refuses extrapolation."""
+        """Linear interpolation in x at a grid time; refuses extrapolation and a regime outside ``1..m``."""
+        i = check_regime(i, self.values.shape[0])
         kt = int(np.argmin(np.abs(self.times - t)))
         if abs(self.times[kt] - t) > 1e-9 * max(1.0, self.times[-1]):
             raise ValueError(f"time {t} is not on the oracle grid")
@@ -463,11 +467,11 @@ def oracle_compare(result, gridsol: GridSolution, at: tuple[float, int, float]) 
 
     ``result`` is a :class:`SolveResult` (its ``y0`` is used) or a plain
     number. The oracle value is interpolated linearly in x; points off the
-    grid are refused.
+    grid, and a regime outside ``1..m``, are refused.
     """
     t, regime, x = at
     value = float(result.y0) if hasattr(result, "y0") else float(result)
-    oracle_value = gridsol.value_at(t, int(regime), float(x))
+    oracle_value = gridsol.value_at(t, regime, float(x))
     abs_gap = abs(value - oracle_value)
     denom = max(abs(oracle_value), 1e-12)
     return CompareReport(

@@ -492,6 +492,18 @@ class TestStepAndSolve:
         result = solve_backward(spec, SchemeConfig(h=0.25, paths=2, seed=0), bundle)
         assert 3 in result.absent_strata_steps[1]
 
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    def test_absent_strata_only_on_fitted_steps(self):
+        # step 0 fits nothing (E_0 is the plain mean over all paths): no regime is absent there
+        spec = build_problem("switch3", {"T": 0.5})
+        bundle = bundle_from_paths(spec, 0.25, [[(0.1, 2)], []])
+        result = solve_backward(spec, SchemeConfig(h=0.25, paths=2, seed=0), bundle)
+        assert result.absent_strata_steps == {1: [3]}
+        spec = build_problem("switch2-linear")
+        result = solve_backward(spec, SchemeConfig(h=0.05, paths=500, seed=4), simulate_paths(spec, 500, 0.05, seed=4))
+        assert 0 not in result.absent_strata_steps
+        assert result.diagnostics_dict()["absent_strata_steps"] == {}
+
 
 class TestKeepSteps:
     """``keep_steps`` changes what the result holds, never what the pass computes."""
@@ -774,7 +786,10 @@ class TestStepView:
             np.testing.assert_array_equal(z, z_ref)
             np.testing.assert_array_equal(u, u_ref)
             assert [r.gram_condition for r in rec_z + rec_u] == [r.gram_condition for r in rec_z_ref + rec_u_ref]
-            assert shared.absent_strata(k) == fresh.absent_strata(k)
+            strata = [None if e.step(k).design is None else [b.regime for b in e.step(k).design.blocks]
+                      for e in (shared, fresh)]
+            assert strata[0] == strata[1]
+            assert (strata[0] is None) == (k == 0)
 
     def test_one_factorization_per_step_and_stratum(self, monkeypatch):
         from switchbsde.regression import GramFactor

@@ -521,3 +521,55 @@ class TestOtherCommands:
             assert run("solve", cfg, workers=w, out=str(out)) == 0
             outs.append((out / "result.json").read_bytes())
         assert len(set(outs)) == 1
+
+
+class TestArtifactSets:
+    """The files each command writes, and what a failing run leaves behind."""
+
+    DUMPS = {"dump_paths": True, "dump_steps": True, "dump_regression": True}
+    CSVS = {"paths.csv", "steps.csv", "regression.csv"}
+    WRITES = {
+        "simulate": ({"paths.csv"}, {"paths.csv"}),
+        "solve": ({"result.json"}, {"result.json"} | CSVS),
+        "ladder": ({"ladder.json"}, {"ladder.json"}),  # ladder ignores the dump flags
+        "oracle": ({"grid.csv", "grid.json"}, {"grid.csv", "grid.json"}),
+        "compare": ({"result.json", "compare.json"}, {"result.json", "compare.json"} | CSVS),
+        "validate": ({"validation.json"}, {"validation.json"}),
+    }
+
+    @staticmethod
+    def payload(**scheme) -> dict:
+        payload = solve_config(problem={"name": "switch2-linear", "overrides": {}})
+        payload["scheme"] = {"h": 0.125, "n": 4, "paths": 200, **scheme}
+        payload["oracle"] = {"fd": {"M": 40, "dt": 0.01}}
+        payload["ladder"] = {"n_schedule": [1, 2]}
+        return payload
+
+    @staticmethod
+    def written(out: Path) -> set:
+        return {p.name for p in out.iterdir()} if out.exists() else set()
+
+    @pytest.mark.parametrize("dumped", [False, True], ids=["plain", "dumps"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_files_written(self, tmp_path, command, dumped):
+        out = tmp_path / "out"
+        flags = self.DUMPS if dumped else {}
+        assert run(command, write_config(tmp_path, self.payload()), out=str(out), **flags) == 0
+        assert self.written(out) == self.WRITES[command][dumped]
+
+    @pytest.mark.parametrize("command", ["solve", "compare", "ladder"])
+    def test_diverging_solve_leaves_no_file(self, tmp_path, command):
+        # n * Lambda * h = 2000 * 3 * 0.125: the explicit penalty step runs past the growth bound
+        payload = self.payload(n=2_000)
+        payload["ladder"] = {"n_schedule": [1, 2_000]}
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, payload), out=str(out), **self.DUMPS) == 2
+        assert self.written(out) == set()
+
+    @pytest.mark.parametrize("command", ["oracle", "compare"])
+    def test_bad_fd_leaves_no_file(self, tmp_path, command):
+        payload = self.payload()
+        payload["oracle"] = {"fd": {"M": 2}}
+        out = tmp_path / "out"
+        assert run(command, write_config(tmp_path, payload), out=str(out), **self.DUMPS) == 3
+        assert self.written(out) == set()

@@ -541,6 +541,20 @@ class TestBundleFromPaths:
         with pytest.raises(ValueError, match="mark outside 1..2"):
             bundle_from_paths(spec, 0.25, [[(0.1, 1)], [(0.2, mark)]])
 
+    @pytest.mark.parametrize("mark", [1.5, True])
+    def test_mark_that_is_not_a_regime_index_rejected(self, mark):
+        # a fractional or bool mark used to be stored as the regime int() gives it
+        spec = build_problem("switch2-linear")
+        with pytest.raises(ValueError, match="path 0 has a mark outside 1..2"):
+            bundle_from_paths(spec, 0.05, [[(0.12, mark)]])
+
+    @pytest.mark.parametrize("time", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_atom_time_rejected(self, time):
+        # a nan time used to escape as an IndexError from the build
+        spec = build_problem("switch2-linear")
+        with pytest.raises(ValueError, match="path 1 has an atom at a time that is not a finite number"):
+            bundle_from_paths(spec, 0.05, [[], [(0.12, 1), (time, 2)]])
+
     def test_atom_at_nonpositive_time_rejected(self):
         spec = build_problem("switch2-linear", {"T": 0.5})
         with pytest.raises(ValueError, match="nonpositive time"):

@@ -19,6 +19,7 @@ from switchbsde import (
 )
 from switchbsde.lattice import _ROUND_DECIMALS
 from switchbsde.oracles import _implicit_penalty_update
+from switchbsde.problem import CoefficientSet
 
 
 class TestLatticeChain:
@@ -154,6 +155,23 @@ class TestLatticeChain:
             assert es.head.dtype == np.int32
 
 
+def nan_terminal_spec(bounded: bool):
+    """switch2-linear with a terminal that is nan for x > 0.5, with or without its growth bound."""
+    spec = build_problem("switch2-linear")
+    base = spec.coefficients
+    coeffs = CoefficientSet(
+        drift=base.drift,
+        vol=base.vol,
+        driver=base.driver,
+        constraint=base.constraint,
+        terminal=lambda i, x: np.where(x[:, 0] > 0.5, np.nan, x[:, 0]),
+    )
+    object.__setattr__(spec, "coefficients", coeffs)
+    if not bounded:
+        object.__setattr__(spec, "growth_bound", None)
+    return spec
+
+
 class TestLatticeDp:
     def test_single_successor_chain(self):
         # zero vol, unit drift: one deterministic successor per step
@@ -222,6 +240,16 @@ class TestLatticeDp:
             lattice_dp_solve(spec, chain, n=1024)
         with pytest.raises(DivergenceError, match="growth bound at step 17"):
             solve_backward(spec, SchemeConfig(h=0.02, n=1024, paths=1, seed=0), chain)
+
+    @pytest.mark.parametrize("bounded", [True, False])
+    def test_non_finite_value_raises_as_the_backward_solver_does(self, bounded):
+        # the FD case's terminal: nan for x > 0.5; the DP used to return y0 = nan
+        spec = nan_terminal_spec(bounded)
+        chain = build_lattice_chain(spec, LatticeSpec(h=0.05))
+        with pytest.raises(DivergenceError, match="non-finite DP value at step 9"):
+            lattice_dp_solve(spec, chain, n=4)
+        with pytest.raises(DivergenceError, match="non-finite target for z at step 9"):
+            solve_backward(spec, SchemeConfig(h=0.05, n=4, paths=1, seed=0), chain)
 
     @pytest.mark.parametrize("n", [-1, 1.5, True])
     def test_bad_level_refused(self, n):
@@ -405,22 +433,8 @@ class TestFdSolve:
 
     @pytest.mark.parametrize("bounded", [True, False])
     def test_non_finite_divergence(self, bounded):
-        import switchbsde.problem as pb
-
-        spec = build_problem("switch2-linear")
-        base = spec.coefficients
-        coeffs = pb.CoefficientSet(
-            drift=base.drift,
-            vol=base.vol,
-            driver=base.driver,
-            constraint=base.constraint,
-            terminal=lambda i, x: np.where(x[:, 0] > 0.5, np.nan, x[:, 0]),
-        )
-        object.__setattr__(spec, "coefficients", coeffs)
-        if not bounded:
-            object.__setattr__(spec, "growth_bound", None)
         with pytest.raises(DivergenceError, match="became non-finite at t-step 4"):
-            fd_solve(spec, (50, -1.0, 1.0), 1e-1)
+            fd_solve(nan_terminal_spec(bounded), (50, -1.0, 1.0), 1e-1)
 
 
 def dense_cn_system(spec, xs: np.ndarray, dt: float, i: int = 1):
@@ -677,6 +691,17 @@ class TestOracleCompare:
         report = oracle_compare(result, sol, (0.0, 1, 0.7))
         se = float(np.std(bundle.x_T[:, 0]) / np.sqrt(bundle.N))
         assert report.abs_gap <= 3 * se + 2e-3
+
+    @pytest.mark.parametrize("regime", [0, -1, 3, True, 1.5])
+    def test_regime_outside_range_refused(self, regime):
+        # 0 and -1 used to read the last and first regimes' sheets, True regime 1's, and 1.5 an IndexError
+        spec = build_problem("switch2-linear")
+        sol = fd_solve(spec, (100, -1.2, 1.2), 5e-3)
+        with pytest.raises(ValueError, match="regime index"):
+            sol.value_at(0.0, regime, 0.0)
+        with pytest.raises(ValueError, match="regime index"):
+            oracle_compare(0.1, sol, (0.0, regime, 0.0))
+        assert oracle_compare(0.1, sol, (0.0, 2, 0.0)).oracle_value == sol.value_at(0.0, 2, 0.0)
 
     def test_extrapolation_refused(self):
         spec = build_problem("switch2-linear")
